@@ -13,8 +13,8 @@ diag(F(1), ..., F(D)) only away from the top column, whose computed value is 0
 against a true value of F(D).  Relation checks therefore compare on a guard
 band of columns [0, D-1-g].
 
-The parity (Klein) operator T = (-1)^N and the projectors P0, P1 onto even and
-odd levels are exact diagonals in either backend.
+The projectors P0, P1 onto even and odd levels are exact diagonals in either
+backend; the parity (Klein) operator is T = (-1)^N = P0 - P1.
 """
 
 from __future__ import annotations
@@ -153,10 +153,8 @@ class FockRep:
     dim: int
     backend: Backend
     F_values: tuple[Fraction, ...]  # F(0..dim), exact
-    number: BandMatrix
     a: BandMatrix
     a_dag: BandMatrix
-    parity: BandMatrix
     even_projector: BandMatrix
     odd_projector: BandMatrix
 
@@ -170,18 +168,16 @@ def _sqrt_entry(value: Fraction, backend: Backend):
 def build_fock_rep(
     spec: OscillatorSpec, dim: int, backend: Backend = Backend.FLOAT
 ) -> FockRep:
-    """Build the ladder, number, parity, and projector matrices on dimension dim."""
+    """Build the ladder and parity projector matrices on dimension dim."""
     if dim < 2:
         raise ValidationError("dim must be >= 2")
     values = structure_values(spec, dim)
     roots = {n: _sqrt_entry(values[n], backend) for n in range(1, dim)}
     a = BandMatrix(dim, backend, {(n - 1, n): roots[n] for n in range(1, dim)})
     a_dag = BandMatrix(dim, backend, {(n + 1, n): roots[n + 1] for n in range(dim - 1)})
-    number = BandMatrix.diagonal([Fraction(n) for n in range(dim)], backend)
-    parity = BandMatrix.diagonal([Fraction(1 - 2 * (n % 2)) for n in range(dim)], backend)
     p_even = BandMatrix.diagonal([Fraction(1 - n % 2) for n in range(dim)], backend)
     p_odd = BandMatrix.diagonal([Fraction(n % 2) for n in range(dim)], backend)
-    return FockRep(spec, dim, backend, values, number, a, a_dag, parity, p_even, p_odd)
+    return FockRep(spec, dim, backend, values, a, a_dag, p_even, p_odd)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ constants as well (see the verification suites).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .numerics import BandMatrix
 
@@ -97,6 +98,12 @@ def graded_bracket(x: GradedOperator, y: GradedOperator) -> GradedOperator:
     return GradedOperator(result, degree_add(dx, dy), f"[[{x.label},{y.label}]]")
 
 
+def antisymmetry_residual(sign: int, forward: BandMatrix, backward: BandMatrix) -> float:
+    """Max |entry| of [[X,Y]] + sign [[Y,X]] from the two brackets, sign = (-1)^(x.y)."""
+    total = forward + backward if sign == 1 else forward - backward
+    return total.max_abs()
+
+
 def check_antisymmetry(x: GradedOperator, y: GradedOperator) -> float:
     """Max |entry| of [[X,Y]] + (-1)^(x.y) [[Y,X]]; exactly 0.0 in floats.
 
@@ -104,10 +111,24 @@ def check_antisymmetry(x: GradedOperator, y: GradedOperator) -> float:
     cancels bitwise on every column; no guard band applies.
     """
     sign = graded_sign(x.require_degree(), y.require_degree())
-    forward = graded_bracket(x, y).matrix
-    backward = graded_bracket(y, x).matrix
-    total = forward + backward if sign == 1 else forward - backward
-    return total.max_abs()
+    return antisymmetry_residual(sign, graded_bracket(x, y).matrix, graded_bracket(y, x).matrix)
+
+
+def jacobi_sum(
+    terms: Sequence[tuple[int, BandMatrix]], guard_band: int
+) -> tuple[float, float]:
+    """(residual, scale) of a sign-weighted sum of nested brackets.
+
+    The top guard_band columns are excluded; the scale is the largest entry of
+    the unsigned terms on the compared columns.
+    """
+    dim = terms[0][1].dim
+    if guard_band < 0 or guard_band >= dim:
+        raise GradingError(f"guard band {guard_band} invalid for dim {dim}")
+    cols = range(dim - guard_band)
+    signed = [matrix if sign == 1 else -matrix for sign, matrix in terms]
+    scale = max(0.0, *(matrix.max_abs(cols) for _, matrix in terms))
+    return sum(signed[1:], signed[0]).max_abs(cols), scale
 
 
 def jacobi_defect(
@@ -119,21 +140,12 @@ def jacobi_defect(
     columns (default 3) are excluded.  The scale is the largest entry of the
     three cyclic terms on the compared columns.
     """
-    dim = x.matrix.dim
-    if guard_band < 0 or guard_band >= dim:
-        raise GradingError(f"guard band {guard_band} invalid for dim {dim}")
     dx, dy, dz = x.require_degree(), y.require_degree(), z.require_degree()
-    terms = [
-        (graded_sign(dx, dz), graded_bracket(x, graded_bracket(y, z)).matrix),
-        (graded_sign(dy, dx), graded_bracket(y, graded_bracket(z, x)).matrix),
-        (graded_sign(dz, dy), graded_bracket(z, graded_bracket(x, y)).matrix),
-    ]
-    cols = range(dim - guard_band)
-    total = None
-    scale = 0.0
-    for sign, matrix in terms:
-        scale = max(scale, matrix.max_abs(cols))
-        signed = matrix if sign == 1 else -matrix
-        total = signed if total is None else total + signed
-    assert total is not None
-    return total.max_abs(cols), scale
+    return jacobi_sum(
+        [
+            (graded_sign(dx, dz), graded_bracket(x, graded_bracket(y, z)).matrix),
+            (graded_sign(dy, dx), graded_bracket(y, graded_bracket(z, x)).matrix),
+            (graded_sign(dz, dy), graded_bracket(z, graded_bracket(x, y)).matrix),
+        ],
+        guard_band,
+    )

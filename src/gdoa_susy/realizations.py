@@ -26,6 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import Sequence
 
 from .fock import (
     FockRep,
@@ -64,13 +66,41 @@ class RealizationSet:
     Z: GradedOperator
     h_diag: tuple[Fraction, ...] | None
     z_diag: tuple[Fraction, ...] | None
-    f_zeros: tuple[int, ...]
     rep: FockRep
+
+    @cached_property
+    def exact(self) -> "RealizationSet | None":
+        """:func:`exact_variant` of this realization, built on first use."""
+        return exact_variant(self)
 
 
 def _require_mu(mu: int) -> None:
     if mu not in (0, 1):
         raise ValidationError(f"mu must be 0 or 1, got {mu!r}")
+
+
+def _cv_energy(kappa: Fraction, mu: int, n: int) -> Fraction:
+    """Closed-form level n of the reflection oscillator family."""
+    if mu == 0:
+        # E = 0, 2, 2, 4, 4, ...: the k-th pair (2k+1, 2k+2) sits at 2k+2
+        return Fraction(n if n % 2 == 0 else n + 1)
+    # E = 1+kappa, 1+kappa, 3+kappa, ...: pair (2k, 2k+1) at 2k+1+kappa
+    return Fraction(n + 1 if n % 2 == 0 else n) + kappa
+
+
+def _gdoa_energy(values: tuple[Fraction, ...], weights: dict, mu: int, n: int) -> Fraction | float:
+    """Level n of the weighted family: f(m)^2 F(m)."""
+    # m = n on the charge-lowering sector, m = n + 1 off it
+    m = n if (n % 2 == mu) else n + 1
+    if values[m] == 0:
+        return Fraction(0)
+    return weights[m] ** 2 * values[m]
+
+
+def _central_charges(energies: Sequence[Fraction | float], mu: int, convention: str) -> list:
+    """Z_n = s (-1)^n E_n with s = -(-1)^mu for 'cv' and (-1)^mu for 'gdoa'."""
+    sign = (-1 if mu == 0 else 1) * (1 if convention == "cv" else -1)
+    return [sign * (-1 if n % 2 else 1) * energy for n, energy in enumerate(energies)]
 
 
 def cv_realization(
@@ -80,21 +110,14 @@ def cv_realization(
     _require_mu(mu)
     spec = OscillatorSpec.calogero_vasiliev(kappa)
     rep = build_fock_rep(spec, dim, backend)
-    kappa_value = spec.kappa
-    assert kappa_value is not None
     if mu == 0:
         qdag_matrix = rep.a @ rep.even_projector
         q_matrix = rep.a_dag @ rep.odd_projector
-        h_diag = tuple(Fraction(n if n % 2 == 0 else n + 1) for n in range(dim))
     else:
         qdag_matrix = rep.a @ rep.odd_projector
         q_matrix = rep.a_dag @ rep.even_projector
-        h_diag = tuple(
-            Fraction(n + 1) + kappa_value if n % 2 == 0 else Fraction(n) + kappa_value
-            for n in range(dim)
-        )
-    z_sign = -1 if mu == 0 else 1
-    z_diag = tuple(z_sign * (-1 if n % 2 else 1) * h_diag[n] for n in range(dim))
+    h_diag = tuple(_cv_energy(spec.kappa, mu, n) for n in range(dim))
+    z_diag = tuple(_central_charges(h_diag, mu, "cv"))
     return RealizationSet(
         spec=spec,
         mu=mu,
@@ -107,7 +130,6 @@ def cv_realization(
         Z=GradedOperator(BandMatrix.diagonal(z_diag, backend), DEGREE_Z, "Z"),
         h_diag=h_diag,
         z_diag=z_diag,
-        f_zeros=(),
         rep=rep,
     )
 
@@ -135,24 +157,8 @@ def gdoa_realization(
     qdag_matrix = BandMatrix(dim, backend, {(m, m - 1): edge(m) for m in raising_targets})
     q_matrix = BandMatrix(dim, backend, {(m - 1, m): edge(m) for m in raising_targets})
 
-    def level_energy(n: int) -> Fraction | float:
-        # f(m)^2 F(m) with m = n on the charge-lowering sector, m = n + 1 off it
-        m = n if (n % 2 == mu) else n + 1
-        if values[m] == 0:
-            return Fraction(0)
-        return weights[m] ** 2 * values[m]
-
-    energies = [level_energy(n) for n in range(dim)]
-    z_sign = 1 if mu == 0 else -1
-    charges = [z_sign * (-1 if n % 2 else 1) * energies[n] for n in range(dim)]
-    if exact_weight:
-        h_diag: tuple[Fraction, ...] | None = tuple(energies)
-        z_diag: tuple[Fraction, ...] | None = tuple(charges)
-        f_zeros = tuple(n for n in range(1, dim + 1) if weights[n] == 0)
-    else:
-        h_diag = None
-        z_diag = None
-        f_zeros = ()
+    energies = [_gdoa_energy(values, weights, mu, n) for n in range(dim)]
+    charges = _central_charges(energies, mu, "gdoa")
     return RealizationSet(
         spec=spec,
         mu=mu,
@@ -163,11 +169,11 @@ def gdoa_realization(
         Q=GradedOperator(q_matrix, None, "Q"),
         H=GradedOperator(BandMatrix.diagonal(energies, backend), DEGREE_H, "H"),
         Z=GradedOperator(BandMatrix.diagonal(charges, backend), DEGREE_Z, "Z"),
-        h_diag=h_diag,
-        z_diag=z_diag,
-        f_zeros=f_zeros,
+        h_diag=tuple(energies) if exact_weight else None,
+        z_diag=tuple(charges) if exact_weight else None,
         rep=rep,
     )
+
 
 def exact_variant(r: RealizationSet) -> RealizationSet | None:
     """The same realization on the exact backend, or None if f needs floats."""
@@ -251,41 +257,19 @@ def _closed_form_values(spec: OscillatorSpec, mu: int, n_max: int) -> list[Spect
         raise ValidationError("spectrum tables require an exactly evaluable weight (no sqrt)")
     values = structure_values(spec, n_max + 1)
     weights = weight_values(spec, n_max + 1, Backend.EXACT)
-
-    def energy(n: int) -> Fraction:
-        if spec.is_calogero_vasiliev:
-            kappa = spec.kappa
-            assert kappa is not None
-            if mu == 0:
-                # E = 0, 2, 2, 4, 4, ...: the k-th pair (2k+1, 2k+2) sits at 2k+2
-                return Fraction(0) if n == 0 else Fraction(n + 1 if n % 2 else n)
-            # E = 1+kappa, 1+kappa, 3+kappa, ...: pair (2k, 2k+1) at 2k+1+kappa
-            return Fraction(n + 1 if n % 2 == 0 else n) + kappa
-        m = n if (n % 2 == mu) else n + 1
-        if values[m] == 0:
-            return Fraction(0)
-        result = weights[m] ** 2 * values[m]
-        assert isinstance(result, Fraction)
-        return result
-
-    def central(n: int) -> Fraction:
-        if spec.is_calogero_vasiliev:
-            sign = -1 if mu == 0 else 1
-        else:
-            sign = 1 if mu == 0 else -1
-        return sign * (-1 if n % 2 else 1) * energy(n)
-
-    return [SpectrumRow(n, energy(n), central(n)) for n in range(n_max + 1)]
+    if spec.is_calogero_vasiliev:
+        energies = [_cv_energy(spec.kappa, mu, n) for n in range(n_max + 1)]
+        convention = "cv"
+    else:
+        energies = [_gdoa_energy(values, weights, mu, n) for n in range(n_max + 1)]
+        convention = "gdoa"
+    charges = _central_charges(energies, mu, convention)
+    return [SpectrumRow(n, e, z) for n, (e, z) in enumerate(zip(energies, charges))]
 
 
 def spectrum_H(spec: OscillatorSpec, mu: int, n_max: int) -> SpectrumTable:
     """Closed-form spectrum table (energy column is the primary payload)."""
     return SpectrumTable(spec, mu, n_max, tuple(_closed_form_values(spec, mu, n_max)))
-
-
-def spectrum_Z(spec: OscillatorSpec, mu: int, n_max: int) -> SpectrumTable:
-    """Closed-form spectrum table (central-charge column is the primary payload)."""
-    return spectrum_H(spec, mu, n_max)
 
 
 def pair_partner(mu: int, n: int) -> int | None:

@@ -25,29 +25,30 @@ degree assignment, so it can only measure rounding, never algebra.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import product
 from typing import Sequence
 
-from .fock import OscillatorSpec
-from .grading import GradedOperator, check_antisymmetry, graded_bracket, jacobi_defect
+from .fock import OscillatorSpec, guard_band_equal
+from .grading import (
+    GradedOperator,
+    antisymmetry_residual,
+    graded_bracket,
+    graded_sign,
+    jacobi_sum,
+)
 from .numerics import (
     Backend,
     BandMatrix,
     DEFAULT_POLICY,
+    EXACT_POLICY,
     ExactScalar,
     TolerancePolicy,
     anticommutator,
-    approx_equal_matrix,
     commutator,
 )
-from .realizations import (
-    HermitianSet,
-    RealizationSet,
-    exact_variant,
-    hermitian_charges,
-)
+from .realizations import HermitianSet, RealizationSet, hermitian_charges
 
 
 class Exactness(Enum):
@@ -111,21 +112,11 @@ def merge_reports(reports: Sequence[VerificationReport], prefixes: Sequence[str]
     if not reports:
         raise ValueError("nothing to merge")
     first = reports[0]
-    checks: list[RelationCheck] = []
-    for report, prefix in zip(reports, prefixes):
-        for check in report.checks:
-            checks.append(
-                RelationCheck(
-                    name=f"{prefix}/{check.name}",
-                    relation=check.relation,
-                    guard_band=check.guard_band,
-                    exactness=check.exactness,
-                    residual=check.residual,
-                    scale=check.scale,
-                    bound=check.bound,
-                    passed=check.passed,
-                )
-            )
+    checks = [
+        replace(check, name=f"{prefix}/{check.name}")
+        for report, prefix in zip(reports, prefixes)
+        for check in report.checks
+    ]
     return VerificationReport(
         spec=first.spec,
         mu=first.mu,
@@ -137,14 +128,10 @@ def merge_reports(reports: Sequence[VerificationReport], prefixes: Sequence[str]
     )
 
 
-def _cols(dim: int, guard_band: int) -> range:
-    return range(dim - guard_band)
-
-
 def _structural_check(
     name: str, relation: str, lhs: BandMatrix, rhs: BandMatrix, guard_band: int
 ) -> RelationCheck:
-    cmp = approx_equal_matrix(lhs, rhs, TolerancePolicy(0.0, 0.0), _cols(lhs.dim, guard_band))
+    cmp = guard_band_equal(lhs, rhs, guard_band, EXACT_POLICY).comparison
     return RelationCheck(
         name,
         relation,
@@ -165,7 +152,7 @@ def _float_check(
     guard_band: int,
     policy: TolerancePolicy,
 ) -> RelationCheck:
-    cmp = approx_equal_matrix(lhs, rhs, policy, _cols(lhs.dim, guard_band))
+    cmp = guard_band_equal(lhs, rhs, guard_band, policy).comparison
     return RelationCheck(
         name,
         relation,
@@ -194,12 +181,9 @@ def _diagonal_check(
     pair is derived from the defining data rather than the instance entries.
     """
     lhs, rhs = float_pair
-    instance = approx_equal_matrix(lhs, rhs, policy, _cols(lhs.dim, guard_band))
+    instance = guard_band_equal(lhs, rhs, guard_band, policy).comparison
     if exact_pair is not None:
-        elhs, erhs = exact_pair
-        cmp = approx_equal_matrix(
-            elhs, erhs, TolerancePolicy(0.0, 0.0), _cols(elhs.dim, guard_band)
-        )
+        cmp = guard_band_equal(*exact_pair, guard_band, EXACT_POLICY).comparison
         passed = cmp.exact_zero and instance.passed
         residual = cmp.residual if instance.passed else instance.residual
         return RelationCheck(
@@ -252,7 +236,7 @@ def run_standard_susy_suite(
     started = time.perf_counter()
     qd, q, h = r.Qdag.matrix, r.Q.matrix, r.H.matrix
     zero = BandMatrix.zeros(r.dim, r.backend)
-    ex = exact_variant(r) if use_exact else None
+    ex = r.exact if use_exact else None
     exact_anti = None
     if ex is not None:
         exact_anti = (
@@ -285,7 +269,7 @@ def run_qform_suite(
     started = time.perf_counter()
     qd, q, h, z = r.Qdag.matrix, r.Q.matrix, r.H.matrix, r.Z.matrix
     zero = BandMatrix.zeros(r.dim, r.backend)
-    ex = exact_variant(r) if use_exact else None
+    ex = r.exact if use_exact else None
     exact_anti = exact_comm = exact_hz = None
     if ex is not None:
         exact_anti = (anticommutator(ex.Qdag.matrix, ex.Q.matrix), ex.H.matrix)
@@ -414,12 +398,29 @@ def run_jacobi_suite(
     policy: TolerancePolicy = DEFAULT_POLICY,
     guard_band: int = 3,
 ) -> VerificationReport:
-    """Antisymmetry, all 64 graded Jacobi defects, and bracket closure."""
+    """Antisymmetry, all 64 graded Jacobi defects, and bracket closure.
+
+    The 16 brackets [[Y,Z]] and 64 nested brackets [[X,[[Y,Z]]]] are each
+    computed once, keyed by generator slot rather than label (a faulty set may
+    repeat a label), and every check reads from them.
+    """
     started = time.perf_counter()
-    generators = [h.H, h.Q10, h.Q01, h.Z]
+    generators = (h.H, h.Q10, h.Q01, h.Z)
+    degrees = [g.require_degree() for g in generators]
+    slots = range(len(generators))
+    inner = {
+        (j, k): graded_bracket(generators[j], generators[k])
+        for j, k in product(slots, repeat=2)
+    }
+    nested = {
+        (i, j, k): graded_bracket(generators[i], inner[j, k]).matrix
+        for i, j, k in product(slots, repeat=3)
+    }
     checks: list[RelationCheck] = []
-    for x, y in product(generators, repeat=2):
-        residual = check_antisymmetry(x, y)
+    for i, j in product(slots, repeat=2):
+        x, y = generators[i], generators[j]
+        sign = graded_sign(degrees[i], degrees[j])
+        residual = antisymmetry_residual(sign, inner[i, j].matrix, inner[j, i].matrix)
         checks.append(
             RelationCheck(
                 name=f"antisymmetry[{x.label},{y.label}]",
@@ -432,9 +433,17 @@ def run_jacobi_suite(
                 passed=residual == 0.0,
             )
         )
-    for x, y, z in product(generators, repeat=3):
-        residual, scale = jacobi_defect(x, y, z, guard_band)
+    for i, j, k in product(slots, repeat=3):
+        residual, scale = jacobi_sum(
+            [
+                (graded_sign(degrees[i], degrees[k]), nested[i, j, k]),
+                (graded_sign(degrees[j], degrees[i]), nested[j, k, i]),
+                (graded_sign(degrees[k], degrees[j]), nested[k, i, j]),
+            ],
+            guard_band,
+        )
         bound = policy.bound(scale)
+        x, y, z = generators[i], generators[j], generators[k]
         checks.append(
             RelationCheck(
                 name=f"jacobi[{x.label},{y.label},{z.label}]",
@@ -447,15 +456,14 @@ def run_jacobi_suite(
                 passed=residual <= bound,
             )
         )
-    for x, y in product(generators, repeat=2):
-        bracket = graded_bracket(x, y).matrix
-        expected = _closure_expectation(x, y, h)
+    for i, j in product(slots, repeat=2):
+        x, y = generators[i], generators[j]
         checks.append(
             _float_check(
                 f"closure[{x.label},{y.label}]",
                 "[[X,Y]] = structure constants",
-                bracket,
-                expected,
+                inner[i, j].matrix,
+                _closure_expectation(x, y, h),
                 1,
                 policy,
             )

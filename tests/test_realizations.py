@@ -22,7 +22,6 @@ from gdoa_susy.realizations import (
     pair_partner,
     reduction_check,
     spectrum_H,
-    spectrum_Z,
 )
 
 EXACT = Backend.EXACT
@@ -65,7 +64,8 @@ class TestDeformedRealizations:
         # Z = (-1)^(mu+1) T H as an exact matrix identity.
         for mu, sign in ((0, -1), (1, 1)):
             r = cv_realization(Fraction(5, 2), mu, 10, EXACT)
-            expected = (r.rep.parity @ r.H.matrix).scaled(sign)
+            parity = r.rep.even_projector - r.rep.odd_projector
+            expected = (parity @ r.H.matrix).scaled(sign)
             assert r.Z.matrix == expected
 
     def test_invalid_kappa(self):
@@ -127,9 +127,10 @@ class TestWeightedRealizations:
         assert r.h_diag is None and r.z_diag is None
 
     def test_weight_zero_levels_recorded(self):
+        # f(1) = 0 leaves the mu = 1 doublet (0, 1) at zero energy.
         spec = OscillatorSpec.gdoa("n", weight="n - 1")
         r = gdoa_realization(spec, 1, 6)
-        assert r.f_zeros == (1,)
+        assert [n for n, energy in enumerate(r.h_diag) if energy == 0] == [0, 1]
 
     def test_exact_variant(self):
         r = gdoa_realization(OscillatorSpec.gdoa("n^2"), 0, 6)
@@ -207,10 +208,6 @@ class TestSpectra:
             r = gdoa_realization(spec, mu, 10)
             assert tuple(row.energy for row in table.rows) == r.h_diag
             assert tuple(row.central for row in table.rows) == r.z_diag
-
-    def test_spectrum_Z_same_table(self):
-        spec = OscillatorSpec.calogero_vasiliev(0)
-        assert spectrum_Z(spec, 0, 5) == spectrum_H(spec, 0, 5)
 
     def test_cv_table_matches_realization(self):
         for kappa in (0, Fraction(5, 2)):

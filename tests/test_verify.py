@@ -3,12 +3,19 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from gdoa_susy import realizations
 from gdoa_susy.fock import OscillatorSpec
-from gdoa_susy.grading import GradedOperator, GradingError
-from gdoa_susy.numerics import BandMatrix, TolerancePolicy
+from gdoa_susy.grading import (
+    GradedOperator,
+    GradingError,
+    check_antisymmetry,
+    jacobi_defect,
+)
+from gdoa_susy.numerics import Backend, BandMatrix, TolerancePolicy
 from gdoa_susy.realizations import (
     DEGREE_H,
     DEGREE_Z,
@@ -194,6 +201,99 @@ class TestJacobiSuite:
                 assert check.guard_band == 1
             else:
                 assert check.guard_band == 0
+
+
+# Ordered census of one report: (name, guard band, exactness) of every check.
+SUITE_CENSUS = [
+    ("standard/qdag-squared-zero", 0, "structural-exact"),
+    ("standard/q-squared-zero", 0, "structural-exact"),
+    ("standard/anticommutator-gives-h", 1, "diagonal-exact"),
+    ("standard/h-commutes-qdag", 1, "float-tolerance"),
+    ("standard/h-commutes-q", 1, "float-tolerance"),
+    ("qform/anticommutator-gives-h", 1, "diagonal-exact"),
+    ("qform/squares-cancel", 0, "structural-exact"),
+    ("qform/commutator-gives-z", 1, "diagonal-exact"),
+    ("qform/h-commutes-qdag", 1, "float-tolerance"),
+    ("qform/h-commutes-q", 1, "float-tolerance"),
+    ("qform/h-commutes-z", 0, "diagonal-exact"),
+    ("qform/z-anticommutes-qdag", 1, "float-tolerance"),
+    ("qform/z-anticommutes-q", 1, "float-tolerance"),
+    ("hermitian/hermitian-q10", 0, "float-tolerance"),
+    ("hermitian/hermitian-q01", 0, "float-tolerance"),
+    ("hermitian/hermitian-h", 0, "float-tolerance"),
+    ("hermitian/hermitian-z", 0, "float-tolerance"),
+    ("hermitian/q10-squared-gives-2h", 1, "float-tolerance"),
+    ("hermitian/q01-squared-gives-2h", 1, "float-tolerance"),
+    ("hermitian/q10-q01-commutator-gives-2iz", 1, "float-tolerance"),
+    ("hermitian/h-commutes-q10", 1, "float-tolerance"),
+    ("hermitian/h-commutes-q01", 1, "float-tolerance"),
+    ("hermitian/h-commutes-z", 0, "diagonal-exact"),
+    ("hermitian/z-anticommutes-q10", 1, "float-tolerance"),
+    ("hermitian/z-anticommutes-q01", 1, "float-tolerance"),
+]
+_LABELS = ("H", "Q10", "Q01", "Z")
+SUITE_CENSUS += [
+    (f"jacobi/antisymmetry[{x},{y}]", 0, "structural-exact")
+    for x, y in product(_LABELS, repeat=2)
+]
+SUITE_CENSUS += [
+    (f"jacobi/jacobi[{x},{y},{z}]", 3, "float-tolerance")
+    for x, y, z in product(_LABELS, repeat=3)
+]
+SUITE_CENSUS += [
+    (f"jacobi/closure[{x},{y}]", 1, "float-tolerance")
+    for x, y in product(_LABELS, repeat=2)
+]
+
+
+def _family(name, mu, dim, backend=Backend.FLOAT):
+    if name == "cv":
+        return cv_realization(Fraction(1, 2), mu, dim, backend)
+    return gdoa_realization(OscillatorSpec.gdoa("n^2", weight="n"), mu, dim, backend)
+
+
+class TestSharedBrackets:
+    @pytest.mark.parametrize("family", ["cv", "gdoa"])
+    def test_ordered_census(self, family):
+        report = run_all_suites(_family(family, 1, 8))
+        census = [(c.name, c.guard_band, c.exactness.value) for c in report.checks]
+        assert len(SUITE_CENSUS) == 121
+        assert census == SUITE_CENSUS
+
+    @pytest.mark.parametrize("backend", [Backend.FLOAT, Backend.EXACT])
+    @pytest.mark.parametrize("mu", [0, 1])
+    @pytest.mark.parametrize("family", ["cv", "gdoa"])
+    def test_suite_equals_reference_functions(self, family, mu, backend):
+        # Nested brackets of the true generators vanish off the guard band, so
+        # Z + Q10, whose brackets with every generator are nonzero, runs too.
+        h = hermitian_charges(_family(family, mu, 10, backend))
+        shifted = GradedOperator(h.Z.matrix + h.Q10.matrix, DEGREE_Z, "Z")
+        for generators in (h, replace(h, Z=shifted)):
+            operators = {op.label: op for op in (h.H, h.Q10, h.Q01, generators.Z)}
+            compared = 0
+            for check in run_jacobi_suite(generators).checks:
+                kind, inside = check.name.rstrip("]").split("[")
+                ops = [operators[label] for label in inside.split(",")]
+                if kind == "antisymmetry":
+                    assert check.residual == check_antisymmetry(*ops)
+                    compared += 1
+                elif kind == "jacobi":
+                    assert (check.residual, check.scale) == jacobi_defect(*ops)
+                    compared += 1
+            assert compared == 16 + 64
+
+    @pytest.mark.parametrize("family", ["cv", "gdoa"])
+    def test_exact_variant_built_once_per_report(self, family, monkeypatch):
+        calls = []
+        original = realizations.exact_variant
+
+        def counting(r):
+            calls.append(r.backend)
+            return original(r)
+
+        monkeypatch.setattr(realizations, "exact_variant", counting)
+        assert run_all_suites(_family(family, 0, 8)).passed
+        assert calls == [Backend.FLOAT]
 
 
 class TestResidualScaling:
