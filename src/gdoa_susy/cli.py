@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -170,8 +171,13 @@ def _parse_config(raw: object, overrides: argparse.Namespace | None) -> Config:
     absolute = tolerance.get("absolute", 1e-12)
     relative = tolerance.get("relative", 1e-10)
     for name, value in (("absolute", absolute), ("relative", relative)):
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or value < 0:
-            raise ConfigError(f"'tolerance.{name}' must be a nonnegative number")
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, (int, float))
+            or not math.isfinite(value)
+            or value < 0
+        ):
+            raise ConfigError(f"'tolerance.{name}' must be a finite nonnegative number")
 
     if output not in _OUTPUTS:
         raise ConfigError(f"'output' must be one of {_OUTPUTS}")
@@ -207,8 +213,7 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> Confi
 
 def build_realization(config: Config, mu: int) -> RealizationSet:
     """Materialize the configured realization on the float backend."""
-    if config.spec.is_calogero_vasiliev:
-        assert config.spec.kappa is not None
+    if config.spec.kappa is not None:  # only calogero_vasiliev specs carry kappa
         return cv_realization(config.spec.kappa, mu, config.dim, Backend.FLOAT)
     return gdoa_realization(config.spec, mu, config.dim, Backend.FLOAT)
 
@@ -460,11 +465,10 @@ def main(argv: Sequence[str] | None = None) -> int:
                 kappa = parse_rational(args.kappa)
             elif args.config is not None:
                 config = load_config(args.config, args)
-                if not config.spec.is_calogero_vasiliev:
+                if config.spec.kappa is None:  # not a calogero_vasiliev spec
                     raise ConfigError(
                         "reduce requires a calogero_vasiliev config or --kappa"
                     )
-                assert config.spec.kappa is not None
                 kappa = config.spec.kappa
                 dim = config.dim
                 output = args.output or config.output

@@ -387,7 +387,8 @@ def validate_structure_function(
     violations: list[StructureViolation] = []
     for level in range(dim + 1):
         value = eval_expr(expr, level, env, Backend.EXACT)
-        assert isinstance(value, Fraction)
+        if not isinstance(value, Fraction):
+            raise ExprError(f"F({level}) = {value!r} is not an exact rational")
         values.append(value)
         if level == 0 and value != 0:
             violations.append(StructureViolation(0, value, "F(0) = 0"))

@@ -7,8 +7,14 @@ Two scalar backends coexist:
   The radicand is kept square-free, so equality is structural and products of
   matching radicals collapse back to rationals.  Sums of incompatible radicals
   raise :class:`ExactnessError`; the identities verified exactly in this
-  package never produce such sums.
+  package never produce such sums.  Values are canonical by construction:
+  the public constructor factors its radicand once (numerator and denominator
+  each up to 10**18; a larger non-square raises :class:`ExactnessError`), and
+  ``+``, ``-``, ``*``, negation and ``conjugate`` combine already square-free
+  parts by gcd without factoring.
 * ``Backend.FLOAT``: complex double precision (python ``complex``).
+
+Tolerances (:class:`TolerancePolicy`) must be finite and nonnegative.
 
 Matrices are stored as dicts of nonzero entries with tight band bookkeeping.
 All operations return new objects; nothing here mutates in place, so values
@@ -48,18 +54,25 @@ class ExactnessError(NumericsError):
     """An exact operation would leave the representable scalar domain."""
 
 
-_SQUARE_FREE_CAP = 10**12
+_RADICAND_LIMIT = 10**18
 
 
 def _square_split(n: int) -> tuple[int, int]:
-    """Split n > 0 as s*s*r with r square-free; (1, n) above the trial cap."""
+    """Split n > 0 as s*s*r with r square-free.
+
+    Trial division runs while p**3 <= n.  The cofactor left then has no prime
+    factor below p and is below p**3, so it is 1, a prime, a product of two
+    distinct primes, or the square of a prime: square-free unless it is a
+    perfect square.  Up to ``_RADICAND_LIMIT`` that takes at most 10**6 trial
+    divisors; a larger non-square raises :class:`ExactnessError`.
+    """
     root = math.isqrt(n)
     if root * root == n:
         return root, 1
-    if n > _SQUARE_FREE_CAP:
-        return 1, n
+    if n > _RADICAND_LIMIT:
+        raise ExactnessError(f"radicand {n} exceeds {_RADICAND_LIMIT}; cannot factor it")
     s, r, p = 1, 1, 2
-    while p * p <= n:
+    while p * p * p <= n:
         if n % p == 0:
             e = 0
             while n % p == 0:
@@ -69,7 +82,14 @@ def _square_split(n: int) -> tuple[int, int]:
             if e % 2:
                 r *= p
         p += 1 if p == 2 else 2
+    root = math.isqrt(n)
+    if root * root == n:
+        return s * root, r
     return s, r * n
+
+
+_F0 = Fraction(0)
+_F1 = Fraction(1)
 
 
 class ExactScalar:
@@ -78,6 +98,8 @@ class ExactScalar:
     Canonical form: zero is stored as (0, 0, 1); a perfect-square radicand is
     folded into the coefficients; otherwise the radicand is square-free in
     numerator and denominator, so semantically equal values compare equal.
+    The constructor canonicalizes its arguments; arithmetic on canonical
+    operands builds canonical results directly (see :func:`_canonical`).
     """
 
     __slots__ = ("re", "im", "rad")
@@ -111,19 +133,16 @@ class ExactScalar:
 
     @property
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self.re and not self.im
 
     @property
     def is_rational(self) -> bool:
-        return self.rad == 1 and self.im == 0
+        return self.rad == 1 and not self.im
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational:
             raise ExactnessError(f"{self!r} is not rational")
         return self.re
-
-    def _compatible(self, other: "ExactScalar") -> bool:
-        return self.is_zero or other.is_zero or self.rad == other.rad
 
     def __add__(self, other: "ExactScalar") -> "ExactScalar":
         if not isinstance(other, ExactScalar):
@@ -136,10 +155,14 @@ class ExactScalar:
             raise ExactnessError(
                 f"cannot add incompatible radicals sqrt({self.rad}) and sqrt({other.rad})"
             )
-        return ExactScalar(self.re + other.re, self.im + other.im, self.rad)
+        re = self.re + other.re
+        im = self.im + other.im
+        if not re and not im:
+            return EXACT_ZERO
+        return _canonical(re, im, self.rad)
 
     def __neg__(self) -> "ExactScalar":
-        return ExactScalar(-self.re, -self.im, self.rad)
+        return _canonical(-self.re, -self.im, self.rad)
 
     def __sub__(self, other: "ExactScalar") -> "ExactScalar":
         if not isinstance(other, ExactScalar):
@@ -148,20 +171,55 @@ class ExactScalar:
 
     def __mul__(self, other: object) -> "ExactScalar":
         if isinstance(other, ExactScalar):
-            re = self.re * other.re - self.im * other.im
-            im = self.re * other.im + self.im * other.re
-            return ExactScalar(re, im, self.rad * other.rad)
+            if self.is_zero or other.is_zero:
+                return EXACT_ZERO
+            a_re, a_im, b_re, b_im = self.re, self.im, other.re, other.im
+            if not a_im:
+                re, im = a_re * b_re, (a_re * b_im if b_im else _F0)
+            elif not b_im:
+                re, im = a_re * b_re, a_im * b_re
+            else:
+                re = a_re * b_re - a_im * b_im
+                im = a_re * b_im + a_im * b_re
+            a_rad, b_rad = self.rad, other.rad
+            if b_rad == 1:
+                return _canonical(re, im, a_rad)
+            if a_rad == 1:
+                return _canonical(re, im, b_rad)
+            if a_rad == b_rad:
+                factor, rad = a_rad, _F1
+            else:
+                # Numerators and denominators are square-free, so
+                # sqrt(a) * sqrt(b) = g * sqrt((a/g) * (b/g)) with g = gcd(a, b);
+                # Fraction() cancels what a numerator shares with a denominator.
+                na, da = a_rad.numerator, a_rad.denominator
+                nb, db = b_rad.numerator, b_rad.denominator
+                gn, gd = math.gcd(na, nb), math.gcd(da, db)
+                rad = Fraction((na // gn) * (nb // gn), (da // gd) * (db // gd))
+                factor = Fraction(gn, gd)
+                if factor == 1:
+                    return _canonical(re, im, rad)
+            return _canonical(re * factor, im * factor if im else _F0, rad)
         if isinstance(other, (int, Fraction)):
-            return ExactScalar(self.re * other, self.im * other, self.rad)
+            if not other:
+                return EXACT_ZERO
+            return _canonical(self.re * other, self.im * other, self.rad)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "ExactScalar":
-        return ExactScalar(self.re, -self.im, self.rad)
+        return _canonical(self.re, -self.im, self.rad)
 
     def magnitude(self) -> float:
-        return math.sqrt(float((self.re * self.re + self.im * self.im) * self.rad))
+        # sqrt(float((re^2 + im^2) * rad)) on integer parts: one int/int true
+        # division rounds exactly as float(Fraction) does.
+        a, b = self.re.numerator, self.re.denominator
+        rn, rd = self.rad.numerator, self.rad.denominator
+        if self.im:
+            c, d = self.im.numerator, self.im.denominator
+            return math.sqrt((a * a * d * d + c * c * b * b) * rn / (b * b * d * d * rd))
+        return math.sqrt(a * a * rn / (b * b * rd))
 
     def to_complex(self) -> complex:
         root = math.sqrt(float(self.rad))
@@ -182,6 +240,24 @@ class ExactScalar:
         if self.rad == 1:
             return f"ExactScalar({self.re}, {self.im})"
         return f"ExactScalar({self.re}, {self.im}, rad={self.rad})"
+
+
+# The slot descriptors' setters bypass the immutability guard in __setattr__.
+_new_scalar = object.__new__
+_set_re = ExactScalar.re.__set__  # type: ignore[attr-defined]
+_set_im = ExactScalar.im.__set__  # type: ignore[attr-defined]
+_set_rad = ExactScalar.rad.__set__  # type: ignore[attr-defined]
+
+
+def _canonical(re: Fraction, im: Fraction, rad: Fraction) -> ExactScalar:
+    """Wrap parts that are already canonical: a nonzero value (or the zero
+    triple), ``rad`` a reduced Fraction with square-free numerator and
+    denominator.  Nothing is converted, checked or factored."""
+    scalar = _new_scalar(ExactScalar)
+    _set_re(scalar, re)
+    _set_im(scalar, im)
+    _set_rad(scalar, rad)
+    return scalar
 
 
 RationalLike = Union[int, Fraction]
@@ -237,8 +313,9 @@ class TolerancePolicy:
     relative: float = 1e-10
 
     def __post_init__(self) -> None:
-        if self.absolute < 0 or self.relative < 0:
-            raise NumericsError("tolerances must be nonnegative")
+        for value in (self.absolute, self.relative):
+            if not math.isfinite(value) or value < 0:
+                raise NumericsError("tolerances must be finite and nonnegative")
 
     def bound(self, scale: float) -> float:
         return self.absolute + self.relative * scale
@@ -379,8 +456,11 @@ class BandMatrix:
                 acc[key] = acc[key] + prod if key in acc else prod
         result = BandMatrix(self.dim, self.backend, acc)
         # Band growth is additive; anything wider means the kernel is broken.
-        assert result.lower_bw <= self.lower_bw + other.lower_bw
-        assert result.upper_bw <= self.upper_bw + other.upper_bw
+        if (
+            result.lower_bw > self.lower_bw + other.lower_bw
+            or result.upper_bw > self.upper_bw + other.upper_bw
+        ):
+            raise NumericsError(f"matmul widened the bands beyond additive growth: {result!r}")
         return result
 
     def adjoint(self) -> "BandMatrix":

@@ -180,7 +180,8 @@ def exact_variant(r: RealizationSet) -> RealizationSet | None:
     if r.backend is Backend.EXACT:
         return r
     if r.convention == "cv":
-        assert r.spec.kappa is not None
+        if r.spec.kappa is None:
+            raise ValidationError("a 'cv' realization must carry kappa")
         return cv_realization(r.spec.kappa, r.mu, r.dim, Backend.EXACT)
     if not r.spec.weight_is_exact:
         return None
@@ -406,7 +407,8 @@ def reduction_check(
     """Verify that the weighted family at f = 1, F = deformed integers equals the
     reflection-oscillator realization under the swap Q <-> Q+, Z <-> -Z."""
     cv_spec = OscillatorSpec.calogero_vasiliev(kappa)
-    assert cv_spec.kappa is not None
+    if cv_spec.kappa is None:
+        raise ValidationError("the calogero_vasiliev spec lost its kappa")
     gd_spec = OscillatorSpec.gdoa("bracket(n)", {"kappa": cv_spec.kappa}, "1")
     entries: list[ReductionEntry] = []
     for mu in (0, 1):

@@ -135,6 +135,21 @@ class TestExitCodes:
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_tolerance_in_json(self, tmp_path, capsys, value):
+        # json.dumps writes Infinity / NaN, which json.loads accepts.
+        payload = dict(CV_HALF, tolerance={"absolute": value})
+        code = main(["verify", "--config", write_config(tmp_path, payload), "--dim", "8"])
+        assert code == 2
+        assert "finite nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--tolerance-abs", "inf"), ("--tolerance-rel", "nan")])
+    def test_non_finite_tolerance_flag(self, tmp_path, capsys, flag, value):
+        config = write_config(tmp_path, CV_HALF)
+        code = main(["verify", "--config", config, "--dim", "8", flag, value])
+        assert code == 2
+        assert "finite nonnegative" in capsys.readouterr().err
+
     def test_dim_two_jacobi_guard_is_config_class_error(self, tmp_path, capsys):
         code = main(["verify", "--config", write_config(tmp_path, CV_HALF), "--dim", "2"])
         assert code == 2
