@@ -114,6 +114,13 @@ def _build_spec(algebra: object, weight_src: str) -> OscillatorSpec:
     raise ConfigError("'algebra.type' must be 'calogero_vasiliev' or 'gdoa'")
 
 
+def _finite(value: int | float) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _parse_config(raw: object, overrides: argparse.Namespace | None) -> Config:
     if not isinstance(raw, dict):
         raise ConfigError("configuration root must be an object")
@@ -174,7 +181,7 @@ def _parse_config(raw: object, overrides: argparse.Namespace | None) -> Config:
         if (
             isinstance(value, bool)
             or not isinstance(value, (int, float))
-            or not math.isfinite(value)
+            or not _finite(value)
             or value < 0
         ):
             raise ConfigError(f"'tolerance.{name}' must be a finite nonnegative number")
@@ -203,10 +210,14 @@ def _parse_config(raw: object, overrides: argparse.Namespace | None) -> Config:
 def load_config(path: str, overrides: argparse.Namespace | None = None) -> Config:
     """Read, validate, and normalize a configuration file."""
     with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"not UTF-8 text: {exc}") from exc
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and integers beyond the digit limit
         raise ConfigError(f"not valid JSON: {exc}") from exc
     return _parse_config(raw, overrides)
 

@@ -15,6 +15,10 @@ expands at parse time to ``e + (kappa/2)*(1 - parity(e))`` and therefore
 requires the parameter ``kappa`` to be bound.  Exponents are single unsigned
 integer literals; unary minus binds looser than '^', so ``-n^2 == -(n^2)``.
 Literals are unsigned integers; rationals are written ``3/2`` (division).
+The source nests at most ``MAX_DEPTH`` parentheses, builtin calls and unary
+minuses, and the parsed tree is at most ``MAX_DEPTH // 2`` levels deep, so the
+output of :func:`pretty` (at most two nesting levels per node) parses again;
+deeper input, and literals too long for ``int``, are syntax errors.
 """
 
 from __future__ import annotations
@@ -86,6 +90,7 @@ Expr = Union[Number, Var, Param, Neg, BinOp, Pow, Call]
 
 _BUILTINS = ("parity", "sqrt", "bracket")
 _OPS = set("+-*/^()")
+MAX_DEPTH = 100
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,6 +144,12 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
+        self.nesting = 0  # open parentheses, builtin arguments and unary minuses
+
+    def descend(self, token: _Token) -> None:
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nests deeper than {MAX_DEPTH} levels", token.pos)
 
     def peek(self) -> _Token:
         return self.tokens[self.index]
@@ -179,7 +190,10 @@ class _Parser:
         token = self.peek()
         if token.kind == "op" and token.text == "-":
             self.advance()
-            return Neg(self.factor())
+            self.descend(token)
+            node = Neg(self.factor())
+            self.nesting -= 1
+            return node
         return self.primary()
 
     def primary(self) -> Expr:
@@ -191,13 +205,13 @@ class _Parser:
             if exponent.kind != "num":
                 raise ExprSyntaxError("exponent must be an unsigned integer literal", exponent.pos)
             self.advance()
-            node = Pow(node, int(exponent.text))
+            node = Pow(node, _integer(exponent))
         return node
 
     def base(self) -> Expr:
         token = self.advance()
         if token.kind == "num":
-            return Number(Fraction(int(token.text)))
+            return Number(Fraction(_integer(token)))
         if token.kind == "ident":
             follows_call = self.peek().kind == "op" and self.peek().text == "("
             if token.text == "n" and not follows_call:
@@ -206,19 +220,52 @@ class _Parser:
                 if token.text not in _BUILTINS:
                     raise ExprSyntaxError(f"unknown builtin {token.text!r}", token.pos)
                 self.expect_op("(")
+                self.descend(token)
                 arg = self.expr()
+                self.nesting -= 1
                 self.expect_op(")")
                 if token.text == "bracket":
                     return _expand_bracket(arg)
                 return Call(token.text, arg)
             return Param(token.text)
         if token.kind == "op" and token.text == "(":
+            self.descend(token)
             node = self.expr()
+            self.nesting -= 1
             self.expect_op(")")
             return node
         if token.kind == "end":
             raise ExprSyntaxError("unexpected end of expression", token.pos)
         raise ExprSyntaxError(f"unexpected token {token.text!r}", token.pos)
+
+
+def _integer(token: _Token) -> int:
+    try:
+        return int(token.text)
+    except ValueError as exc:  # beyond the interpreter's digit limit
+        raise ExprSyntaxError(f"integer literal of {len(token.text)} digits", token.pos) from exc
+
+
+def _children(node: Expr) -> tuple[Expr, ...]:
+    if isinstance(node, BinOp):
+        return (node.left, node.right)
+    if isinstance(node, Neg):
+        return (node.arg,)
+    if isinstance(node, Pow):
+        return (node.base,)
+    if isinstance(node, Call):
+        return (node.arg,)
+    return ()
+
+
+def _height(expr: Expr) -> int:
+    """Levels of the tree, counted without recursion."""
+    height, stack = 0, [(expr, 1)]
+    while stack:
+        node, level = stack.pop()
+        height = max(height, level)
+        stack.extend((child, level + 1) for child in _children(node))
+    return height
 
 
 def _expand_bracket(arg: Expr) -> Expr:
@@ -232,7 +279,10 @@ def parse_expr(text: str) -> Expr:
     """Parse source text into an expression tree."""
     if not text.strip():
         raise ExprSyntaxError("empty expression", 0)
-    return _Parser(text).parse()
+    tree = _Parser(text).parse()
+    if _height(tree) > MAX_DEPTH // 2:
+        raise ExprSyntaxError(f"expression nests deeper than {MAX_DEPTH // 2} operations", 0)
+    return tree
 
 
 def eval_expr(
@@ -244,7 +294,9 @@ def eval_expr(
     """Evaluate at level n with parameters bound from env.
 
     The exact backend computes in Fraction arithmetic and rejects sqrt; the
-    float backend computes in doubles.
+    float backend computes in doubles, where a literal or power beyond the
+    double range raises :class:`ExprEvalError` (a product that overflows is
+    inf, which no verification check passes).
     """
     bindings = env or {}
     exact = backend is Backend.EXACT
@@ -296,41 +348,24 @@ def eval_expr(
             raise ExprEvalError(f"unknown builtin {node.func!r}")
         raise ExprEvalError(f"unknown node {node!r}")
 
-    return ev(expr)
+    try:
+        return ev(expr)
+    except OverflowError as exc:  # float conversion or power beyond the double range
+        raise ExprEvalError(f"float overflow at n={n}: {exc}") from exc
 
 
 def expr_params(expr: Expr) -> frozenset[str]:
     """Names of the parameters the expression reads."""
-    names: set[str] = set()
-
-    def walk(node: Expr) -> None:
-        if isinstance(node, Param):
-            names.add(node.name)
-        elif isinstance(node, Neg):
-            walk(node.arg)
-        elif isinstance(node, BinOp):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, Pow):
-            walk(node.base)
-        elif isinstance(node, Call):
-            walk(node.arg)
-
-    walk(expr)
-    return frozenset(names)
+    if isinstance(expr, Param):
+        return frozenset((expr.name,))
+    return frozenset().union(*map(expr_params, _children(expr)))
 
 
 def has_sqrt(expr: Expr) -> bool:
     """True if any subexpression requires float evaluation."""
-    if isinstance(expr, Call):
-        return expr.func == "sqrt" or has_sqrt(expr.arg)
-    if isinstance(expr, Neg):
-        return has_sqrt(expr.arg)
-    if isinstance(expr, BinOp):
-        return has_sqrt(expr.left) or has_sqrt(expr.right)
-    if isinstance(expr, Pow):
-        return has_sqrt(expr.base)
-    return False
+    if isinstance(expr, Call) and expr.func == "sqrt":
+        return True
+    return any(map(has_sqrt, _children(expr)))
 
 
 def pretty(expr: Expr) -> str:

@@ -16,7 +16,12 @@ Two scalar backends coexist:
 
 Tolerances (:class:`TolerancePolicy`) must be finite and nonnegative.
 
-Matrices are stored as dicts of nonzero entries with tight band bookkeeping.
+Matrices are stored by diagonal offset (DIA): ``{col - row: list of
+entries}``, with tight bands.  Products, sums and comparisons work one
+diagonal slice at a time (``map`` over ``operator`` functions), and a product
+is a convolution over offset pairs, so bands grow additively by construction.
+A NaN or infinite entry makes ``max_abs`` and the comparison scale
+non-finite, and such a comparison fails: non-finite entries never pass.
 All operations return new objects; nothing here mutates in place, so values
 can be shared freely across threads.
 """
@@ -24,10 +29,12 @@ can be shared freely across threads.
 from __future__ import annotations
 
 import math
+import operator
 import re as _re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterator, Mapping, Sequence, Union
 
 
@@ -134,6 +141,9 @@ class ExactScalar:
     @property
     def is_zero(self) -> bool:
         return not self.re and not self.im
+
+    def __bool__(self) -> bool:
+        return not self.is_zero
 
     @property
     def is_rational(self) -> bool:
@@ -289,20 +299,39 @@ def _zero(backend: Backend) -> Scalar:
     return EXACT_ZERO if backend is Backend.EXACT else 0j
 
 
-def _is_zero(value: Scalar) -> bool:
-    return value.is_zero if isinstance(value, ExactScalar) else value == 0
+_add, _sub, _mul, _neg = operator.add, operator.sub, operator.mul, operator.neg
+_conjugate = operator.methodcaller("conjugate")
+_MAGNITUDE = {Backend.EXACT: ExactScalar.magnitude, Backend.FLOAT: abs}
 
 
-def _conj(value: Scalar) -> Scalar:
-    return value.conjugate()
+def _top(values: list[float]) -> float:
+    """Largest of nonnegative magnitudes, or the first NaN among them (``max``
+    alone skips a NaN that is not first, since ``x > nan`` is false)."""
+    total = sum(values)
+    if total != total:
+        return next(v for v in values if v != v)
+    return max(values)
 
 
-def _mag(value: Scalar) -> float:
-    return value.magnitude() if isinstance(value, ExactScalar) else abs(value)
+def _col_span(d: int, length: int, cols: range | None) -> tuple[int, int]:
+    """Index bounds of the entries of diagonal d whose source column lies in cols."""
+    if cols is None:
+        return 0, length
+    if cols.step != 1:
+        raise NumericsError(f"columns must be a contiguous range, got {cols!r}")
+    first_col = max(d, 0)
+    lo = max(cols.start - first_col, 0)
+    return lo, max(lo, min(cols.stop - first_col, length))
 
 
-def _to_complex(value: Scalar) -> complex:
-    return value.to_complex() if isinstance(value, ExactScalar) else value
+def _exact_gap(x: ExactScalar, y: ExactScalar) -> float:
+    """|x - y| for exact scalars; complex floats where the radicals differ."""
+    if x == y:
+        return 0.0
+    try:
+        return (x - y).magnitude()
+    except ExactnessError:
+        return abs(x.to_complex() - y.to_complex())
 
 
 @dataclass(frozen=True)
@@ -326,50 +355,66 @@ EXACT_POLICY = TolerancePolicy(0.0, 0.0)
 
 
 class BandMatrix:
-    """Square matrix stored as a dict of nonzero entries with tight bands.
+    """Square matrix stored by diagonals, with tight bands.
+
+    ``_diags[d]`` is the diagonal ``col - row = d`` as a list of ``dim - |d|``
+    scalars; entry ``(r, c)`` sits at index ``min(r, c)``.  Offsets are kept
+    in ascending order, and every kept diagonal holds a nonzero entry; zeros
+    inside one are skipped by ``entries``, ``nnz``, equality and the hash.
+    Lists are never mutated once a matrix holds them, so results share them.
 
     ``lower_bw``/``upper_bw`` are the largest ``row - col`` / ``col - row``
-    over stored entries (0 for an empty matrix).  Columns index source basis
+    over nonzero entries (0 for an empty matrix).  Columns index source basis
     states; entry (r, c) is the amplitude of basis state r in the image of
     basis state c.
     """
 
-    __slots__ = ("dim", "backend", "lower_bw", "upper_bw", "_entries")
+    __slots__ = ("dim", "backend", "lower_bw", "upper_bw", "_diags")
 
     def __init__(self, dim: int, backend: Backend, entries: Mapping[tuple[int, int], Scalar]):
-        if dim < 1:
-            raise DimensionMismatchError("dimension must be >= 1")
-        kept: dict[tuple[int, int], Scalar] = {}
-        lower = upper = 0
+        zero = _zero(backend)
+        diags: dict[int, list[Scalar]] = {}
         for (r, c), v in entries.items():
             if not (0 <= r < dim and 0 <= c < dim):
                 raise DimensionMismatchError(f"entry ({r}, {c}) outside a {dim}x{dim} matrix")
-            if _is_zero(v):
-                continue
-            kept[(r, c)] = v
-            lower = max(lower, r - c)
-            upper = max(upper, c - r)
+            d = c - r
+            if d not in diags:
+                diags[d] = [zero] * (dim - abs(d))
+            diags[d][min(r, c)] = v
+        self._set(dim, backend, diags)
+
+    def _set(self, dim: int, backend: Backend, diags: dict[int, list[Scalar]]) -> None:
+        if dim < 1:
+            raise DimensionMismatchError("dimension must be >= 1")
+        kept = {d: diags[d] for d in sorted(diags) if any(diags[d])}
         self.dim = dim
         self.backend = backend
-        self.lower_bw = lower
-        self.upper_bw = upper
-        self._entries = kept
+        self.lower_bw = max(0, -min(kept, default=0))
+        self.upper_bw = max(0, max(kept, default=0))
+        self._diags = kept
+
+    @classmethod
+    def _build(cls, dim: int, backend: Backend, diags: dict[int, list[Scalar]]) -> "BandMatrix":
+        """The constructor of results: takes ownership of the diagonal lists
+        and drops the all-zero ones."""
+        matrix = object.__new__(cls)
+        matrix._set(dim, backend, diags)
+        return matrix
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zeros(cls, dim: int, backend: Backend) -> "BandMatrix":
-        return cls(dim, backend, {})
+        return cls._build(dim, backend, {})
 
     @classmethod
     def identity(cls, dim: int, backend: Backend) -> "BandMatrix":
         one = EXACT_ONE if backend is Backend.EXACT else 1 + 0j
-        return cls(dim, backend, {(i, i): one for i in range(dim)})
+        return cls._build(dim, backend, {0: [one] * dim})
 
     @classmethod
     def diagonal(cls, values: Sequence[object], backend: Backend) -> "BandMatrix":
-        entries = {(i, i): coerce_scalar(v, backend) for i, v in enumerate(values)}
-        return cls(len(values), backend, entries)
+        return cls._build(len(values), backend, {0: [coerce_scalar(v, backend) for v in values]})
 
     @classmethod
     def from_entries(
@@ -380,37 +425,44 @@ class BandMatrix:
     # -- inspection --------------------------------------------------------
 
     def entry(self, row: int, col: int) -> Scalar:
-        return self._entries.get((row, col), _zero(self.backend))
+        values = self._diags.get(col - row)
+        if values is None or not (0 <= row < self.dim and 0 <= col < self.dim):
+            return _zero(self.backend)
+        return values[min(row, col)]
 
     def entries(self) -> Iterator[tuple[int, int, Scalar]]:
-        for (r, c), v in self._entries.items():
-            yield r, c, v
+        for d, values in self._diags.items():
+            r0, c0 = max(-d, 0), max(d, 0)
+            for i, v in enumerate(values):
+                if v:
+                    yield r0 + i, c0 + i, v
 
     @property
     def nnz(self) -> int:
-        return len(self._entries)
+        return sum(sum(map(bool, values)) for values in self._diags.values())
 
     @property
     def is_diagonal(self) -> bool:
         return self.lower_bw == 0 and self.upper_bw == 0
 
     def diagonal_values(self) -> list[Scalar]:
-        return [self.entry(i, i) for i in range(self.dim)]
+        return list(self._diags.get(0, [_zero(self.backend)] * self.dim))
 
     def to_dense(self) -> list[list[Scalar]]:
         dense = [[_zero(self.backend)] * self.dim for _ in range(self.dim)]
-        for (r, c), v in self._entries.items():
+        for r, c, v in self.entries():
             dense[r][c] = v
         return dense
 
     def max_abs(self, cols: range | None = None) -> float:
-        """Largest entry magnitude, optionally restricted to source columns."""
-        worst = 0.0
-        for (r, c), v in self._entries.items():
-            if cols is not None and c not in cols:
-                continue
-            worst = max(worst, _mag(v))
-        return worst
+        """Largest entry magnitude, optionally restricted to a contiguous
+        range of source columns; NaN if any entry there is NaN."""
+        magnitude = _MAGNITUDE[self.backend]
+        mags: list[float] = []
+        for d, values in self._diags.items():
+            lo, hi = _col_span(d, len(values), cols)
+            mags += map(magnitude, values[lo:hi])
+        return _top(mags) if mags else 0.0
 
     # -- arithmetic --------------------------------------------------------
 
@@ -424,49 +476,63 @@ class BandMatrix:
                 f"backends differ: {self.backend.value} vs {other.backend.value}"
             )
 
-    def __add__(self, other: "BandMatrix") -> "BandMatrix":
+    def _merge(self, other: "BandMatrix", op) -> "BandMatrix":
+        """Entrywise ``self op other`` for op in (add, sub), one diagonal at a time."""
         self._check_compatible(other)
-        merged = dict(self._entries)
-        for key, v in other._entries.items():
-            merged[key] = merged[key] + v if key in merged else v
-        return BandMatrix(self.dim, self.backend, merged)
+        diags = dict(self._diags)
+        for d, vb in other._diags.items():
+            va = diags.get(d)
+            if va is not None:
+                diags[d] = list(map(op, va, vb))
+            else:
+                diags[d] = vb if op is _add else list(map(_neg, vb))
+        return BandMatrix._build(self.dim, self.backend, diags)
+
+    def __add__(self, other: "BandMatrix") -> "BandMatrix":
+        return self._merge(other, _add)
 
     def __sub__(self, other: "BandMatrix") -> "BandMatrix":
-        return self + (-other)
+        return self._merge(other, _sub)
 
     def __neg__(self) -> "BandMatrix":
-        return BandMatrix(self.dim, self.backend, {k: -v for k, v in self._entries.items()})
+        diags = {d: list(map(_neg, values)) for d, values in self._diags.items()}
+        return BandMatrix._build(self.dim, self.backend, diags)
 
     def scaled(self, factor: object) -> "BandMatrix":
         s = coerce_scalar(factor, self.backend)
-        if _is_zero(s):
+        if not s:
             return BandMatrix.zeros(self.dim, self.backend)
-        return BandMatrix(self.dim, self.backend, {k: v * s for k, v in self._entries.items()})
+        diags = {d: list(map(_mul, values, repeat(s))) for d, values in self._diags.items()}
+        return BandMatrix._build(self.dim, self.backend, diags)
 
     def __matmul__(self, other: "BandMatrix") -> "BandMatrix":
+        """Convolution over offset pairs: diagonal da of self times diagonal db
+        of other lands on diagonal da + db, one slice product per pair."""
         self._check_compatible(other)
-        rows_of_other: dict[int, list[tuple[int, Scalar]]] = {}
-        for (r, c), v in other._entries.items():
-            rows_of_other.setdefault(r, []).append((c, v))
-        acc: dict[tuple[int, int], Scalar] = {}
-        for (r, k), va in self._entries.items():
-            for c, vb in rows_of_other.get(k, ()):
-                key = (r, c)
-                prod = va * vb
-                acc[key] = acc[key] + prod if key in acc else prod
-        result = BandMatrix(self.dim, self.backend, acc)
-        # Band growth is additive; anything wider means the kernel is broken.
-        if (
-            result.lower_bw > self.lower_bw + other.lower_bw
-            or result.upper_bw > self.upper_bw + other.upper_bw
-        ):
-            raise NumericsError(f"matmul widened the bands beyond additive growth: {result!r}")
-        return result
+        dim = self.dim
+        acc: dict[int, list[Scalar]] = {}
+        for da, va in self._diags.items():
+            for db, vb in other._diags.items():
+                dc = da + db
+                # rows r with (r, r+da) and (r+da, r+dc) inside the matrix
+                lo, hi = max(0, -da, -dc), min(dim, dim - da, dim - dc)
+                if lo >= hi:
+                    continue
+                ia, ib, ic = lo + min(da, 0), lo + da + min(db, 0), lo + min(dc, 0)
+                n = hi - lo
+                prod = list(map(_mul, va[ia:ia + n], vb[ib:ib + n]))
+                target = acc.get(dc)
+                if target is None:
+                    if n == dim - abs(dc):
+                        acc[dc] = prod
+                        continue
+                    target = acc[dc] = [_zero(self.backend)] * (dim - abs(dc))
+                target[ic:ic + n] = map(_add, target[ic:ic + n], prod)
+        return BandMatrix._build(dim, self.backend, acc)
 
     def adjoint(self) -> "BandMatrix":
-        return BandMatrix(
-            self.dim, self.backend, {(c, r): _conj(v) for (r, c), v in self._entries.items()}
-        )
+        diags = {-d: list(map(_conjugate, values)) for d, values in self._diags.items()}
+        return BandMatrix._build(self.dim, self.backend, diags)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BandMatrix):
@@ -474,11 +540,11 @@ class BandMatrix:
         return (
             self.dim == other.dim
             and self.backend is other.backend
-            and self._entries == other._entries
+            and self._diags == other._diags
         )
 
     def __hash__(self) -> int:
-        return hash((self.dim, self.backend, frozenset(self._entries.items())))
+        return hash((self.dim, self.backend, frozenset(((r, c), v) for r, c, v in self.entries())))
 
     def __repr__(self) -> str:
         return (
@@ -531,44 +597,51 @@ def approx_equal_matrix(
     policy: TolerancePolicy = DEFAULT_POLICY,
     cols: range | None = None,
 ) -> MatrixComparison:
-    """Compare two matrices entrywise over the given source columns.
+    """Compare two matrices entrywise over a contiguous range of source columns.
 
     The scale is the largest entry magnitude encountered on either side.  On
     the exact backend a structurally equal pair reports ``exact_zero`` and a
     residual of exactly 0.0; differences of incompatible radicals fall back to
-    complex-float magnitudes for the reported residual.
+    complex-float magnitudes for the reported residual.  ``worst`` is the
+    first entry attaining the residual, sweeping diagonals by ascending offset
+    ``col - row`` and each diagonal by ascending column.  A NaN difference is
+    the residual, and a non-finite scale fails the comparison and clears
+    ``exact_zero``: non-finite entries never pass.
     """
     a._check_compatible(b)
-    scale = max(a.max_abs(cols), b.max_abs(cols))
+    scale = _top([a.max_abs(cols), b.max_abs(cols)])
+    exact = a.backend is Backend.EXACT
+    zero = _zero(a.backend)
     residual = 0.0
     worst: tuple[int, int] | None = None
     exact_zero = True
-    keys = set(a._entries) | set(b._entries)
-    for key in keys:
-        if cols is not None and key[1] not in cols:
+    for d in sorted(a._diags.keys() | b._diags.keys()):
+        lo, hi = _col_span(d, a.dim - abs(d), cols)
+        if lo >= hi:
             continue
-        va, vb = a.entry(*key), b.entry(*key)
-        if a.backend is Backend.EXACT:
-            if va == vb:
-                continue
-            exact_zero = False
-            try:
-                diff = _mag(va - vb)  # type: ignore[operator]
-            except ExactnessError:
-                diff = abs(_to_complex(va) - _to_complex(vb))
+        va, vb = a._diags.get(d), b._diags.get(d)
+        sa = va[lo:hi] if va is not None else [zero] * (hi - lo)
+        sb = vb[lo:hi] if vb is not None else [zero] * (hi - lo)
+        if sa == sb:
+            continue
+        exact_zero = False
+        if exact:
+            diffs = list(map(_exact_gap, sa, sb))
         else:
-            diff = abs(va - vb)  # type: ignore[arg-type]
-            if diff == 0.0:
-                continue
-            exact_zero = False
-        if diff > residual:
-            residual = diff
-            worst = key
+            diffs = list(map(abs, map(_sub, sa, sb)))
+        peak = _top(diffs)
+        if not peak <= residual:  # larger, or NaN
+            i = lo + diffs.index(peak)
+            residual, worst = peak, (i + max(-d, 0), i + max(d, 0))
+            if peak != peak:
+                break
+    finite = math.isfinite(scale)
+    exact_zero = exact_zero and finite
     bound = policy.bound(scale)
-    if a.backend is Backend.EXACT and policy.absolute == 0.0 and policy.relative == 0.0:
+    if exact and policy.absolute == 0.0 and policy.relative == 0.0:
         passed = exact_zero
     else:
-        passed = residual <= bound
+        passed = finite and residual <= bound
     return MatrixComparison(passed, residual, scale, bound, exact_zero, worst)
 
 
@@ -579,10 +652,11 @@ def parse_rational(text: str) -> Fraction:
     """Parse 'p' or 'p/q' (q != 0) into a Fraction; anything else is an error."""
     if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
         raise NumericsError(f"not a rational literal: {text!r}")
-    body = text.strip()
-    if "/" in body:
-        num, den = body.split("/")
-        if int(den) == 0:
-            raise NumericsError(f"zero denominator in rational literal: {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(body))
+    num, _, den = text.strip().partition("/")
+    try:
+        numerator, denominator = int(num), int(den or 1)
+    except ValueError as exc:  # beyond the interpreter's digit limit
+        raise NumericsError(f"rational literal of {len(text)} characters is too long") from exc
+    if denominator == 0:
+        raise NumericsError(f"zero denominator in rational literal: {text!r}")
+    return Fraction(numerator, denominator)

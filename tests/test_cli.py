@@ -3,8 +3,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gdoa_susy.cli import ConfigError, load_config, main
+from gdoa_susy.cli import ConfigError, _parse_config, load_config, main
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -150,10 +152,72 @@ class TestExitCodes:
         assert code == 2
         assert "finite nonnegative" in capsys.readouterr().err
 
+    def test_infinite_entries_fail_verification(self, tmp_path, capsys):
+        # f overflows to inf in floats, so H and the charges hold inf; this
+        # used to print PASS for every check and exit 0.
+        payload = {"algebra": {"type": "gdoa", "F": "n"}, "f": "sqrt(n) * 10^200 * 10^200",
+                   "dim": 16}
+        code = main(["verify", "--config", write_config(tmp_path, payload)])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "PASS" not in out and out.count("=> FAIL (121 checks") == 2
+
     def test_dim_two_jacobi_guard_is_config_class_error(self, tmp_path, capsys):
         code = main(["verify", "--config", write_config(tmp_path, CV_HALF), "--dim", "2"])
         assert code == 2
         assert "guard band" in capsys.readouterr().err
+
+
+class TestMalformedInput:
+    """Input the program cannot use exits 2 with a message, never a traceback."""
+
+    def _run(self, tmp_path, capsys, text):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        code = main(["verify", "--config", str(path), "--dim", "8"])
+        return code, capsys.readouterr().err
+
+    def test_integer_tolerance_beyond_float_range(self, tmp_path, capsys):
+        text = '{"algebra": {"type": "calogero_vasiliev", "kappa": "1/2"}, ' \
+            '"tolerance": {"absolute": 1%s}}' % ("0" * 400)
+        code, err = self._run(tmp_path, capsys, text)
+        assert code == 2 and "finite nonnegative" in err
+
+    @pytest.mark.parametrize(
+        "source",
+        ["(" * 3000 + "n" + ")" * 3000, "-" * 5000 + "n", "n" + " + n" * 3000],
+        ids=["parentheses", "unary-minus", "operator-chain"],
+    )
+    def test_deeply_nested_structure_function(self, tmp_path, capsys, source):
+        payload = {"algebra": {"type": "gdoa", "F": source}}
+        code, err = self._run(tmp_path, capsys, json.dumps(payload))
+        assert code == 2 and "nests deeper than" in err
+
+    @pytest.mark.parametrize("source", ["n^" + "1" * 4400, "1" * 4400 + "*n"])
+    def test_literal_beyond_digit_limit(self, tmp_path, capsys, source):
+        payload = {"algebra": {"type": "gdoa", "F": source}}
+        code, err = self._run(tmp_path, capsys, json.dumps(payload))
+        assert code == 2 and "4400 digits" in err
+
+    def test_rational_beyond_digit_limit(self, capsys):
+        code = main(["reduce", "--kappa", "1" * 5000, "--dim", "8"])
+        assert code == 2 and "too long" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"algebra": {"type": "calogero_vasiliev", "kappa": 1%s}}' % ("0" * 5000),
+         "[" * 100000 + "]" * 100000],
+        ids=["json-integer-digits", "json-nesting"],
+    )
+    def test_json_the_decoder_cannot_hold(self, tmp_path, capsys, text):
+        code, err = self._run(tmp_path, capsys, text)
+        assert code == 2 and "not valid JSON" in err
+
+    def test_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"algebra": "\xff"}')
+        assert main(["verify", "--config", str(path)]) == 2
+        assert "not UTF-8" in capsys.readouterr().err
 
 
 class TestVerifyOutputs:
@@ -440,3 +504,66 @@ class TestJacobiCommand:
         checks = payload[0]["checks"]
         assert len(checks) == 96
         assert all(check["name"].startswith("jacobi/") for check in checks)
+
+
+_EXPR_PIECES = st.sampled_from(
+    ["n", "c", "kappa", "x", "+", "-", "*", "/", "^", "(", ")", "(", ")", "parity(",
+     "sqrt(", "bracket(", "@", ""]
+) | st.integers(0, 4).map(str)
+_expressions = st.sampled_from(["n", "n^2", "n*(n+c)", "bracket(n)", "n + 1", "sqrt(n)"]) | st.lists(
+    _EXPR_PIECES, max_size=12
+).map(" ".join)
+_junk = (
+    st.none() | st.booleans() | st.integers(-3, 20) | st.integers(10**300, 10**400)
+    | st.floats() | st.text(max_size=6) | st.lists(st.integers(), max_size=2)
+)
+_rationals = st.integers(-3, 5) | st.sampled_from(["1/2", "-1/2", "5/2", "0", "1/0", "x", "3"])
+_tolerances = (
+    st.floats(0, 1) | st.integers(0, 3) | st.integers(10**300, 10**400) | st.floats() | _junk
+)
+
+
+def _mostly(valid, invalid=_junk):
+    """Valid values three times in four, so that examples reach the later checks."""
+    return st.integers(0, 3).flatmap(lambda k: invalid if k == 3 else valid)
+
+
+_algebras = _mostly(
+    st.fixed_dictionaries({"type": st.just("calogero_vasiliev"), "kappa": _rationals})
+    | st.fixed_dictionaries(
+        {"type": st.just("gdoa"), "F": _mostly(_expressions)},
+        optional={"params": _mostly(st.dictionaries(st.sampled_from(["c", "kappa"]), _rationals))},
+    ),
+    st.dictionaries(st.sampled_from(["type", "kappa", "F", "params", "junk"]), _junk) | _junk,
+)
+
+
+@st.composite
+def _configs(draw):
+    """Configuration objects, each field valid or not; dims stay at most 16 (or 64 by default)."""
+    optional = {
+        "f": _mostly(st.just("1") | _expressions),
+        "mu": _mostly(st.sampled_from([0, 1, "both"])),
+        # no large integers: an even dim that large would run the structure check for ever
+        "dim": _mostly(
+            st.sampled_from([2, 4, 8, 16]),
+            st.integers(-2, 16) | st.none() | st.booleans() | st.floats() | st.text(max_size=3),
+        ),
+        "backend": _mostly(st.sampled_from(["float", "exact-where-possible"])),
+        "tolerance": _mostly(
+            st.dictionaries(st.sampled_from(["absolute", "relative"]), _tolerances)
+        ),
+        "output": _mostly(st.sampled_from(["text", "json", "csv"])),
+    }
+    raw = draw(st.fixed_dictionaries({"algebra": _algebras}, optional=optional))
+    return draw(_mostly(st.just(raw)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_configs())
+def test_fuzzed_configs_fail_only_with_config_error(raw):
+    try:
+        config = _parse_config(raw, None)
+    except ConfigError:
+        return
+    assert config.dim >= 2 and config.dim % 2 == 0 and config.output in ("text", "json", "csv")

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gdoa_susy.exprlang import (
+    MAX_DEPTH,
     ExprEvalError,
     ExprSyntaxError,
     Neg,
@@ -93,6 +94,37 @@ class TestParsing:
         with pytest.raises(ExprSyntaxError):
             parse_expr("2^3^2")
         assert eval_expr(parse_expr("(2^3)^2"), 0) == 64
+
+
+class TestInputLimits:
+    def test_nesting_at_the_limit_parses_evaluates_and_round_trips(self):
+        half = MAX_DEPTH // 2
+        for source, value in (("(" * MAX_DEPTH + "n" + ")" * MAX_DEPTH, 3),
+                              ("-" * (half - 1) + "n", 3 * (-1) ** (half - 1)),
+                              ("n" + " + n" * (half - 1), 3 * half)):
+            expr = parse_expr(source)
+            assert eval_expr(expr, 3) == value
+            assert parse_expr(pretty(expr)) == expr
+
+    @pytest.mark.parametrize(
+        "source",
+        ["(" * 3000 + "n" + ")" * 3000, "-" * 5000 + "n", "sqrt(" * 200 + "n" + ")" * 200,
+         "n" + " + n" * (MAX_DEPTH // 2), "-" * (MAX_DEPTH // 2) + "n",
+         "(" * (MAX_DEPTH + 1) + "n" + ")" * (MAX_DEPTH + 1)],
+    )
+    def test_deeper_nesting_is_a_syntax_error(self, source):
+        with pytest.raises(ExprSyntaxError, match="nests deeper than"):
+            parse_expr(source)
+
+    @pytest.mark.parametrize("source", ["n^" + "1" * 4400, "1" * 4400, "2*" + "9" * 5000])
+    def test_literal_beyond_digit_limit_is_a_syntax_error(self, source):
+        with pytest.raises(ExprSyntaxError, match="digits"):
+            parse_expr(source)
+
+    @pytest.mark.parametrize("source", ["((n^12)^12)^12", "1" + "0" * 400])
+    def test_float_overflow_is_an_evaluation_error(self, source):
+        with pytest.raises(ExprEvalError, match="float overflow"):
+            eval_expr(parse_expr(source), 2, backend=FLOAT)
 
 
 class TestEvaluation:
@@ -303,3 +335,32 @@ class TestStructureValidation:
         )
         assert not report.ok
         assert any(v.constraint == "F(n) > 0" and v.n == 1 for v in report.violations)
+
+
+_TOKENS = st.sampled_from(
+    ["n", "kappa", "c", "+", "-", "*", "/", "^", "(", ")", "(", ")", "parity(", "sqrt(",
+     "bracket(", "#", " "]
+) | st.integers(0, 4).map(str)
+_nested = st.builds(
+    lambda depth, wrap: wrap[0] * depth + "n" + wrap[1] * depth,
+    st.integers(0, 3 * MAX_DEPTH),
+    st.sampled_from([("(", ")"), ("-", ""), ("sqrt(", ")"), ("n + ", ""), ("", " * n")]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_TOKENS, max_size=30).map(" ".join) | _nested)
+def test_fuzzed_token_streams_raise_only_documented_errors(text):
+    # Literals are at most 4 (tokens are space-separated), so even 30 tokens of
+    # nested powers stay cheap to evaluate.
+    try:
+        expr = parse_expr(text)
+    except ExprSyntaxError as err:
+        assert 0 <= err.offset <= len(text)
+        return
+    for backend in (EXACT, FLOAT):
+        try:
+            eval_expr(expr, 3, {"kappa": Fraction(1, 2), "c": Fraction(2)}, backend)
+        except ExprEvalError:
+            pass
+    assert parse_expr(pretty(expr)) is not None

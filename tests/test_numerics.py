@@ -420,3 +420,271 @@ def test_neg_conjugate_magnitude_match_reference(a):
     assert _parts(a.conjugate()) == _parts(ExactScalar(a.re, -a.im, a.rad))
     assert float.hex(a.magnitude()) == float.hex(_ref_magnitude(a))
     assert _parts(a - a) == _parts(ExactScalar(0))
+
+
+# -- differential tests: diagonal storage against the dict-of-entries kernel --
+#
+# The references below are the dict-of-entries kernels BandMatrix used before
+# it stored diagonals.  They read matrices only through ``entries()``.
+# Exact entries share one radicand per example, so no sum mixes radicals and
+# the order of a sum cannot decide whether it raises.
+
+
+def _dict_of(m):
+    return {(r, c): v for r, c, v in m.entries()}
+
+
+def _dict_matmul(a, b):
+    rows_of_b = {}
+    for (r, c), v in _dict_of(b).items():
+        rows_of_b.setdefault(r, []).append((c, v))
+    acc = {}
+    for (r, k), va in _dict_of(a).items():
+        for c, vb in rows_of_b.get(k, ()):
+            prod = va * vb
+            acc[(r, c)] = acc[(r, c)] + prod if (r, c) in acc else prod
+    return acc
+
+
+def _dict_add(a, b):
+    merged = _dict_of(a)
+    for key, v in _dict_of(b).items():
+        merged[key] = merged[key] + v if key in merged else v
+    return merged
+
+
+def _paired(a, b):
+    zero = ExactScalar(0) if a.backend is EXACT else 0j
+    ea, eb = _dict_of(a), _dict_of(b)
+    return {key: (ea.get(key, zero), eb.get(key, zero)) for key in set(ea) | set(eb)}
+
+
+def _magnitude(v):
+    return v.magnitude() if isinstance(v, ExactScalar) else abs(v)
+
+
+def _dict_max_abs(m, cols=None):
+    worst = 0.0
+    for (r, c), v in _dict_of(m).items():
+        if cols is None or c in cols:
+            worst = max(worst, _magnitude(v))
+    return worst
+
+
+def _dict_compare(a, b, policy, cols):
+    """(passed, residual, scale, bound, exact_zero, keys attaining the residual)."""
+    ea, eb = _dict_of(a), _dict_of(b)
+    zero = ExactScalar(0) if a.backend is EXACT else 0j
+    scale = max(_dict_max_abs(a, cols), _dict_max_abs(b, cols))
+    diffs, exact_zero = {}, True
+    for key in set(ea) | set(eb):
+        if cols is not None and key[1] not in cols:
+            continue
+        va, vb = ea.get(key, zero), eb.get(key, zero)
+        if va == vb:
+            continue
+        exact_zero = False
+        if a.backend is EXACT:
+            try:
+                diffs[key] = (va - vb).magnitude()
+            except ExactnessError:
+                diffs[key] = abs(va.to_complex() - vb.to_complex())
+        else:
+            diffs[key] = abs(va - vb)
+    residual = max(diffs.values(), default=0.0)
+    bound = policy.bound(scale)
+    if a.backend is EXACT and policy.absolute == 0.0 and policy.relative == 0.0:
+        passed = exact_zero
+    else:
+        passed = residual <= bound
+    at_max = {key for key, d in diffs.items() if d == residual and d > 0.0}
+    return passed, residual, scale, bound, exact_zero, at_max
+
+
+def _bits(v):
+    """Bit pattern of a scalar; +0.0 stands for either signed zero."""
+    if isinstance(v, ExactScalar):
+        return (v.re, v.im, v.rad)
+    v = complex(v)
+    return (float.hex(v.real + 0.0), float.hex(v.imag + 0.0))
+
+
+def _same_entries(m, expected):
+    """m holds exactly the nonzero entries of the dict ``expected``, bit for bit."""
+    kept = {key: v for key, v in expected.items() if v}
+    got = _dict_of(m)
+    return got.keys() == kept.keys() and all(_bits(got[k]) == _bits(kept[k]) for k in kept)
+
+
+@st.composite
+def band_pairs(draw):
+    """Two random band matrices of one dim and backend: offsets -3..3, with
+    zeros inside kept diagonals."""
+    dim = draw(st.integers(1, 12))
+    backend = draw(st.sampled_from([FLOAT, EXACT]))
+    rad = draw(st.sampled_from([Fraction(1), Fraction(2), Fraction(5, 3)]))
+    small = st.integers(-4, 4)
+    zero = ExactScalar(0) if backend is EXACT else 0j
+
+    def value():
+        if backend is EXACT:
+            return ExactScalar(Fraction(draw(small), draw(st.integers(1, 3))), draw(small), rad)
+        if draw(st.booleans()):
+            return complex(draw(small), draw(small))
+        finite = st.floats(-8, 8, allow_nan=False, allow_infinity=False)
+        return complex(draw(finite), draw(finite))
+
+    def matrix():
+        entries = {}
+        offsets = draw(st.sets(st.integers(-3, 3), max_size=4))
+        for d in offsets:
+            for r in range(max(-d, 0), min(dim, dim - d)):
+                if draw(st.integers(0, 3)):
+                    entries[(r, r + d)] = value() if draw(st.integers(0, 4)) else zero
+        return BandMatrix(dim, backend, entries)
+
+    return matrix(), matrix()
+
+
+def _terms(a, b):
+    """Number of nonzero products a[r,k] * b[k,c] behind each entry (r, c)."""
+    rows_of_b = {}
+    for r, c, _ in b.entries():
+        rows_of_b.setdefault(r, []).append(c)
+    count = {}
+    for r, k, _ in a.entries():
+        for c in rows_of_b.get(k, ()):
+            count[(r, c)] = count.get((r, c), 0) + 1
+    return count
+
+
+@settings(max_examples=300, deadline=None)
+@given(band_pairs())
+def test_matmul_matches_dense_and_dict_kernels(pair):
+    a, b = pair
+    prod = a @ b
+    dense = dense_matmul(a, b)
+    for r in range(a.dim):
+        for c in range(a.dim):
+            assert _bits(prod.entry(r, c)) == _bits(dense[r][c])
+    reference = _dict_matmul(a, b)
+    if a.backend is EXACT or max(_terms(a, b).values(), default=0) <= 2:
+        assert _same_entries(prod, reference)
+    else:
+        assert _dict_of(prod).keys() <= reference.keys()
+    assert prod.lower_bw <= a.lower_bw + b.lower_bw
+    assert prod.upper_bw <= a.upper_bw + b.upper_bw
+
+
+@settings(max_examples=300, deadline=None)
+@given(band_pairs(), st.integers(-4, 4))
+def test_entrywise_operations_match_dict_kernel(pair, k):
+    a, b = pair
+    assert _same_entries(a + b, _dict_add(a, b))
+    assert _same_entries(a - b, {key: v - w for key, (v, w) in _paired(a, b).items()})
+    assert _same_entries(-a, {key: -v for key, v in _dict_of(a).items()})
+    factor = ExactScalar(k) if a.backend is EXACT else complex(k, 1)
+    assert _same_entries(a.scaled(factor), {key: v * factor for key, v in _dict_of(a).items()})
+    assert _same_entries(
+        a.adjoint(), {(c, r): v.conjugate() for (r, c), v in _dict_of(a).items()}
+    )
+    for m in (a, b, a + b, a @ b):
+        entries = _dict_of(m)
+        assert m.nnz == len(entries)
+        assert m.lower_bw == max([0, *(r - c for r, c in entries)])
+        assert m.upper_bw == max([0, *(c - r for r, c in entries)])
+        assert m.to_dense() == [
+            [m.entry(r, c) for c in range(m.dim)] for r in range(m.dim)
+        ]
+    rebuilt = BandMatrix(a.dim, a.backend, _dict_of(a))
+    assert rebuilt == a and hash(rebuilt) == hash(a)
+    assert (a == b) == (_dict_of(a) == _dict_of(b))
+    assert (a - a).nnz == 0 and a - a == BandMatrix.zeros(a.dim, a.backend)
+
+
+@settings(max_examples=300, deadline=None)
+@given(band_pairs(), st.integers(0, 13), st.booleans())
+def test_max_abs_and_comparison_match_dict_kernel(pair, stop, whole):
+    a, b = pair
+    cols = None if whole else range(stop)
+    assert float.hex(a.max_abs(cols)) == float.hex(_dict_max_abs(a, cols))
+    for policy in (TolerancePolicy(), TolerancePolicy(0.0, 0.0), TolerancePolicy(0.5, 0.1)):
+        for x, y in ((a, b), (a, a), (a, a + b.scaled(0))):
+            cmp = approx_equal_matrix(x, y, policy, cols)
+            passed, residual, scale, bound, exact_zero, at_max = _dict_compare(x, y, policy, cols)
+            assert (cmp.passed, cmp.exact_zero) == (passed, exact_zero)
+            assert float.hex(cmp.residual) == float.hex(residual)
+            assert float.hex(cmp.scale) == float.hex(scale)
+            assert float.hex(cmp.bound) == float.hex(bound)
+            if len(at_max) == 1:
+                assert {cmp.worst} == at_max
+            elif not at_max:
+                assert cmp.worst is None
+            else:
+                assert cmp.worst in at_max
+
+
+class TestDiagonalStorage:
+    def test_interior_zeros_are_not_entries(self):
+        m = BandMatrix.from_entries(4, {(0, 1): 1.0, (1, 2): 0.0, (2, 3): 2.0}, FLOAT)
+        assert m.nnz == 2 and m.upper_bw == 1
+        assert {(r, c) for r, c, _ in m.entries()} == {(0, 1), (2, 3)}
+        assert m == BandMatrix.from_entries(4, {(0, 1): 1.0, (2, 3): 2.0}, FLOAT)
+
+    def test_cancelled_diagonals_are_dropped(self):
+        a = BandMatrix.from_entries(3, {(0, 2): 1.0, (1, 1): 1.0}, FLOAT)
+        b = BandMatrix.from_entries(3, {(0, 2): 1.0}, FLOAT)
+        diff = a - b
+        assert diff.upper_bw == 0 and diff.is_diagonal and diff.nnz == 1
+
+    def test_out_of_range_entry_reads_zero(self):
+        m = BandMatrix.identity(3, FLOAT)
+        assert m.entry(-1, 0) == 0 and m.entry(3, 3) == 0 and m.entry(2, 2) == 1
+
+    def test_ties_go_to_the_lowest_offset_then_column(self):
+        a = BandMatrix.zeros(3, FLOAT)
+        b = BandMatrix.from_entries(3, {(0, 1): 1.0, (1, 0): 1.0, (2, 1): 1.0}, FLOAT)
+        assert approx_equal_matrix(a, b).worst == (1, 0)
+        c = BandMatrix.from_entries(3, {(0, 1): 1.0, (1, 2): 1.0}, FLOAT)
+        assert approx_equal_matrix(a, c).worst == (0, 1)
+
+    def test_products_sum_in_ascending_inner_index_like_dense(self):
+        # (1e16 + 1) + 1 rounds to 1e16; (1 + 1) + 1e16 does not.
+        a = BandMatrix.from_entries(3, {(1, 0): 1e16, (1, 1): 1.0, (1, 2): 1.0}, FLOAT)
+        b = BandMatrix.from_entries(3, {(0, 1): 1.0, (1, 1): 1.0, (2, 1): 1.0}, FLOAT)
+        assert (a @ b).entry(1, 1) == dense_matmul(a, b)[1][1] == 1e16
+
+    def test_columns_must_be_contiguous(self):
+        m = BandMatrix.identity(4, FLOAT)
+        with pytest.raises(NumericsError, match="contiguous"):
+            m.max_abs(range(0, 4, 2))
+
+
+class TestNonFiniteEntries:
+    NAN = complex(float("nan"), 0.0)
+    INF = complex(float("inf"), 0.0)
+
+    def test_max_abs_propagates_nan_wherever_it_sits(self):
+        for key in ((0, 0), (1, 1), (2, 1)):
+            m = BandMatrix.from_entries(3, {(0, 0): 5.0, (1, 1): 1.0, key: self.NAN}, FLOAT)
+            assert math.isnan(m.max_abs())
+        m = BandMatrix.from_entries(3, {(0, 0): 5.0, (2, 2): self.NAN}, FLOAT)
+        assert m.max_abs(range(2)) == 5.0  # the NaN column is outside the range
+
+    def test_nan_difference_fails(self):
+        a = BandMatrix.diagonal([1.0, 2.0, 3.0], FLOAT)
+        b = BandMatrix.from_entries(3, {(0, 0): 1.0, (1, 1): self.NAN, (2, 2): 3.0}, FLOAT)
+        for x, y in ((a, b), (b, a), (b, b)):
+            cmp = approx_equal_matrix(x, y, TolerancePolicy(1e300, 1e300))
+            assert not cmp.passed and not cmp.exact_zero
+            assert math.isnan(cmp.scale)
+        assert approx_equal_matrix(a, b).worst == (1, 1)
+        assert math.isnan(approx_equal_matrix(a, b).residual)
+
+    def test_infinite_entries_fail(self):
+        a = BandMatrix.from_entries(2, {(0, 0): self.INF}, FLOAT)
+        b = BandMatrix.from_entries(2, {(0, 0): 1.0}, FLOAT)
+        for x, y in ((a, a), (a, b), (b, a)):
+            cmp = approx_equal_matrix(x, y, TolerancePolicy(1.0, 1.0))
+            assert not cmp.passed and not cmp.exact_zero
+            assert math.isinf(cmp.scale)

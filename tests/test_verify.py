@@ -133,11 +133,21 @@ class TestSuitesOverSpecs:
 
 
 class TestFaultDetection:
-    def _corrupt_h(self, r):
-        bumped = r.H.matrix + BandMatrix(
-            r.dim, r.backend, {(0, 0): complex(1.0)}
-        )
+    def _corrupt_h(self, r, key=(0, 0), value=complex(1.0)):
+        bumped = r.H.matrix + BandMatrix(r.dim, r.backend, {key: value})
         return replace(r, H=GradedOperator(bumped, DEGREE_H, "H"))
+
+    @pytest.mark.parametrize("use_exact", [True, False])
+    def test_nan_in_h_fails(self, use_exact):
+        # A NaN difference used to be skipped (nan > residual is false) and
+        # max(0.0, nan) is 0.0, so this realization passed all 121 checks.
+        r = self._corrupt_h(cv_realization(Fraction(1, 2), 0, 8), (3, 3), complex("nan"))
+        report = run_all_suites(r, use_exact=use_exact)
+        assert len(report.checks) == 121 and not report.passed
+        checks = by_name(report)
+        for name in ("standard/anticommutator-gives-h", "hermitian/hermitian-h",
+                     "jacobi/closure[Q10,Q10]"):
+            assert not checks[name].passed
 
     def test_corrupted_h_fails_diagonal_path(self):
         r = self._corrupt_h(cv_realization(Fraction(1, 2), 0, 16))
