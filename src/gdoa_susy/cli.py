@@ -4,21 +4,21 @@ Configuration is a strict JSON file (unknown keys are rejected) with flag
 overrides for dimension, parity label, tolerances, and output format.
 
 Exit codes: 0 all requested checks passed; 1 at least one relation failed;
-2 configuration or validation error; 3 I/O error.
+2 configuration or validation error (including a dim above ``MAX_DIM`` and
+values the requested backend or output cannot hold); 3 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .exprlang import ExprError
-from .fock import OscillatorSpec, ValidationError
+from .fock import OscillatorSpec, ValidationError, fits_double, structure_values
 from .grading import GradingError
 from .numerics import Backend, NumericsError, TolerancePolicy, parse_rational
 from .realizations import (
@@ -47,6 +47,9 @@ class ConfigError(ValueError):
 
 _OUTPUTS = ("text", "json", "csv")
 _BACKENDS = ("float", "exact-where-possible")
+# Largest accepted dimension: far above every workload (4096), while one
+# verify run there stays within tens of seconds per parity label.
+MAX_DIM = 2**16
 
 
 @dataclass(frozen=True)
@@ -114,11 +117,9 @@ def _build_spec(algebra: object, weight_src: str) -> OscillatorSpec:
     raise ConfigError("'algebra.type' must be 'calogero_vasiliev' or 'gdoa'")
 
 
-def _finite(value: int | float) -> bool:
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
-        return False
+def _check_dim(dim: object) -> None:
+    if isinstance(dim, bool) or not isinstance(dim, int) or not 2 <= dim <= MAX_DIM or dim % 2:
+        raise ConfigError(f"'dim' must be an even integer in [2, {MAX_DIM}]")
 
 
 def _parse_config(raw: object, overrides: argparse.Namespace | None) -> Config:
@@ -166,8 +167,7 @@ def _parse_config(raw: object, overrides: argparse.Namespace | None) -> Config:
     else:
         raise ConfigError("'mu' must be 0, 1, or \"both\"")
 
-    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 2 or dim % 2:
-        raise ConfigError("'dim' must be an even integer >= 2")
+    _check_dim(dim)
 
     if backend not in _BACKENDS:
         raise ConfigError(f"'backend' must be one of {_BACKENDS}")
@@ -181,7 +181,7 @@ def _parse_config(raw: object, overrides: argparse.Namespace | None) -> Config:
         if (
             isinstance(value, bool)
             or not isinstance(value, (int, float))
-            or not _finite(value)
+            or not fits_double(value)
             or value < 0
         ):
             raise ConfigError(f"'tolerance.{name}' must be a finite nonnegative number")
@@ -191,8 +191,6 @@ def _parse_config(raw: object, overrides: argparse.Namespace | None) -> Config:
 
     spec = _build_spec(raw["algebra"], weight_src)
     try:
-        from .fock import structure_values
-
         structure_values(spec, dim)  # rejects F(0) != 0 and F(n) <= 0 up front
     except (ValidationError, ExprError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -287,9 +285,11 @@ def _spectrum_rows(table: SpectrumTable) -> list[dict]:
             pair = None
         else:
             pair = f"p{pair_index(table.mu, row.n)}"
-        rows.append(
-            {"n": row.n, "E": str(row.energy), "Z": str(row.central), "pair": pair}
-        )
+        try:
+            energy, central = str(row.energy), str(row.central)
+        except ValueError:  # beyond the interpreter's int-to-str digit limit
+            raise ConfigError(f"E({row.n}) has too many digits to print") from None
+        rows.append({"n": row.n, "E": energy, "Z": central, "pair": pair})
     return rows
 
 
@@ -485,8 +485,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 output = args.output or config.output
             else:
                 raise ConfigError("reduce requires --kappa or --config")
-            if dim < 2 or dim % 2:
-                raise ConfigError("'dim' must be an even integer >= 2")
+            _check_dim(dim)
             return cmd_reduce(kappa, dim, output)
         config = load_config(args.config, args)
         if args.command == "verify":

@@ -91,6 +91,9 @@ Expr = Union[Number, Var, Param, Neg, BinOp, Pow, Call]
 _BUILTINS = ("parity", "sqrt", "bracket")
 _OPS = set("+-*/^()")
 MAX_DEPTH = 100
+# Bits in 4300 decimal digits, the interpreter's default int-to-str limit: an
+# exact power with a longer numerator or denominator could not be printed.
+MAX_POWER_BITS = int(4300 * math.log2(10))
 
 
 @dataclass(frozen=True, slots=True)
@@ -293,10 +296,11 @@ def eval_expr(
 ) -> Fraction | float:
     """Evaluate at level n with parameters bound from env.
 
-    The exact backend computes in Fraction arithmetic and rejects sqrt; the
-    float backend computes in doubles, where a literal or power beyond the
-    double range raises :class:`ExprEvalError` (a product that overflows is
-    inf, which no verification check passes).
+    The exact backend computes in Fraction arithmetic and rejects sqrt and
+    any power beyond ``MAX_POWER_BITS``; the float backend computes in
+    doubles, where a literal or power beyond the double range raises
+    :class:`ExprEvalError` (a product that overflows is inf, which no
+    verification check passes).
     """
     bindings = env or {}
     exact = backend is Backend.EXACT
@@ -325,18 +329,25 @@ def eval_expr(
                 raise ExprEvalError(f"division by zero at n={n}")
             return left / right
         if isinstance(node, Pow):
-            return ev(node.base) ** node.exponent
+            base = ev(node.base)
+            # a cheap upper bound on the bits of the power; only a power it
+            # does not clear is measured exactly
+            if exact and (
+                base.numerator.bit_length() + base.denominator.bit_length()
+            ) * node.exponent > MAX_POWER_BITS:
+                _require_short_power(base, node.exponent, n)
+            return base ** node.exponent
         if isinstance(node, Call):
             value = ev(node.arg)
             if node.func == "parity":
                 if exact:
                     if value.denominator != 1:  # type: ignore[union-attr]
-                        raise ExprEvalError(f"parity of non-integer {value} at n={n}")
+                        raise ExprEvalError(f"parity of non-integer {printable(value)} at n={n}")
                     k = int(value)
                 else:
                     k = round(value)
                     if abs(value - k) > 1e-9:
-                        raise ExprEvalError(f"parity of non-integer {value} at n={n}")
+                        raise ExprEvalError(f"parity of non-integer {printable(value)} at n={n}")
                 result = -1 if k % 2 else 1
                 return Fraction(result) if exact else float(result)
             if node.func == "sqrt":
@@ -352,6 +363,29 @@ def eval_expr(
         return ev(expr)
     except OverflowError as exc:  # float conversion or power beyond the double range
         raise ExprEvalError(f"float overflow at n={n}: {exc}") from exc
+
+
+def printable(value: Fraction | float) -> str:
+    """``str(value)``, or a placeholder beyond the int-to-str digit limit."""
+    try:
+        return str(value)
+    except ValueError:
+        return "(too many digits to print)"
+
+
+def _require_short_power(base: Fraction, exponent: int, n: int) -> None:
+    """Raise unless base**exponent has at most MAX_POWER_BITS bits in its
+    numerator and denominator.
+
+    A b-bit integer's power has (b - 1) * exponent + 1 to b * exponent bits, so
+    the power is computed only when the lower bound clears the limit, and is
+    then at most twice as long as the limit.
+    """
+    def bits(value: Fraction) -> int:
+        return max(value.numerator.bit_length(), value.denominator.bit_length())
+
+    if (bits(base) - 1) * exponent >= MAX_POWER_BITS or bits(base**exponent) > MAX_POWER_BITS:
+        raise ExprEvalError(f"power beyond {MAX_POWER_BITS} bits at n={n}")
 
 
 def expr_params(expr: Expr) -> frozenset[str]:

@@ -29,6 +29,7 @@ from .exprlang import (
     eval_expr,
     has_sqrt,
     parse_expr,
+    printable,
     validate_structure_function,
 )
 from .numerics import (
@@ -117,12 +118,6 @@ class OscillatorSpec:
         return f"gdoa({', '.join(pieces)})"
 
 
-def bracket_kappa(n: int, kappa: Fraction | int) -> Fraction:
-    """Deformed integer: n for even n, n + kappa for odd n."""
-    kappa = Fraction(kappa)
-    return Fraction(n) if n % 2 == 0 else Fraction(n) + kappa
-
-
 def structure_values(spec: OscillatorSpec, dim: int) -> tuple[Fraction, ...]:
     """Exact F(0..dim); raises ValidationError if F(0) != 0 or any F(n) <= 0."""
     if has_sqrt(spec.structure):
@@ -130,7 +125,8 @@ def structure_values(spec: OscillatorSpec, dim: int) -> tuple[Fraction, ...]:
     report = validate_structure_function(spec.structure, spec.params, dim)
     if not report.ok:
         details = "; ".join(
-            f"F({v.n}) = {v.value} violates {v.constraint}" for v in report.violations[:4]
+            f"F({v.n}) = {printable(v.value)} violates {v.constraint}"
+            for v in report.violations[:4]
         )
         raise ValidationError(f"invalid structure function: {details}")
     return report.values
@@ -159,6 +155,14 @@ class FockRep:
     odd_projector: BandMatrix
 
 
+def fits_double(value: int | float | Fraction) -> bool:
+    """True if ``value`` converts to a finite double."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # a rational beyond the double range
+        return False
+
+
 def _sqrt_entry(value: Fraction, backend: Backend):
     if backend is Backend.EXACT:
         return ExactScalar.sqrt_of(value)
@@ -172,7 +176,11 @@ def build_fock_rep(
     if dim < 2:
         raise ValidationError("dim must be >= 2")
     values = structure_values(spec, dim)
-    roots = {n: _sqrt_entry(values[n], backend) for n in range(1, dim)}
+    try:
+        roots = {n: _sqrt_entry(values[n], backend) for n in range(1, dim)}
+    except OverflowError:
+        n = next(n for n in range(1, dim) if not fits_double(values[n]))
+        raise ValidationError(f"F({n}) is beyond the double range of the float backend") from None
     a = BandMatrix(dim, backend, {(n - 1, n): roots[n] for n in range(1, dim)})
     a_dag = BandMatrix(dim, backend, {(n + 1, n): roots[n + 1] for n in range(dim - 1)})
     p_even = BandMatrix.diagonal([Fraction(1 - n % 2) for n in range(dim)], backend)
@@ -180,33 +188,15 @@ def build_fock_rep(
     return FockRep(spec, dim, backend, values, a, a_dag, p_even, p_odd)
 
 
-@dataclass(frozen=True)
-class GuardBandReport:
-    """Comparison restricted to columns [0, dim-1-g]."""
-
-    guard_band: int
-    cols: range
-    comparison: MatrixComparison
-
-    @property
-    def passed(self) -> bool:
-        return self.comparison.passed
-
-    @property
-    def residual(self) -> float:
-        return self.comparison.residual
-
-
 def guard_band_equal(
     a: BandMatrix,
     b: BandMatrix,
     guard_band: int,
     policy: TolerancePolicy = DEFAULT_POLICY,
-) -> GuardBandReport:
-    """Compare two matrices ignoring the top guard_band source columns."""
+) -> MatrixComparison:
+    """Compare two matrices on the source columns [0, dim-1-guard_band]."""
     if guard_band < 0:
         raise ValidationError("guard band must be nonnegative")
     if guard_band >= a.dim:
         raise ValidationError(f"guard band {guard_band} leaves no columns in dim {a.dim}")
-    cols = range(a.dim - guard_band)
-    return GuardBandReport(guard_band, cols, approx_equal_matrix(a, b, policy, cols))
+    return approx_equal_matrix(a, b, policy, range(a.dim - guard_band))

@@ -77,7 +77,10 @@ def _square_split(n: int) -> tuple[int, int]:
     if root * root == n:
         return root, 1
     if n > _RADICAND_LIMIT:
-        raise ExactnessError(f"radicand {n} exceeds {_RADICAND_LIMIT}; cannot factor it")
+        # the bit count, not the digits: a radicand may be too long to print
+        raise ExactnessError(
+            f"radicand of {n.bit_length()} bits exceeds {_RADICAND_LIMIT}; cannot factor it"
+        )
     s, r, p = 1, 1, 2
     while p * p * p <= n:
         if n % p == 0:

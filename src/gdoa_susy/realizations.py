@@ -154,11 +154,24 @@ def gdoa_realization(
 
     # Q+ raises into the sector kept by P_(1-mu); Q lowers out of it.
     raising_targets = range(2 - mu, dim, 2)  # m: entry (m, m-1)
-    qdag_matrix = BandMatrix(dim, backend, {(m, m - 1): edge(m) for m in raising_targets})
-    q_matrix = BandMatrix(dim, backend, {(m - 1, m): edge(m) for m in raising_targets})
-
-    energies = [_gdoa_energy(values, weights, mu, n) for n in range(dim)]
-    charges = _central_charges(energies, mu, "gdoa")
+    try:
+        qdag_matrix = BandMatrix(dim, backend, {(m, m - 1): edge(m) for m in raising_targets})
+        q_matrix = BandMatrix(dim, backend, {(m - 1, m): edge(m) for m in raising_targets})
+        energies = [_gdoa_energy(values, weights, mu, n) for n in range(dim)]
+        charges = _central_charges(energies, mu, "gdoa")
+        h_matrix = BandMatrix.diagonal(energies, backend)
+        z_matrix = BandMatrix.diagonal(charges, backend)
+    except OverflowError:
+        # redo the conversions level by level to name the first that overflows
+        # (F(m) itself fits: build_fock_rep checked it)
+        for m in range(1, dim + 1):
+            try:
+                float(weights[m]), float(weights[m] ** 2 * values[m])
+            except OverflowError:
+                break
+        raise ValidationError(
+            f"f({m}) or f({m})^2 F({m}) is beyond the double range of the float backend"
+        ) from None
     return RealizationSet(
         spec=spec,
         mu=mu,
@@ -167,8 +180,8 @@ def gdoa_realization(
         convention="gdoa",
         Qdag=GradedOperator(qdag_matrix, None, "Q+"),
         Q=GradedOperator(q_matrix, None, "Q"),
-        H=GradedOperator(BandMatrix.diagonal(energies, backend), DEGREE_H, "H"),
-        Z=GradedOperator(BandMatrix.diagonal(charges, backend), DEGREE_Z, "Z"),
+        H=GradedOperator(h_matrix, DEGREE_H, "H"),
+        Z=GradedOperator(z_matrix, DEGREE_Z, "Z"),
         h_diag=tuple(energies) if exact_weight else None,
         z_diag=tuple(charges) if exact_weight else None,
         rep=rep,

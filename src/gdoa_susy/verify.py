@@ -14,6 +14,11 @@ truncated representation supports:
   |residual| <= absolute + relative * scale, with the scale taken from the
   largest entry encountered on either side.
 
+The standard, q-form and Hermitian suites are tables of :class:`Relation`
+rows evaluated by one runner, and every check is built by one function.  A
+row shared by two suites is one object, and a diagonal-exact row's exact
+re-check runs the same formula on the exact operators.
+
 The Jacobi suite contains three layers: graded antisymmetry of all 16 ordered
 generator pairs (an identity, required to cancel bitwise), the 64 graded
 Jacobi defects on guard band 3, and closure of each bracket onto the structure
@@ -28,7 +33,8 @@ import time
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import product
-from typing import Sequence
+from types import SimpleNamespace
+from typing import Callable, NamedTuple, Sequence
 
 from .fock import OscillatorSpec, guard_band_equal
 from .grading import (
@@ -128,103 +134,167 @@ def merge_reports(reports: Sequence[VerificationReport], prefixes: Sequence[str]
     )
 
 
-def _structural_check(
-    name: str, relation: str, lhs: BandMatrix, rhs: BandMatrix, guard_band: int
+Pair = tuple[BandMatrix, BandMatrix]
+_STRUCTURAL = Exactness.STRUCTURAL_EXACT
+_DIAGONAL = Exactness.DIAGONAL_EXACT
+_FLOAT = Exactness.FLOAT_TOLERANCE
+
+
+class Relation(NamedTuple):
+    """One row of a relation table; ``pair`` maps an operator set to the two
+    matrices the relation equates."""
+
+    name: str
+    formula: str
+    guard_band: int
+    exactness: Exactness
+    pair: Callable[[SimpleNamespace], Pair]
+
+
+def _check(
+    name: str, formula: str, guard_band: int, exactness: Exactness,
+    pair: Pair, policy: TolerancePolicy, exact_pair: Pair | None = None,
 ) -> RelationCheck:
-    cmp = guard_band_equal(lhs, rhs, guard_band, EXACT_POLICY).comparison
-    return RelationCheck(
-        name,
-        relation,
-        guard_band,
-        Exactness.STRUCTURAL_EXACT,
-        cmp.residual,
-        cmp.scale,
-        0.0,
-        cmp.exact_zero,
-    )
+    """Compare ``pair`` on its guard band and classify the outcome.
 
-
-def _float_check(
-    name: str,
-    relation: str,
-    lhs: BandMatrix,
-    rhs: BandMatrix,
-    guard_band: int,
-    policy: TolerancePolicy,
-) -> RelationCheck:
-    cmp = guard_band_equal(lhs, rhs, guard_band, policy).comparison
-    return RelationCheck(
-        name,
-        relation,
-        guard_band,
-        Exactness.FLOAT_TOLERANCE,
-        cmp.residual,
-        cmp.scale,
-        cmp.bound,
-        cmp.passed,
-    )
-
-
-def _diagonal_check(
-    name: str,
-    relation: str,
-    guard_band: int,
-    policy: TolerancePolicy,
-    float_pair: tuple[BandMatrix, BandMatrix],
-    exact_pair: tuple[BandMatrix, BandMatrix] | None,
-) -> RelationCheck:
-    """Exact re-verification when available, float tolerance otherwise.
-
-    With an exact pair the relation must cancel identically (residual exactly
-    0.0) AND the instance matrices must still satisfy it within policy; the
-    instance comparison is what catches a perturbed operator, since the exact
-    pair is derived from the defining data rather than the instance entries.
+    A structural-exact relation must cancel identically.  A diagonal-exact
+    relation with an exact pair must cancel identically there AND the instance
+    matrices must still satisfy it within policy; the instance comparison is
+    what catches a perturbed operator, since the exact pair is derived from
+    the defining data rather than the instance entries.  Without an exact pair
+    it is a float-tolerance check.
     """
-    lhs, rhs = float_pair
-    instance = guard_band_equal(lhs, rhs, guard_band, policy).comparison
-    if exact_pair is not None:
-        cmp = guard_band_equal(*exact_pair, guard_band, EXACT_POLICY).comparison
-        passed = cmp.exact_zero and instance.passed
-        residual = cmp.residual if instance.passed else instance.residual
-        return RelationCheck(
-            name,
-            relation,
-            guard_band,
-            Exactness.DIAGONAL_EXACT,
-            residual,
-            cmp.scale,
-            0.0 if instance.passed else instance.bound,
-            passed,
-        )
-    return RelationCheck(
-        name,
-        relation,
-        guard_band,
-        Exactness.FLOAT_TOLERANCE,
-        instance.residual,
-        instance.scale,
-        instance.bound,
-        instance.passed,
-    )
+    structural = exactness is _STRUCTURAL
+    cmp = guard_band_equal(*pair, guard_band, EXACT_POLICY if structural else policy)
+    if structural:
+        residual, scale, bound, passed = cmp.residual, cmp.scale, 0.0, cmp.exact_zero
+    elif exact_pair is None:
+        exactness = _FLOAT
+        residual, scale, bound, passed = cmp.residual, cmp.scale, cmp.bound, cmp.passed
+    else:
+        proof = guard_band_equal(*exact_pair, guard_band, EXACT_POLICY)
+        residual, bound = (proof.residual, 0.0) if cmp.passed else (cmp.residual, cmp.bound)
+        scale, passed = proof.scale, proof.exact_zero and cmp.passed
+    return RelationCheck(name, formula, guard_band, exactness, residual, scale, bound, passed)
+
+
+def _two_i(backend: Backend):
+    return ExactScalar(0, 2) if backend is Backend.EXACT else 2j
+
+
+# Operator sets name their matrices qd (Q+), q (Q), q10, q01, h and z, plus a
+# zero of their backend.  Rows shared by two suites are one object.
+_ANTICOMMUTATOR_GIVES_H = Relation("anticommutator-gives-h", "{Q+,Q} = H", 1, _DIAGONAL,
+                                   lambda o: (anticommutator(o.qd, o.q), o.h))
+_H_COMMUTES_QDAG = Relation("h-commutes-qdag", "[H,Q+] = 0", 1, _FLOAT,
+                            lambda o: (commutator(o.h, o.qd), o.zero))
+_H_COMMUTES_Q = Relation("h-commutes-q", "[H,Q] = 0", 1, _FLOAT,
+                         lambda o: (commutator(o.h, o.q), o.zero))
+_H_COMMUTES_Z = Relation("h-commutes-z", "[H,Z] = 0", 0, _DIAGONAL,
+                         lambda o: (commutator(o.h, o.z), o.zero))
+
+STANDARD_RELATIONS = (
+    Relation("qdag-squared-zero", "(Q+)^2 = 0", 0, _STRUCTURAL, lambda o: (o.qd @ o.qd, o.zero)),
+    Relation("q-squared-zero", "Q^2 = 0", 0, _STRUCTURAL, lambda o: (o.q @ o.q, o.zero)),
+    _ANTICOMMUTATOR_GIVES_H,
+    _H_COMMUTES_QDAG,
+    _H_COMMUTES_Q,
+)
+
+QFORM_RELATIONS = (
+    _ANTICOMMUTATOR_GIVES_H,
+    Relation("squares-cancel", "(Q+)^2 + Q^2 = 0", 0, _STRUCTURAL,
+             lambda o: (o.qd @ o.qd + o.q @ o.q, o.zero)),
+    Relation("commutator-gives-z", "[Q+,Q] = Z", 1, _DIAGONAL,
+             lambda o: (commutator(o.qd, o.q), o.z)),
+    _H_COMMUTES_QDAG,
+    _H_COMMUTES_Q,
+    _H_COMMUTES_Z,
+    Relation("z-anticommutes-qdag", "{Z,Q+} = 0", 1, _FLOAT,
+             lambda o: (anticommutator(o.z, o.qd), o.zero)),
+    Relation("z-anticommutes-q", "{Z,Q} = 0", 1, _FLOAT,
+             lambda o: (anticommutator(o.z, o.q), o.zero)),
+)
+
+# Fixed (anti)commutators, not graded brackets: a bracket follows the degree an
+# operator declares, so a mis-degreed Z would pass {Z,Q10} = 0 through it.
+HERMITIAN_RELATIONS = (
+    Relation("hermitian-q10", "Q10+ = Q10", 0, _FLOAT, lambda o: (o.q10.adjoint(), o.q10)),
+    Relation("hermitian-q01", "Q01+ = Q01", 0, _FLOAT, lambda o: (o.q01.adjoint(), o.q01)),
+    Relation("hermitian-h", "H+ = H", 0, _FLOAT, lambda o: (o.h.adjoint(), o.h)),
+    Relation("hermitian-z", "Z+ = Z", 0, _FLOAT, lambda o: (o.z.adjoint(), o.z)),
+    Relation("q10-squared-gives-2h", "{Q10,Q10} = 2H", 1, _FLOAT,
+             lambda o: (anticommutator(o.q10, o.q10), o.h.scaled(2))),
+    Relation("q01-squared-gives-2h", "{Q01,Q01} = 2H", 1, _FLOAT,
+             lambda o: (anticommutator(o.q01, o.q01), o.h.scaled(2))),
+    Relation("q10-q01-commutator-gives-2iz", "[Q10,Q01] = 2iZ", 1, _FLOAT,
+             lambda o: (commutator(o.q10, o.q01), o.z.scaled(_two_i(o.z.backend)))),
+    Relation("h-commutes-q10", "[H,Q10] = 0", 1, _FLOAT,
+             lambda o: (commutator(o.h, o.q10), o.zero)),
+    Relation("h-commutes-q01", "[H,Q01] = 0", 1, _FLOAT,
+             lambda o: (commutator(o.h, o.q01), o.zero)),
+    _H_COMMUTES_Z,
+    Relation("z-anticommutes-q10", "{Z,Q10} = 0", 1, _FLOAT,
+             lambda o: (anticommutator(o.z, o.q10), o.zero)),
+    Relation("z-anticommutes-q01", "{Z,Q01} = 0", 1, _FLOAT,
+             lambda o: (anticommutator(o.z, o.q01), o.zero)),
+)
+
+
+def _operators(dim: int, backend: Backend, **matrices: BandMatrix) -> SimpleNamespace:
+    return SimpleNamespace(zero=BandMatrix.zeros(dim, backend), **matrices)
 
 
 def _report(
-    r_spec: OscillatorSpec,
-    mu: int,
-    dim: int,
-    backend: Backend,
-    checks: Sequence[RelationCheck],
-    started: float,
+    s: RealizationSet | HermitianSet, checks: Sequence[RelationCheck], started: float
 ) -> VerificationReport:
     return VerificationReport(
-        spec=r_spec.describe(),
-        mu=mu,
-        dim=dim,
-        backend=backend.value,
+        spec=s.spec.describe(),
+        mu=s.mu,
+        dim=s.dim,
+        backend=s.backend.value,
         checks=tuple(checks),
         passed=all(c.passed for c in checks),
         elapsed_ms=(time.perf_counter() - started) * 1000.0,
     )
+
+
+def _run_table(
+    table: Sequence[Relation],
+    s: RealizationSet | HermitianSet,
+    ops: SimpleNamespace,
+    exact_ops: SimpleNamespace | None,
+    policy: TolerancePolicy,
+    started: float,
+) -> VerificationReport:
+    """Evaluate every row on ``ops``; a diagonal-exact row is evaluated by the
+    same pair function on ``exact_ops`` too, so its exact re-check can never
+    test a different formula from its float check."""
+    checks = [
+        _check(
+            name, formula, guard_band, exactness, pair(ops), policy,
+            pair(exact_ops) if exact_ops is not None and exactness is _DIAGONAL else None,
+        )
+        for name, formula, guard_band, exactness, pair in table
+    ]
+    return _report(s, checks, started)
+
+
+def _realization_operators(r: RealizationSet | None) -> SimpleNamespace | None:
+    if r is None:
+        return None
+    return _operators(
+        r.dim, r.backend, qd=r.Qdag.matrix, q=r.Q.matrix, h=r.H.matrix, z=r.Z.matrix
+    )
+
+
+def _run_realization_table(
+    table: Sequence[Relation], r: RealizationSet, policy: TolerancePolicy, use_exact: bool
+) -> VerificationReport:
+    started = time.perf_counter()
+    ex = r.exact if use_exact else None  # built inside the timed span on first use
+    ops, exact_ops = _realization_operators(r), _realization_operators(ex)
+    return _run_table(table, r, ops, exact_ops, policy, started)
 
 
 def run_standard_susy_suite(
@@ -233,31 +303,7 @@ def run_standard_susy_suite(
     use_exact: bool = True,
 ) -> VerificationReport:
     """Nilpotent supercharges with {Q+, Q} = H and a conserved H."""
-    started = time.perf_counter()
-    qd, q, h = r.Qdag.matrix, r.Q.matrix, r.H.matrix
-    zero = BandMatrix.zeros(r.dim, r.backend)
-    ex = r.exact if use_exact else None
-    exact_anti = None
-    if ex is not None:
-        exact_anti = (
-            anticommutator(ex.Qdag.matrix, ex.Q.matrix),
-            ex.H.matrix,
-        )
-    checks = [
-        _structural_check("qdag-squared-zero", "(Q+)^2 = 0", qd @ qd, zero, 0),
-        _structural_check("q-squared-zero", "Q^2 = 0", q @ q, zero, 0),
-        _diagonal_check(
-            "anticommutator-gives-h",
-            "{Q+,Q} = H",
-            1,
-            policy,
-            (anticommutator(qd, q), h),
-            exact_anti,
-        ),
-        _float_check("h-commutes-qdag", "[H,Q+] = 0", commutator(h, qd), zero, 1, policy),
-        _float_check("h-commutes-q", "[H,Q] = 0", commutator(h, q), zero, 1, policy),
-    ]
-    return _report(r.spec, r.mu, r.dim, r.backend, checks, started)
+    return _run_realization_table(STANDARD_RELATIONS, r, policy, use_exact)
 
 
 def run_qform_suite(
@@ -266,113 +312,30 @@ def run_qform_suite(
     use_exact: bool = True,
 ) -> VerificationReport:
     """The non-Hermitian presentation of the graded algebra (eight relations)."""
-    started = time.perf_counter()
-    qd, q, h, z = r.Qdag.matrix, r.Q.matrix, r.H.matrix, r.Z.matrix
-    zero = BandMatrix.zeros(r.dim, r.backend)
-    ex = r.exact if use_exact else None
-    exact_anti = exact_comm = exact_hz = None
-    if ex is not None:
-        exact_anti = (anticommutator(ex.Qdag.matrix, ex.Q.matrix), ex.H.matrix)
-        exact_comm = (commutator(ex.Qdag.matrix, ex.Q.matrix), ex.Z.matrix)
-        exact_hz = (
-            commutator(ex.H.matrix, ex.Z.matrix),
-            BandMatrix.zeros(ex.dim, ex.backend),
-        )
-    checks = [
-        _diagonal_check(
-            "anticommutator-gives-h",
-            "{Q+,Q} = H",
-            1,
-            policy,
-            (anticommutator(qd, q), h),
-            exact_anti,
-        ),
-        _structural_check(
-            "squares-cancel", "(Q+)^2 + Q^2 = 0", qd @ qd + q @ q, zero, 0
-        ),
-        _diagonal_check(
-            "commutator-gives-z",
-            "[Q+,Q] = Z",
-            1,
-            policy,
-            (commutator(qd, q), z),
-            exact_comm,
-        ),
-        _float_check("h-commutes-qdag", "[H,Q+] = 0", commutator(h, qd), zero, 1, policy),
-        _float_check("h-commutes-q", "[H,Q] = 0", commutator(h, q), zero, 1, policy),
-        _diagonal_check(
-            "h-commutes-z", "[H,Z] = 0", 0, policy, (commutator(h, z), zero), exact_hz
-        ),
-        _float_check(
-            "z-anticommutes-qdag", "{Z,Q+} = 0", anticommutator(z, qd), zero, 1, policy
-        ),
-        _float_check(
-            "z-anticommutes-q", "{Z,Q} = 0", anticommutator(z, q), zero, 1, policy
-        ),
-    ]
-    return _report(r.spec, r.mu, r.dim, r.backend, checks, started)
-
-
-def _two_i(backend: Backend):
-    return ExactScalar(0, 2) if backend is Backend.EXACT else 2j
+    return _run_realization_table(QFORM_RELATIONS, r, policy, use_exact)
 
 
 def run_hermitian_suite(
     h: HermitianSet,
     policy: TolerancePolicy = DEFAULT_POLICY,
 ) -> VerificationReport:
-    """Hermiticity plus the defining relations of the Hermitian generators."""
+    """Hermiticity plus the defining relations of the Hermitian generators.
+
+    The exact re-check of [H,Z] = 0 reads the exact diagonals of H and Z.
+    """
     started = time.perf_counter()
-    q10, q01 = h.Q10.matrix, h.Q01.matrix
-    ham, z = h.H.matrix, h.Z.matrix
-    zero = BandMatrix.zeros(h.dim, h.backend)
-    exact_hz = None
+    ops = _operators(
+        h.dim, h.backend, q10=h.Q10.matrix, q01=h.Q01.matrix, h=h.H.matrix, z=h.Z.matrix
+    )
+    exact_ops = None
     if h.h_diag is not None and h.z_diag is not None:
-        exact_h = BandMatrix.diagonal(h.h_diag, Backend.EXACT)
-        exact_z = BandMatrix.diagonal(h.z_diag, Backend.EXACT)
-        exact_hz = (commutator(exact_h, exact_z), BandMatrix.zeros(h.dim, Backend.EXACT))
-    checks = [
-        _float_check("hermitian-q10", "Q10+ = Q10", q10.adjoint(), q10, 0, policy),
-        _float_check("hermitian-q01", "Q01+ = Q01", q01.adjoint(), q01, 0, policy),
-        _float_check("hermitian-h", "H+ = H", ham.adjoint(), ham, 0, policy),
-        _float_check("hermitian-z", "Z+ = Z", z.adjoint(), z, 0, policy),
-        _float_check(
-            "q10-squared-gives-2h",
-            "{Q10,Q10} = 2H",
-            anticommutator(q10, q10),
-            ham.scaled(2),
-            1,
-            policy,
-        ),
-        _float_check(
-            "q01-squared-gives-2h",
-            "{Q01,Q01} = 2H",
-            anticommutator(q01, q01),
-            ham.scaled(2),
-            1,
-            policy,
-        ),
-        _float_check(
-            "q10-q01-commutator-gives-2iz",
-            "[Q10,Q01] = 2iZ",
-            commutator(q10, q01),
-            z.scaled(_two_i(h.backend)),
-            1,
-            policy,
-        ),
-        _float_check("h-commutes-q10", "[H,Q10] = 0", commutator(ham, q10), zero, 1, policy),
-        _float_check("h-commutes-q01", "[H,Q01] = 0", commutator(ham, q01), zero, 1, policy),
-        _diagonal_check(
-            "h-commutes-z", "[H,Z] = 0", 0, policy, (commutator(ham, z), zero), exact_hz
-        ),
-        _float_check(
-            "z-anticommutes-q10", "{Z,Q10} = 0", anticommutator(z, q10), zero, 1, policy
-        ),
-        _float_check(
-            "z-anticommutes-q01", "{Z,Q01} = 0", anticommutator(z, q01), zero, 1, policy
-        ),
-    ]
-    return _report(h.spec, h.mu, h.dim, h.backend, checks, started)
+        exact = [BandMatrix.diagonal(d, Backend.EXACT) for d in (h.h_diag, h.z_diag)]
+        exact_ops = _operators(h.dim, Backend.EXACT, h=exact[0], z=exact[1])
+    return _run_table(HERMITIAN_RELATIONS, h, ops, exact_ops, policy, started)
+
+
+# Nested brackets of band-1 generators reach band 3.
+JACOBI_GUARD_BAND = 3
 
 
 def _closure_expectation(
@@ -396,7 +359,6 @@ def _closure_expectation(
 def run_jacobi_suite(
     h: HermitianSet,
     policy: TolerancePolicy = DEFAULT_POLICY,
-    guard_band: int = 3,
 ) -> VerificationReport:
     """Antisymmetry, all 64 graded Jacobi defects, and bracket closure.
 
@@ -421,18 +383,11 @@ def run_jacobi_suite(
         x, y = generators[i], generators[j]
         sign = graded_sign(degrees[i], degrees[j])
         residual = antisymmetry_residual(sign, inner[i, j].matrix, inner[j, i].matrix)
-        checks.append(
-            RelationCheck(
-                name=f"antisymmetry[{x.label},{y.label}]",
-                relation="[[X,Y]] + (-1)^(x.y) [[Y,X]] = 0",
-                guard_band=0,
-                exactness=Exactness.STRUCTURAL_EXACT,
-                residual=residual,
-                scale=max(x.matrix.max_abs(), y.matrix.max_abs()),
-                bound=0.0,
-                passed=residual == 0.0,
-            )
-        )
+        checks.append(RelationCheck(
+            f"antisymmetry[{x.label},{y.label}]", "[[X,Y]] + (-1)^(x.y) [[Y,X]] = 0", 0,
+            _STRUCTURAL, residual, max(x.matrix.max_abs(), y.matrix.max_abs()), 0.0,
+            residual == 0.0,
+        ))
     for i, j, k in product(slots, repeat=3):
         residual, scale = jacobi_sum(
             [
@@ -440,35 +395,21 @@ def run_jacobi_suite(
                 (graded_sign(degrees[j], degrees[i]), nested[j, k, i]),
                 (graded_sign(degrees[k], degrees[j]), nested[k, i, j]),
             ],
-            guard_band,
+            JACOBI_GUARD_BAND,
         )
         bound = policy.bound(scale)
         x, y, z = generators[i], generators[j], generators[k]
-        checks.append(
-            RelationCheck(
-                name=f"jacobi[{x.label},{y.label},{z.label}]",
-                relation="graded Jacobi cyclic sum = 0",
-                guard_band=guard_band,
-                exactness=Exactness.FLOAT_TOLERANCE,
-                residual=residual,
-                scale=scale,
-                bound=bound,
-                passed=residual <= bound,
-            )
-        )
+        checks.append(RelationCheck(
+            f"jacobi[{x.label},{y.label},{z.label}]", "graded Jacobi cyclic sum = 0",
+            JACOBI_GUARD_BAND, _FLOAT, residual, scale, bound, residual <= bound,
+        ))
     for i, j in product(slots, repeat=2):
         x, y = generators[i], generators[j]
-        checks.append(
-            _float_check(
-                f"closure[{x.label},{y.label}]",
-                "[[X,Y]] = structure constants",
-                inner[i, j].matrix,
-                _closure_expectation(x, y, h),
-                1,
-                policy,
-            )
-        )
-    return _report(h.spec, h.mu, h.dim, h.backend, checks, started)
+        checks.append(_check(
+            f"closure[{x.label},{y.label}]", "[[X,Y]] = structure constants", 1, _FLOAT,
+            (inner[i, j].matrix, _closure_expectation(x, y, h)), policy,
+        ))
+    return _report(h, checks, started)
 
 
 SUITE_PREFIXES = ("standard", "qform", "hermitian", "jacobi")

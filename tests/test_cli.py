@@ -1,12 +1,13 @@
 """End-to-end tests for the command line interface (run in process)."""
 
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gdoa_susy.cli import ConfigError, _parse_config, load_config, main
+from gdoa_susy.cli import MAX_DIM, ConfigError, _parse_config, load_config, main
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -198,6 +199,65 @@ class TestMalformedInput:
         payload = {"algebra": {"type": "gdoa", "F": source}}
         code, err = self._run(tmp_path, capsys, json.dumps(payload))
         assert code == 2 and "4400 digits" in err
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [(dict(CV_HALF, dim=10**300), f"even integer in [2, {MAX_DIM}]"),
+         ({"algebra": {"type": "gdoa", "F": "n^99999999"}, "dim": 8}, "power beyond")],
+        ids=["dim", "exponent"],
+    )
+    def test_work_bound_exits_at_once(self, tmp_path, capsys, payload, message):
+        # each used to run until killed: F evaluated level by level for ever,
+        # or a power of over 10**8 bits computed in full
+        started = time.perf_counter()
+        code = main(["verify", "--config", write_config(tmp_path, payload)])
+        assert time.perf_counter() - started < 1.0
+        assert code == 2 and message in capsys.readouterr().err
+
+    def test_reduce_dim_above_ceiling(self, capsys):
+        code = main(["reduce", "--kappa", "1/2", "--dim", str(MAX_DIM + 2)])
+        assert code == 2 and "even integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "algebra, weight, message",
+        [({"type": "gdoa", "F": "10^400*n"}, "1", "F(1) is beyond the double range"),
+         ({"type": "calogero_vasiliev", "kappa": 10**400}, "1", "F(1) is beyond"),
+         ({"type": "gdoa", "F": "10^300*n"}, "10^300", "f(1) or f(1)^2 F(1) is beyond"),
+         ({"type": "gdoa", "F": "n"}, "10^400", "f(1) or f(1)^2 F(1) is beyond"),
+         ({"type": "gdoa", "F": "n"}, "sqrt(n)*10^160", "f(1) or f(1)^2 F(1) is beyond")],
+    )
+    @pytest.mark.parametrize("backend", ["float", "exact-where-possible"])
+    def test_values_beyond_the_double_range(self, tmp_path, capsys, algebra, weight, message,
+                                            backend):
+        # float(Fraction), or a float weight squared, used to raise
+        # OverflowError out of the float build
+        payload = {"algebra": algebra, "f": weight, "dim": 8, "backend": backend}
+        code = main(["verify", "--config", write_config(tmp_path, payload)])
+        assert code == 2 and message in capsys.readouterr().err
+
+    def test_spectrum_prints_values_beyond_the_double_range(self, tmp_path, capsys):
+        payload = {"algebra": {"type": "gdoa", "F": "10^400*n"}, "dim": 8, "mu": 0}
+        code = main(["spectrum", "--config", write_config(tmp_path, payload)])
+        assert code == 0 and "2" + "0" * 400 in capsys.readouterr().out
+
+    @pytest.mark.parametrize("output", ["text", "json", "csv"])
+    def test_spectrum_value_beyond_digit_limit(self, tmp_path, capsys, output):
+        # str() of a 5000-digit energy used to raise ValueError
+        payload = {"algebra": {"type": "gdoa", "F": "10^2500*10^2500*n"}, "dim": 8}
+        code = main(["spectrum", "--config", write_config(tmp_path, payload), "--output", output])
+        assert code == 2 and "E(1) has too many digits" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [("-10^2500*10^2500*n", "F(1) = (too many digits to print)"),
+         ("n/(10^2500*10^2500)", "bits exceeds")],
+        ids=["structure-violation", "radicand"],
+    )
+    def test_unprintable_value_in_error_message(self, tmp_path, capsys, source, message):
+        # formatting the message used to raise ValueError (int-to-str limit)
+        payload = {"algebra": {"type": "gdoa", "F": source}, "dim": 8}
+        code = main(["verify", "--config", write_config(tmp_path, payload)])
+        assert code == 2 and message in capsys.readouterr().err
 
     def test_rational_beyond_digit_limit(self, capsys):
         code = main(["reduce", "--kappa", "1" * 5000, "--dim", "8"])

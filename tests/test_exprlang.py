@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from gdoa_susy.exprlang import (
     MAX_DEPTH,
+    MAX_POWER_BITS,
     ExprEvalError,
     ExprSyntaxError,
     Neg,
@@ -125,6 +126,20 @@ class TestInputLimits:
     def test_float_overflow_is_an_evaluation_error(self, source):
         with pytest.raises(ExprEvalError, match="float overflow"):
             eval_expr(parse_expr(source), 2, backend=FLOAT)
+
+
+    @pytest.mark.parametrize("source, n", [("n^99999999", 3), ("2^14284", 0), ("3^9013", 0),
+                                           ("(n^7000)^3", 2), ("(1/n)^99999999", 5)])
+    def test_power_beyond_bit_bound_is_an_evaluation_error(self, source, n):
+        # refused before the power is computed (the first two) or right after
+        with pytest.raises(ExprEvalError, match=f"power beyond {MAX_POWER_BITS} bits"):
+            eval_expr(parse_expr(source), n)
+
+    def test_powers_at_the_bit_bound_evaluate_and_print(self):
+        for source in ("2^14283", "3^9012", "1^99999999", "0^99999999", "n^2"):
+            value = eval_expr(parse_expr(source), 1)
+            assert max(value.numerator.bit_length(), value.denominator.bit_length()) <= 14284
+            assert len(str(value)) <= 4300
 
 
 class TestEvaluation:

@@ -306,6 +306,36 @@ class TestSharedBrackets:
         assert calls == [Backend.FLOAT]
 
 
+_ANTI_H = {"standard/anticommutator-gives-h", "qform/anticommutator-gives-h"}
+
+
+class TestExactRecheck:
+    # The instance operators are untouched, so only the exact half of a
+    # diagonal-exact check can fail: exactly the rows whose formula reads the
+    # doubled exact operator.
+    @pytest.mark.parametrize(
+        "field, failing",
+        [
+            ("H", _ANTI_H),
+            ("Z", {"qform/commutator-gives-z"}),
+            ("Qdag", _ANTI_H | {"qform/commutator-gives-z"}),
+            ("Q", _ANTI_H | {"qform/commutator-gives-z"}),
+        ],
+    )
+    @pytest.mark.parametrize("family", ["cv", "gdoa"])
+    def test_doubled_exact_operator_fails_its_rows(self, family, field, failing, monkeypatch):
+        original = realizations.exact_variant
+
+        def doubled(r):
+            exact = original(r)
+            op = getattr(exact, field)
+            return replace(exact, **{field: replace(op, matrix=op.matrix.scaled(2))})
+
+        monkeypatch.setattr(realizations, "exact_variant", doubled)
+        report = run_all_suites(_family(family, 0, 8))
+        assert {c.name for c in report.checks if not c.passed} == failing
+
+
 class TestResidualScaling:
     def test_residuals_grow_at_most_linearly(self):
         # Doubling the dimension may double the scale of the worst entries;
