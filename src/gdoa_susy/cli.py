@@ -25,7 +25,7 @@ from .realizations import (
     RealizationSet,
     ReductionReport,
     SpectrumTable,
-    cv_realization,
+    _cv_build,
     gdoa_realization,
     hermitian_charges,
     pair_partner,
@@ -223,7 +223,7 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> Confi
 def build_realization(config: Config, mu: int) -> RealizationSet:
     """Materialize the configured realization on the float backend."""
     if config.spec.kappa is not None:  # only calogero_vasiliev specs carry kappa
-        return cv_realization(config.spec.kappa, mu, config.dim, Backend.FLOAT)
+        return _cv_build(config.spec, mu, config.dim, Backend.FLOAT)
     return gdoa_realization(config.spec, mu, config.dim, Backend.FLOAT)
 
 

@@ -20,8 +20,9 @@ backend; the parity (Klein) operator is T = (-1)^N = P0 - P1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping
 
 from .exprlang import (
@@ -58,6 +59,12 @@ class OscillatorSpec:
     whose structure function is F(n) = n for even n and n + kappa for odd n
     (positive-definite for kappa > -1).  The weight f rescales the
     parity-restricted charges; it defaults to the constant 1.
+
+    ``params`` is a read-only copy of the mapping passed in.  The spec also
+    owns its exact level record: the longest F(0..D) that
+    :func:`structure_values` has validated for it, which a smaller dim reads
+    a prefix of.  The record is neither a constructor argument nor part of
+    equality, and ``dataclasses.replace`` starts a new spec without one.
     """
 
     structure: Expr
@@ -66,6 +73,10 @@ class OscillatorSpec:
     kappa: Fraction | None
     structure_src: str
     weight_src: str
+    _levels: tuple[Fraction, ...] = field(default=(), init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
 
     @classmethod
     def calogero_vasiliev(cls, kappa: Fraction | int | str) -> "OscillatorSpec":
@@ -94,7 +105,7 @@ class OscillatorSpec:
         weight_expr = parse_expr(weight) if isinstance(weight, str) else weight
         return cls(
             structure=structure_expr,
-            params=dict(params or {}),
+            params=params or {},
             weight=weight_expr,
             kappa=None,
             structure_src=structure if isinstance(structure, str) else "<expr>",
@@ -119,7 +130,13 @@ class OscillatorSpec:
 
 
 def structure_values(spec: OscillatorSpec, dim: int) -> tuple[Fraction, ...]:
-    """Exact F(0..dim); raises ValidationError if F(0) != 0 or any F(n) <= 0."""
+    """Exact F(0..dim); raises ValidationError if F(0) != 0 or any F(n) <= 0.
+
+    F is evaluated and validated once per spec for the largest dim asked so
+    far; the values are kept in the spec's level record.
+    """
+    if 1 <= dim < len(spec._levels):
+        return spec._levels[: dim + 1]
     if has_sqrt(spec.structure):
         raise ValidationError("structure function must be exactly evaluable (no sqrt)")
     report = validate_structure_function(spec.structure, spec.params, dim)
@@ -129,6 +146,7 @@ def structure_values(spec: OscillatorSpec, dim: int) -> tuple[Fraction, ...]:
             for v in report.violations[:4]
         )
         raise ValidationError(f"invalid structure function: {details}")
+    object.__setattr__(spec, "_levels", report.values)
     return report.values
 
 
@@ -169,18 +187,25 @@ def _sqrt_entry(value: Fraction, backend: Backend):
     return complex(math.sqrt(float(value)))
 
 
+def _ladder_values(spec: OscillatorSpec, dim: int, backend: Backend) -> tuple[Fraction, ...]:
+    """F(0..dim) for ladder amplitudes on dimension dim >= 2; on the float
+    backend every F(1..dim-1) must fit a double."""
+    if dim < 2:
+        raise ValidationError("dim must be >= 2")
+    values = structure_values(spec, dim)
+    if backend is Backend.FLOAT:
+        n = next((n for n in range(1, dim) if not fits_double(values[n])), None)
+        if n is not None:
+            raise ValidationError(f"F({n}) is beyond the double range of the float backend")
+    return values
+
+
 def build_fock_rep(
     spec: OscillatorSpec, dim: int, backend: Backend = Backend.FLOAT
 ) -> FockRep:
     """Build the ladder and parity projector matrices on dimension dim."""
-    if dim < 2:
-        raise ValidationError("dim must be >= 2")
-    values = structure_values(spec, dim)
-    try:
-        roots = {n: _sqrt_entry(values[n], backend) for n in range(1, dim)}
-    except OverflowError:
-        n = next(n for n in range(1, dim) if not fits_double(values[n]))
-        raise ValidationError(f"F({n}) is beyond the double range of the float backend") from None
+    values = _ladder_values(spec, dim, backend)
+    roots = {n: _sqrt_entry(values[n], backend) for n in range(1, dim)}
     a = BandMatrix(dim, backend, {(n - 1, n): roots[n] for n in range(1, dim)})
     a_dag = BandMatrix(dim, backend, {(n + 1, n): roots[n + 1] for n in range(dim - 1)})
     p_even = BandMatrix.diagonal([Fraction(1 - n % 2) for n in range(dim)], backend)

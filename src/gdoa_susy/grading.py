@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .numerics import BandMatrix
+from .numerics import BandMatrix, _top
 
 
 class GradingError(ValueError):
@@ -120,14 +120,14 @@ def jacobi_sum(
     """(residual, scale) of a sign-weighted sum of nested brackets.
 
     The top guard_band columns are excluded; the scale is the largest entry of
-    the unsigned terms on the compared columns.
+    the unsigned terms on the compared columns, NaN if any entry there is NaN.
     """
     dim = terms[0][1].dim
     if guard_band < 0 or guard_band >= dim:
         raise GradingError(f"guard band {guard_band} invalid for dim {dim}")
     cols = range(dim - guard_band)
     signed = [matrix if sign == 1 else -matrix for sign, matrix in terms]
-    scale = max(0.0, *(matrix.max_abs(cols) for _, matrix in terms))
+    scale = _top([matrix.max_abs(cols) for _, matrix in terms])
     return sum(signed[1:], signed[0]).max_abs(cols), scale
 
 

@@ -11,7 +11,8 @@ Two scalar backends coexist:
   the public constructor factors its radicand once (numerator and denominator
   each up to 10**18; a larger non-square raises :class:`ExactnessError`), and
   ``+``, ``-``, ``*``, negation and ``conjugate`` combine already square-free
-  parts by gcd without factoring.
+  parts by gcd without factoring; :func:`coerce_scalar` wraps a rational
+  directly.
 * ``Backend.FLOAT``: complex double precision (python ``complex``).
 
 Tolerances (:class:`TolerancePolicy`) must be finite and nonnegative.
@@ -287,7 +288,8 @@ def coerce_scalar(value: object, backend: Backend) -> Scalar:
         if isinstance(value, ExactScalar):
             return value
         if isinstance(value, (int, Fraction)):
-            return ExactScalar(value)
+            # a rational is canonical as (value, 0, 1), zero included
+            return _canonical(value if type(value) is Fraction else Fraction(value), _F0, _F1)
         raise BackendMismatchError(f"cannot represent {value!r} exactly")
     if isinstance(value, ExactScalar):
         return value.to_complex()

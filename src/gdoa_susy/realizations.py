@@ -8,7 +8,12 @@ levels.  Two sign conventions are produced by the two construction families:
 * ``cv``: the reflection-deformed oscillator presentation, with
   Q+ = a P_mu, Q = a+ P_(1-mu) and Z = (-1)^(mu+1) T H.
 * ``gdoa``: the weighted family Q+ = f(N) a+ P_(1-mu), Q = f(N+1) a P_mu and
-  Z = (-1)^mu T H.
+  Z = (-1)^mu T H, written entry by entry from F and f: it builds no ladder
+  matrices.
+
+Every build reads F from its spec's level record (see
+:class:`~gdoa_susy.fock.OscillatorSpec`), and a realization's exact variant is
+built from the same spec, so F is evaluated and validated once per spec.
 
 At f = 1 and the reflection-deformed structure function the two families
 coincide under the swap Q <-> Q+, Z <-> -Z with identical H;
@@ -30,9 +35,9 @@ from functools import cached_property
 from typing import Sequence
 
 from .fock import (
-    FockRep,
     OscillatorSpec,
     ValidationError,
+    _ladder_values,
     build_fock_rep,
     structure_values,
     weight_values,
@@ -66,7 +71,6 @@ class RealizationSet:
     Z: GradedOperator
     h_diag: tuple[Fraction, ...] | None
     z_diag: tuple[Fraction, ...] | None
-    rep: FockRep
 
     @cached_property
     def exact(self) -> "RealizationSet | None":
@@ -107,8 +111,12 @@ def cv_realization(
     kappa: Fraction | int | str, mu: int, dim: int, backend: Backend = Backend.FLOAT
 ) -> RealizationSet:
     """Reflection-deformed oscillator realization (unweighted charges)."""
+    return _cv_build(OscillatorSpec.calogero_vasiliev(kappa), mu, dim, backend)
+
+
+def _cv_build(spec: OscillatorSpec, mu: int, dim: int, backend: Backend) -> RealizationSet:
+    """:func:`cv_realization` of a calogero_vasiliev spec, reading its level record."""
     _require_mu(mu)
-    spec = OscillatorSpec.calogero_vasiliev(kappa)
     rep = build_fock_rep(spec, dim, backend)
     if mu == 0:
         qdag_matrix = rep.a @ rep.even_projector
@@ -130,7 +138,6 @@ def cv_realization(
         Z=GradedOperator(BandMatrix.diagonal(z_diag, backend), DEGREE_Z, "Z"),
         h_diag=h_diag,
         z_diag=z_diag,
-        rep=rep,
     )
 
 
@@ -139,8 +146,7 @@ def gdoa_realization(
 ) -> RealizationSet:
     """Weighted-charge realization for an arbitrary structure function."""
     _require_mu(mu)
-    rep = build_fock_rep(spec, dim, backend)
-    values = rep.F_values
+    values = _ladder_values(spec, dim, backend)
     exact_weight = spec.weight_is_exact
     if backend is Backend.EXACT and not exact_weight:
         raise ValidationError("weight function contains sqrt; use the float backend")
@@ -163,7 +169,6 @@ def gdoa_realization(
         z_matrix = BandMatrix.diagonal(charges, backend)
     except OverflowError:
         # redo the conversions level by level to name the first that overflows
-        # (F(m) itself fits: build_fock_rep checked it)
         for m in range(1, dim + 1):
             try:
                 float(weights[m]), float(weights[m] ** 2 * values[m])
@@ -184,18 +189,20 @@ def gdoa_realization(
         Z=GradedOperator(z_matrix, DEGREE_Z, "Z"),
         h_diag=tuple(energies) if exact_weight else None,
         z_diag=tuple(charges) if exact_weight else None,
-        rep=rep,
     )
 
 
 def exact_variant(r: RealizationSet) -> RealizationSet | None:
-    """The same realization on the exact backend, or None if f needs floats."""
+    """The same realization on the exact backend, or None if f needs floats.
+
+    It is built from ``r.spec``, so it reads the level record the float build
+    left there."""
     if r.backend is Backend.EXACT:
         return r
     if r.convention == "cv":
         if r.spec.kappa is None:
             raise ValidationError("a 'cv' realization must carry kappa")
-        return cv_realization(r.spec.kappa, r.mu, r.dim, Backend.EXACT)
+        return _cv_build(r.spec, r.mu, r.dim, Backend.EXACT)
     if not r.spec.weight_is_exact:
         return None
     return gdoa_realization(r.spec, r.mu, r.dim, Backend.EXACT)
@@ -270,11 +277,11 @@ def _closed_form_values(spec: OscillatorSpec, mu: int, n_max: int) -> list[Spect
     if not spec.weight_is_exact:
         raise ValidationError("spectrum tables require an exactly evaluable weight (no sqrt)")
     values = structure_values(spec, n_max + 1)
-    weights = weight_values(spec, n_max + 1, Backend.EXACT)
     if spec.is_calogero_vasiliev:
         energies = [_cv_energy(spec.kappa, mu, n) for n in range(n_max + 1)]
         convention = "cv"
     else:
+        weights = weight_values(spec, n_max + 1, Backend.EXACT)
         energies = [_gdoa_energy(values, weights, mu, n) for n in range(n_max + 1)]
         convention = "gdoa"
     charges = _central_charges(energies, mu, convention)
@@ -425,7 +432,7 @@ def reduction_check(
     gd_spec = OscillatorSpec.gdoa("bracket(n)", {"kappa": cv_spec.kappa}, "1")
     entries: list[ReductionEntry] = []
     for mu in (0, 1):
-        cv = cv_realization(cv_spec.kappa, mu, dim, backend)
+        cv = _cv_build(cv_spec, mu, dim, backend)
         gd = gdoa_realization(gd_spec, mu, dim, backend)
         comparisons = [
             ("Q+ <-> Q", cv.Qdag.matrix, gd.Q.matrix),

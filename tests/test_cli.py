@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gdoa_susy import fock
 from gdoa_susy.cli import MAX_DIM, ConfigError, _parse_config, load_config, main
 
 
@@ -278,6 +279,30 @@ class TestMalformedInput:
         path.write_bytes(b'{"algebra": "\xff"}')
         assert main(["verify", "--config", str(path)]) == 2
         assert "not UTF-8" in capsys.readouterr().err
+
+
+class TestLevelRecord:
+    # F(0..dim) is evaluated and validated once per command: the config's
+    # spec keeps it for the realizations, their exact variants and spectra.
+    @pytest.mark.parametrize("command", ["verify", "spectrum"])
+    @pytest.mark.parametrize(
+        "algebra, weight",
+        [(CV_HALF["algebra"], "1"), ({"type": "gdoa", "F": "n^2"}, "n")],
+        ids=["cv", "gdoa"],
+    )
+    def test_structure_validated_once(self, tmp_path, capsys, monkeypatch, command, algebra,
+                                      weight):
+        calls = []
+        original = fock.validate_structure_function
+
+        def counting(expr, env, dim):
+            calls.append(dim)
+            return original(expr, env, dim)
+
+        monkeypatch.setattr(fock, "validate_structure_function", counting)
+        payload = {"algebra": algebra, "f": weight, "dim": 16}
+        assert main([command, "--config", write_config(tmp_path, payload)]) == 0
+        assert calls == [16]
 
 
 class TestVerifyOutputs:

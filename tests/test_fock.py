@@ -1,12 +1,15 @@
 """Tests for the truncated Fock-space representation builder."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gdoa_susy import fock
+from gdoa_susy.exprlang import ExprError
 from gdoa_susy.fock import (
     OscillatorSpec,
     ValidationError,
@@ -69,6 +72,29 @@ class TestSpecs:
         spec = OscillatorSpec.gdoa("n", weight="sqrt(n)")
         assert not spec.weight_is_exact
 
+    def test_params_are_read_only(self):
+        params = {"c": Fraction(3, 2), "kappa": Fraction(1, 2)}
+        spec = OscillatorSpec.gdoa("n*(n+c)", params, "n")
+        params["c"] = Fraction(7)  # the spec holds its own copy
+        assert spec.params["c"] == Fraction(3, 2)
+        with pytest.raises(TypeError):
+            spec.params["c"] = Fraction(5)
+        with pytest.raises(TypeError):
+            del spec.params["kappa"]
+        with pytest.raises(TypeError):
+            OscillatorSpec.calogero_vasiliev(1).params["kappa"] = Fraction(2)
+        assert spec.describe() == "gdoa(F=n*(n+c), f=n, c=3/2, kappa=1/2)"
+
+    def test_equality_ignores_the_level_record(self):
+        params = {"c": Fraction(3, 2)}
+        spec, twin = (OscillatorSpec.gdoa("n*(n+c)", params) for _ in range(2))
+        structure_values(spec, 8)
+        assert spec == twin
+        assert spec != OscillatorSpec.gdoa("n*(n+c)", {"c": Fraction(5, 2)})
+        assert OscillatorSpec.calogero_vasiliev("1/2") == OscillatorSpec.calogero_vasiliev(
+            Fraction(1, 2)
+        )
+
 
 class TestStructureValues:
     def test_cv_values_kappa_half(self):
@@ -94,6 +120,37 @@ class TestStructureValues:
         spec = OscillatorSpec.gdoa("n + 1")
         with pytest.raises(ValidationError, match=r"F\(0\)"):
             structure_values(spec, 4)
+
+    def test_level_record_evaluates_once_per_spec(self, monkeypatch):
+        calls = []
+        original = fock.validate_structure_function
+
+        def counting(expr, env, dim):
+            calls.append(dim)
+            return original(expr, env, dim)
+
+        monkeypatch.setattr(fock, "validate_structure_function", counting)
+        spec = OscillatorSpec.gdoa("n^3 + 2*n")
+        values = structure_values(spec, 16)
+        assert structure_values(spec, 5) == values[:6]
+        assert structure_values(spec, 16) == values
+        assert calls == [16]
+        assert structure_values(spec, 20)[:17] == values
+        assert calls == [16, 20]
+        # a copy is a new spec: it evaluates its own F
+        changed = replace(spec, params={"c": Fraction(1)})
+        assert structure_values(changed, 4) == values[:5]
+        assert calls == [16, 20, 4]
+
+    def test_invalid_spec_fails_on_every_call(self):
+        spec = OscillatorSpec.gdoa("n - 3")
+        for dim in (4, 2):
+            with pytest.raises(ValidationError, match=r"F\(0\) = -3 violates F\(0\) = 0"):
+                structure_values(spec, dim)
+        linear = OscillatorSpec.gdoa("n")
+        structure_values(linear, 4)
+        with pytest.raises(ExprError, match="dim must be >= 1"):
+            structure_values(linear, 0)
 
     def test_weight_values_skip_origin(self):
         spec = OscillatorSpec.gdoa("n", weight="1/n")

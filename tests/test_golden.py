@@ -1,0 +1,59 @@
+"""Golden default output of the four CLI commands.
+
+Each file under ``tests/golden/`` is the stdout of one command in one output
+format on a dim-16 config with every other key at its default.  Elapsed times
+are the only run-dependent bytes, and are masked before comparing.
+"""
+
+import contextlib
+import io
+import json
+import os
+import re
+
+import pytest
+
+from gdoa_susy import cli
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+CONFIGS = {
+    "cv": {"algebra": {"type": "calogero_vasiliev", "kappa": "1/2"}, "dim": 16},
+    "gdoa": {"algebra": {"type": "gdoa", "F": "n^2"}, "f": "n", "dim": 16},
+}
+SUFFIX = {"text": "txt", "json": "json", "csv": "csv"}
+# reduce reads kappa from a calogero_vasiliev config only
+CASES = [
+    (command, family, output)
+    for command in ("verify", "jacobi", "spectrum", "reduce")
+    for family in CONFIGS
+    for output in SUFFIX
+    if command != "reduce" or family == "cv"
+]
+
+
+def mask_elapsed(text: str) -> str:
+    text = re.sub(r'("elapsed_ms": )[-+.e0-9]+', r"\1<elapsed>", text)
+    return re.sub(r"checks, [0-9.]+ ms\)", "checks, <elapsed> ms)", text)
+
+
+def render(command: str, family: str, output: str, directory: str) -> str:
+    path = os.path.join(directory, f"{family}.json")
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(CONFIGS[family], handle)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main([command, "--config", path, "--output", output])
+    assert code == 0
+    return mask_elapsed(stdout.getvalue())
+
+
+def golden_path(command: str, family: str, output: str) -> str:
+    return os.path.join(GOLDEN, f"{command}-{family}.{SUFFIX[output]}")
+
+
+@pytest.mark.parametrize("command, family, output", CASES)
+def test_default_output_matches_golden(command, family, output, tmp_path):
+    with open(golden_path(command, family, output), encoding="utf-8") as handle:
+        expected = handle.read()
+    assert render(command, family, output, str(tmp_path)) == expected

@@ -1,5 +1,6 @@
 """Tests for degree vectors, graded brackets, antisymmetry, and the Jacobi defect."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -17,6 +18,7 @@ from gdoa_susy.grading import (
     graded_bracket,
     graded_sign,
     jacobi_defect,
+    jacobi_sum,
 )
 from gdoa_susy.numerics import Backend, BandMatrix, commutator
 from gdoa_susy.realizations import cv_realization
@@ -188,6 +190,16 @@ class TestJacobiDefect:
             residual, scale = jacobi_defect(*ops, guard_band=0)
             residuals.append(residual <= 1e-12 * max(1.0, scale))
         assert len(residuals) == 64 and all(residuals)
+
+    def test_scale_is_nan_whatever_the_term_order(self):
+        # builtin max skips a NaN that is not its first argument, so the scale
+        # read 1.0 while a term was NaN
+        ident = BandMatrix.identity(4, Backend.FLOAT)
+        nan = BandMatrix.diagonal([complex("nan")] * 4, Backend.FLOAT)
+        for terms in ([(1, ident), (1, nan), (1, ident)], [(1, nan), (1, ident), (-1, ident)]):
+            residual, scale = jacobi_sum(terms, 0)
+            assert math.isnan(residual) and math.isnan(scale)
+        assert jacobi_sum([(1, ident), (-1, ident.scaled(2)), (1, ident)], 1) == (0.0, 2.0)
 
     def test_sweep_realization_triples(self):
         r = cv_realization(0, 1, 8)

@@ -19,6 +19,7 @@ from gdoa_susy.numerics import (
     TolerancePolicy,
     anticommutator,
     approx_equal_matrix,
+    coerce_scalar,
     commutator,
     dense_matmul,
     parse_rational,
@@ -181,6 +182,17 @@ def test_exact_scalar_arithmetic_matches_fractions(x, y, z):
     a, b, c = ExactScalar(x), ExactScalar(y), ExactScalar(z)
     assert (a * b + c).as_fraction() == x * y + z
     assert ((a - b) * c).as_fraction() == (x - y) * z
+
+
+@settings(max_examples=100, deadline=None)
+@given(value=st.one_of(st.integers(-10**30, 10**30), st.booleans(),
+                       st.fractions(max_denominator=10**12)))
+def test_coerced_rational_equals_the_constructed_one(value):
+    coerced = coerce_scalar(value, EXACT)
+    built = ExactScalar(value)
+    assert (coerced.re, coerced.im, coerced.rad) == (built.re, built.im, built.rad)
+    assert all(type(part) is Fraction for part in (coerced.re, coerced.im, coerced.rad))
+    assert coerced == built and hash(coerced) == hash(built)
 
 
 def _random_band1(rng, dim, backend):

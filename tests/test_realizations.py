@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from gdoa_susy import realizations
 from gdoa_susy.fock import OscillatorSpec, ValidationError
 from gdoa_susy.numerics import (
     Backend,
+    BandMatrix,
     DEFAULT_POLICY,
     ExactScalar,
     anticommutator,
@@ -64,7 +66,7 @@ class TestDeformedRealizations:
         # Z = (-1)^(mu+1) T H as an exact matrix identity.
         for mu, sign in ((0, -1), (1, 1)):
             r = cv_realization(Fraction(5, 2), mu, 10, EXACT)
-            parity = r.rep.even_projector - r.rep.odd_projector
+            parity = BandMatrix.diagonal([(-1) ** n for n in range(10)], EXACT)
             expected = (parity @ r.H.matrix).scaled(sign)
             assert r.Z.matrix == expected
 
@@ -131,6 +133,29 @@ class TestWeightedRealizations:
         spec = OscillatorSpec.gdoa("n", weight="n - 1")
         r = gdoa_realization(spec, 1, 6)
         assert [n for n, energy in enumerate(r.h_diag) if energy == 0] == [0, 1]
+
+    def test_builds_no_ladder(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("gdoa_realization built a FockRep")
+
+        monkeypatch.setattr(realizations, "build_fock_rep", forbidden)
+        r = gdoa_realization(OscillatorSpec.gdoa("n^2", weight="n"), 1, 8)
+        assert r.exact is not None and r.exact.h_diag == r.h_diag
+
+    def test_float_levels_beyond_the_double_range(self):
+        # F(4) = 2^1200 is past the largest double; the exact backend holds it
+        spec = OscillatorSpec.gdoa("n^600")
+        with pytest.raises(ValidationError, match=r"F\(4\) is beyond the double range"):
+            gdoa_realization(spec, 0, 8)
+        assert gdoa_realization(spec, 0, 8, EXACT).h_diag[3] == 4**600
+
+    @pytest.mark.parametrize("family", ["cv", "gdoa"])
+    def test_exact_variant_shares_the_spec(self, family):
+        if family == "cv":
+            r = cv_realization(Fraction(1, 2), 1, 6)
+        else:
+            r = gdoa_realization(OscillatorSpec.gdoa("n^2", weight="n"), 1, 6)
+        assert exact_variant(r).spec is r.spec
 
     def test_exact_variant(self):
         r = gdoa_realization(OscillatorSpec.gdoa("n^2"), 0, 6)

@@ -1,13 +1,15 @@
 """Tests for the relation-verification suites and their reports."""
 
+import math
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from gdoa_susy import realizations
+from gdoa_susy import realizations, verify
 from gdoa_susy.fock import OscillatorSpec
 from gdoa_susy.grading import (
     GradedOperator,
@@ -201,6 +203,17 @@ class TestJacobiSuite:
             if check.name.startswith("antisymmetry["):
                 assert check.residual == 0.0
 
+    def test_antisymmetry_scale_is_nan_in_either_order(self):
+        h = hermitian_charges(cv_realization(Fraction(1, 2), 0, 8))
+        nan = BandMatrix(h.dim, h.backend, {(2, 2): complex("nan")})
+        faulty = replace(h, Z=GradedOperator(h.Z.matrix + nan, DEGREE_Z, "Z"))
+        checks = by_name(run_jacobi_suite(faulty))
+        for name in ("antisymmetry[H,Z]", "antisymmetry[Z,H]", "antisymmetry[Z,Z]"):
+            assert math.isnan(checks[name].scale), name
+        assert checks["antisymmetry[H,Q10]"].scale == max(
+            h.H.matrix.max_abs(), h.Q10.matrix.max_abs()
+        )
+
     def test_guard_bands(self):
         r = cv_realization(Fraction(5, 2), 1, 16)
         report = run_jacobi_suite(hermitian_charges(r))
@@ -306,6 +319,77 @@ class TestSharedBrackets:
         assert calls == [Backend.FLOAT]
 
 
+class TestSharedRows:
+    # run_all_suites evaluates a row shared by two suites once, as long as the
+    # second suite reads the same float operator objects and equal exact inputs.
+    SHARED = ("anticommutator-gives-h", "h-commutes-qdag", "h-commutes-q", "h-commutes-z")
+
+    @staticmethod
+    def _count_checks(monkeypatch):
+        calls = Counter()
+        original = verify._check
+
+        def counting(name, *args):
+            calls[name] += 1
+            return original(name, *args)
+
+        monkeypatch.setattr(verify, "_check", counting)
+        return calls
+
+    @staticmethod
+    def _separately(r):
+        h = hermitian_charges(r)
+        reports = (run_standard_susy_suite(r), run_qform_suite(r), run_hermitian_suite(h),
+                   run_jacobi_suite(h))
+        return merge_reports(reports, SUITE_PREFIXES).checks
+
+    @pytest.mark.parametrize("backend", [Backend.FLOAT, Backend.EXACT])
+    @pytest.mark.parametrize("family", ["cv", "gdoa"])
+    def test_each_shared_row_evaluated_once(self, family, backend, monkeypatch):
+        r = _family(family, 0, 8, backend)
+        expected = self._separately(r)
+        calls = self._count_checks(monkeypatch)
+        assert run_all_suites(r).checks == expected
+        assert {name: calls[name] for name in self.SHARED} == dict.fromkeys(self.SHARED, 1)
+        # 5 standard + 8 q-form + 12 Hermitian + 16 closure checks, 4 of them shared
+        assert sum(calls.values()) == 41 - 4
+
+    @pytest.mark.parametrize("backend, count", [(Backend.FLOAT, 200), (Backend.EXACT, 192)])
+    def test_reference_cell_matmul_count(self, backend, count, monkeypatch):
+        # cv(1/2), mu 0, dim 256 (16 exact): 212 / 210 before shared rows ran once
+        r = cv_realization(Fraction(1, 2), 0, 256 if backend is Backend.FLOAT else 16, backend)
+        calls = []
+        original = BandMatrix.__matmul__
+
+        def counting(a, b):
+            calls.append(1)
+            return original(a, b)
+
+        monkeypatch.setattr(BandMatrix, "__matmul__", counting)
+        assert run_all_suites(r).passed
+        assert len(calls) == count
+
+    @pytest.mark.parametrize(
+        "swap",
+        [
+            lambda h: replace(h, H=replace(h.Z, degree=DEGREE_H), Z=replace(h.H, degree=DEGREE_Z)),
+            lambda h: replace(h, h_diag=h.z_diag, z_diag=h.h_diag),
+            lambda h: replace(h, H=replace(h.H, matrix=h.H.matrix + h.Q10.matrix)),
+        ],
+        ids=["H-Z", "h_diag-z_diag", "H-not-diagonal"],
+    )
+    @pytest.mark.parametrize("backend", [Backend.FLOAT, Backend.EXACT])
+    def test_changed_hermitian_inputs_are_evaluated_again(self, backend, swap, monkeypatch):
+        r = _family("gdoa", 1, 8, backend)
+        h = swap(hermitian_charges(r))
+        alone = run_hermitian_suite(h).checks
+        monkeypatch.setattr(verify, "hermitian_charges", lambda _: h)
+        calls = self._count_checks(monkeypatch)
+        hermitian = [c for c in run_all_suites(r).checks if c.name.startswith("hermitian/")]
+        assert [replace(c, name=c.name.split("/", 1)[1]) for c in hermitian] == list(alone)
+        assert calls["h-commutes-z"] == 2
+
+
 _ANTI_H = {"standard/anticommutator-gives-h", "qform/anticommutator-gives-h"}
 
 
@@ -334,6 +418,22 @@ class TestExactRecheck:
         monkeypatch.setattr(realizations, "exact_variant", doubled)
         report = run_all_suites(_family(family, 0, 8))
         assert {c.name for c in report.checks if not c.passed} == failing
+
+    @pytest.mark.parametrize("family", ["cv", "gdoa"])
+    def test_non_diagonal_exact_h_fails_only_rows_reading_it(self, family, monkeypatch):
+        # The Hermitian [H,Z] re-check reads h_diag, not the exact H matrix, so
+        # it must not reuse the failing q-form check of the same row.
+        original = realizations.exact_variant
+
+        def shifted(r):
+            exact = original(r)
+            return replace(exact, H=replace(exact.H, matrix=exact.H.matrix + exact.Qdag.matrix))
+
+        monkeypatch.setattr(realizations, "exact_variant", shifted)
+        report = run_all_suites(_family(family, 0, 8))
+        assert {c.name for c in report.checks if not c.passed} == _ANTI_H | {
+            "qform/h-commutes-z"
+        }
 
 
 class TestResidualScaling:
