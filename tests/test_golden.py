@@ -1,8 +1,10 @@
 """Golden default output of the four CLI commands.
 
 Each file under ``tests/golden/`` is the stdout of one command in one output
-format on a dim-16 config with every other key at its default.  Elapsed times
-are the only run-dependent bytes, and are masked before comparing.
+format on a dim-16 config with every other key at its default; the
+``cv-float`` files are ``verify`` on the cv config with ``"backend": "float"``.
+Elapsed times are the only run-dependent bytes, and are masked before
+comparing.
 """
 
 import contextlib
@@ -20,16 +22,20 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 CONFIGS = {
     "cv": {"algebra": {"type": "calogero_vasiliev", "kappa": "1/2"}, "dim": 16},
     "gdoa": {"algebra": {"type": "gdoa", "F": "n^2"}, "f": "n", "dim": 16},
+    "cv-float": {
+        "algebra": {"type": "calogero_vasiliev", "kappa": "1/2"}, "dim": 16, "backend": "float",
+    },
 }
 SUFFIX = {"text": "txt", "json": "json", "csv": "csv"}
 # reduce reads kappa from a calogero_vasiliev config only
 CASES = [
     (command, family, output)
     for command in ("verify", "jacobi", "spectrum", "reduce")
-    for family in CONFIGS
+    for family in ("cv", "gdoa")
     for output in SUFFIX
     if command != "reduce" or family == "cv"
 ]
+CASES += [("verify", "cv-float", output) for output in SUFFIX]
 
 
 def mask_elapsed(text: str) -> str:
