@@ -163,10 +163,6 @@ def weight_values(
 class FockRep:
     """Matrices of one deformed oscillator on the truncated Fock space."""
 
-    spec: OscillatorSpec
-    dim: int
-    backend: Backend
-    F_values: tuple[Fraction, ...]  # F(0..dim), exact
     a: BandMatrix
     a_dag: BandMatrix
     even_projector: BandMatrix
@@ -210,7 +206,7 @@ def build_fock_rep(
     a_dag = BandMatrix(dim, backend, {(n + 1, n): roots[n + 1] for n in range(dim - 1)})
     p_even = BandMatrix.diagonal([Fraction(1 - n % 2) for n in range(dim)], backend)
     p_odd = BandMatrix.diagonal([Fraction(n % 2) for n in range(dim)], backend)
-    return FockRep(spec, dim, backend, values, a, a_dag, p_even, p_odd)
+    return FockRep(a, a_dag, p_even, p_odd)
 
 
 def guard_band_equal(

@@ -149,15 +149,6 @@ class ExactScalar:
     def __bool__(self) -> bool:
         return not self.is_zero
 
-    @property
-    def is_rational(self) -> bool:
-        return self.rad == 1 and not self.im
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise ExactnessError(f"{self!r} is not rational")
-        return self.re
-
     def __add__(self, other: "ExactScalar") -> "ExactScalar":
         if not isinstance(other, ExactScalar):
             return NotImplemented
@@ -278,8 +269,6 @@ RationalLike = Union[int, Fraction]
 Scalar = Union[complex, ExactScalar]
 
 EXACT_ZERO = ExactScalar(0)
-EXACT_ONE = ExactScalar(1)
-EXACT_I = ExactScalar(0, 1)
 
 
 def coerce_scalar(value: object, backend: Backend) -> Scalar:
@@ -413,11 +402,6 @@ class BandMatrix:
         return cls._build(dim, backend, {})
 
     @classmethod
-    def identity(cls, dim: int, backend: Backend) -> "BandMatrix":
-        one = EXACT_ONE if backend is Backend.EXACT else 1 + 0j
-        return cls._build(dim, backend, {0: [one] * dim})
-
-    @classmethod
     def diagonal(cls, values: Sequence[object], backend: Backend) -> "BandMatrix":
         return cls._build(len(values), backend, {0: [coerce_scalar(v, backend) for v in values]})
 
@@ -429,12 +413,6 @@ class BandMatrix:
 
     # -- inspection --------------------------------------------------------
 
-    def entry(self, row: int, col: int) -> Scalar:
-        values = self._diags.get(col - row)
-        if values is None or not (0 <= row < self.dim and 0 <= col < self.dim):
-            return _zero(self.backend)
-        return values[min(row, col)]
-
     def entries(self) -> Iterator[tuple[int, int, Scalar]]:
         for d, values in self._diags.items():
             r0, c0 = max(-d, 0), max(d, 0)
@@ -445,19 +423,6 @@ class BandMatrix:
     @property
     def nnz(self) -> int:
         return sum(sum(map(bool, values)) for values in self._diags.values())
-
-    @property
-    def is_diagonal(self) -> bool:
-        return self.lower_bw == 0 and self.upper_bw == 0
-
-    def diagonal_values(self) -> list[Scalar]:
-        return list(self._diags.get(0, [_zero(self.backend)] * self.dim))
-
-    def to_dense(self) -> list[list[Scalar]]:
-        dense = [[_zero(self.backend)] * self.dim for _ in range(self.dim)]
-        for r, c, v in self.entries():
-            dense[r][c] = v
-        return dense
 
     def max_abs(self, cols: range | None = None) -> float:
         """Largest entry magnitude, optionally restricted to a contiguous
@@ -566,22 +531,6 @@ def commutator(a: BandMatrix, b: BandMatrix) -> BandMatrix:
 def anticommutator(a: BandMatrix, b: BandMatrix) -> BandMatrix:
     """{a, b} = ab + ba."""
     return a @ b + b @ a
-
-
-def dense_matmul(a: BandMatrix, b: BandMatrix) -> list[list[Scalar]]:
-    """Reference O(dim^3) product over dense copies, for cross-checking."""
-    a._check_compatible(b)
-    da, db = a.to_dense(), b.to_dense()
-    dim = a.dim
-    zero = _zero(a.backend)
-    out = [[zero] * dim for _ in range(dim)]
-    for r in range(dim):
-        for c in range(dim):
-            total = zero
-            for k in range(dim):
-                total = total + da[r][k] * db[k][c]
-            out[r][c] = total
-    return out
 
 
 @dataclass(frozen=True)

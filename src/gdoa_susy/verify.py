@@ -15,13 +15,12 @@ truncated representation supports:
   largest entry encountered on either side.
 
 The standard, q-form and Hermitian suites are tables of :class:`Relation`
-rows evaluated by one runner, and every check is built by one function.  A
-row shared by two suites is one object, and a diagonal-exact row's exact
-re-check runs the same formula on the exact operators; on the exact backend
-those are the instance operators, and the one pair serves both comparisons.
-:func:`run_all_suites` evaluates a shared row once and reuses its check while
-the row reads the same operator objects; the Hermitian suite's exact H and Z
-are the realization's exact ones whenever those equal its exact diagonals.
+rows, each mapping an operator set to the two matrices it equates, and one
+function builds every check.  A diagonal-exact row re-checks the same formula
+on an exact operator set, which on the exact backend is the instance set.
+:func:`run_all_suites` builds two sets per report, the realization's with its
+Hermitian charges and that of ``r.exact``, and evaluates each distinct row of
+the three tables once.
 
 The Jacobi suite contains three layers: graded antisymmetry of all 16 ordered
 generator pairs (an identity, required to cancel bitwise), the 64 graded
@@ -33,15 +32,14 @@ degree assignment, so it can only measure rounding, never algebra.
 
 from __future__ import annotations
 
-import operator
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
-from fractions import Fraction
-from itertools import product
-from typing import Callable, NamedTuple, Sequence
+from itertools import chain, product
+from types import SimpleNamespace
+from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .fock import OscillatorSpec, guard_band_equal
+from .fock import guard_band_equal
 from .grading import (
     GradedOperator,
     antisymmetry_residual,
@@ -141,27 +139,20 @@ def merge_reports(reports: Sequence[VerificationReport], prefixes: Sequence[str]
 
 
 Pair = tuple[BandMatrix, BandMatrix]
-Operators = dict[str, BandMatrix]
 _STRUCTURAL = Exactness.STRUCTURAL_EXACT
 _DIAGONAL = Exactness.DIAGONAL_EXACT
 _FLOAT = Exactness.FLOAT_TOLERANCE
 
 
 class Relation(NamedTuple):
-    """One row of a relation table; ``pair`` maps the operators its
-    parameters name to the two matrices the relation equates."""
+    """One row of a relation table; ``pair`` maps an operator set to the two
+    matrices the relation equates."""
 
     name: str
     formula: str
     guard_band: int
     exactness: Exactness
-    pair: Callable[..., Pair]
-
-    @property
-    def operands(self) -> tuple[str, ...]:
-        """Names of the operators ``pair`` reads: its parameter names."""
-        code = self.pair.__code__
-        return code.co_varnames[: code.co_argcount]
+    pair: Callable[[SimpleNamespace], Pair]
 
 
 def _check(
@@ -195,20 +186,20 @@ def _two_i(backend: Backend):
     return ExactScalar(0, 2) if backend is Backend.EXACT else 2j
 
 
-# Operators are named qd (Q+), q (Q), q10, q01, h and z, plus a zero of their
-# backend.  Rows shared by two suites are one object.
+# Operator sets name their matrices qd (Q+), q (Q), q10, q01, h and z, plus a
+# zero of their backend.  Rows shared by two suites are one object.
 _ANTICOMMUTATOR_GIVES_H = Relation("anticommutator-gives-h", "{Q+,Q} = H", 1, _DIAGONAL,
-                                   lambda qd, q, h: (anticommutator(qd, q), h))
+                                   lambda o: (anticommutator(o.qd, o.q), o.h))
 _H_COMMUTES_QDAG = Relation("h-commutes-qdag", "[H,Q+] = 0", 1, _FLOAT,
-                            lambda h, qd, zero: (commutator(h, qd), zero))
+                            lambda o: (commutator(o.h, o.qd), o.zero))
 _H_COMMUTES_Q = Relation("h-commutes-q", "[H,Q] = 0", 1, _FLOAT,
-                         lambda h, q, zero: (commutator(h, q), zero))
+                         lambda o: (commutator(o.h, o.q), o.zero))
 _H_COMMUTES_Z = Relation("h-commutes-z", "[H,Z] = 0", 0, _DIAGONAL,
-                         lambda h, z, zero: (commutator(h, z), zero))
+                         lambda o: (commutator(o.h, o.z), o.zero))
 
 STANDARD_RELATIONS = (
-    Relation("qdag-squared-zero", "(Q+)^2 = 0", 0, _STRUCTURAL, lambda qd, zero: (qd @ qd, zero)),
-    Relation("q-squared-zero", "Q^2 = 0", 0, _STRUCTURAL, lambda q, zero: (q @ q, zero)),
+    Relation("qdag-squared-zero", "(Q+)^2 = 0", 0, _STRUCTURAL, lambda o: (o.qd @ o.qd, o.zero)),
+    Relation("q-squared-zero", "Q^2 = 0", 0, _STRUCTURAL, lambda o: (o.q @ o.q, o.zero)),
     _ANTICOMMUTATOR_GIVES_H,
     _H_COMMUTES_QDAG,
     _H_COMMUTES_Q,
@@ -217,49 +208,86 @@ STANDARD_RELATIONS = (
 QFORM_RELATIONS = (
     _ANTICOMMUTATOR_GIVES_H,
     Relation("squares-cancel", "(Q+)^2 + Q^2 = 0", 0, _STRUCTURAL,
-             lambda qd, q, zero: (qd @ qd + q @ q, zero)),
+             lambda o: (o.qd @ o.qd + o.q @ o.q, o.zero)),
     Relation("commutator-gives-z", "[Q+,Q] = Z", 1, _DIAGONAL,
-             lambda qd, q, z: (commutator(qd, q), z)),
+             lambda o: (commutator(o.qd, o.q), o.z)),
     _H_COMMUTES_QDAG,
     _H_COMMUTES_Q,
     _H_COMMUTES_Z,
     Relation("z-anticommutes-qdag", "{Z,Q+} = 0", 1, _FLOAT,
-             lambda z, qd, zero: (anticommutator(z, qd), zero)),
+             lambda o: (anticommutator(o.z, o.qd), o.zero)),
     Relation("z-anticommutes-q", "{Z,Q} = 0", 1, _FLOAT,
-             lambda z, q, zero: (anticommutator(z, q), zero)),
+             lambda o: (anticommutator(o.z, o.q), o.zero)),
 )
 
 # Fixed (anti)commutators, not graded brackets: a bracket follows the degree an
 # operator declares, so a mis-degreed Z would pass {Z,Q10} = 0 through it.
 HERMITIAN_RELATIONS = (
-    Relation("hermitian-q10", "Q10+ = Q10", 0, _FLOAT, lambda q10: (q10.adjoint(), q10)),
-    Relation("hermitian-q01", "Q01+ = Q01", 0, _FLOAT, lambda q01: (q01.adjoint(), q01)),
-    Relation("hermitian-h", "H+ = H", 0, _FLOAT, lambda h: (h.adjoint(), h)),
-    Relation("hermitian-z", "Z+ = Z", 0, _FLOAT, lambda z: (z.adjoint(), z)),
+    Relation("hermitian-q10", "Q10+ = Q10", 0, _FLOAT, lambda o: (o.q10.adjoint(), o.q10)),
+    Relation("hermitian-q01", "Q01+ = Q01", 0, _FLOAT, lambda o: (o.q01.adjoint(), o.q01)),
+    Relation("hermitian-h", "H+ = H", 0, _FLOAT, lambda o: (o.h.adjoint(), o.h)),
+    Relation("hermitian-z", "Z+ = Z", 0, _FLOAT, lambda o: (o.z.adjoint(), o.z)),
     Relation("q10-squared-gives-2h", "{Q10,Q10} = 2H", 1, _FLOAT,
-             lambda q10, h: (anticommutator(q10, q10), h.scaled(2))),
+             lambda o: (anticommutator(o.q10, o.q10), o.h.scaled(2))),
     Relation("q01-squared-gives-2h", "{Q01,Q01} = 2H", 1, _FLOAT,
-             lambda q01, h: (anticommutator(q01, q01), h.scaled(2))),
+             lambda o: (anticommutator(o.q01, o.q01), o.h.scaled(2))),
     Relation("q10-q01-commutator-gives-2iz", "[Q10,Q01] = 2iZ", 1, _FLOAT,
-             lambda q10, q01, z: (commutator(q10, q01), z.scaled(_two_i(z.backend)))),
+             lambda o: (commutator(o.q10, o.q01), o.z.scaled(_two_i(o.z.backend)))),
     Relation("h-commutes-q10", "[H,Q10] = 0", 1, _FLOAT,
-             lambda h, q10, zero: (commutator(h, q10), zero)),
+             lambda o: (commutator(o.h, o.q10), o.zero)),
     Relation("h-commutes-q01", "[H,Q01] = 0", 1, _FLOAT,
-             lambda h, q01, zero: (commutator(h, q01), zero)),
+             lambda o: (commutator(o.h, o.q01), o.zero)),
     _H_COMMUTES_Z,
     Relation("z-anticommutes-q10", "{Z,Q10} = 0", 1, _FLOAT,
-             lambda z, q10, zero: (anticommutator(z, q10), zero)),
+             lambda o: (anticommutator(o.z, o.q10), o.zero)),
     Relation("z-anticommutes-q01", "{Z,Q01} = 0", 1, _FLOAT,
-             lambda z, q01, zero: (anticommutator(z, q01), zero)),
+             lambda o: (anticommutator(o.z, o.q01), o.zero)),
 )
 
-# Checks of the rows evaluated so far, each with the operator objects it read:
-# the float ones, then the exact ones.  run_all_suites keeps one for all suites.
-Shared = dict[Relation, tuple[list[BandMatrix], RelationCheck]]
+
+def _operators(dim: int, backend: Backend, **matrices: BandMatrix) -> SimpleNamespace:
+    return SimpleNamespace(zero=BandMatrix.zeros(dim, backend), **matrices)
 
 
-def _same_objects(a: Sequence[object], b: Sequence[object]) -> bool:
-    return len(a) == len(b) and all(map(operator.is_, a, b))
+def _realization_operators(r: RealizationSet | None, **more: BandMatrix) -> SimpleNamespace | None:
+    if r is None:
+        return None
+    return _operators(
+        r.dim, r.backend, qd=r.Qdag.matrix, q=r.Q.matrix, h=r.H.matrix, z=r.Z.matrix, **more
+    )
+
+
+def _operator_sets(
+    r: RealizationSet, use_exact: bool, **more: BandMatrix
+) -> tuple[SimpleNamespace, SimpleNamespace | None]:
+    """The operators of ``r`` plus ``more``, and those of ``r.exact`` (built on
+    first use) for the exact re-checks: the same set on the exact backend,
+    None without an exact variant."""
+    ex = r.exact if use_exact else None
+    ops = _realization_operators(r, **more)
+    return ops, ops if ex is r else _realization_operators(ex)
+
+
+def _evaluate(
+    rows: Iterable[Relation],
+    ops: SimpleNamespace,
+    exact_ops: SimpleNamespace | None,
+    policy: TolerancePolicy,
+) -> dict[Relation, RelationCheck]:
+    """Check every row on ``ops``; a diagonal-exact row is evaluated by the
+    same pair function on ``exact_ops`` too, so its exact re-check can never
+    test a different formula from its float check.  Where the exact operators
+    are the float ones (the exact backend), one pair serves both."""
+    checks = {}
+    for row in rows:
+        pair = row.pair(ops)
+        exact_pair = None
+        if exact_ops is not None and row.exactness is _DIAGONAL:
+            exact_pair = pair if exact_ops is ops else row.pair(exact_ops)
+        checks[row] = _check(
+            row.name, row.formula, row.guard_band, row.exactness, pair, policy, exact_pair
+        )
+    return checks
 
 
 def _report(
@@ -276,96 +304,12 @@ def _report(
     )
 
 
-def _run_table(
-    table: Sequence[Relation],
-    s: RealizationSet | HermitianSet,
-    ops: Operators,
-    exact_ops: Operators | None,
-    policy: TolerancePolicy,
-    started: float,
-    shared: Shared,
-) -> VerificationReport:
-    """Evaluate every row on ``ops``; a diagonal-exact row is evaluated by the
-    same pair function on ``exact_ops`` too, so its exact re-check can never
-    test a different formula from its float check.  Where the exact operators
-    are the float ones (the exact backend), the float pair is the exact pair.
-
-    A row found in ``shared`` with the same float and exact operator objects
-    reuses its check; any other row is evaluated and recorded there.
-    """
-    checks = []
-    for row in table:
-        inputs = [ops[n] for n in row.operands]
-        exact_inputs = []
-        if exact_ops is not None and row.exactness is _DIAGONAL:
-            exact_inputs = [exact_ops[n] for n in row.operands]
-        seen = shared.get(row)
-        if seen is not None and _same_objects(seen[0], inputs + exact_inputs):
-            checks.append(seen[1])
-            continue
-        pair = row.pair(*inputs)
-        exact_pair = None
-        if exact_inputs:
-            exact_pair = pair if _same_objects(exact_inputs, inputs) else row.pair(*exact_inputs)
-        check = _check(
-            row.name, row.formula, row.guard_band, row.exactness, pair, policy, exact_pair
-        )
-        shared[row] = (inputs + exact_inputs, check)
-        checks.append(check)
-    return _report(s, checks, started)
-
-
-def _realization_operators(r: RealizationSet) -> Operators:
-    return {"qd": r.Qdag.matrix, "q": r.Q.matrix, "h": r.H.matrix, "z": r.Z.matrix,
-            "zero": BandMatrix.zeros(r.dim, r.backend)}
-
-
-def _exact_operators(r: RealizationSet, ops: Operators, use_exact: bool) -> Operators | None:
-    """Operators of ``r.exact`` (built on first use); ``ops`` if that is ``r``."""
-    ex = r.exact if use_exact else None
-    if ex is None:
-        return None
-    return ops if ex is r else _realization_operators(ex)
-
-
-def _hermitian_operators(h: HermitianSet, zero: BandMatrix) -> Operators:
-    return {"q10": h.Q10.matrix, "q01": h.Q01.matrix, "h": h.H.matrix, "z": h.Z.matrix,
-            "zero": zero}
-
-
-def _is_exact_diagonal(matrix: BandMatrix, values: Sequence[Fraction]) -> bool:
-    """``matrix == BandMatrix.diagonal(values, Backend.EXACT)``, without
-    building the right-hand side: a rational is canonical as (value, 0, 1)."""
-    return (
-        matrix.backend is Backend.EXACT
-        and matrix.dim == len(values)
-        and matrix.is_diagonal
-        and all(
-            isinstance(v, (int, Fraction)) and s.rad == 1 and not s.im and s.re == v
-            for s, v in zip(matrix.diagonal_values(), values)
-        )
-    )
-
-
-def _diagonal_operators(h: HermitianSet, known: Operators) -> Operators | None:
-    """Exact H and Z of the Hermitian suite's re-check: the diagonals
-    ``h.h_diag`` and ``h.z_diag``.  ``known`` is returned when its h and z
-    are those diagonals already, so nothing is built."""
-    if h.h_diag is None or h.z_diag is None:
-        return None
-    if _is_exact_diagonal(known["h"], h.h_diag) and _is_exact_diagonal(known["z"], h.z_diag):
-        return known
-    return {"h": BandMatrix.diagonal(h.h_diag, Backend.EXACT),
-            "z": BandMatrix.diagonal(h.z_diag, Backend.EXACT),
-            "zero": BandMatrix.zeros(h.dim, Backend.EXACT)}
-
-
 def _run_realization_table(
     table: Sequence[Relation], r: RealizationSet, policy: TolerancePolicy, use_exact: bool
 ) -> VerificationReport:
     started = time.perf_counter()
-    ops = _realization_operators(r)
-    return _run_table(table, r, ops, _exact_operators(r, ops, use_exact), policy, started, {})
+    checks = _evaluate(table, *_operator_sets(r, use_exact), policy)
+    return _report(r, list(checks.values()), started)
 
 
 def run_standard_susy_suite(
@@ -395,9 +339,15 @@ def run_hermitian_suite(
     The exact re-check of [H,Z] = 0 reads the exact diagonals of H and Z.
     """
     started = time.perf_counter()
-    ops = _hermitian_operators(h, BandMatrix.zeros(h.dim, h.backend))
-    exact_ops = _diagonal_operators(h, ops)
-    return _run_table(HERMITIAN_RELATIONS, h, ops, exact_ops, policy, started, {})
+    ops = _operators(
+        h.dim, h.backend, q10=h.Q10.matrix, q01=h.Q01.matrix, h=h.H.matrix, z=h.Z.matrix
+    )
+    exact_ops = None
+    if h.h_diag is not None and h.z_diag is not None:
+        exact = [BandMatrix.diagonal(d, Backend.EXACT) for d in (h.h_diag, h.z_diag)]
+        exact_ops = _operators(h.dim, Backend.EXACT, h=exact[0], z=exact[1])
+    checks = _evaluate(HERMITIAN_RELATIONS, ops, exact_ops, policy)
+    return _report(h, list(checks.values()), started)
 
 
 # Nested brackets of band-1 generators reach band 3.
@@ -488,26 +438,19 @@ def run_all_suites(
 ) -> VerificationReport:
     """Standard, q-form, Hermitian, and Jacobi suites merged into one report.
 
-    A row shared by two suites is evaluated once: the later suite reuses its
-    check when it reads the same float operator objects and equal exact
-    inputs, and evaluates it again otherwise.  The reports equal those of the
-    public suites run one by one.
+    The relation tables read one operator set, the realization's generators
+    and Hermitian charges, and re-check diagonal-exact rows on ``r.exact``'s
+    operators, so both suites listing ``[H,Z] = 0`` read one exact H and Z.
+    Each distinct row is evaluated once; a shared row's check serves both suites.
     """
     h = hermitian_charges(r)
-    shared: Shared = {}
     started = time.perf_counter()
-    ops = _realization_operators(r)
-    exact_ops = _exact_operators(r, ops, use_exact)
-    standard = _run_table(STANDARD_RELATIONS, r, ops, exact_ops, policy, started, shared)
-    qform = _run_table(
-        QFORM_RELATIONS, r, ops, exact_ops, policy, time.perf_counter(), shared
-    )
-    started = time.perf_counter()
-    hops = _hermitian_operators(h, ops["zero"])
-    # H and Z that may already be the exact diagonals: r.exact's, else h's own
-    known = exact_ops if exact_ops is not None else hops
-    hermitian = _run_table(
-        HERMITIAN_RELATIONS, h, hops, _diagonal_operators(h, known), policy, started, shared
-    )
-    reports = (standard, qform, hermitian, run_jacobi_suite(h, policy))
+    ops, exact_ops = _operator_sets(r, use_exact, q10=h.Q10.matrix, q01=h.Q01.matrix)
+    tables = (STANDARD_RELATIONS, QFORM_RELATIONS, HERMITIAN_RELATIONS)
+    checks = _evaluate(dict.fromkeys(chain(*tables)), ops, exact_ops, policy)
+    reports = []
+    for s, table in zip((r, r, h), tables):
+        reports.append(_report(s, [checks[row] for row in table], started))
+        started = time.perf_counter()
+    reports.append(run_jacobi_suite(h, policy))
     return merge_reports(reports, SUITE_PREFIXES)

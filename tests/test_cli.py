@@ -283,7 +283,8 @@ class TestMalformedInput:
 
 class TestLevelRecord:
     # F(0..dim) is evaluated and validated once per command: the config's
-    # spec keeps it for the realizations, their exact variants and spectra.
+    # spec keeps it for the realizations, their exact variants and spectra,
+    # and a reduction's gdoa spec reads the record of its cv spec.
     @pytest.mark.parametrize("command", ["verify", "spectrum"])
     @pytest.mark.parametrize(
         "algebra, weight",
@@ -292,6 +293,19 @@ class TestLevelRecord:
     )
     def test_structure_validated_once(self, tmp_path, capsys, monkeypatch, command, algebra,
                                       weight):
+        calls = self._count_validations(monkeypatch)
+        payload = {"algebra": algebra, "f": weight, "dim": 16}
+        assert main([command, "--config", write_config(tmp_path, payload)]) == 0
+        assert calls == [16]
+
+    def test_reduce_validates_structure_once(self, capsys, monkeypatch):
+        # the cv and gdoa specs of a reduction share one F
+        calls = self._count_validations(monkeypatch)
+        assert main(["reduce", "--kappa", "1/2", "--dim", "16"]) == 0
+        assert calls == [16]
+
+    @staticmethod
+    def _count_validations(monkeypatch):
         calls = []
         original = fock.validate_structure_function
 
@@ -300,9 +314,7 @@ class TestLevelRecord:
             return original(expr, env, dim)
 
         monkeypatch.setattr(fock, "validate_structure_function", counting)
-        payload = {"algebra": algebra, "f": weight, "dim": 16}
-        assert main([command, "--config", write_config(tmp_path, payload)]) == 0
-        assert calls == [16]
+        return calls
 
 
 class TestVerifyOutputs:

@@ -140,7 +140,7 @@ class TestAntisymmetry:
 
 class TestJacobiDefect:
     def test_identity_triple_is_zero(self):
-        ident = BandMatrix.identity(6, Backend.FLOAT)
+        ident = BandMatrix.diagonal([1] * 6, Backend.FLOAT)
         ops = [GradedOperator(ident, d, f"I{i}") for i, d in enumerate(ALL_DEGREES[:3])]
         residual, scale = jacobi_defect(*ops)
         assert residual == 0.0
@@ -150,7 +150,7 @@ class TestJacobiDefect:
         mats = [
             BandMatrix.diagonal(diag, Backend.FLOAT),
             BandMatrix.diagonal(list(reversed(diag)), Backend.FLOAT),
-            BandMatrix.identity(6, Backend.FLOAT).scaled(complex(3.0)),
+            BandMatrix.diagonal([1] * 6, Backend.FLOAT).scaled(complex(3.0)),
         ]
         ops = [
             GradedOperator(m, d, f"D{i}")
@@ -168,7 +168,7 @@ class TestJacobiDefect:
         assert residual <= 1e-9 * max(1.0, scale)
 
     def test_guard_band_bounds(self):
-        ident = BandMatrix.identity(4, Backend.FLOAT)
+        ident = BandMatrix.diagonal([1] * 4, Backend.FLOAT)
         ops = [GradedOperator(ident, d, "I") for d in ALL_DEGREES[:3]]
         with pytest.raises(GradingError):
             jacobi_defect(*ops, guard_band=4)
@@ -194,7 +194,7 @@ class TestJacobiDefect:
     def test_scale_is_nan_whatever_the_term_order(self):
         # builtin max skips a NaN that is not its first argument, so the scale
         # read 1.0 while a term was NaN
-        ident = BandMatrix.identity(4, Backend.FLOAT)
+        ident = BandMatrix.diagonal([1] * 4, Backend.FLOAT)
         nan = BandMatrix.diagonal([complex("nan")] * 4, Backend.FLOAT)
         for terms in ([(1, ident), (1, nan), (1, ident)], [(1, nan), (1, ident), (-1, ident)]):
             residual, scale = jacobi_sum(terms, 0)

@@ -320,8 +320,8 @@ class TestSharedBrackets:
 
 
 class TestSharedRows:
-    # run_all_suites evaluates a row shared by two suites once, as long as the
-    # second suite reads the same float operator objects and equal exact inputs.
+    # run_all_suites evaluates a row shared by two suites once, and its report
+    # equals the public suites run one by one.
     SHARED = ("anticommutator-gives-h", "h-commutes-qdag", "h-commutes-q", "h-commutes-z")
 
     @staticmethod
@@ -369,26 +369,6 @@ class TestSharedRows:
         assert run_all_suites(r).passed
         assert len(calls) == count
 
-    @pytest.mark.parametrize(
-        "swap",
-        [
-            lambda h: replace(h, H=replace(h.Z, degree=DEGREE_H), Z=replace(h.H, degree=DEGREE_Z)),
-            lambda h: replace(h, h_diag=h.z_diag, z_diag=h.h_diag),
-            lambda h: replace(h, H=replace(h.H, matrix=h.H.matrix + h.Q10.matrix)),
-        ],
-        ids=["H-Z", "h_diag-z_diag", "H-not-diagonal"],
-    )
-    @pytest.mark.parametrize("backend", [Backend.FLOAT, Backend.EXACT])
-    def test_changed_hermitian_inputs_are_evaluated_again(self, backend, swap, monkeypatch):
-        r = _family("gdoa", 1, 8, backend)
-        h = swap(hermitian_charges(r))
-        alone = run_hermitian_suite(h).checks
-        monkeypatch.setattr(verify, "hermitian_charges", lambda _: h)
-        calls = self._count_checks(monkeypatch)
-        hermitian = [c for c in run_all_suites(r).checks if c.name.startswith("hermitian/")]
-        assert [replace(c, name=c.name.split("/", 1)[1]) for c in hermitian] == list(alone)
-        assert calls["h-commutes-z"] == 2
-
 
 _ANTI_H = {"standard/anticommutator-gives-h", "qform/anticommutator-gives-h"}
 
@@ -421,8 +401,7 @@ class TestExactRecheck:
 
     @pytest.mark.parametrize("family", ["cv", "gdoa"])
     def test_non_diagonal_exact_h_fails_only_rows_reading_it(self, family, monkeypatch):
-        # The Hermitian [H,Z] re-check reads h_diag, not the exact H matrix, so
-        # it must not reuse the failing q-form check of the same row.
+        # Both suites that list [H,Z] = 0 re-check it on the exact H of r.exact.
         original = realizations.exact_variant
 
         def shifted(r):
@@ -432,8 +411,17 @@ class TestExactRecheck:
         monkeypatch.setattr(realizations, "exact_variant", shifted)
         report = run_all_suites(_family(family, 0, 8))
         assert {c.name for c in report.checks if not c.passed} == _ANTI_H | {
-            "qform/h-commutes-z"
+            "qform/h-commutes-z", "hermitian/h-commutes-z"
         }
+
+    @pytest.mark.parametrize("backend", [Backend.FLOAT, Backend.EXACT])
+    @pytest.mark.parametrize("family", ["cv", "gdoa"])
+    def test_no_exact_recheck_without_use_exact(self, family, backend):
+        report = run_all_suites(_family(family, 0, 8, backend), use_exact=False)
+        assert report.passed
+        assert all(c.exactness is not Exactness.DIAGONAL_EXACT for c in report.checks)
+        check = by_name(report)["hermitian/h-commutes-z"]
+        assert check.exactness is Exactness.FLOAT_TOLERANCE and check.bound > 0.0
 
 
 class TestResidualScaling:
