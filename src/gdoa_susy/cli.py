@@ -1,7 +1,11 @@
 """Command line interface: verify, spectrum, reduce, jacobi.
 
-Configuration is a strict JSON file (unknown keys are rejected) with flag
-overrides for dimension, parity label, tolerances, and output format.
+Every command reads one :class:`Config`: a strict JSON file (unknown keys
+are rejected) with the flags that were given for dimension, parity label,
+tolerances and output format written over its keys, validated once.
+``reduce --kappa K`` writes a calogero_vasiliev algebra over the file's (or
+builds the whole configuration, without ``--config``).  Each command renders
+its result through one :func:`_emit` call in the requested format.
 
 Exit codes: 0 all requested checks passed; 1 at least one relation failed;
 2 configuration or validation error (including a dim above ``MAX_DIM`` and
@@ -13,9 +17,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .exprlang import ExprError
 from .fock import OscillatorSpec, ValidationError, fits_double, structure_values
@@ -117,14 +121,22 @@ def _build_spec(algebra: object, weight_src: str) -> OscillatorSpec:
     raise ConfigError("'algebra.type' must be 'calogero_vasiliev' or 'gdoa'")
 
 
-def _check_dim(dim: object) -> None:
-    if isinstance(dim, bool) or not isinstance(dim, int) or not 2 <= dim <= MAX_DIM or dim % 2:
-        raise ConfigError(f"'dim' must be an even integer in [2, {MAX_DIM}]")
-
-
 def _parse_config(raw: object, overrides: argparse.Namespace | None) -> Config:
     if not isinstance(raw, dict):
         raise ConfigError("configuration root must be an object")
+    if overrides is not None:  # each flag that was given is written over its key
+        raw = dict(raw)
+        if getattr(overrides, "kappa", None) is not None:  # only ``reduce`` has --kappa
+            raw["algebra"] = {"type": "calogero_vasiliev", "kappa": overrides.kappa}
+        if overrides.mu is not None:
+            raw["mu"] = overrides.mu if overrides.mu == "both" else int(overrides.mu)
+        for key in ("dim", "output"):
+            if getattr(overrides, key) is not None:
+                raw[key] = getattr(overrides, key)
+        for flag, key in (("tolerance_abs", "absolute"), ("tolerance_rel", "relative")):
+            tolerance = raw.get("tolerance", {})
+            if getattr(overrides, flag) is not None and isinstance(tolerance, dict):
+                raw["tolerance"] = {**tolerance, key: getattr(overrides, flag)}
     _require_keys(
         raw,
         {"algebra", "f", "mu", "dim", "backend", "tolerance", "output"},
@@ -143,21 +155,6 @@ def _parse_config(raw: object, overrides: argparse.Namespace | None) -> Config:
     tolerance = raw.get("tolerance", {})
     output = raw.get("output", "text")
 
-    if overrides is not None:
-        if getattr(overrides, "dim", None) is not None:
-            dim = overrides.dim
-        if getattr(overrides, "mu", None) is not None:
-            mu_value = overrides.mu if overrides.mu == "both" else int(overrides.mu)
-        if getattr(overrides, "output", None) is not None:
-            output = overrides.output
-        if not isinstance(tolerance, dict):
-            raise ConfigError("'tolerance' must be an object")
-        tolerance = dict(tolerance)
-        if getattr(overrides, "tolerance_abs", None) is not None:
-            tolerance["absolute"] = overrides.tolerance_abs
-        if getattr(overrides, "tolerance_rel", None) is not None:
-            tolerance["relative"] = overrides.tolerance_rel
-
     if mu_value == "both":
         mus: tuple[int, ...] = (0, 1)
     elif isinstance(mu_value, bool):
@@ -167,7 +164,8 @@ def _parse_config(raw: object, overrides: argparse.Namespace | None) -> Config:
     else:
         raise ConfigError("'mu' must be 0, 1, or \"both\"")
 
-    _check_dim(dim)
+    if isinstance(dim, bool) or not isinstance(dim, int) or not 2 <= dim <= MAX_DIM or dim % 2:
+        raise ConfigError(f"'dim' must be an even integer in [2, {MAX_DIM}]")
 
     if backend not in _BACKENDS:
         raise ConfigError(f"'backend' must be one of {_BACKENDS}")
@@ -230,7 +228,9 @@ def build_realization(config: Config, mu: int) -> RealizationSet:
 # -- output helpers ---------------------------------------------------------
 
 
-def _emit(text: str) -> None:
+def _emit(output: str, renderers: dict[str, Callable[[], str]]) -> None:
+    """Write the rendering of ``output`` (its renderer is the only one called)."""
+    text = renderers[output]()
     sys.stdout.write(text)
     if not text.endswith("\n"):
         sys.stdout.write("\n")
@@ -267,13 +267,13 @@ def _verify_csv(reports: Sequence[VerificationReport]) -> str:
     return "\n".join(lines)
 
 
-def _emit_reports(reports: Sequence[VerificationReport], output: str) -> None:
-    if output == "json":
-        _emit(json.dumps([r.to_dict() for r in reports], indent=2))
-    elif output == "csv":
-        _emit(_verify_csv(reports))
-    else:
-        _emit(_verify_text(reports))
+def _emit_reports(reports: Sequence[VerificationReport], output: str) -> int:
+    _emit(output, {
+        "text": lambda: _verify_text(reports),
+        "json": lambda: json.dumps([r.to_dict() for r in reports], indent=2),
+        "csv": lambda: _verify_csv(reports),
+    })
+    return 0 if all(r.passed for r in reports) else 1
 
 
 def _spectrum_rows(table: SpectrumTable) -> list[dict]:
@@ -313,21 +313,6 @@ def _spectrum_csv(table: SpectrumTable) -> str:
     return "\n".join(lines)
 
 
-def _spectrum_json(tables: Sequence[SpectrumTable], dim: int) -> str:
-    payload = [
-        {
-            "spec": table.spec.describe(),
-            "mu": table.mu,
-            "dim": dim,
-            "n_max": table.n_max,
-            "verdict": table.verdict,
-            "rows": _spectrum_rows(table),
-        }
-        for table in tables
-    ]
-    return json.dumps(payload, indent=2)
-
-
 def _reduce_text(report: ReductionReport) -> str:
     lines = [f"reduction check: kappa={report.kappa}  dim={report.dim}"]
     for entry in report.entries:
@@ -338,26 +323,6 @@ def _reduce_text(report: ReductionReport) -> str:
         )
     lines.append(f"  => {'PASS' if report.ok else 'FAIL'}")
     return "\n".join(lines)
-
-
-def _reduce_json(report: ReductionReport) -> str:
-    return json.dumps(
-        {
-            "kappa": str(report.kappa),
-            "dim": report.dim,
-            "entries": [
-                {
-                    "mu": entry.mu,
-                    "operator": entry.operator,
-                    "residual": entry.residual,
-                    "exact": entry.exact,
-                }
-                for entry in report.entries
-            ],
-            "pass": report.ok,
-        },
-        indent=2,
-    )
 
 
 def _reduce_csv(report: ReductionReport) -> str:
@@ -377,8 +342,7 @@ def cmd_verify(config: Config) -> int:
     for mu in config.mus:
         r = build_realization(config, mu)
         reports.append(run_all_suites(r, config.policy, config.use_exact))
-    _emit_reports(reports, config.output)
-    return 0 if all(r.passed for r in reports) else 1
+    return _emit_reports(reports, config.output)
 
 
 def cmd_spectrum(config: Config, n_max: int | None) -> int:
@@ -386,27 +350,29 @@ def cmd_spectrum(config: Config, n_max: int | None) -> int:
         n_max = config.dim - 2
     if n_max < 0 or n_max > config.dim - 2:
         raise ConfigError(f"n_max must lie in [0, dim-2] = [0, {config.dim - 2}]")
-    try:
-        tables = [spectrum_H(config.spec, mu, n_max) for mu in config.mus]
-    except (ValidationError, ExprError) as exc:
-        raise ConfigError(str(exc)) from exc
-    if config.output == "json":
-        _emit(_spectrum_json(tables, config.dim))
-    elif config.output == "csv":
-        _emit("\n\n".join(_spectrum_csv(t) for t in tables))
-    else:
-        _emit("\n\n".join(_spectrum_text(t) for t in tables))
+    tables = [spectrum_H(config.spec, mu, n_max) for mu in config.mus]
+    _emit(config.output, {
+        "text": lambda: "\n\n".join(_spectrum_text(t) for t in tables),
+        "json": lambda: json.dumps([
+            {"spec": t.spec.describe(), "mu": t.mu, "dim": config.dim, "n_max": t.n_max,
+             "verdict": t.verdict, "rows": _spectrum_rows(t)}
+            for t in tables
+        ], indent=2),
+        "csv": lambda: "\n\n".join(_spectrum_csv(t) for t in tables),
+    })
     return 0
 
 
-def cmd_reduce(kappa: Fraction, dim: int, output: str) -> int:
-    report = reduction_check(kappa, dim)
-    if output == "json":
-        _emit(_reduce_json(report))
-    elif output == "csv":
-        _emit(_reduce_csv(report))
-    else:
-        _emit(_reduce_text(report))
+def cmd_reduce(config: Config) -> int:
+    report = reduction_check(config.spec, config.dim)
+    _emit(config.output, {
+        "text": lambda: _reduce_text(report),
+        # asdict keeps the field order: kappa, dim, entries; then pass
+        "json": lambda: json.dumps(
+            {**asdict(report), "kappa": str(report.kappa), "pass": report.ok}, indent=2
+        ),
+        "csv": lambda: _reduce_csv(report),
+    })
     return 0 if report.ok else 1
 
 
@@ -416,8 +382,7 @@ def cmd_jacobi(config: Config) -> int:
         r = build_realization(config, mu)
         h = hermitian_charges(r)
         reports.append(merge_reports([run_jacobi_suite(h, config.policy)], ("jacobi",)))
-    _emit_reports(reports, config.output)
-    return 0 if all(r.passed for r in reports) else 1
+    return _emit_reports(reports, config.output)
 
 
 # -- entry point ------------------------------------------------------------
@@ -469,32 +434,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "reduce":
-            dim = args.dim if args.dim is not None else 64
-            output = args.output or "text"
-            if args.kappa is not None:
-                kappa = parse_rational(args.kappa)
-            elif args.config is not None:
-                config = load_config(args.config, args)
-                if config.spec.kappa is None:  # not a calogero_vasiliev spec
-                    raise ConfigError(
-                        "reduce requires a calogero_vasiliev config or --kappa"
-                    )
-                kappa = config.spec.kappa
-                dim = config.dim
-                output = args.output or config.output
-            else:
-                raise ConfigError("reduce requires --kappa or --config")
-            _check_dim(dim)
-            return cmd_reduce(kappa, dim, output)
-        config = load_config(args.config, args)
-        if args.command == "verify":
-            return cmd_verify(config)
-        if args.command == "spectrum":
-            return cmd_spectrum(config, args.nmax)
-        if args.command == "jacobi":
-            return cmd_jacobi(config)
-        raise ConfigError(f"unknown command {args.command!r}")
+        if args.config is not None:
+            config = load_config(args.config, args)
+        elif args.kappa is not None:  # argparse requires --config of every other command
+            config = _parse_config({}, args)
+        else:
+            raise ConfigError("reduce requires --kappa or --config")
+        commands = {"verify": cmd_verify, "reduce": cmd_reduce, "jacobi": cmd_jacobi,
+                    "spectrum": lambda config: cmd_spectrum(config, args.nmax)}
+        return commands[args.command](config)
     except (ConfigError, ValidationError, ExprError, NumericsError, GradingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

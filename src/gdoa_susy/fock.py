@@ -63,8 +63,9 @@ class OscillatorSpec:
     ``params`` is a read-only copy of the mapping passed in.  The spec also
     owns its exact level record: the longest F(0..D) that
     :func:`structure_values` has validated for it, which a smaller dim reads
-    a prefix of.  The record is neither a constructor argument nor part of
-    equality, and ``dataclasses.replace`` starts a new spec without one.
+    a prefix of, and beside it the exact f(1..D) of a sqrt-free weight.  The
+    record is neither a constructor argument nor part of equality, and
+    ``dataclasses.replace`` starts a new spec without one.
     """
 
     structure: Expr
@@ -74,6 +75,9 @@ class OscillatorSpec:
     structure_src: str
     weight_src: str
     _levels: tuple[Fraction, ...] = field(default=(), init=False, repr=False, compare=False)
+    _weights: dict[int, Fraction] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
@@ -157,6 +161,17 @@ def weight_values(
     return {
         n: eval_expr(spec.weight, n, spec.params, backend) for n in range(1, dim + 1)
     }
+
+
+def _weight_levels(spec: OscillatorSpec, dim: int) -> Mapping[int, Fraction | float]:
+    """f(1..dim) or more, for the realizations and spectra: exact values from the
+    spec's level record (evaluated once per spec for the largest dim asked so
+    far), or floats evaluated on every call for a weight with sqrt."""
+    if not spec.weight_is_exact:
+        return weight_values(spec, dim, Backend.FLOAT)
+    if len(spec._weights) < dim:
+        object.__setattr__(spec, "_weights", weight_values(spec, dim, Backend.EXACT))
+    return spec._weights
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,9 @@ levels.  Two sign conventions are produced by the two construction families:
   Z = (-1)^mu T H, written entry by entry from F and f: it builds no ladder
   matrices.
 
-Every build reads F from its spec's level record (see
-:class:`~gdoa_susy.fock.OscillatorSpec`), and a realization's exact variant is
-built from the same spec, so F is evaluated and validated once per spec.
+Every build and spectrum reads F, and a sqrt-free f, from its spec's level
+record (see :class:`~gdoa_susy.fock.OscillatorSpec`), and an exact variant is
+built from the same spec, so each is evaluated (F validated) once per spec.
 
 At f = 1 and the reflection-deformed structure function the two families
 coincide under the swap Q <-> Q+, Z <-> -Z with identical H;
@@ -38,9 +38,9 @@ from .fock import (
     OscillatorSpec,
     ValidationError,
     _ladder_values,
+    _weight_levels,
     build_fock_rep,
     structure_values,
-    weight_values,
 )
 from .grading import GradedOperator, degree
 from .numerics import (
@@ -150,7 +150,7 @@ def gdoa_realization(
     exact_weight = spec.weight_is_exact
     if backend is Backend.EXACT and not exact_weight:
         raise ValidationError("weight function contains sqrt; use the float backend")
-    weights = weight_values(spec, dim, Backend.EXACT if exact_weight else Backend.FLOAT)
+    weights = _weight_levels(spec, dim)
 
     def edge(m: int):
         # amplitude f(m) * sqrt(F(m)) of the transition across edge m
@@ -281,7 +281,7 @@ def _closed_form_values(spec: OscillatorSpec, mu: int, n_max: int) -> list[Spect
         energies = [_cv_energy(spec.kappa, mu, n) for n in range(n_max + 1)]
         convention = "cv"
     else:
-        weights = weight_values(spec, n_max + 1, Backend.EXACT)
+        weights = _weight_levels(spec, n_max + 1)
         energies = [_gdoa_energy(values, weights, mu, n) for n in range(n_max + 1)]
         convention = "gdoa"
     charges = _central_charges(energies, mu, convention)
@@ -422,18 +422,21 @@ class ReductionReport:
 
 
 def reduction_check(
-    kappa: Fraction | int | str, dim: int = 64, backend: Backend = Backend.FLOAT
+    spec: OscillatorSpec, dim: int = 64, backend: Backend = Backend.FLOAT
 ) -> ReductionReport:
     """Verify that the weighted family at f = 1, F = deformed integers equals the
-    reflection-oscillator realization under the swap Q <-> Q+, Z <-> -Z."""
-    cv_spec = OscillatorSpec.calogero_vasiliev(kappa)
-    gd_spec = OscillatorSpec.gdoa("bracket(n)", {"kappa": cv_spec.kappa}, "1")
+    reflection-oscillator realization under the swap Q <-> Q+, Z <-> -Z.
+
+    ``spec`` must be a calogero_vasiliev spec; both families are built from
+    it, so they read one level record (F is evaluated and validated once)."""
+    if not spec.is_calogero_vasiliev:
+        raise ValidationError(
+            f"reduction_check needs a calogero_vasiliev spec, not {spec.describe()}"
+        )
     entries: list[ReductionEntry] = []
     for mu in (0, 1):
-        cv = _cv_build(cv_spec, mu, dim, backend)
-        if (gd_spec.structure, gd_spec.params) == (cv_spec.structure, cv_spec.params):
-            object.__setattr__(gd_spec, "_levels", cv_spec._levels)  # one F, validated once
-        gd = gdoa_realization(gd_spec, mu, dim, backend)
+        cv = _cv_build(spec, mu, dim, backend)
+        gd = gdoa_realization(spec, mu, dim, backend)
         comparisons = [
             ("Q+ <-> Q", cv.Qdag.matrix, gd.Q.matrix),
             ("Q <-> Q+", cv.Q.matrix, gd.Qdag.matrix),
@@ -445,8 +448,6 @@ def reduction_check(
             entries.append(ReductionEntry(mu, name, cmp.residual, lhs == rhs))
         if cv.h_diag != gd.h_diag:
             entries.append(ReductionEntry(mu, "H diagonal", float("inf"), False))
-        if cv.z_diag is None or gd.z_diag is None or cv.z_diag != tuple(
-            -z for z in gd.z_diag
-        ):
+        if cv.z_diag != tuple(-z for z in gd.z_diag):  # f = 1 is exact: both are set
             entries.append(ReductionEntry(mu, "Z diagonal", float("inf"), False))
-    return ReductionReport(cv_spec.kappa, dim, tuple(entries))
+    return ReductionReport(spec.kappa, dim, tuple(entries))

@@ -182,7 +182,7 @@ def test_c5_graded_jacobi():
 
 def test_c6_reduction_to_reflection_oscillator():
     for kappa in (Fraction(0), Fraction(1, 2), Fraction(5, 2)):
-        report = reduction_check(kappa, dim=DIM)
+        report = reduction_check(OscillatorSpec.calogero_vasiliev(kappa), dim=DIM)
         assert report.ok, kappa
         for entry in report.entries:
             assert entry.exact and entry.residual == 0.0, (kappa, entry)

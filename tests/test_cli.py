@@ -283,8 +283,8 @@ class TestMalformedInput:
 
 class TestLevelRecord:
     # F(0..dim) is evaluated and validated once per command: the config's
-    # spec keeps it for the realizations, their exact variants and spectra,
-    # and a reduction's gdoa spec reads the record of its cv spec.
+    # spec keeps it, and an exact f(1..dim), for the realizations, their
+    # exact variants and spectra, and for both families of a reduction.
     @pytest.mark.parametrize("command", ["verify", "spectrum"])
     @pytest.mark.parametrize(
         "algebra, weight",
@@ -303,6 +303,29 @@ class TestLevelRecord:
         calls = self._count_validations(monkeypatch)
         assert main(["reduce", "--kappa", "1/2", "--dim", "16"]) == 0
         assert calls == [16]
+
+    @pytest.mark.parametrize("kappa", [[], ["--kappa", "3/2"]], ids=["config", "both"])
+    def test_reduce_config_validates_structure_once(self, tmp_path, capsys, monkeypatch,
+                                                    kappa):
+        calls = self._count_validations(monkeypatch)
+        config = write_config(tmp_path, dict(CV_HALF, dim=16))
+        assert main(["reduce", "--config", config, *kappa]) == 0
+        assert calls == [16]
+
+    @pytest.mark.parametrize("command, levels", [("verify", 16), ("spectrum", 15)])
+    def test_weight_evaluated_once(self, tmp_path, capsys, monkeypatch, command, levels):
+        # both parity labels, and verify's exact variants, read f from the record
+        calls = []
+        original = fock.weight_values
+
+        def counting(spec, dim, backend):
+            calls.append(dim)
+            return original(spec, dim, backend)
+
+        monkeypatch.setattr(fock, "weight_values", counting)
+        payload = {"algebra": {"type": "gdoa", "F": "n^2"}, "f": "n", "dim": 16}
+        assert main([command, "--config", write_config(tmp_path, payload), "--mu", "both"]) == 0
+        assert calls == [levels]
 
     @staticmethod
     def _count_validations(monkeypatch):
@@ -578,6 +601,17 @@ class TestReduceCommand:
     def test_odd_dim_rejected(self, capsys):
         code = main(["reduce", "--kappa", "0", "--dim", "7"])
         assert code == 2
+
+    def test_non_finite_tolerance_flag(self, capsys):
+        code = main(["reduce", "--kappa", "1/2", "--tolerance-abs", "inf"])
+        assert code == 2
+        assert "finite nonnegative" in capsys.readouterr().err
+
+    def test_kappa_flag_over_config(self, tmp_path, capsys):
+        # --kappa replaces the config's algebra; its other keys still hold
+        config = write_config(tmp_path, dict(CV_HALF, dim=16))
+        assert main(["reduce", "--kappa", "3/2", "--config", config]) == 0
+        assert "kappa=3/2  dim=16" in capsys.readouterr().out
 
 
 class TestJacobiCommand:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from gdoa_susy import realizations
+from gdoa_susy import fock, realizations
 from gdoa_susy.fock import OscillatorSpec, ValidationError
 from gdoa_susy.numerics import (
     Backend,
@@ -146,6 +146,26 @@ class TestWeightedRealizations:
         monkeypatch.setattr(realizations, "build_fock_rep", forbidden)
         r = gdoa_realization(OscillatorSpec.gdoa("n^2", weight="n"), 1, 8)
         assert r.exact is not None and r.exact.h_diag == r.h_diag
+
+    def test_exact_weights_evaluated_once_per_spec(self, monkeypatch):
+        calls = []
+        original = fock.weight_values
+
+        def counting(spec, dim, backend):
+            calls.append((dim, backend))
+            return original(spec, dim, backend)
+
+        monkeypatch.setattr(fock, "weight_values", counting)
+        spec = OscillatorSpec.gdoa("n^2", weight="n")
+        r = gdoa_realization(spec, 0, 8)
+        assert r.exact.h_diag == r.h_diag
+        gdoa_realization(spec, 1, 6)
+        assert calls == [(8, EXACT)]
+        # a sqrt weight stays float and is evaluated by every build
+        sqrt_spec = OscillatorSpec.gdoa("n", weight="sqrt(n)")
+        gdoa_realization(sqrt_spec, 0, 8)
+        gdoa_realization(sqrt_spec, 1, 8)
+        assert calls[1:] == [(8, FLOAT), (8, FLOAT)]
 
     def test_float_levels_beyond_the_double_range(self):
         # F(4) = 2^1200 is past the largest double; the exact backend holds it
@@ -337,7 +357,7 @@ class TestPairing:
 class TestReduction:
     @pytest.mark.parametrize("kappa", [0, Fraction(1, 2), Fraction(5, 2)])
     def test_float_reduction_exact(self, kappa):
-        report = reduction_check(kappa, dim=16)
+        report = reduction_check(OscillatorSpec.calogero_vasiliev(kappa), dim=16)
         assert report.ok
         assert all(entry.residual == 0.0 for entry in report.entries)
         assert {entry.operator for entry in report.entries} == {
@@ -348,6 +368,12 @@ class TestReduction:
         }
         assert {entry.mu for entry in report.entries} == {0, 1}
 
+    def test_requires_calogero_vasiliev_spec(self):
+        spec = OscillatorSpec.gdoa("bracket(n)", {"kappa": Fraction(1, 2)})
+        with pytest.raises(ValidationError, match="calogero_vasiliev"):
+            reduction_check(spec, dim=8)
+
     def test_exact_backend_reduction(self):
-        report = reduction_check(Fraction(1, 2), dim=8, backend=EXACT)
+        spec = OscillatorSpec.calogero_vasiliev(Fraction(1, 2))
+        report = reduction_check(spec, dim=8, backend=EXACT)
         assert report.ok
