@@ -4,7 +4,9 @@ Every command reads one :class:`Config`: a strict JSON file (unknown keys
 are rejected) with the flags that were given for dimension, parity label,
 tolerances and output format written over its keys, validated once.
 ``reduce --kappa K`` writes a calogero_vasiliev algebra over the file's (or
-builds the whole configuration, without ``--config``).  Each command renders
+builds the whole configuration, without ``--config``); ``reduce`` reports the
+parity labels ``mu`` selects and, exact by construction, reads no backend or
+tolerance.  Each command renders
 its result through one :func:`_emit` call in the requested format.
 
 Exit codes: 0 all requested checks passed; 1 at least one relation failed;
@@ -17,7 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -365,6 +367,7 @@ def cmd_spectrum(config: Config, n_max: int | None) -> int:
 
 def cmd_reduce(config: Config) -> int:
     report = reduction_check(config.spec, config.dim)
+    report = replace(report, entries=tuple(e for e in report.entries if e.mu in config.mus))
     _emit(config.output, {
         "text": lambda: _reduce_text(report),
         # asdict keeps the field order: kappa, dim, entries; then pass
@@ -420,7 +423,11 @@ def _build_parser() -> argparse.ArgumentParser:
     spectrum.add_argument("--nmax", type=int, default=None, help="highest level to print")
 
     reduce_p = sub.add_parser(
-        "reduce", help="check the weighted family against the reflection oscillator"
+        "reduce", help="check the weighted family against the reflection oscillator",
+        description="Check the weighted family at f = 1 against the reflection oscillator "
+        "for the parity labels that mu selects.  The check is exact by construction "
+        "(bitwise float matrices plus exact rational diagonals), so backend and "
+        "tolerance are validated but not read.",
     )
     _add_common_flags(reduce_p, config_required=False)
     reduce_p.add_argument("--kappa", default=None, help="deformation parameter (rational)")

@@ -17,8 +17,9 @@ integer literals; unary minus binds looser than '^', so ``-n^2 == -(n^2)``.
 Literals are unsigned integers; rationals are written ``3/2`` (division).
 The source nests at most ``MAX_DEPTH`` parentheses, builtin calls and unary
 minuses, and the parsed tree is at most ``MAX_DEPTH // 2`` levels deep, so the
-output of :func:`pretty` (at most two nesting levels per node) parses again;
-deeper input, and literals too long for ``int``, are syntax errors.
+evaluator and :func:`has_sqrt`, which recurse once per level, stay well within
+the interpreter's recursion limit; deeper input, and literals too long for
+``int``, are syntax errors.
 """
 
 from __future__ import annotations
@@ -388,44 +389,11 @@ def _require_short_power(base: Fraction, exponent: int, n: int) -> None:
         raise ExprEvalError(f"power beyond {MAX_POWER_BITS} bits at n={n}")
 
 
-def expr_params(expr: Expr) -> frozenset[str]:
-    """Names of the parameters the expression reads."""
-    if isinstance(expr, Param):
-        return frozenset((expr.name,))
-    return frozenset().union(*map(expr_params, _children(expr)))
-
-
 def has_sqrt(expr: Expr) -> bool:
     """True if any subexpression requires float evaluation."""
     if isinstance(expr, Call) and expr.func == "sqrt":
         return True
     return any(map(has_sqrt, _children(expr)))
-
-
-def pretty(expr: Expr) -> str:
-    """Render to source text that reparses to an equivalent expression."""
-    if isinstance(expr, Number):
-        if expr.value.denominator == 1:
-            return str(expr.value)
-        return f"({expr.value.numerator}/{expr.value.denominator})"
-    if isinstance(expr, Var):
-        return "n"
-    if isinstance(expr, Param):
-        return expr.name
-    if isinstance(expr, Neg):
-        return f"(-{pretty(expr.arg)})"
-    if isinstance(expr, BinOp):
-        return f"({pretty(expr.left)} {expr.op} {pretty(expr.right)})"
-    if isinstance(expr, Pow):
-        base = pretty(expr.base)
-        if not isinstance(expr.base, (Var, Param)) and not (
-            isinstance(expr.base, Number) and expr.base.value.denominator == 1
-        ):
-            base = f"({base})"
-        return f"{base}^{expr.exponent}"
-    if isinstance(expr, Call):
-        return f"{expr.func}({pretty(expr.arg)})"
-    raise ExprError(f"unknown node {expr!r}")
 
 
 @dataclass(frozen=True)

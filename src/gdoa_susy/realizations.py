@@ -223,8 +223,6 @@ class HermitianSet:
     Q01: GradedOperator
     H: GradedOperator
     Z: GradedOperator
-    h_diag: tuple[Fraction, ...] | None
-    z_diag: tuple[Fraction, ...] | None
 
 
 def hermitian_charges(r: RealizationSet) -> HermitianSet:
@@ -241,8 +239,6 @@ def hermitian_charges(r: RealizationSet) -> HermitianSet:
         Q01=GradedOperator(q01, DEGREE_Q01, "Q01"),
         H=r.H,
         Z=r.Z,
-        h_diag=r.h_diag,
-        z_diag=r.z_diag,
     )
 
 

@@ -16,11 +16,12 @@ truncated representation supports:
 
 The standard, q-form and Hermitian suites are tables of :class:`Relation`
 rows, each mapping an operator set to the two matrices it equates, and one
-function builds every check.  A diagonal-exact row re-checks the same formula
-on an exact operator set, which on the exact backend is the instance set.
-:func:`run_all_suites` builds two sets per report, the realization's with its
-Hermitian charges and that of ``r.exact``, and evaluates each distinct row of
-the three tables once.
+function builds every check.  Each suite takes the realization, and one runner
+reads its tables from one operator set: the realization's generators plus its
+Hermitian charges.  A diagonal-exact row re-checks the same formula on the set
+of ``r.exact`` (on the exact backend, the instance set), so every suite that
+lists [H,Z] = 0 re-checks it on the same exact H and Z.
+:func:`run_all_suites` evaluates each distinct row of the three tables once.
 
 The Jacobi suite contains three layers: graded antisymmetry of all 16 ordered
 generator pairs (an identity, required to cancel bitwise), the 64 graded
@@ -245,29 +246,6 @@ HERMITIAN_RELATIONS = (
 )
 
 
-def _operators(dim: int, backend: Backend, **matrices: BandMatrix) -> SimpleNamespace:
-    return SimpleNamespace(zero=BandMatrix.zeros(dim, backend), **matrices)
-
-
-def _realization_operators(r: RealizationSet | None, **more: BandMatrix) -> SimpleNamespace | None:
-    if r is None:
-        return None
-    return _operators(
-        r.dim, r.backend, qd=r.Qdag.matrix, q=r.Q.matrix, h=r.H.matrix, z=r.Z.matrix, **more
-    )
-
-
-def _operator_sets(
-    r: RealizationSet, use_exact: bool, **more: BandMatrix
-) -> tuple[SimpleNamespace, SimpleNamespace | None]:
-    """The operators of ``r`` plus ``more``, and those of ``r.exact`` (built on
-    first use) for the exact re-checks: the same set on the exact backend,
-    None without an exact variant."""
-    ex = r.exact if use_exact else None
-    ops = _realization_operators(r, **more)
-    return ops, ops if ex is r else _realization_operators(ex)
-
-
 def _evaluate(
     rows: Iterable[Relation],
     ops: SimpleNamespace,
@@ -304,12 +282,33 @@ def _report(
     )
 
 
-def _run_realization_table(
-    table: Sequence[Relation], r: RealizationSet, policy: TolerancePolicy, use_exact: bool
-) -> VerificationReport:
+def _run_tables(
+    r: RealizationSet,
+    tables: Sequence[Sequence[Relation]],
+    policy: TolerancePolicy,
+    use_exact: bool,
+    h: HermitianSet | None = None,
+) -> list[VerificationReport]:
+    """One report per table, all read from one operator set: the generators of
+    ``r`` plus the Hermitian charges ``h``.  Diagonal-exact rows are re-checked
+    on the set of ``r.exact`` (built on first use), which on the exact backend
+    is the instance set.  A row listed by several tables is evaluated once."""
+    def operators(s: RealizationSet, **more: BandMatrix) -> SimpleNamespace:
+        return SimpleNamespace(
+            zero=BandMatrix.zeros(s.dim, s.backend),
+            qd=s.Qdag.matrix, q=s.Q.matrix, h=s.H.matrix, z=s.Z.matrix, **more,
+        )
+
     started = time.perf_counter()
-    checks = _evaluate(table, *_operator_sets(r, use_exact), policy)
-    return _report(r, list(checks.values()), started)
+    ops = operators(r) if h is None else operators(r, q10=h.Q10.matrix, q01=h.Q01.matrix)
+    ex = r.exact if use_exact else None
+    exact_ops = None if ex is None else ops if ex is r else operators(ex)
+    checks = _evaluate(dict.fromkeys(chain(*tables)), ops, exact_ops, policy)
+    reports = []
+    for table in tables:
+        reports.append(_report(r, [checks[row] for row in table], started))
+        started = time.perf_counter()
+    return reports
 
 
 def run_standard_susy_suite(
@@ -318,7 +317,7 @@ def run_standard_susy_suite(
     use_exact: bool = True,
 ) -> VerificationReport:
     """Nilpotent supercharges with {Q+, Q} = H and a conserved H."""
-    return _run_realization_table(STANDARD_RELATIONS, r, policy, use_exact)
+    return _run_tables(r, (STANDARD_RELATIONS,), policy, use_exact)[0]
 
 
 def run_qform_suite(
@@ -327,27 +326,19 @@ def run_qform_suite(
     use_exact: bool = True,
 ) -> VerificationReport:
     """The non-Hermitian presentation of the graded algebra (eight relations)."""
-    return _run_realization_table(QFORM_RELATIONS, r, policy, use_exact)
+    return _run_tables(r, (QFORM_RELATIONS,), policy, use_exact)[0]
 
 
 def run_hermitian_suite(
-    h: HermitianSet,
+    r: RealizationSet,
     policy: TolerancePolicy = DEFAULT_POLICY,
 ) -> VerificationReport:
-    """Hermiticity plus the defining relations of the Hermitian generators.
+    """Hermiticity plus the defining relations of the Hermitian charges of ``r``.
 
-    The exact re-check of [H,Z] = 0 reads the exact diagonals of H and Z.
+    The exact re-check of [H,Z] = 0 reads the H and Z of ``r.exact``, as the
+    q-form suite's does.
     """
-    started = time.perf_counter()
-    ops = _operators(
-        h.dim, h.backend, q10=h.Q10.matrix, q01=h.Q01.matrix, h=h.H.matrix, z=h.Z.matrix
-    )
-    exact_ops = None
-    if h.h_diag is not None and h.z_diag is not None:
-        exact = [BandMatrix.diagonal(d, Backend.EXACT) for d in (h.h_diag, h.z_diag)]
-        exact_ops = _operators(h.dim, Backend.EXACT, h=exact[0], z=exact[1])
-    checks = _evaluate(HERMITIAN_RELATIONS, ops, exact_ops, policy)
-    return _report(h, list(checks.values()), started)
+    return _run_tables(r, (HERMITIAN_RELATIONS,), policy, True, hermitian_charges(r))[0]
 
 
 # Nested brackets of band-1 generators reach band 3.
@@ -438,19 +429,12 @@ def run_all_suites(
 ) -> VerificationReport:
     """Standard, q-form, Hermitian, and Jacobi suites merged into one report.
 
-    The relation tables read one operator set, the realization's generators
-    and Hermitian charges, and re-check diagonal-exact rows on ``r.exact``'s
-    operators, so both suites listing ``[H,Z] = 0`` read one exact H and Z.
-    Each distinct row is evaluated once; a shared row's check serves both suites.
+    The Hermitian charges are built once, for the tables and the Jacobi
+    suite.  Each distinct row is evaluated once; a shared row's check serves
+    both suites that list it.
     """
     h = hermitian_charges(r)
-    started = time.perf_counter()
-    ops, exact_ops = _operator_sets(r, use_exact, q10=h.Q10.matrix, q01=h.Q01.matrix)
     tables = (STANDARD_RELATIONS, QFORM_RELATIONS, HERMITIAN_RELATIONS)
-    checks = _evaluate(dict.fromkeys(chain(*tables)), ops, exact_ops, policy)
-    reports = []
-    for s, table in zip((r, r, h), tables):
-        reports.append(_report(s, [checks[row] for row in table], started))
-        started = time.perf_counter()
+    reports = _run_tables(r, tables, policy, use_exact, h)
     reports.append(run_jacobi_suite(h, policy))
     return merge_reports(reports, SUITE_PREFIXES)

@@ -613,6 +613,23 @@ class TestReduceCommand:
         assert main(["reduce", "--kappa", "3/2", "--config", config]) == 0
         assert "kappa=3/2  dim=16" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_mu_flag_selects_entries(self, capsys, output):
+        code = main(["reduce", "--kappa", "1/2", "--dim", "8", "--mu", "0", "--output", output])
+        assert code == 0
+        out = capsys.readouterr().out
+        if output == "json":
+            mus = [entry["mu"] for entry in json.loads(out)["entries"]]
+        else:
+            mus = [int(line.split("mu=")[1][0]) for line in out.splitlines() if " mu=" in line]
+        assert mus == [0, 0, 0, 0]
+
+    def test_config_mu_selects_entries(self, tmp_path, capsys):
+        config = write_config(tmp_path, dict(CV_HALF, dim=8, mu=1, output="csv"))
+        assert main(["reduce", "--config", config]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["1"] * 4
+
 
 class TestJacobiCommand:
     def test_jacobi_only(self, tmp_path, capsys):

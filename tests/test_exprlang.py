@@ -15,10 +15,8 @@ from gdoa_susy.exprlang import (
     Pow,
     Var,
     eval_expr,
-    expr_params,
     has_sqrt,
     parse_expr,
-    pretty,
     validate_structure_function,
 )
 from gdoa_susy.numerics import Backend
@@ -105,7 +103,6 @@ class TestInputLimits:
                               ("n" + " + n" * (half - 1), 3 * half)):
             expr = parse_expr(source)
             assert eval_expr(expr, 3) == value
-            assert parse_expr(pretty(expr)) == expr
 
     @pytest.mark.parametrize(
         "source",
@@ -207,58 +204,10 @@ class TestEvaluation:
 
 
 class TestIntrospection:
-    def test_expr_params(self):
-        assert expr_params(parse_expr("kappa*n + lam")) == {"kappa", "lam"}
-        assert expr_params(parse_expr("bracket(n)")) == {"kappa"}
-        assert expr_params(parse_expr("n^2")) == frozenset()
-
     def test_has_sqrt(self):
         assert has_sqrt(parse_expr("sqrt(n) + 1"))
         assert has_sqrt(parse_expr("-sqrt(n^2)"))
         assert not has_sqrt(parse_expr("n^2 + parity(n)"))
-
-
-ROUND_TRIP_CORPUS = [
-    "n",
-    "n^2",
-    "n + 1",
-    "2*n - 3",
-    "n*(n + 1)",
-    "(n + 1)*(n + 2)",
-    "n/2",
-    "1/2*n + 3/4",
-    "-n",
-    "-n^2 + n",
-    "parity(n)",
-    "n + (kappa/2)*(1 - parity(n))",
-    "bracket(n)",
-    "n^3 - n",
-    "(n - 2)*(n - 3)",
-    "n*n*n",
-    "7",
-    "0",
-    "kappa*n + lam",
-    "2*bracket(n) + 1",
-]
-
-
-def test_round_trip_corpus():
-    env = {"kappa": Fraction(1, 2), "lam": Fraction(3)}
-    for source in ROUND_TRIP_CORPUS:
-        original = parse_expr(source)
-        reparsed = parse_expr(pretty(original))
-        for n in range(65):
-            assert eval_expr(original, n, env) == eval_expr(reparsed, n, env), source
-
-
-def test_round_trip_float_expression():
-    source = "sqrt(n) + n/2"
-    original = parse_expr(source)
-    reparsed = parse_expr(pretty(original))
-    for n in range(65):
-        assert eval_expr(original, n, backend=FLOAT) == eval_expr(
-            reparsed, n, backend=FLOAT
-        )
 
 
 @st.composite
@@ -286,11 +235,13 @@ def expression_trees(draw, depth=0):
 @settings(max_examples=300)
 @given(expression_trees())
 def test_generated_expressions_round_trip(source):
+    # The generated grammar subset reads the same in Python, with ^ as **.
     env = {"kappa": Fraction(1, 2), "lam": Fraction(3)}
     expr = parse_expr(source)
-    again = parse_expr(pretty(expr))
+    python = compile(source.replace("^", "**"), "<generated>", "eval")
     for n in (0, 1, 2, 17):
-        assert eval_expr(expr, n, env) == eval_expr(again, n, env)
+        expected = eval(python, {"__builtins__": {}}, {**env, "n": Fraction(n)})
+        assert eval_expr(expr, n, env) == expected
 
 
 @settings(max_examples=300)
@@ -378,4 +329,3 @@ def test_fuzzed_token_streams_raise_only_documented_errors(text):
             eval_expr(expr, 3, {"kappa": Fraction(1, 2), "c": Fraction(2)}, backend)
         except ExprEvalError:
             pass
-    assert parse_expr(pretty(expr)) is not None

@@ -20,6 +20,8 @@ from gdoa_susy.grading import (
 from gdoa_susy.numerics import Backend, BandMatrix, TolerancePolicy
 from gdoa_susy.realizations import (
     DEGREE_H,
+    DEGREE_Q01,
+    DEGREE_Q10,
     DEGREE_Z,
     cv_realization,
     gdoa_realization,
@@ -102,7 +104,7 @@ class TestSuitesOverSpecs:
 
     def test_hermiticity_residuals_zero(self):
         r = cv_realization(0, 0, 16)
-        report = run_hermitian_suite(hermitian_charges(r))
+        report = run_hermitian_suite(r)
         checks = by_name(report)
         for name in ("hermitian-q10", "hermitian-q01", "hermitian-h", "hermitian-z"):
             assert checks[name].residual == 0.0
@@ -112,10 +114,9 @@ class TestSuitesOverSpecs:
         r = cv_realization(Fraction(1, 2), 1, 2)
         assert run_standard_susy_suite(r).passed
         assert run_qform_suite(r).passed
-        h = hermitian_charges(r)
-        assert run_hermitian_suite(h).passed
+        assert run_hermitian_suite(r).passed
         with pytest.raises(GradingError):
-            run_jacobi_suite(h)
+            run_jacobi_suite(hermitian_charges(r))
 
     def test_qform_and_hermitian_agree_on_random_specs(self):
         rng = random.Random(20260819)
@@ -130,7 +131,7 @@ class TestSuitesOverSpecs:
             mu = rng.randint(0, 1)
             r = gdoa_realization(spec, mu, 8)
             qform = run_qform_suite(r)
-            hermitian = run_hermitian_suite(hermitian_charges(r))
+            hermitian = run_hermitian_suite(r)
             assert qform.passed == hermitian.passed
 
 
@@ -224,6 +225,20 @@ class TestJacobiSuite:
                 assert check.guard_band == 1
             else:
                 assert check.guard_band == 0
+
+    def test_antisymmetry_catches_a_wrong_graded_sign(self, monkeypatch):
+        # The brackets keep their true signs; only the antisymmetry layer reads
+        # the flipped one, for the ordered degree pair (1,0).(0,1).
+        original = verify.graded_sign
+
+        def flipped(a, b):
+            sign = original(a, b)
+            return -sign if (a, b) == (DEGREE_Q10, DEGREE_Q01) else sign
+
+        monkeypatch.setattr(verify, "graded_sign", flipped)
+        report = run_jacobi_suite(hermitian_charges(cv_realization(Fraction(1, 2), 0, 12)))
+        assert len(report.checks) == 96
+        assert [c.name for c in report.checks if not c.passed] == ["antisymmetry[Q10,Q01]"]
 
 
 # Ordered census of one report: (name, guard band, exactness) of every check.
@@ -338,9 +353,8 @@ class TestSharedRows:
 
     @staticmethod
     def _separately(r):
-        h = hermitian_charges(r)
-        reports = (run_standard_susy_suite(r), run_qform_suite(r), run_hermitian_suite(h),
-                   run_jacobi_suite(h))
+        reports = (run_standard_susy_suite(r), run_qform_suite(r), run_hermitian_suite(r),
+                   run_jacobi_suite(hermitian_charges(r)))
         return merge_reports(reports, SUITE_PREFIXES).checks
 
     @pytest.mark.parametrize("backend", [Backend.FLOAT, Backend.EXACT])
@@ -413,6 +427,18 @@ class TestExactRecheck:
         assert {c.name for c in report.checks if not c.passed} == _ANTI_H | {
             "qform/h-commutes-z", "hermitian/h-commutes-z"
         }
+
+    @pytest.mark.parametrize("family", ["cv", "gdoa"])
+    def test_standalone_hermitian_suite_rechecks_on_exact_variant(self, family, monkeypatch):
+        original = realizations.exact_variant
+
+        def shifted(r):
+            exact = original(r)
+            return replace(exact, H=replace(exact.H, matrix=exact.H.matrix + exact.Qdag.matrix))
+
+        monkeypatch.setattr(realizations, "exact_variant", shifted)
+        report = run_hermitian_suite(_family(family, 0, 8))
+        assert [c.name for c in report.checks if not c.passed] == ["h-commutes-z"]
 
     @pytest.mark.parametrize("backend", [Backend.FLOAT, Backend.EXACT])
     @pytest.mark.parametrize("family", ["cv", "gdoa"])
