@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -366,8 +366,7 @@ def cmd_spectrum(config: Config, n_max: int | None) -> int:
 
 
 def cmd_reduce(config: Config) -> int:
-    report = reduction_check(config.spec, config.dim)
-    report = replace(report, entries=tuple(e for e in report.entries if e.mu in config.mus))
+    report = reduction_check(config.spec, config.dim, mus=config.mus)
     _emit(config.output, {
         "text": lambda: _reduce_text(report),
         # asdict keeps the field order: kappa, dim, entries; then pass

@@ -2,17 +2,19 @@
 
 Two scalar backends coexist:
 
-* ``Backend.EXACT``: Gaussian rationals carrying a radical factor,
-  ``(re + im*i) * sqrt(rad)`` with ``re, im, rad`` rational and ``rad >= 0``.
-  The radicand is kept square-free, so equality is structural and products of
-  matching radicals collapse back to rationals.  Sums of incompatible radicals
-  raise :class:`ExactnessError`; the identities verified exactly in this
-  package never produce such sums.  Values are canonical by construction:
-  the public constructor factors its radicand once (numerator and denominator
-  each up to 10**18; a larger non-square raises :class:`ExactnessError`), and
-  ``+``, ``-``, ``*``, negation and ``conjugate`` combine already square-free
-  parts by gcd without factoring; :func:`coerce_scalar` wraps a rational
-  directly.
+* ``Backend.EXACT``: Gaussian rationals carrying a radical factor, stored on
+  five ints as ``(p + q*i)/d * sqrt(rn/rd)`` with ``d > 0``,
+  ``gcd(p, q, d) == 1`` and ``rn``/``rd`` coprime and square-free, so
+  equality is structural and products of matching radicals collapse back to
+  rationals.  Sums of incompatible radicals raise :class:`ExactnessError`;
+  the identities verified exactly in this package never produce such sums.
+  Values are canonical by construction: the public constructor factors its
+  radicand once (numerator and denominator each up to 10**18; a larger
+  non-square raises :class:`ExactnessError`), and ``+``, ``-``, ``*``,
+  negation and ``conjugate`` run on the ints, combine already square-free
+  radicands by gcd without factoring and divide out ``gcd(p, q, d)`` once;
+  :func:`coerce_scalar` wraps a rational directly.  No ``Fraction`` is built
+  on these paths; ``re``/``im``/``rad`` read the parts back as Fractions.
 * ``Backend.FLOAT``: complex double precision (python ``complex``).
 
 Tolerances (:class:`TolerancePolicy`) must be finite and nonnegative.
@@ -99,21 +101,15 @@ def _square_split(n: int) -> tuple[int, int]:
     return s, r * n
 
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-
-
 class ExactScalar:
-    """A Gaussian rational times the square root of a nonnegative rational.
-
-    Canonical form: zero is stored as (0, 0, 1); a perfect-square radicand is
-    folded into the coefficients; otherwise the radicand is square-free in
-    numerator and denominator, so semantically equal values compare equal.
-    The constructor canonicalizes its arguments; arithmetic on canonical
-    operands builds canonical results directly (see :func:`_canonical`).
+    """A Gaussian rational times the square root of a nonnegative rational,
+    stored on five ints as ``(p + q*i)/d * sqrt(rn/rd)`` in the canonical form
+    the module docstring states; zero is ``(0, 0, 1, 1, 1)``.  The constructor canonicalizes
+    its arguments; arithmetic on canonical operands builds canonical results
+    directly (see :func:`_canonical`).  ``re``, ``im`` and ``rad`` are Fractions.
     """
 
-    __slots__ = ("re", "im", "rad")
+    __slots__ = ("_p", "_q", "_d", "_rn", "_rd")
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0, rad: RationalLike = 1):
         re = Fraction(re)
@@ -122,17 +118,16 @@ class ExactScalar:
         if rad < 0:
             raise ExactnessError("radicand must be nonnegative")
         if rad == 0 or (re == 0 and im == 0):
-            re, im, rad = Fraction(0), Fraction(0), Fraction(1)
-        elif rad != 1:
+            p, q, d, rn, rd = 0, 0, 1, 1, 1
+        else:
             sn, rn = _square_split(rad.numerator)
             sd, rd = _square_split(rad.denominator)
-            factor = Fraction(sn, sd)
-            re *= factor
-            im *= factor
-            rad = Fraction(rn, rd)
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
-        object.__setattr__(self, "rad", rad)
+            b, e = re.denominator, im.denominator
+            p, q, d = re.numerator * e * sn, im.numerator * b * sn, b * e * sd
+            g = math.gcd(p, q, d)
+            p, q, d = p // g, q // g, d // g
+        for name, value in zip(ExactScalar.__slots__, (p, q, d, rn, rd)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("ExactScalar is immutable")
@@ -143,92 +138,89 @@ class ExactScalar:
         return cls(1, 0, Fraction(value))
 
     @property
+    def re(self) -> Fraction:
+        return Fraction(self._p, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._q, self._d)
+
+    @property
+    def rad(self) -> Fraction:
+        return Fraction(self._rn, self._rd)
+
+    @property
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not (self._p or self._q)
 
     def __bool__(self) -> bool:
-        return not self.is_zero
+        return self._p != 0 or self._q != 0
 
     def __add__(self, other: "ExactScalar") -> "ExactScalar":
         if not isinstance(other, ExactScalar):
             return NotImplemented
-        if self.is_zero:
+        if not (self._p or self._q):
             return other
-        if other.is_zero:
-            return self
-        if self.rad != other.rad:
-            raise ExactnessError(
-                f"cannot add incompatible radicals sqrt({self.rad}) and sqrt({other.rad})"
-            )
-        re = self.re + other.re
-        im = self.im + other.im
-        if not re and not im:
-            return EXACT_ZERO
-        return _canonical(re, im, self.rad)
-
-    def __neg__(self) -> "ExactScalar":
-        return _canonical(-self.re, -self.im, self.rad)
+        return _sum(self, other, other._p, other._q)
 
     def __sub__(self, other: "ExactScalar") -> "ExactScalar":
         if not isinstance(other, ExactScalar):
             return NotImplemented
-        return self + (-other)
+        return _sum(self, other, -other._p, -other._q)
+
+    def __neg__(self) -> "ExactScalar":
+        return _canonical(-self._p, -self._q, self._d, self._rn, self._rd)
 
     def __mul__(self, other: object) -> "ExactScalar":
         if isinstance(other, ExactScalar):
-            if self.is_zero or other.is_zero:
+            a_p, a_q, b_p, b_q = self._p, self._q, other._p, other._q
+            if not (a_p or a_q) or not (b_p or b_q):
                 return EXACT_ZERO
-            a_re, a_im, b_re, b_im = self.re, self.im, other.re, other.im
-            if not a_im:
-                re, im = a_re * b_re, (a_re * b_im if b_im else _F0)
-            elif not b_im:
-                re, im = a_re * b_re, a_im * b_re
+            if not a_q:
+                p, q = a_p * b_p, a_p * b_q
+            elif not b_q:
+                p, q = a_p * b_p, a_q * b_p
             else:
-                re = a_re * b_re - a_im * b_im
-                im = a_re * b_im + a_im * b_re
-            a_rad, b_rad = self.rad, other.rad
-            if b_rad == 1:
-                return _canonical(re, im, a_rad)
-            if a_rad == 1:
-                return _canonical(re, im, b_rad)
-            if a_rad == b_rad:
-                factor, rad = a_rad, _F1
-            else:
-                # Numerators and denominators are square-free, so
-                # sqrt(a) * sqrt(b) = g * sqrt((a/g) * (b/g)) with g = gcd(a, b);
-                # Fraction() cancels what a numerator shares with a denominator.
-                na, da = a_rad.numerator, a_rad.denominator
-                nb, db = b_rad.numerator, b_rad.denominator
-                gn, gd = math.gcd(na, nb), math.gcd(da, db)
-                rad = Fraction((na // gn) * (nb // gn), (da // gd) * (db // gd))
-                factor = Fraction(gn, gd)
-                if factor == 1:
-                    return _canonical(re, im, rad)
-            return _canonical(re * factor, im * factor if im else _F0, rad)
+                p, q = a_p * b_p - a_q * b_q, a_p * b_q + a_q * b_p
+            d = self._d * other._d
+            a_rn, a_rd, b_rn, b_rd = self._rn, self._rd, other._rn, other._rd
+            # coprime parts: rn == rd only for a radicand of 1
+            if b_rn == b_rd:
+                return _canonical(p, q, d, a_rn, a_rd)
+            if a_rn == a_rd:
+                return _canonical(p, q, d, b_rn, b_rd)
+            # Numerators and denominators are square-free, so
+            # sqrt(a) * sqrt(b) = g * sqrt((a/g) * (b/g)) with g = gcd(a, b);
+            # then cancel what the new numerator shares with the denominator.
+            gn, gd = math.gcd(a_rn, b_rn), math.gcd(a_rd, b_rd)
+            rn, rd = (a_rn // gn) * (b_rn // gn), (a_rd // gd) * (b_rd // gd)
+            c = math.gcd(rn, rd)
+            return _canonical(p * gn, q * gn, d * gd, rn // c, rd // c)
         if isinstance(other, (int, Fraction)):
             if not other:
                 return EXACT_ZERO
-            return _canonical(self.re * other, self.im * other, self.rad)
+            n = other.numerator
+            return _canonical(
+                self._p * n, self._q * n, self._d * other.denominator, self._rn, self._rd
+            )
         return NotImplemented
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "ExactScalar":
-        return _canonical(self.re, -self.im, self.rad)
+        return _canonical(self._p, -self._q, self._d, self._rn, self._rd)
 
     def magnitude(self) -> float:
-        # sqrt(float((re^2 + im^2) * rad)) on integer parts: one int/int true
-        # division rounds exactly as float(Fraction) does.
-        a, b = self.re.numerator, self.re.denominator
-        rn, rd = self.rad.numerator, self.rad.denominator
-        if self.im:
-            c, d = self.im.numerator, self.im.denominator
-            return math.sqrt((a * a * d * d + c * c * b * b) * rn / (b * b * d * d * rd))
-        return math.sqrt(a * a * rn / (b * b * rd))
+        # sqrt of the rational (re^2 + im^2) * rad under one int/int true
+        # division, which rounds exactly as float(Fraction) does.
+        p, q, d = self._p, self._q, self._d
+        return math.sqrt((p * p + q * q) * self._rn / (d * d * self._rd))
 
     def to_complex(self) -> complex:
-        root = math.sqrt(float(self.rad))
-        return complex(float(self.re) * root, float(self.im) * root)
+        # p/d rounds exactly as float(self.re) does, rn/rd as float(self.rad)
+        root = math.sqrt(self._rn / self._rd)
+        d = self._d
+        return complex(self._p / d * root, self._q / d * root)
 
     def __complex__(self) -> complex:
         return self.to_complex()
@@ -236,33 +228,65 @@ class ExactScalar:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactScalar):
             return NotImplemented
-        return self.re == other.re and self.im == other.im and self.rad == other.rad
+        return (
+            self._p == other._p
+            and self._q == other._q
+            and self._d == other._d
+            and self._rn == other._rn
+            and self._rd == other._rd
+        )
 
     def __hash__(self) -> int:
         return hash((self.re, self.im, self.rad))
 
     def __repr__(self) -> str:
-        if self.rad == 1:
+        if self._rn == self._rd:
             return f"ExactScalar({self.re}, {self.im})"
         return f"ExactScalar({self.re}, {self.im}, rad={self.rad})"
 
 
 # The slot descriptors' setters bypass the immutability guard in __setattr__.
 _new_scalar = object.__new__
-_set_re = ExactScalar.re.__set__  # type: ignore[attr-defined]
-_set_im = ExactScalar.im.__set__  # type: ignore[attr-defined]
-_set_rad = ExactScalar.rad.__set__  # type: ignore[attr-defined]
+_set_p, _set_q, _set_d, _set_rn, _set_rd = (
+    vars(ExactScalar)[name].__set__ for name in ExactScalar.__slots__
+)
 
 
-def _canonical(re: Fraction, im: Fraction, rad: Fraction) -> ExactScalar:
-    """Wrap parts that are already canonical: a nonzero value (or the zero
-    triple), ``rad`` a reduced Fraction with square-free numerator and
-    denominator.  Nothing is converted, checked or factored."""
+def _canonical(p: int, q: int, d: int, rn: int, rd: int) -> ExactScalar:
+    """Build from parts that are canonical up to a common factor of p, q and
+    d: ``d > 0``, ``rn``/``rd`` coprime and square-free, and (p, q) nonzero
+    or the zero parts.  Divides out gcd(p, q, d); nothing is factored."""
+    g = math.gcd(p, q, d)
+    if g != 1:
+        p, q, d = p // g, q // g, d // g
     scalar = _new_scalar(ExactScalar)
-    _set_re(scalar, re)
-    _set_im(scalar, im)
-    _set_rad(scalar, rad)
+    _set_p(scalar, p)
+    _set_q(scalar, q)
+    _set_d(scalar, d)
+    _set_rn(scalar, rn)
+    _set_rd(scalar, rd)
     return scalar
+
+
+def _sum(a: ExactScalar, b: ExactScalar, b_p: int, b_q: int) -> ExactScalar:
+    """``a + (b_p + b_q*i)/d * sqrt(rad)`` with d and rad those of b: b itself
+    or -b, so a difference needs no negated intermediate."""
+    if not (b_p or b_q):
+        return a
+    a_p, a_q, a_d, b_d = a._p, a._q, a._d, b._d
+    if not (a_p or a_q):
+        return _canonical(b_p, b_q, b_d, b._rn, b._rd)
+    if a._rn != b._rn or a._rd != b._rd:
+        raise ExactnessError(
+            f"cannot add incompatible radicals sqrt({a.rad}) and sqrt({b.rad})"
+        )
+    if a_d == b_d:
+        p, q, d = a_p + b_p, a_q + b_q, a_d
+    else:
+        p, q, d = a_p * b_d + b_p * a_d, a_q * b_d + b_q * a_d, a_d * b_d
+    if not (p or q):
+        return EXACT_ZERO
+    return _canonical(p, q, d, a._rn, a._rd)
 
 
 RationalLike = Union[int, Fraction]
@@ -277,8 +301,8 @@ def coerce_scalar(value: object, backend: Backend) -> Scalar:
         if isinstance(value, ExactScalar):
             return value
         if isinstance(value, (int, Fraction)):
-            # a rational is canonical as (value, 0, 1), zero included
-            return _canonical(value if type(value) is Fraction else Fraction(value), _F0, _F1)
+            # a rational is canonical as (num, 0, den, 1, 1), zero included
+            return _canonical(value.numerator, 0, value.denominator, 1, 1)
         raise BackendMismatchError(f"cannot represent {value!r} exactly")
     if isinstance(value, ExactScalar):
         return value.to_complex()

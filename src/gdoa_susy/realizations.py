@@ -418,10 +418,12 @@ class ReductionReport:
 
 
 def reduction_check(
-    spec: OscillatorSpec, dim: int = 64, backend: Backend = Backend.FLOAT
+    spec: OscillatorSpec, dim: int = 64, backend: Backend = Backend.FLOAT,
+    mus: Sequence[int] = (0, 1),
 ) -> ReductionReport:
     """Verify that the weighted family at f = 1, F = deformed integers equals the
-    reflection-oscillator realization under the swap Q <-> Q+, Z <-> -Z.
+    reflection-oscillator realization under the swap Q <-> Q+, Z <-> -Z, for
+    each parity in ``mus``.
 
     ``spec`` must be a calogero_vasiliev spec; both families are built from
     it, so they read one level record (F is evaluated and validated once)."""
@@ -430,7 +432,7 @@ def reduction_check(
             f"reduction_check needs a calogero_vasiliev spec, not {spec.describe()}"
         )
     entries: list[ReductionEntry] = []
-    for mu in (0, 1):
+    for mu in mus:
         cv = _cv_build(spec, mu, dim, backend)
         gd = gdoa_realization(spec, mu, dim, backend)
         comparisons = [

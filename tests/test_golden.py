@@ -15,7 +15,7 @@ import re
 
 import pytest
 
-from gdoa_susy import cli
+from gdoa_susy import cli, realizations
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -43,13 +43,13 @@ def mask_elapsed(text: str) -> str:
     return re.sub(r"checks, [0-9.]+ ms\)", "checks, <elapsed> ms)", text)
 
 
-def render(command: str, family: str, output: str, directory: str) -> str:
+def render(command: str, family: str, output: str, directory: str, *flags: str) -> str:
     path = os.path.join(directory, f"{family}.json")
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(CONFIGS[family], handle)
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
-        code = cli.main([command, "--config", path, "--output", output])
+        code = cli.main([command, "--config", path, "--output", output, *flags])
     assert code == 0
     return mask_elapsed(stdout.getvalue())
 
@@ -63,3 +63,35 @@ def test_default_output_matches_golden(command, family, output, tmp_path):
     with open(golden_path(command, family, output), encoding="utf-8") as handle:
         expected = handle.read()
     assert render(command, family, output, str(tmp_path)) == expected
+
+
+def golden_reduce_for_mu(output: str, mu: str) -> str:
+    """The golden reduce output with only the entries of the parities mu selects."""
+    with open(golden_path("reduce", "cv", output), encoding="utf-8") as handle:
+        text = handle.read()
+    if mu == "both":
+        return text
+    if output == "json":
+        payload = json.loads(text)
+        payload["entries"] = [e for e in payload["entries"] if e["mu"] == int(mu)]
+        return json.dumps(payload, indent=2) + "\n"
+    lines = text.splitlines(keepends=True)
+    if output == "text":
+        return "".join(line for line in lines if " mu=" not in line or f" mu={mu} " in line)
+    return "".join(line for line in lines if line.startswith(("mu,", f"{mu},")))
+
+
+@pytest.mark.parametrize("output", SUFFIX)
+@pytest.mark.parametrize("mu, builds", [("0", [0]), ("1", [1]), ("both", [0, 1])])
+def test_reduce_builds_only_the_printed_parities(mu, builds, output, tmp_path, monkeypatch):
+    built = []
+    original = realizations._cv_build
+
+    def counting(spec, parity, dim, backend):
+        built.append(parity)
+        return original(spec, parity, dim, backend)
+
+    monkeypatch.setattr(realizations, "_cv_build", counting)
+    printed = render("reduce", "cv", output, str(tmp_path), "--mu", mu)
+    assert built == builds
+    assert printed == golden_reduce_for_mu(output, mu)

@@ -187,6 +187,20 @@ class TestExactScalar:
         assert s * Fraction(3, 2) == ExactScalar(Fraction(3, 2), 0, 2)
         assert 2 * s == ExactScalar(2, 0, 2)
 
+    def test_equality_reads_every_part(self):
+        # (1 + 2i)/5 * sqrt(2/3), and one value per stored part p, q, d, rn, rd
+        # that differs from it in that part only
+        base = ExactScalar(Fraction(1, 5), Fraction(2, 5), Fraction(2, 3))
+        others = [
+            ExactScalar(Fraction(2, 5), Fraction(2, 5), Fraction(2, 3)),
+            ExactScalar(Fraction(1, 5), Fraction(3, 5), Fraction(2, 3)),
+            ExactScalar(Fraction(1, 7), Fraction(2, 7), Fraction(2, 3)),
+            ExactScalar(Fraction(1, 5), Fraction(2, 5), Fraction(5, 3)),
+            ExactScalar(Fraction(1, 5), Fraction(2, 5), Fraction(2, 7)),
+        ]
+        assert base == ExactScalar(Fraction(1, 5), Fraction(2, 5), Fraction(2, 3))
+        assert all(base != other and other != base for other in others)
+
     def test_immutability(self):
         s = ExactScalar(1)
         with pytest.raises(AttributeError):
@@ -402,6 +416,14 @@ def _parts(x):
     return (x.re, x.im, x.rad)
 
 
+def _assert_same(result, reference):
+    """Equal parts, and equal under ``==`` and ``hash``: ``re``/``im``/``rad``
+    reduce through Fraction, so only ``==`` sees an unreduced internal form."""
+    assert _parts(result) == _parts(reference)
+    assert result == reference
+    assert hash(result) == hash(reference)
+
+
 _small = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 _coefficients = st.one_of(st.just(Fraction(0)), _small, st.fractions(max_denominator=10**9))
 _radicands = st.one_of(
@@ -415,16 +437,16 @@ _scalars = st.builds(ExactScalar, _coefficients, st.one_of(st.just(0), _coeffici
 @settings(max_examples=250)
 @given(_scalars, _scalars)
 def test_mul_matches_reference(a, b):
-    assert _parts(a * b) == _parts(_ref_mul(a, b))
-    assert _parts(b * a) == _parts(_ref_mul(a, b))
+    _assert_same(a * b, _ref_mul(a, b))
+    _assert_same(b * a, _ref_mul(a, b))
 
 
 @settings(max_examples=200)
 @given(_scalars, st.one_of(st.integers(-50, 50), _small))
 def test_rational_mul_matches_reference(a, k):
     expected = ExactScalar(a.re * k, a.im * k, a.rad)
-    assert _parts(a * k) == _parts(expected)
-    assert _parts(k * a) == _parts(expected)
+    _assert_same(a * k, expected)
+    _assert_same(k * a, expected)
 
 
 @settings(max_examples=250)
@@ -440,16 +462,31 @@ def test_add_sub_match_reference(a, b, same_radicand):
             with pytest.raises(ExactnessError):
                 result()
         else:
-            assert _parts(result()) == _parts(expected)
+            _assert_same(result(), expected)
 
 
 @settings(max_examples=300)
 @given(_scalars)
 def test_neg_conjugate_magnitude_match_reference(a):
-    assert _parts(-a) == _parts(_ref_neg(a))
-    assert _parts(a.conjugate()) == _parts(ExactScalar(a.re, -a.im, a.rad))
+    _assert_same(-a, _ref_neg(a))
+    _assert_same(a.conjugate(), ExactScalar(a.re, -a.im, a.rad))
     assert float.hex(a.magnitude()) == float.hex(_ref_magnitude(a))
-    assert _parts(a - a) == _parts(ExactScalar(0))
+    _assert_same(a - a, ExactScalar(0))
+
+
+@settings(max_examples=300)
+@given(_scalars)
+def test_parts_rebuild_the_same_scalar(a):
+    _assert_same(a, ExactScalar(a.re, a.im, a.rad))
+
+
+@settings(max_examples=300)
+@given(_scalars)
+def test_to_complex_rounds_like_the_fraction_parts(a):
+    root = math.sqrt(float(a.rad))
+    got, expected = a.to_complex(), complex(float(a.re) * root, float(a.im) * root)
+    assert float.hex(got.real) == float.hex(expected.real)
+    assert float.hex(got.imag) == float.hex(expected.imag)
 
 
 # -- differential tests: diagonal storage against the dict-of-entries kernel --

@@ -10,14 +10,20 @@ from itertools import product
 import pytest
 
 from gdoa_susy import realizations, verify
-from gdoa_susy.fock import OscillatorSpec
+from gdoa_susy.fock import OscillatorSpec, guard_band_equal
 from gdoa_susy.grading import (
     GradedOperator,
     GradingError,
     check_antisymmetry,
     jacobi_defect,
 )
-from gdoa_susy.numerics import Backend, BandMatrix, TolerancePolicy
+from gdoa_susy.numerics import (
+    Backend,
+    BandMatrix,
+    ExactScalar,
+    TolerancePolicy,
+    anticommutator,
+)
 from gdoa_susy.realizations import (
     DEGREE_H,
     DEGREE_Q01,
@@ -136,6 +142,16 @@ class TestSuitesOverSpecs:
 
 
 class TestFaultDetection:
+    # the closure checks that H substituted for Z breaks, on either backend
+    SWAPPED_Z_FAILURES = {
+        "closure[Q10,Q01]",
+        "closure[Q10,Z]",
+        "closure[Q01,Q10]",
+        "closure[Q01,Z]",
+        "closure[Z,Q10]",
+        "closure[Z,Q01]",
+    }
+
     def _corrupt_h(self, r, key=(0, 0), value=complex(1.0)):
         bumped = r.H.matrix + BandMatrix(r.dim, r.backend, {key: value})
         return replace(r, H=GradedOperator(bumped, DEGREE_H, "H"))
@@ -166,24 +182,32 @@ class TestFaultDetection:
         assert not check.passed
         assert abs(check.residual - 1.0) < 1e-12
 
-    def test_swapped_central_element_fails_closure_only(self):
-        # Substituting H for Z leaves antisymmetry and every Jacobi defect at
-        # rounding level -- those are associative-algebra identities -- but six
-        # of the sixteen closure checks break.
-        r = cv_realization(Fraction(1, 2), 1, 16)
+    def test_corrupted_h_fails_exact_backend(self):
+        r = cv_realization(Fraction(1, 2), 0, 16, Backend.EXACT)
+        r = self._corrupt_h(r, value=ExactScalar(1))
+        report = run_all_suites(r)
+        check = by_name(report)["standard/anticommutator-gives-h"]
+        assert not check.passed and not report.passed
+        assert check.residual == 1.0
+        cmp = guard_band_equal(anticommutator(r.Qdag.matrix, r.Q.matrix), r.H.matrix, 1)
+        assert cmp.residual == 1.0 and not cmp.exact_zero
+
+    def _swapped_central_element_failures(self, backend):
+        r = cv_realization(Fraction(1, 2), 1, 16, backend)
         h = hermitian_charges(r)
         faulty = replace(h, Z=GradedOperator(h.H.matrix, DEGREE_Z, "Z"))
         report = run_jacobi_suite(faulty)
         assert not report.passed
-        failed = {c.name for c in report.checks if not c.passed}
-        assert failed == {
-            "closure[Q10,Q01]",
-            "closure[Q10,Z]",
-            "closure[Q01,Q10]",
-            "closure[Q01,Z]",
-            "closure[Z,Q10]",
-            "closure[Z,Q01]",
-        }
+        return {c.name for c in report.checks if not c.passed}
+
+    def test_swapped_central_element_fails_closure_only(self):
+        # Substituting H for Z leaves antisymmetry and every Jacobi defect at
+        # rounding level -- those are associative-algebra identities -- but six
+        # of the sixteen closure checks break.
+        assert self._swapped_central_element_failures(Backend.FLOAT) == self.SWAPPED_Z_FAILURES
+
+    def test_swapped_central_element_fails_closure_only_exact(self):
+        assert self._swapped_central_element_failures(Backend.EXACT) == self.SWAPPED_Z_FAILURES
 
 
 class TestJacobiSuite:
