@@ -9,9 +9,11 @@ parity labels ``mu`` selects and, exact by construction, reads no backend or
 tolerance.  Each command renders
 its result through one :func:`_emit` call in the requested format.
 
-Exit codes: 0 all requested checks passed; 1 at least one relation failed;
-2 configuration or validation error (including a dim above ``MAX_DIM`` and
-values the requested backend or output cannot hold); 3 I/O error.
+Exit codes: 0 all requested checks passed; 1 at least one relation failed,
+or (``spectrum``) Z does not split a doublet or levels share an energy
+beyond their doublets; 2 configuration or validation error (including a dim
+above ``MAX_DIM`` and values the requested backend or output cannot hold);
+3 I/O error.
 """
 
 from __future__ import annotations
@@ -28,14 +30,14 @@ from .fock import OscillatorSpec, ValidationError, fits_double, structure_values
 from .grading import GradingError
 from .numerics import Backend, NumericsError, TolerancePolicy, parse_rational
 from .realizations import (
+    DegeneracyReport,
     RealizationSet,
     ReductionReport,
     SpectrumTable,
     _cv_build,
+    degeneracy_pairs,
     gdoa_realization,
     hermitian_charges,
-    pair_partner,
-    pair_index,
     reduction_check,
     spectrum_H,
 )
@@ -159,9 +161,7 @@ def _parse_config(raw: object, overrides: argparse.Namespace | None) -> Config:
 
     if mu_value == "both":
         mus: tuple[int, ...] = (0, 1)
-    elif isinstance(mu_value, bool):
-        raise ConfigError("'mu' must be 0, 1, or \"both\"")
-    elif isinstance(mu_value, int) and mu_value in (0, 1):
+    elif type(mu_value) is int and mu_value in (0, 1):  # rejects true/false too
         mus = (mu_value,)
     else:
         raise ConfigError("'mu' must be 0, 1, or \"both\"")
@@ -278,41 +278,46 @@ def _emit_reports(reports: Sequence[VerificationReport], output: str) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _spectrum_rows(table: SpectrumTable) -> list[dict]:
+def _spectrum_rows(table: SpectrumTable, report: DegeneracyReport) -> list[dict]:
+    labels = {}
+    for pair in report.pairs:  # high is the doublet's level m, its label p{m // 2}
+        labels[pair.low] = labels[pair.high] = f"p{pair.high // 2}"
     rows = []
-    present = {row.n for row in table.rows}
     for row in table.rows:
-        partner = pair_partner(table.mu, row.n)
-        if partner is None or partner not in present:
-            pair = None
-        else:
-            pair = f"p{pair_index(table.mu, row.n)}"
         try:
             energy, central = str(row.energy), str(row.central)
         except ValueError:  # beyond the interpreter's int-to-str digit limit
             raise ConfigError(f"E({row.n}) has too many digits to print") from None
-        rows.append({"n": row.n, "E": energy, "Z": central, "pair": pair})
+        rows.append({"n": row.n, "E": energy, "Z": central, "pair": labels.get(row.n)})
     return rows
 
 
-def _spectrum_text(table: SpectrumTable) -> str:
+def _spectrum_text(table: SpectrumTable, report: DegeneracyReport) -> str:
     lines = [
         f"spec: {table.spec.describe()}  mu={table.mu}  n_max={table.n_max}"
         f"  verdict: {table.verdict}",
         "  n     E           Z           pair",
     ]
-    for row in _spectrum_rows(table):
-        pair = row["pair"] or "-"
-        lines.append(f"  {row['n']:<5d} {row['E']:<11s} {row['Z']:<11s} {pair}")
+    for row in _spectrum_rows(table, report):
+        lines.append(f"  {row['n']:<5d} {row['E']:<11s} {row['Z']:<11s} {row['pair'] or '-'}")
     return "\n".join(lines)
 
 
-def _spectrum_csv(table: SpectrumTable) -> str:
+def _spectrum_csv(table: SpectrumTable, report: DegeneracyReport) -> str:
     lines = ["n,E,Z,pair,verdict"]
-    for row in _spectrum_rows(table):
-        pair = row["pair"] or "-"
-        lines.append(f"{row['n']},{row['E']},{row['Z']},{pair},{table.verdict}")
+    for row in _spectrum_rows(table, report):
+        lines.append(f"{row['n']},{row['E']},{row['Z']},{row['pair'] or '-'},{table.verdict}")
     return "\n".join(lines)
+
+
+def _unresolved(report: DegeneracyReport) -> str | None:
+    """What Z leaves unresolved, by level only (an energy may be unprintable)."""
+    unsplit = next((pair for pair in report.pairs if not pair.z_splits), None)
+    if unsplit is not None:
+        return f"doublet ({unsplit.low}, {unsplit.high}) is not split by opposite nonzero Z"
+    if report.accidental:
+        return f"levels {', '.join(map(str, report.accidental[0].levels))} share one energy"
+    return None
 
 
 def _reduce_text(report: ReductionReport) -> str:
@@ -348,21 +353,26 @@ def cmd_verify(config: Config) -> int:
 
 
 def cmd_spectrum(config: Config, n_max: int | None) -> int:
-    if n_max is None:
-        n_max = config.dim - 2
-    if n_max < 0 or n_max > config.dim - 2:
+    n_max = config.dim - 2 if n_max is None else n_max
+    if not 0 <= n_max <= config.dim - 2:
         raise ConfigError(f"n_max must lie in [0, dim-2] = [0, {config.dim - 2}]")
     tables = [spectrum_H(config.spec, mu, n_max) for mu in config.mus]
+    reports = [degeneracy_pairs(t) for t in tables]
     _emit(config.output, {
-        "text": lambda: "\n\n".join(_spectrum_text(t) for t in tables),
+        "text": lambda: "\n\n".join(map(_spectrum_text, tables, reports)),
         "json": lambda: json.dumps([
             {"spec": t.spec.describe(), "mu": t.mu, "dim": config.dim, "n_max": t.n_max,
-             "verdict": t.verdict, "rows": _spectrum_rows(t)}
-            for t in tables
+             "verdict": t.verdict, "rows": _spectrum_rows(t, r)}
+            for t, r in zip(tables, reports)
         ], indent=2),
-        "csv": lambda: "\n\n".join(_spectrum_csv(t) for t in tables),
+        "csv": lambda: "\n\n".join(map(_spectrum_csv, tables, reports)),
     })
-    return 0
+    code = 0
+    for table, report in zip(tables, reports):
+        if (failure := _unresolved(report)) is not None:
+            print(f"spectrum: mu={table.mu} {failure}", file=sys.stderr)
+            code = 1
+    return code
 
 
 def cmd_reduce(config: Config) -> int:

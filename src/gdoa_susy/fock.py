@@ -33,6 +33,7 @@ from .exprlang import (
     printable,
     validate_structure_function,
 )
+from .grading import guard_columns
 from .numerics import (
     Backend,
     BandMatrix,
@@ -231,8 +232,4 @@ def guard_band_equal(
     policy: TolerancePolicy = DEFAULT_POLICY,
 ) -> MatrixComparison:
     """Compare two matrices on the source columns [0, dim-1-guard_band]."""
-    if guard_band < 0:
-        raise ValidationError("guard band must be nonnegative")
-    if guard_band >= a.dim:
-        raise ValidationError(f"guard band {guard_band} leaves no columns in dim {a.dim}")
-    return approx_equal_matrix(a, b, policy, range(a.dim - guard_band))
+    return approx_equal_matrix(a, b, policy, guard_columns(a.dim, guard_band))

@@ -25,7 +25,7 @@ from .numerics import BandMatrix, _top
 
 
 class GradingError(ValueError):
-    """Degree bookkeeping failure (length mismatch, missing degree)."""
+    """Degree or guard-band bookkeeping failure (length mismatch, missing degree)."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,6 +114,16 @@ def check_antisymmetry(x: GradedOperator, y: GradedOperator) -> float:
     return antisymmetry_residual(sign, graded_bracket(x, y).matrix, graded_bracket(y, x).matrix)
 
 
+JACOBI_GUARD_BAND = 3  # nested brackets of band-1 generators reach band 3
+
+
+def guard_columns(dim: int, guard_band: int) -> range:
+    """Source columns [0, dim-1-guard_band] left to compare by the guard band."""
+    if not 0 <= guard_band < dim:
+        raise GradingError(f"guard band {guard_band} invalid for dim {dim}")
+    return range(dim - guard_band)
+
+
 def jacobi_sum(
     terms: Sequence[tuple[int, BandMatrix]], guard_band: int
 ) -> tuple[float, float]:
@@ -122,23 +132,20 @@ def jacobi_sum(
     The top guard_band columns are excluded; the scale is the largest entry of
     the unsigned terms on the compared columns, NaN if any entry there is NaN.
     """
-    dim = terms[0][1].dim
-    if guard_band < 0 or guard_band >= dim:
-        raise GradingError(f"guard band {guard_band} invalid for dim {dim}")
-    cols = range(dim - guard_band)
+    cols = guard_columns(terms[0][1].dim, guard_band)
     signed = [matrix if sign == 1 else -matrix for sign, matrix in terms]
     scale = _top([matrix.max_abs(cols) for _, matrix in terms])
     return sum(signed[1:], signed[0]).max_abs(cols), scale
 
 
 def jacobi_defect(
-    x: GradedOperator, y: GradedOperator, z: GradedOperator, guard_band: int = 3
+    x: GradedOperator, y: GradedOperator, z: GradedOperator, guard_band: int = JACOBI_GUARD_BAND
 ) -> tuple[float, float]:
     """(residual, scale) of the sign-weighted cyclic Jacobi sum.
 
-    Nested brackets of band-1 generators reach band 3, so the top guard_band
-    columns (default 3) are excluded.  The scale is the largest entry of the
-    three cyclic terms on the compared columns.
+    The top guard_band columns (default :data:`JACOBI_GUARD_BAND`) are
+    excluded.  The scale is the largest entry of the three cyclic terms on the
+    compared columns.
     """
     dx, dy, dz = x.require_degree(), y.require_degree(), z.require_degree()
     return jacobi_sum(

@@ -149,10 +149,6 @@ class ExactScalar:
     def rad(self) -> Fraction:
         return Fraction(self._rn, self._rd)
 
-    @property
-    def is_zero(self) -> bool:
-        return not (self._p or self._q)
-
     def __bool__(self) -> bool:
         return self._p != 0 or self._q != 0
 

@@ -20,10 +20,13 @@ coincide under the swap Q <-> Q+, Z <-> -Z with identical H;
 :func:`reduction_check` verifies that swap exactly.
 
 Spectra come from closed-form level formulas (exact rationals), independent of
-the matrix construction: levels pair as (2k+1, 2k+2) for mu = 0 with a unique
-unpaired ground state at zero energy, and as (2k, 2k+1) for mu = 1.  Within a
-pair the two central-charge eigenvalues are opposite, which is what separates
-the paired states.
+the matrix construction.  One rule, :func:`_level`, maps level n to the level m
+whose F sets E_n: m = n when n % 2 == mu, else n + 1.  Levels sharing m form
+one doublet, labelled ``p{m // 2}``: (2k+1, 2k+2) for mu = 0, whose m = 0 is the
+unpaired ground state, and (2k, 2k+1) for mu = 1.  The energies, the
+doublets of :func:`degeneracy_pairs` and the CLI's pair labels all read it.
+Within a doublet the two central-charge eigenvalues are opposite, which is
+what separates the paired states.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Sequence
+from functools import cached_property, partial
+from typing import Callable, Sequence
 
 from .fock import (
     OscillatorSpec,
@@ -83,28 +86,34 @@ def _require_mu(mu: int) -> None:
         raise ValidationError(f"mu must be 0 or 1, got {mu!r}")
 
 
-def _cv_energy(kappa: Fraction, mu: int, n: int) -> Fraction:
-    """Closed-form level n of the reflection oscillator family."""
-    if mu == 0:
-        # E = 0, 2, 2, 4, 4, ...: the k-th pair (2k+1, 2k+2) sits at 2k+2
-        return Fraction(n if n % 2 == 0 else n + 1)
-    # E = 1+kappa, 1+kappa, 3+kappa, ...: pair (2k, 2k+1) at 2k+1+kappa
-    return Fraction(n + 1 if n % 2 == 0 else n) + kappa
+def _level(mu: int, n: int) -> int:
+    """The level m whose F sets E_n: n on the charge-lowering sector, n + 1 off it."""
+    return n if n % 2 == mu else n + 1
 
 
-def _gdoa_energy(values: tuple[Fraction, ...], weights: dict, mu: int, n: int) -> Fraction | float:
-    """Level n of the weighted family: f(m)^2 F(m)."""
-    # m = n on the charge-lowering sector, m = n + 1 off it
-    m = n if (n % 2 == mu) else n + 1
-    if values[m] == 0:
-        return Fraction(0)
-    return weights[m] ** 2 * values[m]
+def _cv_energy(kappa: Fraction, m: int) -> Fraction:
+    """Closed-form F(m) of the reflection oscillator: m, plus kappa for odd m."""
+    return Fraction(m) + kappa if m % 2 else Fraction(m)
+
+
+def _gdoa_energy(values: tuple[Fraction, ...], weights: dict, m: int) -> Fraction | float:
+    """Energy f(m)^2 F(m) of the weighted family (f(0) is undefined, F(0) = 0)."""
+    return weights[m] ** 2 * values[m] if values[m] else Fraction(0)
+
+
+def _energies(mu: int, count: int, energy: Callable[[int], Fraction | float]) -> list:
+    """E_0..E_(count-1), calling energy(m) once per level m that sets them."""
+    levels = [_level(mu, n) for n in range(count)]
+    by_level = {m: energy(m) for m in dict.fromkeys(levels)}
+    return [by_level[m] for m in levels]
 
 
 def _central_charges(energies: Sequence[Fraction | float], mu: int, convention: str) -> list:
     """Z_n = s (-1)^n E_n with s = -(-1)^mu for 'cv' and (-1)^mu for 'gdoa'."""
-    sign = (-1 if mu == 0 else 1) * (1 if convention == "cv" else -1)
-    return [sign * (-1 if n % 2 else 1) * energy for n, energy in enumerate(energies)]
+    charges = list(energies)
+    first = 0 if (mu == 0) == (convention == "cv") else 1  # first level with s (-1)^n = -1
+    charges[first::2] = [-energy for energy in energies[first::2]]
+    return charges
 
 
 def cv_realization(
@@ -124,7 +133,7 @@ def _cv_build(spec: OscillatorSpec, mu: int, dim: int, backend: Backend) -> Real
     else:
         qdag_matrix = rep.a @ rep.odd_projector
         q_matrix = rep.a_dag @ rep.even_projector
-    h_diag = tuple(_cv_energy(spec.kappa, mu, n) for n in range(dim))
+    h_diag = tuple(_energies(mu, dim, partial(_cv_energy, spec.kappa)))
     z_diag = tuple(_central_charges(h_diag, mu, "cv"))
     return RealizationSet(
         spec=spec,
@@ -163,7 +172,7 @@ def gdoa_realization(
     try:
         qdag_matrix = BandMatrix(dim, backend, {(m, m - 1): edge(m) for m in raising_targets})
         q_matrix = BandMatrix(dim, backend, {(m - 1, m): edge(m) for m in raising_targets})
-        energies = [_gdoa_energy(values, weights, mu, n) for n in range(dim)]
+        energies = _energies(mu, dim, partial(_gdoa_energy, values, weights))
         charges = _central_charges(energies, mu, "gdoa")
         h_matrix = BandMatrix.diagonal(energies, backend)
         z_matrix = BandMatrix.diagonal(charges, backend)
@@ -266,7 +275,8 @@ class SpectrumTable:
         return "unbroken" if any(row.energy == 0 for row in self.rows) else "broken"
 
 
-def _closed_form_values(spec: OscillatorSpec, mu: int, n_max: int) -> list[SpectrumRow]:
+def spectrum_H(spec: OscillatorSpec, mu: int, n_max: int) -> SpectrumTable:
+    """Closed-form spectrum table (energy column is the primary payload)."""
     _require_mu(mu)
     if n_max < 0:
         raise ValidationError("n_max must be nonnegative")
@@ -274,37 +284,13 @@ def _closed_form_values(spec: OscillatorSpec, mu: int, n_max: int) -> list[Spect
         raise ValidationError("spectrum tables require an exactly evaluable weight (no sqrt)")
     values = structure_values(spec, n_max + 1)
     if spec.is_calogero_vasiliev:
-        energies = [_cv_energy(spec.kappa, mu, n) for n in range(n_max + 1)]
-        convention = "cv"
+        energy = partial(_cv_energy, spec.kappa)
     else:
-        weights = _weight_levels(spec, n_max + 1)
-        energies = [_gdoa_energy(values, weights, mu, n) for n in range(n_max + 1)]
-        convention = "gdoa"
-    charges = _central_charges(energies, mu, convention)
-    return [SpectrumRow(n, e, z) for n, (e, z) in enumerate(zip(energies, charges))]
-
-
-def spectrum_H(spec: OscillatorSpec, mu: int, n_max: int) -> SpectrumTable:
-    """Closed-form spectrum table (energy column is the primary payload)."""
-    return SpectrumTable(spec, mu, n_max, tuple(_closed_form_values(spec, mu, n_max)))
-
-
-def pair_partner(mu: int, n: int) -> int | None:
-    """Structural degeneracy partner of level n, or None for the mu=0 ground state."""
-    _require_mu(mu)
-    if mu == 0:
-        if n == 0:
-            return None
-        return n + 1 if n % 2 else n - 1
-    return n + 1 if n % 2 == 0 else n - 1
-
-
-def pair_index(mu: int, n: int) -> int | None:
-    """Index k of the pair containing level n ((2k+1, 2k+2) for mu=0, (2k, 2k+1) for mu=1)."""
-    _require_mu(mu)
-    if mu == 0:
-        return None if n == 0 else (n + 1) // 2
-    return n // 2
+        energy = partial(_gdoa_energy, values, _weight_levels(spec, n_max + 1))
+    energies = _energies(mu, n_max + 1, energy)
+    charges = _central_charges(energies, mu, "cv" if spec.is_calogero_vasiliev else "gdoa")
+    rows = tuple(map(SpectrumRow, range(n_max + 1), energies, charges))
+    return SpectrumTable(spec, mu, n_max, rows)
 
 
 @dataclass(frozen=True)
@@ -318,12 +304,9 @@ class DegeneratePair:
     z_high: Fraction
 
     @property
-    def z_opposite(self) -> bool:
-        return self.z_low == -self.z_high
-
-    @property
-    def z_nonzero(self) -> bool:
-        return self.z_low != 0
+    def z_splits(self) -> bool:
+        """True when opposite nonzero Z eigenvalues tell the two levels apart."""
+        return self.z_low != 0 and self.z_low == -self.z_high
 
 
 @dataclass(frozen=True)
@@ -356,42 +339,36 @@ class DegeneracyReport:
     @property
     def z_resolves(self) -> bool:
         """True when every pair is split by opposite nonzero Z eigenvalues."""
-        return all(p.z_opposite and p.z_nonzero for p in self.pairs)
+        return all(p.z_splits for p in self.pairs)
 
 
 def degeneracy_pairs(table: SpectrumTable) -> DegeneracyReport:
-    """Group the table into structural doublets and flag accidental collisions."""
-    rows = {row.n: row for row in table.rows}
+    """Group the table's levels by :func:`_level` into doublets and unpaired
+    levels, and flag energies that more than one group shares."""
+    _require_mu(table.mu)
+    groups: dict[int, list[SpectrumRow]] = {}
+    for row in table.rows:
+        groups.setdefault(_level(table.mu, row.n), []).append(row)
     pairs: list[DegeneratePair] = []
     unpaired: list[UnpairedLevel] = []
-    expected_groups: list[tuple[int, ...]] = []
-    for n, row in rows.items():
-        partner = pair_partner(table.mu, n)
-        if partner is None:
-            unpaired.append(UnpairedLevel(n, row.energy, "ground"))
-            expected_groups.append((n,))
-        elif partner not in rows:
-            unpaired.append(UnpairedLevel(n, row.energy, "truncated"))
-            expected_groups.append((n,))
-        elif partner > n:
-            mate = rows[partner]
+    by_energy: dict[Fraction, list[list[SpectrumRow]]] = {}
+    for m, group in groups.items():
+        row = group[0]
+        if len(group) == 2:
+            mate = group[1]
             if mate.energy != row.energy:
-                raise ValidationError(
-                    f"levels {n} and {partner} should be degenerate: "
-                    f"{row.energy} != {mate.energy}"
-                )
-            pairs.append(DegeneratePair(n, partner, row.energy, row.central, mate.central))
-            expected_groups.append((n, partner))
-    by_energy: dict[Fraction, list[int]] = {}
-    for n, row in rows.items():
-        by_energy.setdefault(row.energy, []).append(n)
-    expected = {group for group in expected_groups}
-    accidental = tuple(
-        AccidentalGroup(energy, tuple(levels))
-        for energy, levels in sorted(by_energy.items())
-        if tuple(levels) not in expected
+                raise ValidationError(f"levels {row.n} and {mate.n} should be degenerate: "
+                                      f"{row.energy} != {mate.energy}")
+            pairs.append(DegeneratePair(row.n, mate.n, row.energy, row.central, mate.central))
+        else:
+            unpaired.append(UnpairedLevel(row.n, row.energy, "ground" if m == 0 else "truncated"))
+        by_energy.setdefault(row.energy, []).append(group)
+    accidental = sorted(
+        (AccidentalGroup(energy, tuple(r.n for group in shared for r in group))
+         for energy, shared in by_energy.items() if len(shared) > 1),
+        key=lambda group: group.energy,
     )
-    return DegeneracyReport(table.mu, table.n_max, tuple(pairs), tuple(unpaired), accidental)
+    return DegeneracyReport(table.mu, table.n_max, tuple(pairs), tuple(unpaired), tuple(accidental))
 
 
 @dataclass(frozen=True)

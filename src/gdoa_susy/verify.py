@@ -42,6 +42,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .fock import guard_band_equal
 from .grading import (
+    JACOBI_GUARD_BAND,
     GradedOperator,
     antisymmetry_residual,
     graded_bracket,
@@ -339,10 +340,6 @@ def run_hermitian_suite(
     q-form suite's does.
     """
     return _run_tables(r, (HERMITIAN_RELATIONS,), policy, True, hermitian_charges(r))[0]
-
-
-# Nested brackets of band-1 generators reach band 3.
-JACOBI_GUARD_BAND = 3
 
 
 def _closure_expectation(

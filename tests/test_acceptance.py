@@ -102,7 +102,7 @@ def test_c3_degeneracy_resolution():
             report = degeneracy_pairs(spectrum_H(spec, mu, n_max))
             assert report.pairs, (kappa, mu)
             for pair in report.pairs:
-                assert pair.z_opposite and pair.z_nonzero, (kappa, mu, pair)
+                assert pair.z_low == -pair.z_high != 0, (kappa, mu, pair)
             unpaired = [(u.n, u.reason) for u in report.unpaired]
             if mu == 0:
                 assert unpaired == [(0, "ground")], (kappa, unpaired)

@@ -20,6 +20,32 @@ def write_config(tmp_path, payload, name="config.json"):
 CV_HALF = {"algebra": {"type": "calogero_vasiliev", "kappa": "1/2"}}
 
 
+# Spectra whose degenerate levels Z does not tell apart: six levels at E = 1
+# carry only Z = -1 and 1, and the doublet (0, 1) sits at E = 0 with Z = 0.
+SIX_FOLD_LEVEL = """\
+spec: gdoa(F=n^2, f=1/n)  mu=0  n_max=6  verdict: unbroken
+  n     E           Z           pair
+  0     0           0           -
+  1     1           -1          p1
+  2     1           1           p1
+  3     1           -1          p2
+  4     1           1           p2
+  5     1           -1          p3
+  6     1           1           p3
+"""
+ZERO_DOUBLET = """\
+spec: gdoa(F=n^2, f=n-1)  mu=1  n_max=6  verdict: unbroken
+  n     E           Z           pair
+  0     0           0           p0
+  1     0           0           p0
+  2     36          -36         p1
+  3     36          36          p1
+  4     400         -400        p2
+  5     400         400         p2
+  6     1764        -1764       -
+"""
+
+
 class TestConfigLoading:
     def test_defaults(self, tmp_path):
         config = load_config(write_config(tmp_path, CV_HALF))
@@ -555,6 +581,38 @@ class TestSpectrumCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "verdict: unbroken" in out
+
+    @pytest.mark.parametrize("family", [CV_HALF, {
+        "algebra": {"type": "gdoa", "F": "n^3 + 2*n"}, "f": "n+1",
+    }], ids=["cv", "gdoa"])
+    @pytest.mark.parametrize("mu", [0, 1])
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 7, 8])
+    def test_pair_labels_follow_the_doublets(self, tmp_path, capsys, family, mu, n_max):
+        # mu = 0: (2k+1, 2k+2) is p{k+1}; mu = 1: (2k, 2k+1) is p{k}; a level
+        # whose partner lies past n_max has no label
+        expected = [None] * (n_max + 1)
+        for k in range(n_max):
+            low, label = (2 * k + 1, f"p{k + 1}") if mu == 0 else (2 * k, f"p{k}")
+            if low + 1 <= n_max:
+                expected[low] = expected[low + 1] = label
+        argv = ["spectrum", "--config", write_config(tmp_path, family), "--dim", "10",
+                "--mu", str(mu), "--nmax", str(n_max), "--output", "json"]
+        assert main(argv) == 0
+        rows = json.loads(capsys.readouterr().out)[0]["rows"]
+        assert [row["pair"] for row in rows] == expected
+
+    @pytest.mark.parametrize("weight, mu, stdout, message", [
+        ("1/n", 0, SIX_FOLD_LEVEL, "spectrum: mu=0 levels 1, 2, 3, 4, 5, 6 share one energy"),
+        ("n-1", 1, ZERO_DOUBLET, "spectrum: mu=1 doublet (0, 1) is not split"),
+    ], ids=["accidental", "unsplit"])
+    def test_unresolved_degeneracy_exits_one(self, tmp_path, capsys, weight, mu, stdout,
+                                             message):
+        payload = {"algebra": {"type": "gdoa", "F": "n^2"}, "f": weight, "mu": mu, "dim": 8}
+        assert main(["spectrum", "--config", write_config(tmp_path, payload)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == stdout
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert captured.err.startswith(message)
 
 
 class TestReduceCommand:

@@ -1,5 +1,6 @@
 """Tests for charge realizations, spectra, degeneracy pairing, and reduction."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -15,13 +16,12 @@ from gdoa_susy.numerics import (
     approx_equal_matrix,
 )
 from gdoa_susy.realizations import (
+    SpectrumRow,
     cv_realization,
     degeneracy_pairs,
     exact_variant,
     gdoa_realization,
     hermitian_charges,
-    pair_index,
-    pair_partner,
     reduction_check,
     spectrum_H,
 )
@@ -288,47 +288,62 @@ class TestSpectra:
 
 
 class TestPairing:
-    def test_partner_mu0(self):
-        assert pair_partner(0, 0) is None
-        assert pair_partner(0, 1) == 2
-        assert pair_partner(0, 2) == 1
-        assert pair_partner(0, 5) == 6
-
-    def test_partner_mu1(self):
-        assert pair_partner(1, 0) == 1
-        assert pair_partner(1, 1) == 0
-        assert pair_partner(1, 4) == 5
-
-    def test_pair_index(self):
-        assert pair_index(0, 0) is None
-        assert pair_index(0, 1) == 1 and pair_index(0, 2) == 1
-        assert pair_index(0, 3) == 2
-        assert pair_index(1, 0) == 0 and pair_index(1, 1) == 0
-        assert pair_index(1, 5) == 2
-
-    def test_degeneracy_mu0(self):
+    @pytest.mark.parametrize("n_max, pairs, unpaired", [
+        (5, [(1, 2), (3, 4)], [(0, "ground"), (5, "truncated")]),
+        (8, [(1, 2), (3, 4), (5, 6), (7, 8)], [(0, "ground")]),
+        (9, [(1, 2), (3, 4), (5, 6), (7, 8)], [(0, "ground"), (9, "truncated")]),
+    ], ids=["nmax5", "nmax8", "nmax9"])
+    def test_degeneracy_mu0(self, n_max, pairs, unpaired):
         spec = OscillatorSpec.calogero_vasiliev(Fraction(1, 2))
-        report = degeneracy_pairs(spectrum_H(spec, 0, 5))
-        assert [(p.low, p.high) for p in report.pairs] == [(1, 2), (3, 4)]
-        assert [(u.n, u.reason) for u in report.unpaired] == [
-            (0, "ground"),
-            (5, "truncated"),
-        ]
+        report = degeneracy_pairs(spectrum_H(spec, 0, n_max))
+        assert [(p.low, p.high) for p in report.pairs] == pairs
+        assert [(u.n, u.reason) for u in report.unpaired] == unpaired
         assert report.accidental == ()
         assert report.z_resolves
 
-    def test_degeneracy_mu1(self):
+    @pytest.mark.parametrize("n_max, pairs, unpaired", [
+        (5, [(0, 1), (2, 3), (4, 5)], []),
+        (8, [(0, 1), (2, 3), (4, 5), (6, 7)], [(8, "truncated")]),
+        (9, [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)], []),
+    ], ids=["nmax5", "nmax8", "nmax9"])
+    def test_degeneracy_mu1(self, n_max, pairs, unpaired):
         spec = OscillatorSpec.calogero_vasiliev(Fraction(1, 2))
-        report = degeneracy_pairs(spectrum_H(spec, 1, 5))
-        assert [(p.low, p.high) for p in report.pairs] == [(0, 1), (2, 3), (4, 5)]
-        assert report.unpaired == ()
+        report = degeneracy_pairs(spectrum_H(spec, 1, n_max))
+        assert [(p.low, p.high) for p in report.pairs] == pairs
+        assert [(u.n, u.reason) for u in report.unpaired] == unpaired
+        assert report.accidental == ()
         assert report.z_resolves
+
+    @staticmethod
+    def _cv_half_rows(mu, n_max):
+        table = spectrum_H(OscillatorSpec.calogero_vasiliev(Fraction(1, 2)), mu, n_max)
+        return table, list(table.rows)
+
+    @pytest.mark.parametrize("mu", [0, 1])
+    def test_flipped_central_charge_is_not_resolved(self, mu):
+        # Z_n of one partner flipped: both levels of the doublet carry one Z
+        table, rows = self._cv_half_rows(mu, 6)
+        assert degeneracy_pairs(table).z_resolves
+        rows[3] = SpectrumRow(3, rows[3].energy, -rows[3].central)
+        report = degeneracy_pairs(replace(table, rows=tuple(rows)))
+        assert not report.z_resolves
+        unsplit = [(p.low, p.high) for p in report.pairs if not p.z_splits]
+        assert unsplit == [(3, 4) if mu == 0 else (2, 3)]
+
+    def test_equal_energies_of_two_pairs_make_one_accidental_group(self):
+        # doublet (3, 4) moved onto the energy of doublet (1, 2)
+        table, rows = self._cv_half_rows(0, 6)
+        for n in (3, 4):
+            rows[n] = SpectrumRow(n, rows[1].energy, rows[n - 2].central)
+        report = degeneracy_pairs(replace(table, rows=tuple(rows)))
+        assert report.z_resolves
+        assert [(g.energy, g.levels) for g in report.accidental] == [(2, (1, 2, 3, 4))]
 
     def test_zero_energy_pair_not_resolved(self):
         spec = OscillatorSpec.gdoa("n", weight="n - 1")
         report = degeneracy_pairs(spectrum_H(spec, 1, 5))
         bottom = report.pairs[0]
-        assert bottom.energy == 0 and bottom.z_opposite and not bottom.z_nonzero
+        assert bottom.energy == 0 and bottom.z_low == bottom.z_high == 0 and not bottom.z_splits
         assert not report.z_resolves
 
     def test_accidental_group(self):
@@ -340,9 +355,14 @@ class TestPairing:
         assert report.accidental[0].levels == (0, 1, 2)
         assert report.accidental[0].energy == 0
 
+    def test_pairing_rejects_a_parity_other_than_0_or_1(self):
+        table, _ = self._cv_half_rows(1, 3)
+        with pytest.raises(ValidationError, match="mu must be 0 or 1"):
+            degeneracy_pairs(replace(table, mu=2))
+
     def test_broken_degeneracy_raises(self):
         # A spectrum whose structural partners disagree is a construction bug.
-        from gdoa_susy.realizations import SpectrumRow, SpectrumTable
+        from gdoa_susy.realizations import SpectrumTable
 
         spec = OscillatorSpec.calogero_vasiliev(0)
         rows = (
