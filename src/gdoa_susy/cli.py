@@ -34,7 +34,7 @@ from .realizations import (
     RealizationSet,
     ReductionReport,
     SpectrumTable,
-    _cv_build,
+    cv_realization,
     degeneracy_pairs,
     gdoa_realization,
     hermitian_charges,
@@ -222,9 +222,8 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> Confi
 
 def build_realization(config: Config, mu: int) -> RealizationSet:
     """Materialize the configured realization on the float backend."""
-    if config.spec.kappa is not None:  # only calogero_vasiliev specs carry kappa
-        return _cv_build(config.spec, mu, config.dim, Backend.FLOAT)
-    return gdoa_realization(config.spec, mu, config.dim, Backend.FLOAT)
+    build = cv_realization if config.spec.is_calogero_vasiliev else gdoa_realization
+    return build(config.spec, mu, config.dim, Backend.FLOAT)
 
 
 # -- output helpers ---------------------------------------------------------

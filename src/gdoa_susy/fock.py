@@ -49,9 +49,6 @@ class ValidationError(ValueError):
     """A spec or structure function fails its domain constraints."""
 
 
-_BRACKET_SOURCE = "n + (kappa/2)*(1 - parity(n))"
-
-
 @dataclass(frozen=True)
 class OscillatorSpec:
     """A deformed oscillator: structure function F, weight function f.
@@ -90,7 +87,7 @@ class OscillatorSpec:
 
         value = parse_rational(kappa) if isinstance(kappa, str) else Fraction(kappa)
         return cls(
-            structure=parse_expr(_BRACKET_SOURCE),
+            structure=parse_expr("bracket(n)"),
             params={"kappa": value},
             weight=parse_expr("1"),
             kappa=value,

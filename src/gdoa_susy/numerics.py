@@ -210,7 +210,14 @@ class ExactScalar:
         # sqrt of the rational (re^2 + im^2) * rad under one int/int true
         # division, which rounds exactly as float(Fraction) does.
         p, q, d = self._p, self._q, self._d
-        return math.sqrt((p * p + q * q) * self._rn / (d * d * self._rd))
+        square, denominator = (p * p + q * q) * self._rn, d * d * self._rd
+        try:
+            return math.sqrt(square / denominator)
+        except OverflowError:  # |x|^2 is beyond the double range, |x| may not be
+            try:
+                return float(math.isqrt(square // denominator))
+            except OverflowError:
+                return math.inf
 
     def to_complex(self) -> complex:
         # p/d rounds exactly as float(self.re) does, rn/rd as float(self.rad)
@@ -345,7 +352,10 @@ def _exact_gap(x: ExactScalar, y: ExactScalar) -> float:
     try:
         return (x - y).magnitude()
     except ExactnessError:
-        return abs(x.to_complex() - y.to_complex())
+        try:
+            return abs(x.to_complex() - y.to_complex())
+        except OverflowError:  # a part beyond the double range
+            return math.inf
 
 
 @dataclass(frozen=True)

@@ -8,16 +8,18 @@ levels.  Two sign conventions are produced by the two construction families:
 * ``cv``: the reflection-deformed oscillator presentation, with
   Q+ = a P_mu, Q = a+ P_(1-mu) and Z = (-1)^(mu+1) T H.
 * ``gdoa``: the weighted family Q+ = f(N) a+ P_(1-mu), Q = f(N+1) a P_mu and
-  Z = (-1)^mu T H, written entry by entry from F and f: it builds no ladder
-  matrices.
+  Z = (-1)^mu T H.
 
-Every build and spectrum reads F, and a sqrt-free f, from its spec's level
-record (see :class:`~gdoa_susy.fock.OscillatorSpec`), and an exact variant is
-built from the same spec, so each is evaluated (F validated) once per spec.
+Both are written entry by entry, f(m) sqrt(F(m)) per edge, by one writer: no
+realization builds a ladder.  Every build and spectrum reads F, and a
+sqrt-free f, from its spec's level record (see
+:class:`~gdoa_susy.fock.OscillatorSpec`), and an exact variant is built from
+the same spec, so each is evaluated (F validated) once per spec.
 
 At f = 1 and the reflection-deformed structure function the two families
 coincide under the swap Q <-> Q+, Z <-> -Z with identical H;
-:func:`reduction_check` verifies that swap exactly.
+:func:`reduction_check` verifies that swap exactly against the CV
+presentation as written, the ladder products a P_mu and a+ P_(1-mu).
 
 Spectra come from closed-form level formulas (exact rationals), independent of
 the matrix construction.  One rule, :func:`_level`, maps level n to the level m
@@ -116,68 +118,67 @@ def _central_charges(energies: Sequence[Fraction | float], mu: int, convention: 
     return charges
 
 
-def cv_realization(
-    kappa: Fraction | int | str, mu: int, dim: int, backend: Backend = Backend.FLOAT
-) -> RealizationSet:
-    """Reflection-deformed oscillator realization (unweighted charges)."""
-    return _cv_build(OscillatorSpec.calogero_vasiliev(kappa), mu, dim, backend)
-
-
-def _cv_build(spec: OscillatorSpec, mu: int, dim: int, backend: Backend) -> RealizationSet:
-    """:func:`cv_realization` of a calogero_vasiliev spec, reading its level record."""
+def _charges(spec: OscillatorSpec, mu: int, dim: int, backend: Backend) -> tuple:
+    """Raising and lowering charges of parity mu, f(m) sqrt(F(m)) at (m, m-1) and
+    (m-1, m) for m = mu (mod 2), and the F(0..dim) and f read from the spec."""
     _require_mu(mu)
-    rep = build_fock_rep(spec, dim, backend)
-    if mu == 0:
-        qdag_matrix = rep.a @ rep.even_projector
-        q_matrix = rep.a_dag @ rep.odd_projector
+    values = _ladder_values(spec, dim, backend)
+    if backend is Backend.EXACT and not spec.weight_is_exact:
+        raise ValidationError("weight function contains sqrt; use the float backend")
+    weights = _weight_levels(spec, dim)
+    if backend is Backend.EXACT:
+        edges = {m: ExactScalar(weights[m], 0, values[m]) for m in range(2 - mu, dim, 2)}
     else:
-        qdag_matrix = rep.a @ rep.odd_projector
-        q_matrix = rep.a_dag @ rep.even_projector
-    h_diag = tuple(_energies(mu, dim, partial(_cv_energy, spec.kappa)))
-    z_diag = tuple(_central_charges(h_diag, mu, "cv"))
+        edges = {m: complex(float(weights[m]) * math.sqrt(float(values[m])))
+                 for m in range(2 - mu, dim, 2)}
+    raising = BandMatrix(dim, backend, {(m, m - 1): edge for m, edge in edges.items()})
+    lowering = BandMatrix(dim, backend, {(m - 1, m): edge for m, edge in edges.items()})
+    return raising, lowering, values, weights
+
+
+def _realization(spec: OscillatorSpec, mu: int, dim: int, backend: Backend, convention: str,
+                 qdag: BandMatrix, q: BandMatrix, energies: list) -> RealizationSet:
+    """One build's record: Q+ and Q, and H and Z diagonal in the energies."""
+    central = _central_charges(energies, mu, convention)
+    exact = spec.weight_is_exact
     return RealizationSet(
-        spec=spec,
-        mu=mu,
-        dim=dim,
-        backend=backend,
-        convention="cv",
-        Qdag=GradedOperator(qdag_matrix, None, "Q+"),
-        Q=GradedOperator(q_matrix, None, "Q"),
-        H=GradedOperator(BandMatrix.diagonal(h_diag, backend), DEGREE_H, "H"),
-        Z=GradedOperator(BandMatrix.diagonal(z_diag, backend), DEGREE_Z, "Z"),
-        h_diag=h_diag,
-        z_diag=z_diag,
+        spec=spec, mu=mu, dim=dim, backend=backend, convention=convention,
+        Qdag=GradedOperator(qdag, None, "Q+"), Q=GradedOperator(q, None, "Q"),
+        H=GradedOperator(BandMatrix.diagonal(energies, backend), DEGREE_H, "H"),
+        Z=GradedOperator(BandMatrix.diagonal(central, backend), DEGREE_Z, "Z"),
+        h_diag=tuple(energies) if exact else None,
+        z_diag=tuple(central) if exact else None,
     )
+
+
+def cv_realization(
+    kappa: Fraction | int | str | OscillatorSpec, mu: int, dim: int,
+    backend: Backend = Backend.FLOAT,
+) -> RealizationSet:
+    """Reflection-deformed oscillator realization (unweighted charges).
+
+    ``kappa`` may also be a calogero_vasiliev spec, whose level record the
+    build then reads; any other spec raises :class:`ValidationError`."""
+    spec = kappa if isinstance(kappa, OscillatorSpec) else OscillatorSpec.calogero_vasiliev(kappa)
+    if not spec.is_calogero_vasiliev:
+        raise ValidationError(f"cv_realization needs a calogero_vasiliev spec, "
+                              f"not {spec.describe()}")
+    raising, lowering, _, _ = _charges(spec, mu, dim, backend)
+    energies = _energies(mu, dim, partial(_cv_energy, spec.kappa))
+    return _realization(spec, mu, dim, backend, "cv", lowering, raising, energies)
 
 
 def gdoa_realization(
     spec: OscillatorSpec, mu: int, dim: int, backend: Backend = Backend.FLOAT
 ) -> RealizationSet:
     """Weighted-charge realization for an arbitrary structure function."""
-    _require_mu(mu)
-    values = _ladder_values(spec, dim, backend)
-    exact_weight = spec.weight_is_exact
-    if backend is Backend.EXACT and not exact_weight:
-        raise ValidationError("weight function contains sqrt; use the float backend")
-    weights = _weight_levels(spec, dim)
-
-    def edge(m: int):
-        # amplitude f(m) * sqrt(F(m)) of the transition across edge m
-        if backend is Backend.EXACT:
-            return ExactScalar(weights[m], 0, values[m])
-        return complex(float(weights[m]) * math.sqrt(float(values[m])))
-
-    # Q+ raises into the sector kept by P_(1-mu); Q lowers out of it.
-    raising_targets = range(2 - mu, dim, 2)  # m: entry (m, m-1)
     try:
-        qdag_matrix = BandMatrix(dim, backend, {(m, m - 1): edge(m) for m in raising_targets})
-        q_matrix = BandMatrix(dim, backend, {(m - 1, m): edge(m) for m in raising_targets})
+        raising, lowering, values, weights = _charges(spec, mu, dim, backend)
         energies = _energies(mu, dim, partial(_gdoa_energy, values, weights))
-        charges = _central_charges(energies, mu, "gdoa")
-        h_matrix = BandMatrix.diagonal(energies, backend)
-        z_matrix = BandMatrix.diagonal(charges, backend)
+        return _realization(spec, mu, dim, backend, "gdoa", raising, lowering, energies)
     except OverflowError:
         # redo the conversions level by level to name the first that overflows
+        values, weights = structure_values(spec, dim), _weight_levels(spec, dim)
         for m in range(1, dim + 1):
             try:
                 float(weights[m]), float(weights[m] ** 2 * values[m])
@@ -186,19 +187,6 @@ def gdoa_realization(
         raise ValidationError(
             f"f({m}) or f({m})^2 F({m}) is beyond the double range of the float backend"
         ) from None
-    return RealizationSet(
-        spec=spec,
-        mu=mu,
-        dim=dim,
-        backend=backend,
-        convention="gdoa",
-        Qdag=GradedOperator(qdag_matrix, None, "Q+"),
-        Q=GradedOperator(q_matrix, None, "Q"),
-        H=GradedOperator(h_matrix, DEGREE_H, "H"),
-        Z=GradedOperator(z_matrix, DEGREE_Z, "Z"),
-        h_diag=tuple(energies) if exact_weight else None,
-        z_diag=tuple(charges) if exact_weight else None,
-    )
 
 
 def exact_variant(r: RealizationSet) -> RealizationSet | None:
@@ -208,13 +196,10 @@ def exact_variant(r: RealizationSet) -> RealizationSet | None:
     left there."""
     if r.backend is Backend.EXACT:
         return r
-    if r.convention == "cv":
-        if r.spec.kappa is None:
-            raise ValidationError("a 'cv' realization must carry kappa")
-        return _cv_build(r.spec, r.mu, r.dim, Backend.EXACT)
     if not r.spec.weight_is_exact:
         return None
-    return gdoa_realization(r.spec, r.mu, r.dim, Backend.EXACT)
+    build = cv_realization if r.convention == "cv" else gdoa_realization
+    return build(r.spec, r.mu, r.dim, Backend.EXACT)
 
 
 @dataclass(frozen=True)
@@ -402,27 +387,32 @@ def reduction_check(
     reflection-oscillator realization under the swap Q <-> Q+, Z <-> -Z, for
     each parity in ``mus``.
 
-    ``spec`` must be a calogero_vasiliev spec; both families are built from
-    it, so they read one level record (F is evaluated and validated once)."""
+    ``spec`` must be a calogero_vasiliev spec.  The weighted family and the
+    one ladder of the call are built from it, so they read one level record
+    (F is evaluated and validated once)."""
     if not spec.is_calogero_vasiliev:
         raise ValidationError(
             f"reduction_check needs a calogero_vasiliev spec, not {spec.describe()}"
         )
+    rep = build_fock_rep(spec, dim, backend)
+    projectors = (rep.even_projector, rep.odd_projector)
     entries: list[ReductionEntry] = []
     for mu in mus:
-        cv = _cv_build(spec, mu, dim, backend)
         gd = gdoa_realization(spec, mu, dim, backend)
+        # the CV presentation as written: Q+ = a P_mu, Q = a+ P_(1-mu), closed-form H, Z
+        h_diag = tuple(_energies(mu, dim, partial(_cv_energy, spec.kappa)))
+        z_diag = tuple(_central_charges(h_diag, mu, "cv"))
         comparisons = [
-            ("Q+ <-> Q", cv.Qdag.matrix, gd.Q.matrix),
-            ("Q <-> Q+", cv.Q.matrix, gd.Qdag.matrix),
-            ("H", cv.H.matrix, gd.H.matrix),
-            ("Z <-> -Z", cv.Z.matrix, gd.Z.matrix.scaled(-1)),
+            ("Q+ <-> Q", rep.a @ projectors[mu], gd.Q.matrix),
+            ("Q <-> Q+", rep.a_dag @ projectors[1 - mu], gd.Qdag.matrix),
+            ("H", BandMatrix.diagonal(h_diag, backend), gd.H.matrix),
+            ("Z <-> -Z", BandMatrix.diagonal(z_diag, backend), gd.Z.matrix.scaled(-1)),
         ]
         for name, lhs, rhs in comparisons:
             cmp = approx_equal_matrix(lhs, rhs)
             entries.append(ReductionEntry(mu, name, cmp.residual, lhs == rhs))
-        if cv.h_diag != gd.h_diag:
+        if h_diag != gd.h_diag:
             entries.append(ReductionEntry(mu, "H diagonal", float("inf"), False))
-        if cv.z_diag != tuple(-z for z in gd.z_diag):  # f = 1 is exact: both are set
+        if z_diag != tuple(-z for z in gd.z_diag):  # f = 1 is exact: both are set
             entries.append(ReductionEntry(mu, "Z diagonal", float("inf"), False))
     return ReductionReport(spec.kappa, dim, tuple(entries))

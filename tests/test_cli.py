@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gdoa_susy import fock
+from gdoa_susy import cli, fock, realizations
 from gdoa_susy.cli import MAX_DIM, ConfigError, _parse_config, load_config, main
+from gdoa_susy.numerics import Backend
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -262,6 +263,17 @@ class TestMalformedInput:
         code = main(["verify", "--config", write_config(tmp_path, payload)])
         assert code == 2 and message in capsys.readouterr().err
 
+    def test_exact_values_whose_square_is_beyond_the_double_range(self, tmp_path, capsys):
+        # E = 10^154 m^2 fits a double, E^2 does not: the exact re-check's
+        # scale used to raise OverflowError; the float products overflow and fail
+        payload = {"algebra": {"type": "gdoa", "F": "n^2"}, "f": "10^77", "mu": 0, "dim": 8}
+        code = main(["verify", "--config", write_config(tmp_path, payload)])
+        out = capsys.readouterr().out
+        assert code == 1
+        for name in ("standard/anticommutator-gives-h", "qform/anticommutator-gives-h",
+                     "qform/commutator-gives-z"):
+            assert f"PASS {name}  [diagonal-exact g=1]  residual=0.000e+00" in out
+
     def test_spectrum_prints_values_beyond_the_double_range(self, tmp_path, capsys):
         payload = {"algebra": {"type": "gdoa", "F": "10^400*n"}, "dim": 8, "mu": 0}
         code = main(["spectrum", "--config", write_config(tmp_path, payload)])
@@ -352,6 +364,23 @@ class TestLevelRecord:
         payload = {"algebra": {"type": "gdoa", "F": "n^2"}, "f": "n", "dim": 16}
         assert main([command, "--config", write_config(tmp_path, payload), "--mu", "both"]) == 0
         assert calls == [levels]
+
+    def test_cv_verify_builds_through_cv_realization(self, tmp_path, capsys, monkeypatch):
+        # the float build and its exact variant, per parity; the name is
+        # patched where cli and realizations look it up, as bench tracing does
+        built = []
+        original = realizations.cv_realization
+
+        def counting(kappa, mu, dim, backend):
+            built.append((mu, backend))
+            return original(kappa, mu, dim, backend)
+
+        for module in (cli, realizations):
+            monkeypatch.setattr(module, "cv_realization", counting)
+        payload = dict(CV_HALF, dim=16)
+        assert main(["verify", "--config", write_config(tmp_path, payload), "--mu", "both"]) == 0
+        assert built == [(0, Backend.FLOAT), (0, Backend.EXACT),
+                         (1, Backend.FLOAT), (1, Backend.EXACT)]
 
     @staticmethod
     def _count_validations(monkeypatch):

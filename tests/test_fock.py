@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gdoa_susy import fock
-from gdoa_susy.exprlang import ExprError
+from gdoa_susy.exprlang import ExprError, parse_expr
 from gdoa_susy.fock import (
     OscillatorSpec,
     ValidationError,
@@ -111,6 +111,8 @@ class TestStructureValues:
         spec = OscillatorSpec.calogero_vasiliev(Fraction(5, 2))
         values = structure_values(spec, 12)
         assert values == tuple(kappa_oracle(n, Fraction(5, 2)) for n in range(13))
+        # the spec's F is the bracket sugar, written out
+        assert spec.structure == parse_expr("n + (kappa/2)*(1 - parity(n))")
 
     def test_gdoa_square(self):
         spec = OscillatorSpec.gdoa("n^2")

@@ -85,13 +85,13 @@ def golden_reduce_for_mu(output: str, mu: str) -> str:
 @pytest.mark.parametrize("mu, builds", [("0", [0]), ("1", [1]), ("both", [0, 1])])
 def test_reduce_builds_only_the_printed_parities(mu, builds, output, tmp_path, monkeypatch):
     built = []
-    original = realizations._cv_build
+    original = realizations.gdoa_realization
 
     def counting(spec, parity, dim, backend):
         built.append(parity)
         return original(spec, parity, dim, backend)
 
-    monkeypatch.setattr(realizations, "_cv_build", counting)
+    monkeypatch.setattr(realizations, "gdoa_realization", counting)
     printed = render("reduce", "cv", output, str(tmp_path), "--mu", mu)
     assert built == builds
     assert printed == golden_reduce_for_mu(output, mu)

@@ -489,6 +489,42 @@ def test_to_complex_rounds_like_the_fraction_parts(a):
     assert float.hex(got.imag) == float.hex(expected.imag)
 
 
+def test_magnitude_matches_the_one_division_formula_below_the_double_square():
+    # wherever (re^2 + im^2) * rad divides into a double, the magnitude is the
+    # correctly rounded sqrt of that one division, bit for bit
+    rng = random.Random(20261018)
+    radicands = (1, 2, 3, 30, Fraction(1, 2), Fraction(5, 6), Fraction(7, 60))
+
+    def part():
+        top = 2 ** rng.randrange(0, 520)
+        return Fraction(rng.randrange(-top, top + 1), rng.randrange(1, 2 ** rng.randrange(1, 40)))
+
+    checked = 0
+    while checked < 20000:
+        a = ExactScalar(part(), part() if rng.random() < 0.5 else 0, rng.choice(radicands))
+        try:
+            expected = _ref_magnitude(a)
+        except OverflowError:
+            continue
+        assert float.hex(a.magnitude()) == float.hex(expected), a
+        checked += 1
+
+
+def test_magnitude_whose_square_passes_the_double_range():
+    assert ExactScalar(2**600).magnitude() == float(2**600)
+    assert ExactScalar(0, -(2**600)).magnitude() == float(2**600)
+    assert ExactScalar(2**1100).magnitude() == math.inf
+    assert math.isclose(ExactScalar(2**600, 0, 2).magnitude(), 2.0**600 * math.sqrt(2))
+
+
+def test_comparison_beyond_the_double_range_fails_without_raising():
+    # incompatible radicals take the complex-float fallback, whose parts overflow
+    a = BandMatrix.diagonal([ExactScalar(2**1100, 0, 2)], EXACT)
+    b = BandMatrix.diagonal([ExactScalar(1, 0, 3)], EXACT)
+    cmp = approx_equal_matrix(a, b)
+    assert cmp.residual == math.inf and cmp.scale == math.inf and not cmp.passed
+
+
 # -- differential tests: diagonal storage against the dict-of-entries kernel --
 #
 # The references below are the dict-of-entries kernels BandMatrix used before

@@ -97,6 +97,26 @@ class TestDeformedRealizations:
         assert q_support == {(2, 1), (4, 3)}
         assert qdag_support == {(1, 2), (3, 4)}
 
+    @pytest.mark.parametrize("kappa", [0, Fraction(1, 2), Fraction(5, 2), Fraction(-3, 7)])
+    @pytest.mark.parametrize("dim, backend", [(8, FLOAT), (24, FLOAT), (64, FLOAT),
+                                              (8, EXACT), (24, EXACT)])
+    def test_charges_equal_the_ladder_presentation(self, kappa, dim, backend):
+        # the written entries are the CV presentation Q+ = a P_mu, Q = a+ P_(1-mu)
+        rep = fock.build_fock_rep(OscillatorSpec.calogero_vasiliev(kappa), dim, backend)
+        projectors = (rep.even_projector, rep.odd_projector)
+        for mu in (0, 1):
+            r = cv_realization(kappa, mu, dim, backend)
+            assert r.Qdag.matrix == rep.a @ projectors[mu]
+            assert r.Q.matrix == rep.a_dag @ projectors[1 - mu]
+
+    def test_takes_only_a_calogero_vasiliev_spec(self):
+        spec = OscillatorSpec.calogero_vasiliev(Fraction(1, 2))
+        r = cv_realization(spec, 1, 8)
+        assert r.spec is spec and r == cv_realization(Fraction(1, 2), 1, 8)
+        gdoa_spec = OscillatorSpec.gdoa("bracket(n)", {"kappa": Fraction(1, 2)})
+        with pytest.raises(ValidationError, match="needs a calogero_vasiliev spec"):
+            cv_realization(gdoa_spec, 1, 8)
+
 
 class TestWeightedRealizations:
     def test_linear_structure(self):
@@ -139,12 +159,16 @@ class TestWeightedRealizations:
         r = gdoa_realization(spec, 1, 6)
         assert [n for n, energy in enumerate(r.h_diag) if energy == 0] == [0, 1]
 
-    def test_builds_no_ladder(self, monkeypatch):
+    @pytest.mark.parametrize("family", ["cv", "gdoa"])
+    def test_builds_no_ladder(self, family, monkeypatch):
         def forbidden(*args):
-            raise AssertionError("gdoa_realization built a FockRep")
+            raise AssertionError(f"a {family} build built a FockRep")
 
         monkeypatch.setattr(realizations, "build_fock_rep", forbidden)
-        r = gdoa_realization(OscillatorSpec.gdoa("n^2", weight="n"), 1, 8)
+        if family == "cv":
+            r = cv_realization(Fraction(1, 2), 1, 8)
+        else:
+            r = gdoa_realization(OscillatorSpec.gdoa("n^2", weight="n"), 1, 8)
         assert r.exact is not None and r.exact.h_diag == r.h_diag
 
     def test_exact_weights_evaluated_once_per_spec(self, monkeypatch):
@@ -397,3 +421,38 @@ class TestReduction:
         spec = OscillatorSpec.calogero_vasiliev(Fraction(1, 2))
         report = reduction_check(spec, dim=8, backend=EXACT)
         assert report.ok
+
+    # reduce compares two constructions: a fault in either one fails the
+    # entries that read it, on the parity whose levels it touches
+    @staticmethod
+    def _failing(backend):
+        report = reduction_check(OscillatorSpec.calogero_vasiliev(Fraction(1, 2)), 12, backend)
+        return {(entry.mu, entry.operator) for entry in report.entries if not entry.exact}
+
+    @pytest.mark.parametrize("backend", [FLOAT, EXACT])
+    @pytest.mark.parametrize("level", [3, 4])
+    def test_perturbed_ladder_amplitude_fails_the_charges(self, level, backend, monkeypatch):
+        original = fock._sqrt_entry
+        target = fock.structure_values(OscillatorSpec.calogero_vasiliev(Fraction(1, 2)), 12)[level]
+
+        def perturbed(value, backend):
+            root = original(value, backend)
+            return root * 2 if value == target else root
+
+        monkeypatch.setattr(fock, "_sqrt_entry", perturbed)
+        mu = level % 2
+        assert self._failing(backend) == {(mu, "Q+ <-> Q"), (mu, "Q <-> Q+")}
+
+    @pytest.mark.parametrize("backend", [FLOAT, EXACT])
+    @pytest.mark.parametrize("level", [3, 4])
+    def test_shifted_closed_form_energy_fails_h_and_z(self, level, backend, monkeypatch):
+        original = realizations._cv_energy
+
+        def shifted(kappa, m):
+            return original(kappa, m) + (m == level)
+
+        monkeypatch.setattr(realizations, "_cv_energy", shifted)
+        mu = level % 2
+        assert self._failing(backend) == {
+            (mu, "H"), (mu, "H diagonal"), (mu, "Z <-> -Z"), (mu, "Z diagonal")
+        }
