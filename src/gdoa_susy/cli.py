@@ -309,6 +309,45 @@ def _spectrum_csv(table: SpectrumTable, report: DegeneracyReport) -> str:
     return "\n".join(lines)
 
 
+# The bytes json.dumps(..., indent=2) writes for a spectrum table and a row; a
+# template per row leaves the pure-Python indenting encoder out.
+_JSON_TABLE = """\
+  {
+    "spec": %s,
+    "mu": %d,
+    "dim": %d,
+    "n_max": %d,
+    "verdict": %s,
+    "rows": [
+%s
+    ]
+  }"""
+_JSON_ROW = """\
+      {
+        "n": %d,
+        "E": %s,
+        "Z": %s,
+        "pair": %s
+      }"""
+
+
+def _spectrum_json(
+    tables: Sequence[SpectrumTable], reports: Sequence[DegeneracyReport], dim: int
+) -> str:
+    """The tables as ``json.dumps(..., indent=2)`` writes them (a table has
+    at least one row); every string goes through ``json.dumps``."""
+    dump = json.dumps
+    blocks = []
+    for t, r in zip(tables, reports):
+        rows = ",\n".join(
+            _JSON_ROW % (row["n"], dump(row["E"]), dump(row["Z"]), dump(row["pair"]))
+            for row in _spectrum_rows(t, r)
+        )
+        head = (dump(t.spec.describe()), t.mu, dim, t.n_max, dump(t.verdict))
+        blocks.append(_JSON_TABLE % (*head, rows))
+    return "[\n" + ",\n".join(blocks) + "\n]"
+
+
 def _unresolved(report: DegeneracyReport) -> str | None:
     """What Z leaves unresolved, by level only (an energy may be unprintable)."""
     unsplit = next((pair for pair in report.pairs if not pair.z_splits), None)
@@ -359,11 +398,7 @@ def cmd_spectrum(config: Config, n_max: int | None) -> int:
     reports = [degeneracy_pairs(t) for t in tables]
     _emit(config.output, {
         "text": lambda: "\n\n".join(map(_spectrum_text, tables, reports)),
-        "json": lambda: json.dumps([
-            {"spec": t.spec.describe(), "mu": t.mu, "dim": config.dim, "n_max": t.n_max,
-             "verdict": t.verdict, "rows": _spectrum_rows(t, r)}
-            for t, r in zip(tables, reports)
-        ], indent=2),
+        "json": lambda: _spectrum_json(tables, reports, config.dim),
         "csv": lambda: "\n\n".join(map(_spectrum_csv, tables, reports)),
     })
     code = 0

@@ -15,9 +15,15 @@ expands at parse time to ``e + (kappa/2)*(1 - parity(e))`` and therefore
 requires the parameter ``kappa`` to be bound.  Exponents are single unsigned
 integer literals; unary minus binds looser than '^', so ``-n^2 == -(n^2)``.
 Literals are unsigned integers; rationals are written ``3/2`` (division).
+
+:func:`eval_levels` evaluates an expression over a whole range of levels in
+one walk of the tree, and :func:`eval_expr` is its one-level case.  Exact
+values stay ints until a division leaves a remainder.  An error names the
+first failing level, as a walk of one level at a time would.
+
 The source nests at most ``MAX_DEPTH`` parentheses, builtin calls and unary
 minuses, and the parsed tree is at most ``MAX_DEPTH // 2`` levels deep, so the
-evaluator and :func:`has_sqrt`, which recurse once per level, stay well within
+evaluator and :func:`has_sqrt`, which recurse once per tree level, stay within
 the interpreter's recursion limit; deeper input, and literals too long for
 ``int``, are syntax errors.
 """
@@ -25,8 +31,10 @@ the interpreter's recursion limit; deeper input, and literals too long for
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Mapping, Union
 
 from .numerics import Backend
@@ -289,81 +297,178 @@ def parse_expr(text: str) -> Expr:
     return tree
 
 
+def eval_levels(
+    expr: Expr,
+    start: int,
+    stop: int,
+    env: Mapping[str, Fraction] | None = None,
+    backend: Backend = Backend.EXACT,
+) -> list[Fraction | float]:
+    """Values at the levels start <= n < stop, from one walk of the tree.
+
+    The walk is post-order.  Each node yields one list of values over the
+    live levels, or one scalar when its subtree does not read ``n``, so a
+    constant is evaluated once.  The exact backend computes in ints until a
+    division leaves a remainder, then in Fractions, rejects sqrt and any power
+    beyond ``MAX_POWER_BITS``, and returns Fractions.  The float backend runs
+    the same double operations, in the same order, as a walk of one level:
+    a literal or power beyond the double range raises :class:`ExprEvalError`
+    (a product that overflows is inf, which no verification check passes).
+
+    Errors are those of the first failing level, visited level by level: a
+    node that fails first at level L records its error and cuts the live
+    levels to [start, L) for every node visited after it; the error left at
+    the end is raised.
+    """
+    bindings = env or {}
+    exact = backend is Backend.EXACT
+    size = max(stop - start, 0)  # live levels: start .. start + size - 1
+    failure: ExprEvalError | None = None
+    if not size:
+        return []
+
+    def fail(offset: int, exc: Exception) -> None:
+        """Record exc as the error at level start + offset and cut the live
+        levels there; at the first level no later node can fail earlier."""
+        nonlocal size, failure
+        if isinstance(exc, OverflowError):  # float conversion or power beyond the double range
+            cause, exc = exc, ExprEvalError(f"float overflow at n={start + offset}: {exc}")
+            exc.__cause__ = cause
+        size, failure = offset, exc
+        if not offset:
+            raise exc
+
+    def checked(op, *args):
+        """op(*values, n) at each live level n, up to the first that raises; a
+        scalar argument stands for every level, and scalars give a scalar."""
+        scalar = not any(isinstance(arg, list) for arg in args)
+        values: list = []
+        try:
+            for row in zip(*_columns(args), range(start, start + (1 if scalar else size))):
+                values.append(op(*row))
+        except (ExprEvalError, OverflowError) as exc:
+            fail(len(values), exc)
+        return values[0] if scalar else values
+
+    def constant(value: Fraction) -> int | Fraction | float:
+        if exact:
+            return value.numerator if value.denominator == 1 else value
+        try:
+            return float(value)
+        except OverflowError as exc:
+            fail(0, exc)
+
+    def divide(left, right, n: int):
+        if right == 0:
+            raise ExprEvalError(f"division by zero at n={n}")
+        if exact and type(left) is int and type(right) is int:
+            quotient, remainder = divmod(left, right)
+            return Fraction(left, right) if remainder else quotient
+        return left / right
+
+    def power(base, exponent: int, n: int):
+        # a cheap upper bound on the bits of the power; only a power it does
+        # not clear is measured exactly
+        if exact and (
+            base.numerator.bit_length() + base.denominator.bit_length()
+        ) * exponent > MAX_POWER_BITS:
+            _require_short_power(base, exponent, n)
+        return base ** exponent
+
+    def parity(value, n: int):
+        if exact:
+            if value.denominator != 1:
+                raise ExprEvalError(f"parity of non-integer {printable(value)} at n={n}")
+            return -1 if value.numerator % 2 else 1
+        # nan lies off every integer; round(inf) overflows
+        if value != value or abs(value - round(value)) > 1e-9:
+            raise ExprEvalError(f"parity of non-integer {printable(value)} at n={n}")
+        return -1.0 if round(value) % 2 else 1.0
+
+    def root(value, n: int):
+        if exact:
+            raise ExprEvalError("sqrt requires the float backend")
+        if value < 0:
+            raise ExprEvalError(f"sqrt of negative value {value} at n={n}")
+        return math.sqrt(value)
+
+    builtins = {"parity": parity, "sqrt": root}
+
+    def ev(node: Expr):
+        if isinstance(node, Number):
+            return constant(node.value)
+        if isinstance(node, Var):
+            levels = range(start, start + size)
+            return list(levels) if exact else list(map(float, levels))
+        if isinstance(node, Param):
+            if node.name not in bindings:
+                fail(0, ExprEvalError(f"unbound parameter {node.name!r}"))
+            return constant(Fraction(bindings[node.name]))
+        if isinstance(node, Neg):
+            return _elementwise(operator.neg, ev(node.arg))
+        if isinstance(node, BinOp):
+            left, right = ev(node.left), ev(node.right)
+            if node.op == "/":
+                return checked(divide, left, right)
+            return _elementwise(_ARITHMETIC[node.op], left, right)
+        if isinstance(node, Pow):
+            base = ev(node.base)
+            if isinstance(base, list) and (
+                not exact or _bit_bound(base) * node.exponent <= MAX_POWER_BITS
+            ):
+                try:  # no level can pass the bit bound
+                    return list(map(pow, base, repeat(node.exponent)))
+                except OverflowError:  # a float power: checked() names the level
+                    pass
+            return checked(power, base, node.exponent)
+        if isinstance(node, Call):
+            arg = ev(node.arg)
+            if node.func not in builtins:
+                fail(0, ExprEvalError(f"unknown builtin {node.func!r}"))
+            return checked(builtins[node.func], arg)
+        fail(0, ExprEvalError(f"unknown node {node!r}"))
+
+    values = ev(expr)
+    if failure is not None:
+        raise failure
+    if not isinstance(values, list):  # a constant, the same at every level
+        return [Fraction(values) if exact else values] * size
+    if not exact:
+        return values
+    return [value if type(value) is Fraction else Fraction(value) for value in values]
+
+
 def eval_expr(
     expr: Expr,
     n: int,
     env: Mapping[str, Fraction] | None = None,
     backend: Backend = Backend.EXACT,
 ) -> Fraction | float:
-    """Evaluate at level n with parameters bound from env.
+    """Evaluate at level n with parameters bound from env: the one-level case
+    of :func:`eval_levels`."""
+    return eval_levels(expr, n, n + 1, env, backend)[0]
 
-    The exact backend computes in Fraction arithmetic and rejects sqrt and
-    any power beyond ``MAX_POWER_BITS``; the float backend computes in
-    doubles, where a literal or power beyond the double range raises
-    :class:`ExprEvalError` (a product that overflows is inf, which no
-    verification check passes).
-    """
-    bindings = env or {}
-    exact = backend is Backend.EXACT
 
-    def ev(node: Expr) -> Fraction | float:
-        if isinstance(node, Number):
-            return node.value if exact else float(node.value)
-        if isinstance(node, Var):
-            return Fraction(n) if exact else float(n)
-        if isinstance(node, Param):
-            if node.name not in bindings:
-                raise ExprEvalError(f"unbound parameter {node.name!r}")
-            value = Fraction(bindings[node.name])
-            return value if exact else float(value)
-        if isinstance(node, Neg):
-            return -ev(node.arg)
-        if isinstance(node, BinOp):
-            left, right = ev(node.left), ev(node.right)
-            if node.op == "+":
-                return left + right
-            if node.op == "-":
-                return left - right
-            if node.op == "*":
-                return left * right
-            if right == 0:
-                raise ExprEvalError(f"division by zero at n={n}")
-            return left / right
-        if isinstance(node, Pow):
-            base = ev(node.base)
-            # a cheap upper bound on the bits of the power; only a power it
-            # does not clear is measured exactly
-            if exact and (
-                base.numerator.bit_length() + base.denominator.bit_length()
-            ) * node.exponent > MAX_POWER_BITS:
-                _require_short_power(base, node.exponent, n)
-            return base ** node.exponent
-        if isinstance(node, Call):
-            value = ev(node.arg)
-            if node.func == "parity":
-                if exact:
-                    if value.denominator != 1:  # type: ignore[union-attr]
-                        raise ExprEvalError(f"parity of non-integer {printable(value)} at n={n}")
-                    k = int(value)
-                else:
-                    k = round(value)
-                    if abs(value - k) > 1e-9:
-                        raise ExprEvalError(f"parity of non-integer {printable(value)} at n={n}")
-                result = -1 if k % 2 else 1
-                return Fraction(result) if exact else float(result)
-            if node.func == "sqrt":
-                if exact:
-                    raise ExprEvalError("sqrt requires the float backend")
-                if value < 0:
-                    raise ExprEvalError(f"sqrt of negative value {value} at n={n}")
-                return math.sqrt(value)
-            raise ExprEvalError(f"unknown builtin {node.func!r}")
-        raise ExprEvalError(f"unknown node {node!r}")
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
-    try:
-        return ev(expr)
-    except OverflowError as exc:  # float conversion or power beyond the double range
-        raise ExprEvalError(f"float overflow at n={n}: {exc}") from exc
+
+def _columns(args: tuple) -> list:
+    """Each argument as an iterable over the levels: a list, or a scalar repeated."""
+    return [arg if isinstance(arg, list) else repeat(arg) for arg in args]
+
+
+def _elementwise(op, *args):
+    """op at each level of an operation that cannot fail; scalars give a scalar."""
+    if any(isinstance(arg, list) for arg in args):
+        return list(map(op, *_columns(args)))
+    return op(*args)
+
+
+def _bit_bound(values: list) -> int:
+    """An upper bound on numerator plus denominator bits over exact values."""
+    numerators = map(abs, map(operator.attrgetter("numerator"), values))
+    denominators = map(operator.attrgetter("denominator"), values)
+    return max(numerators).bit_length() + max(denominators).bit_length()
 
 
 def printable(value: Fraction | float) -> str:
@@ -420,15 +525,11 @@ def validate_structure_function(
     """Check F(0) = 0 and F(n) > 0 for 1 <= n <= dim, in exact arithmetic."""
     if dim < 1:
         raise ExprError("dim must be >= 1")
-    values: list[Fraction] = []
-    violations: list[StructureViolation] = []
-    for level in range(dim + 1):
-        value = eval_expr(expr, level, env, Backend.EXACT)
-        if not isinstance(value, Fraction):
-            raise ExprError(f"F({level}) = {value!r} is not an exact rational")
-        values.append(value)
-        if level == 0 and value != 0:
-            violations.append(StructureViolation(0, value, "F(0) = 0"))
-        elif level > 0 and value <= 0:
-            violations.append(StructureViolation(level, value, "F(n) > 0"))
+    values = eval_levels(expr, 0, dim + 1, env, Backend.EXACT)
+    violations = [StructureViolation(0, values[0], "F(0) = 0")] if values[0] != 0 else []
+    violations += (
+        StructureViolation(level, value, "F(n) > 0")
+        for level, value in enumerate(values[1:], 1)
+        if value <= 0
+    )
     return StructureReport(not violations, tuple(violations), tuple(values))

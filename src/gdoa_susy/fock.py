@@ -27,7 +27,7 @@ from typing import Mapping
 
 from .exprlang import (
     Expr,
-    eval_expr,
+    eval_levels,
     has_sqrt,
     parse_expr,
     printable,
@@ -156,9 +156,7 @@ def weight_values(
     spec: OscillatorSpec, dim: int, backend: Backend = Backend.EXACT
 ) -> dict[int, Fraction | float]:
     """f(1..dim); f(0) is never needed because it only multiplies F(0) = 0."""
-    return {
-        n: eval_expr(spec.weight, n, spec.params, backend) for n in range(1, dim + 1)
-    }
+    return dict(enumerate(eval_levels(spec.weight, 1, dim + 1, spec.params, backend), 1))
 
 
 def _weight_levels(spec: OscillatorSpec, dim: int) -> Mapping[int, Fraction | float]:

@@ -286,6 +286,19 @@ class TestMalformedInput:
         code = main(["spectrum", "--config", write_config(tmp_path, payload), "--output", output])
         assert code == 2 and "E(1) has too many digits" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("weight, message", [
+        # inf - inf is nan, and round(nan) used to raise ValueError out of verify
+        ("sqrt(n) + parity(10^200*10^200 - 10^200*10^200)",
+         "parity of non-integer nan at n=1"),
+        ("sqrt(n) + parity(10^200*10^200)",
+         "float overflow at n=1: cannot convert float infinity to integer"),
+    ], ids=["nan", "inf"])
+    def test_non_finite_parity_argument(self, tmp_path, capsys, weight, message):
+        payload = {"algebra": {"type": "gdoa", "F": "n^2"}, "f": weight, "dim": 8,
+                   "backend": "float"}
+        code = main(["verify", "--config", write_config(tmp_path, payload)])
+        assert code == 2 and capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize(
         "source, message",
         [("-10^2500*10^2500*n", "F(1) = (too many digits to print)"),
@@ -642,6 +655,51 @@ class TestSpectrumCommand:
         assert captured.out == stdout
         assert captured.err.splitlines() == [captured.err.strip()]
         assert captured.err.startswith(message)
+
+
+def indented_spectrum_json(config, n_max):
+    """The spectrum tables as json.dumps(..., indent=2) writes them."""
+    tables = [realizations.spectrum_H(config.spec, mu, n_max) for mu in config.mus]
+    return json.dumps([
+        {"spec": t.spec.describe(), "mu": t.mu, "dim": config.dim, "n_max": t.n_max,
+         "verdict": t.verdict, "rows": cli._spectrum_rows(t, realizations.degeneracy_pairs(t))}
+        for t in tables
+    ], indent=2) + "\n"
+
+
+class TestSpectrumJson:
+    @pytest.mark.parametrize("payload", [
+        CV_HALF,
+        {"algebra": {"type": "gdoa", "F": "n^3 + 2*n"}, "f": "n+1"},
+        # describe() holds a tab and a no-break space, which JSON escapes
+        {"algebra": {"type": "gdoa", "F": "n^2\t+\u00a0a*n", "params": {"a": "1/2"}}},
+    ], ids=["cv", "gdoa", "escaped"])
+    @pytest.mark.parametrize("n_max", [None, "0", "5"])
+    def test_bytes_equal_the_indenting_encoder(self, tmp_path, capsys, payload, n_max):
+        path = write_config(tmp_path, dict(payload, dim=12))
+        argv = ["spectrum", "--config", path, "--mu", "both", "--output", "json"]
+        assert main(argv + (["--nmax", n_max] if n_max else [])) == 0
+        out = capsys.readouterr().out
+        expected = indented_spectrum_json(load_config(path), 10 if n_max is None else int(n_max))
+        assert out == expected
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    def test_escaped_source_reads_back(self, tmp_path, capsys):
+        payload = {"algebra": {"type": "gdoa", "F": "n^2\t+\u00a0a*n", "params": {"a": "1/2"}}}
+        argv = ["spectrum", "--config", write_config(tmp_path, payload), "--output", "json",
+                "--dim", "4", "--mu", "0"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "\\t+\\u00a0a*n" in out
+        assert json.loads(out)[0]["spec"] == "gdoa(F=n^2\t+\u00a0a*n, f=1, a=1/2)"
+
+    def test_unprintable_energy_writes_nothing(self, tmp_path, capsys):
+        payload = {"algebra": {"type": "gdoa", "F": "10^2500*10^2500*n"}, "dim": 8}
+        argv = ["spectrum", "--config", write_config(tmp_path, payload), "--output", "json"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: E(1) has too many digits to print\n"
 
 
 class TestReduceCommand:

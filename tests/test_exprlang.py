@@ -1,24 +1,34 @@
 """Tests for the expression language: parsing, evaluation, validation."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gdoa_susy import exprlang, fock
 from gdoa_susy.exprlang import (
     MAX_DEPTH,
     MAX_POWER_BITS,
+    BinOp,
+    Call,
     ExprEvalError,
     ExprSyntaxError,
     Neg,
+    Number,
+    Param,
     Pow,
     Var,
+    _require_short_power,
     eval_expr,
+    eval_levels,
     has_sqrt,
     parse_expr,
+    printable,
     validate_structure_function,
 )
+from gdoa_susy.fock import OscillatorSpec, weight_values
 from gdoa_susy.numerics import Backend
 
 EXACT = Backend.EXACT
@@ -211,7 +221,8 @@ class TestIntrospection:
 
 
 @st.composite
-def expression_trees(draw, depth=0):
+def expression_trees(draw, depth=0, ops="+-*", calls=()):
+    """Sources over n, kappa, lam and digits; ``calls`` wraps subtrees in builtins."""
     if depth >= 3 or draw(st.booleans()):
         leaf = draw(
             st.sampled_from(["n", "kappa", "lam"])
@@ -219,10 +230,12 @@ def expression_trees(draw, depth=0):
             else st.integers(min_value=0, max_value=9).map(str)
         )
         return leaf
-    op = draw(st.sampled_from(["+", "-", "*"]))
-    left = draw(expression_trees(depth=depth + 1))
-    right = draw(expression_trees(depth=depth + 1))
-    shape = draw(st.sampled_from(["plain", "paren", "neg", "pow"]))
+    op = draw(st.sampled_from(list(ops)))
+    left = draw(expression_trees(depth + 1, ops, calls))
+    right = draw(expression_trees(depth + 1, ops, calls))
+    shape = draw(st.sampled_from(["plain", "paren", "neg", "pow", *calls]))
+    if shape in calls:
+        return f"{shape}({left} {op} {right})"
     if shape == "paren":
         return f"({left} {op} {right})"
     if shape == "neg":
@@ -329,3 +342,198 @@ def test_fuzzed_token_streams_raise_only_documented_errors(text):
             eval_expr(expr, 3, {"kappa": Fraction(1, 2), "c": Fraction(2)}, backend)
         except ExprEvalError:
             pass
+
+
+def reference_eval(expr, n, env=None, backend=EXACT):
+    """The per-level oracle: one recursive walk of the tree at level n, in
+    Fractions or doubles."""
+    bindings = env or {}
+    exact = backend is EXACT
+
+    def ev(node):
+        if isinstance(node, Number):
+            return node.value if exact else float(node.value)
+        if isinstance(node, Var):
+            return Fraction(n) if exact else float(n)
+        if isinstance(node, Param):
+            if node.name not in bindings:
+                raise ExprEvalError(f"unbound parameter {node.name!r}")
+            value = Fraction(bindings[node.name])
+            return value if exact else float(value)
+        if isinstance(node, Neg):
+            return -ev(node.arg)
+        if isinstance(node, BinOp):
+            left, right = ev(node.left), ev(node.right)
+            if node.op == "+":
+                return left + right
+            if node.op == "-":
+                return left - right
+            if node.op == "*":
+                return left * right
+            if right == 0:
+                raise ExprEvalError(f"division by zero at n={n}")
+            return left / right
+        if isinstance(node, Pow):
+            base = ev(node.base)
+            if exact and (
+                base.numerator.bit_length() + base.denominator.bit_length()
+            ) * node.exponent > MAX_POWER_BITS:
+                _require_short_power(base, node.exponent, n)
+            return base ** node.exponent
+        if isinstance(node, Call):
+            value = ev(node.arg)
+            if node.func == "parity":
+                if exact:
+                    if value.denominator != 1:
+                        raise ExprEvalError(f"parity of non-integer {printable(value)} at n={n}")
+                    k = int(value)
+                else:
+                    if math.isnan(value):
+                        raise ExprEvalError(f"parity of non-integer {printable(value)} at n={n}")
+                    k = round(value)
+                    if abs(value - k) > 1e-9:
+                        raise ExprEvalError(f"parity of non-integer {printable(value)} at n={n}")
+                result = -1 if k % 2 else 1
+                return Fraction(result) if exact else float(result)
+            if exact:
+                raise ExprEvalError("sqrt requires the float backend")
+            if value < 0:
+                raise ExprEvalError(f"sqrt of negative value {value} at n={n}")
+            return math.sqrt(value)
+        raise AssertionError(node)
+
+    try:
+        return ev(expr)
+    except OverflowError as exc:
+        raise ExprEvalError(f"float overflow at n={n}: {exc}") from exc
+
+
+def outcome(evaluate):
+    """Values as comparable keys (Fractions by value, floats by hex), or the
+    error's type and message."""
+    try:
+        values = evaluate()
+    except Exception as exc:  # noqa: BLE001 - the type is part of the outcome
+        return "error", type(exc), str(exc)
+    if all(isinstance(value, Fraction) for value in values):
+        return "exact", values
+    if all(type(value) is float for value in values):
+        return "float", [value.hex() for value in values]
+    return "mixed types", values
+
+
+def assert_matches_reference(expr, start, stop, env, backend):
+    expected = outcome(lambda: [reference_eval(expr, n, env, backend) for n in range(start, stop)])
+    assert outcome(lambda: eval_levels(expr, start, stop, env, backend)) == expected
+    if stop > start:  # the one-level case at the first level
+        first = outcome(lambda: [eval_expr(expr, start, env, backend)])
+        assert first == outcome(lambda: [reference_eval(expr, start, env, backend)])
+
+
+_ENVS = st.sampled_from([
+    {"kappa": Fraction(1, 2), "lam": Fraction(3), "c": Fraction(2)},
+    {"kappa": Fraction(-3, 7), "c": Fraction(0)},
+    {"lam": Fraction(-2)},
+])
+_RANGES = st.tuples(st.sampled_from([0, 1]), st.integers(0, 9))
+
+
+class TestLevelRange:
+    """eval_levels against the per-level oracle: values and first errors."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(expression_trees(ops="+-*/", calls=("parity", "sqrt", "bracket")), _ENVS, _RANGES,
+           st.sampled_from([EXACT, FLOAT]))
+    def test_generated_trees_match_the_per_level_walk(self, source, env, levels, backend):
+        start, count = levels
+        assert_matches_reference(parse_expr(source), start, start + count, env, backend)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_TOKENS, max_size=30).map(" ".join), _ENVS, _RANGES,
+           st.sampled_from([EXACT, FLOAT]))
+    def test_token_streams_match_the_per_level_walk(self, text, env, levels, backend):
+        try:
+            expr = parse_expr(text)
+        except ExprSyntaxError:
+            return
+        start, count = levels
+        assert_matches_reference(expr, start, start + count, env, backend)
+
+    @pytest.mark.parametrize("source, start, message", [
+        ("1/n + x", 0, "division by zero at n=0"),
+        ("x + 1/n", 0, "unbound parameter 'x'"),
+        ("1/n + x", 1, "unbound parameter 'x'"),
+        ("parity(n/2) + 1/(n-1)", 0, "parity of non-integer 1/2 at n=1"),
+        ("1/(n-1) + parity(n/2)", 0, "division by zero at n=1"),
+        ("1/(n-3) + parity(n/2)", 0, "parity of non-integer 1/2 at n=1"),
+        ("1/0", 1, "division by zero at n=1"),
+        ("n + 1/0", 3, "division by zero at n=3"),
+        ("n^99999999", 0, f"power beyond {MAX_POWER_BITS} bits at n=2"),
+        ("sqrt(n)", 1, "sqrt requires the float backend"),
+    ])
+    def test_first_failing_level_and_node(self, source, start, message):
+        expr = parse_expr(source)
+        with pytest.raises(ExprEvalError) as err:
+            eval_levels(expr, start, start + 4)
+        assert str(err.value) == message
+        for backend in (EXACT, FLOAT):
+            assert_matches_reference(expr, start, start + 4, {}, backend)
+
+    def test_constant_weight_error_names_the_first_level(self):
+        spec = OscillatorSpec.gdoa("n^2", weight="1/0")
+        for backend in (EXACT, FLOAT):
+            with pytest.raises(ExprEvalError, match=r"^division by zero at n=1$"):
+                weight_values(spec, 8, backend)
+            with pytest.raises(ExprEvalError, match=r"^division by zero at n=1$"):
+                eval_levels(spec.weight, 1, 9, {}, backend)
+
+    def test_empty_range_evaluates_nothing(self):
+        assert eval_levels(parse_expr("1/0 + x"), 3, 3) == []
+        assert weight_values(OscillatorSpec.gdoa("n", weight="1/0"), 0) == {}
+
+    def test_values_stay_exact_fractions(self):
+        values = eval_levels(parse_expr("n^3 + 2*n - n/2 + 1"), 0, 6)
+        assert all(type(value) is Fraction for value in values)
+        assert values == [Fraction(n**3 + 2 * n + 1) - Fraction(n, 2) for n in range(6)]
+        assert [str(value) for value in values] == ["1", "7/2", "12", "65/2", "71", "267/2"]
+        constant = eval_levels(parse_expr("3/6"), 1, 4, backend=FLOAT)
+        assert constant == [0.5, 0.5, 0.5]
+
+    def test_float_overflow_names_the_level(self):
+        # (n 10^102)^3 passes the double range at n = 6
+        with pytest.raises(ExprEvalError, match=r"^float overflow at n=6: "):
+            eval_levels(parse_expr("(n*10^102)^3"), 0, 8, backend=FLOAT)
+        with pytest.raises(ExprEvalError, match=r"^float overflow at n=2: "):
+            eval_levels(parse_expr("n + " + "1" + "0" * 400), 2, 8, backend=FLOAT)
+
+    def test_callers_make_no_per_level_calls(self, monkeypatch):
+        def per_level(*args, **kwargs):
+            raise AssertionError("per-level eval_expr call")
+
+        monkeypatch.setattr(exprlang, "eval_expr", per_level)
+        # also caught if fock imported eval_expr by name again
+        monkeypatch.setattr(fock, "eval_expr", per_level, raising=False)
+        report = validate_structure_function(parse_expr("bracket(n)"), {"kappa": Fraction(1, 2)},
+                                             64)
+        assert report.ok and report.values[3] == Fraction(7, 2)
+        spec = OscillatorSpec.gdoa("n^2", weight="n + 1")
+        assert weight_values(spec, 64)[64] == 65
+        assert weight_values(spec, 64, FLOAT)[7] == 8.0
+        assert fock.structure_values(spec, 64)[8] == 64
+
+
+class TestNonFiniteParity:
+    # 10^200 * 10^200 overflows to inf; inf - inf is nan
+    NAN = "parity(10^200*10^200 - 10^200*10^200)"
+
+    def test_nan_is_a_non_integer(self):
+        # round(nan) used to raise ValueError out of the evaluator
+        for source in (self.NAN, "sqrt(n) + " + self.NAN):
+            with pytest.raises(ExprEvalError, match=r"^parity of non-integer nan at n=1$"):
+                eval_expr(parse_expr(source), 1, backend=FLOAT)
+            with pytest.raises(ExprEvalError, match=r"^parity of non-integer nan at n=1$"):
+                eval_levels(parse_expr(source), 1, 9, backend=FLOAT)
+
+    def test_infinity_is_a_float_overflow(self):
+        with pytest.raises(ExprEvalError, match=r"^float overflow at n=1: "):
+            eval_expr(parse_expr("parity(10^200*10^200)"), 1, backend=FLOAT)
