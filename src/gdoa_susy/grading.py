@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .numerics import BandMatrix, _top
+from .numerics import BandMatrix, _bracket, _top
 
 
 class GradingError(ValueError):
@@ -90,12 +90,16 @@ class GradedOperator:
 
 def graded_bracket(x: GradedOperator, y: GradedOperator) -> GradedOperator:
     """[[X, Y]] = XY - (-1)^(x.y) YX, of degree x + y."""
+    x.require_degree(), y.require_degree()  # a missing degree raises before any product
+    return _graded(x, y, x.matrix @ y.matrix, y.matrix @ x.matrix)
+
+
+def _graded(x: GradedOperator, y: GradedOperator, xy: BandMatrix, yx: BandMatrix) -> GradedOperator:
+    """[[X, Y]] from its two products XY and YX."""
     dx, dy = x.require_degree(), y.require_degree()
-    sign = graded_sign(dx, dy)
-    xy = x.matrix @ y.matrix
-    yx = y.matrix @ x.matrix
-    result = xy - yx if sign == 1 else xy + yx
-    return GradedOperator(result, degree_add(dx, dy), f"[[{x.label},{y.label}]]")
+    return GradedOperator(
+        _bracket(xy, yx, graded_sign(dx, dy)), degree_add(dx, dy), f"[[{x.label},{y.label}]]"
+    )
 
 
 def antisymmetry_residual(sign: int, forward: BandMatrix, backward: BandMatrix) -> float:

@@ -553,14 +553,19 @@ class BandMatrix:
         )
 
 
+def _bracket(ab: BandMatrix, ba: BandMatrix, sign: int) -> BandMatrix:
+    """ab - sign * ba from the two products: [a, b] for sign 1, {a, b} for -1."""
+    return ab - ba if sign == 1 else ab + ba
+
+
 def commutator(a: BandMatrix, b: BandMatrix) -> BandMatrix:
     """[a, b] = ab - ba."""
-    return a @ b - b @ a
+    return _bracket(a @ b, b @ a, 1)
 
 
 def anticommutator(a: BandMatrix, b: BandMatrix) -> BandMatrix:
     """{a, b} = ab + ba."""
-    return a @ b + b @ a
+    return _bracket(a @ b, b @ a, -1)
 
 
 @dataclass(frozen=True)

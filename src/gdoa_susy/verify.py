@@ -21,7 +21,11 @@ reads its tables from one operator set: the realization's generators plus its
 Hermitian charges.  A diagonal-exact row re-checks the same formula on the set
 of ``r.exact`` (on the exact backend, the instance set), so every suite that
 lists [H,Z] = 0 re-checks it on the same exact H and Z.
-:func:`run_all_suites` evaluates each distinct row of the three tables once.
+:func:`run_all_suites` evaluates each distinct row of the three tables once,
+and computes each product of two generator matrices once: the operator set is
+the ledger of its products, keyed by slot pair and alive for one call, and the
+tables and the Jacobi suite's inner brackets read their products from it.  The
+Jacobi suite computes each generator's scale once too.
 
 The Jacobi suite contains three layers: graded antisymmetry of all 16 ordered
 generator pairs (an identity, required to cancel bitwise), the 64 graded
@@ -44,6 +48,7 @@ from .fock import guard_band_equal
 from .grading import (
     JACOBI_GUARD_BAND,
     GradedOperator,
+    _graded,
     antisymmetry_residual,
     graded_bracket,
     graded_sign,
@@ -56,9 +61,8 @@ from .numerics import (
     EXACT_POLICY,
     ExactScalar,
     TolerancePolicy,
+    _bracket,
     _top,
-    anticommutator,
-    commutator,
 )
 from .realizations import HermitianSet, RealizationSet, hermitian_charges
 
@@ -154,7 +158,7 @@ class Relation(NamedTuple):
     formula: str
     guard_band: int
     exactness: Exactness
-    pair: Callable[[SimpleNamespace], Pair]
+    pair: Callable[["_Operators"], Pair]
 
 
 def _check(
@@ -188,20 +192,57 @@ def _two_i(backend: Backend):
     return ExactScalar(0, 2) if backend is Backend.EXACT else 2j
 
 
-# Operator sets name their matrices qd (Q+), q (Q), q10, q01, h and z, plus a
-# zero of their backend.  Rows shared by two suites are one object.
+# Operator-set slots and the generator each reads from a realization or
+# Hermitian set: qd is Q+.
+_SLOTS = (("qd", "Qdag"), ("q", "Q"), ("h", "H"), ("z", "Z"), ("q10", "Q10"), ("q01", "Q01"))
+
+
+class _Operators(SimpleNamespace):
+    """The generator matrices of ``sets`` in their slots, plus a zero of their
+    backend.
+
+    The set is also the ledger of its products: :meth:`product` multiplies two
+    slots once and keeps the result in ``ledger``, keyed by the slot pair and
+    never by content, since a faulty set may hold one matrix in two slots.
+    """
+
+    def __init__(self, *sets: RealizationSet | HermitianSet):
+        super().__init__(**{
+            slot: getattr(s, name).matrix for s in sets for slot, name in _SLOTS if hasattr(s, name)
+        })
+        self.zero = BandMatrix.zeros(sets[0].dim, sets[0].backend)
+        self.ledger: dict[tuple[str, str], BandMatrix] = {}
+
+    def product(self, a: str, b: str) -> BandMatrix:
+        """Slot ``a`` times slot ``b``, computed on first use."""
+        ab = self.ledger.get((a, b))
+        if ab is None:
+            ab = self.ledger[a, b] = getattr(self, a) @ getattr(self, b)
+        return ab
+
+    def commutator(self, a: str, b: str) -> BandMatrix:
+        return _bracket(self.product(a, b), self.product(b, a), 1)
+
+    def anticommutator(self, a: str, b: str) -> BandMatrix:
+        return _bracket(self.product(a, b), self.product(b, a), -1)
+
+
+# Rows read their products from an operator set.  Rows shared by two suites
+# are one object.
 _ANTICOMMUTATOR_GIVES_H = Relation("anticommutator-gives-h", "{Q+,Q} = H", 1, _DIAGONAL,
-                                   lambda o: (anticommutator(o.qd, o.q), o.h))
+                                   lambda o: (o.anticommutator("qd", "q"), o.h))
 _H_COMMUTES_QDAG = Relation("h-commutes-qdag", "[H,Q+] = 0", 1, _FLOAT,
-                            lambda o: (commutator(o.h, o.qd), o.zero))
+                            lambda o: (o.commutator("h", "qd"), o.zero))
 _H_COMMUTES_Q = Relation("h-commutes-q", "[H,Q] = 0", 1, _FLOAT,
-                         lambda o: (commutator(o.h, o.q), o.zero))
+                         lambda o: (o.commutator("h", "q"), o.zero))
 _H_COMMUTES_Z = Relation("h-commutes-z", "[H,Z] = 0", 0, _DIAGONAL,
-                         lambda o: (commutator(o.h, o.z), o.zero))
+                         lambda o: (o.commutator("h", "z"), o.zero))
 
 STANDARD_RELATIONS = (
-    Relation("qdag-squared-zero", "(Q+)^2 = 0", 0, _STRUCTURAL, lambda o: (o.qd @ o.qd, o.zero)),
-    Relation("q-squared-zero", "Q^2 = 0", 0, _STRUCTURAL, lambda o: (o.q @ o.q, o.zero)),
+    Relation("qdag-squared-zero", "(Q+)^2 = 0", 0, _STRUCTURAL,
+             lambda o: (o.product("qd", "qd"), o.zero)),
+    Relation("q-squared-zero", "Q^2 = 0", 0, _STRUCTURAL,
+             lambda o: (o.product("q", "q"), o.zero)),
     _ANTICOMMUTATOR_GIVES_H,
     _H_COMMUTES_QDAG,
     _H_COMMUTES_Q,
@@ -210,16 +251,16 @@ STANDARD_RELATIONS = (
 QFORM_RELATIONS = (
     _ANTICOMMUTATOR_GIVES_H,
     Relation("squares-cancel", "(Q+)^2 + Q^2 = 0", 0, _STRUCTURAL,
-             lambda o: (o.qd @ o.qd + o.q @ o.q, o.zero)),
+             lambda o: (o.product("qd", "qd") + o.product("q", "q"), o.zero)),
     Relation("commutator-gives-z", "[Q+,Q] = Z", 1, _DIAGONAL,
-             lambda o: (commutator(o.qd, o.q), o.z)),
+             lambda o: (o.commutator("qd", "q"), o.z)),
     _H_COMMUTES_QDAG,
     _H_COMMUTES_Q,
     _H_COMMUTES_Z,
     Relation("z-anticommutes-qdag", "{Z,Q+} = 0", 1, _FLOAT,
-             lambda o: (anticommutator(o.z, o.qd), o.zero)),
+             lambda o: (o.anticommutator("z", "qd"), o.zero)),
     Relation("z-anticommutes-q", "{Z,Q} = 0", 1, _FLOAT,
-             lambda o: (anticommutator(o.z, o.q), o.zero)),
+             lambda o: (o.anticommutator("z", "q"), o.zero)),
 )
 
 # Fixed (anti)commutators, not graded brackets: a bracket follows the degree an
@@ -230,27 +271,27 @@ HERMITIAN_RELATIONS = (
     Relation("hermitian-h", "H+ = H", 0, _FLOAT, lambda o: (o.h.adjoint(), o.h)),
     Relation("hermitian-z", "Z+ = Z", 0, _FLOAT, lambda o: (o.z.adjoint(), o.z)),
     Relation("q10-squared-gives-2h", "{Q10,Q10} = 2H", 1, _FLOAT,
-             lambda o: (anticommutator(o.q10, o.q10), o.h.scaled(2))),
+             lambda o: (o.anticommutator("q10", "q10"), o.h.scaled(2))),
     Relation("q01-squared-gives-2h", "{Q01,Q01} = 2H", 1, _FLOAT,
-             lambda o: (anticommutator(o.q01, o.q01), o.h.scaled(2))),
+             lambda o: (o.anticommutator("q01", "q01"), o.h.scaled(2))),
     Relation("q10-q01-commutator-gives-2iz", "[Q10,Q01] = 2iZ", 1, _FLOAT,
-             lambda o: (commutator(o.q10, o.q01), o.z.scaled(_two_i(o.z.backend)))),
+             lambda o: (o.commutator("q10", "q01"), o.z.scaled(_two_i(o.z.backend)))),
     Relation("h-commutes-q10", "[H,Q10] = 0", 1, _FLOAT,
-             lambda o: (commutator(o.h, o.q10), o.zero)),
+             lambda o: (o.commutator("h", "q10"), o.zero)),
     Relation("h-commutes-q01", "[H,Q01] = 0", 1, _FLOAT,
-             lambda o: (commutator(o.h, o.q01), o.zero)),
+             lambda o: (o.commutator("h", "q01"), o.zero)),
     _H_COMMUTES_Z,
     Relation("z-anticommutes-q10", "{Z,Q10} = 0", 1, _FLOAT,
-             lambda o: (anticommutator(o.z, o.q10), o.zero)),
+             lambda o: (o.anticommutator("z", "q10"), o.zero)),
     Relation("z-anticommutes-q01", "{Z,Q01} = 0", 1, _FLOAT,
-             lambda o: (anticommutator(o.z, o.q01), o.zero)),
+             lambda o: (o.anticommutator("z", "q01"), o.zero)),
 )
 
 
 def _evaluate(
     rows: Iterable[Relation],
-    ops: SimpleNamespace,
-    exact_ops: SimpleNamespace | None,
+    ops: _Operators,
+    exact_ops: _Operators | None,
     policy: TolerancePolicy,
 ) -> dict[Relation, RelationCheck]:
     """Check every row on ``ops``; a diagonal-exact row is evaluated by the
@@ -288,22 +329,16 @@ def _run_tables(
     tables: Sequence[Sequence[Relation]],
     policy: TolerancePolicy,
     use_exact: bool,
-    h: HermitianSet | None = None,
+    ops: _Operators,
 ) -> list[VerificationReport]:
-    """One report per table, all read from one operator set: the generators of
-    ``r`` plus the Hermitian charges ``h``.  Diagonal-exact rows are re-checked
-    on the set of ``r.exact`` (built on first use), which on the exact backend
-    is the instance set.  A row listed by several tables is evaluated once."""
-    def operators(s: RealizationSet, **more: BandMatrix) -> SimpleNamespace:
-        return SimpleNamespace(
-            zero=BandMatrix.zeros(s.dim, s.backend),
-            qd=s.Qdag.matrix, q=s.Q.matrix, h=s.H.matrix, z=s.Z.matrix, **more,
-        )
-
+    """One report per table, all read from ``ops``, the operator set of ``r``.
+    Diagonal-exact rows are re-checked on the set of ``r.exact`` (built on
+    first use), which on the exact backend is ``ops`` itself; that set and its
+    products are dropped on return.  A row listed by several tables is
+    evaluated once."""
     started = time.perf_counter()
-    ops = operators(r) if h is None else operators(r, q10=h.Q10.matrix, q01=h.Q01.matrix)
     ex = r.exact if use_exact else None
-    exact_ops = None if ex is None else ops if ex is r else operators(ex)
+    exact_ops = None if ex is None else ops if ex is r else _Operators(ex)
     checks = _evaluate(dict.fromkeys(chain(*tables)), ops, exact_ops, policy)
     reports = []
     for table in tables:
@@ -318,7 +353,7 @@ def run_standard_susy_suite(
     use_exact: bool = True,
 ) -> VerificationReport:
     """Nilpotent supercharges with {Q+, Q} = H and a conserved H."""
-    return _run_tables(r, (STANDARD_RELATIONS,), policy, use_exact)[0]
+    return _run_tables(r, (STANDARD_RELATIONS,), policy, use_exact, _Operators(r))[0]
 
 
 def run_qform_suite(
@@ -327,7 +362,7 @@ def run_qform_suite(
     use_exact: bool = True,
 ) -> VerificationReport:
     """The non-Hermitian presentation of the graded algebra (eight relations)."""
-    return _run_tables(r, (QFORM_RELATIONS,), policy, use_exact)[0]
+    return _run_tables(r, (QFORM_RELATIONS,), policy, use_exact, _Operators(r))[0]
 
 
 def run_hermitian_suite(
@@ -339,7 +374,8 @@ def run_hermitian_suite(
     The exact re-check of [H,Z] = 0 reads the H and Z of ``r.exact``, as the
     q-form suite's does.
     """
-    return _run_tables(r, (HERMITIAN_RELATIONS,), policy, True, hermitian_charges(r))[0]
+    ops = _Operators(r, hermitian_charges(r))
+    return _run_tables(r, (HERMITIAN_RELATIONS,), policy, True, ops)[0]
 
 
 def _closure_expectation(
@@ -370,14 +406,31 @@ def run_jacobi_suite(
     computed once, keyed by generator slot rather than label (a faulty set may
     repeat a label), and every check reads from them.
     """
+    return _run_jacobi(h, policy, _Operators(h))
+
+
+_JACOBI_SLOTS = ("h", "q10", "q01", "z")  # of the generators H, Q10, Q01, Z
+
+
+def _run_jacobi(h: HermitianSet, policy: TolerancePolicy, ops: _Operators) -> VerificationReport:
+    """The Jacobi suite of ``h``, whose generators ``ops`` holds in
+    :data:`_JACOBI_SLOTS`.  The inner brackets read their products from the
+    ledger of ``ops``, which is emptied before the nested brackets are built:
+    those products are never reused."""
     started = time.perf_counter()
     generators = (h.H, h.Q10, h.Q01, h.Z)
     degrees = [g.require_degree() for g in generators]
+    scales = [g.matrix.max_abs() for g in generators]
     slots = range(len(generators))
     inner = {
-        (j, k): graded_bracket(generators[j], generators[k])
+        (j, k): _graded(
+            generators[j], generators[k],
+            ops.product(_JACOBI_SLOTS[j], _JACOBI_SLOTS[k]),
+            ops.product(_JACOBI_SLOTS[k], _JACOBI_SLOTS[j]),
+        )
         for j, k in product(slots, repeat=2)
     }
+    ops.ledger.clear()
     nested = {
         (i, j, k): graded_bracket(generators[i], inner[j, k]).matrix
         for i, j, k in product(slots, repeat=3)
@@ -389,7 +442,7 @@ def run_jacobi_suite(
         residual = antisymmetry_residual(sign, inner[i, j].matrix, inner[j, i].matrix)
         checks.append(RelationCheck(
             f"antisymmetry[{x.label},{y.label}]", "[[X,Y]] + (-1)^(x.y) [[Y,X]] = 0", 0,
-            _STRUCTURAL, residual, _top([x.matrix.max_abs(), y.matrix.max_abs()]), 0.0,
+            _STRUCTURAL, residual, _top([scales[i], scales[j]]), 0.0,
             residual == 0.0,
         ))
     for i, j, k in product(slots, repeat=3):
@@ -428,10 +481,13 @@ def run_all_suites(
 
     The Hermitian charges are built once, for the tables and the Jacobi
     suite.  Each distinct row is evaluated once; a shared row's check serves
-    both suites that list it.
+    both suites that list it.  The tables and the Jacobi suite's inner
+    brackets share one operator set, so each generator product is computed
+    once per call.
     """
     h = hermitian_charges(r)
+    ops = _Operators(r, h)
     tables = (STANDARD_RELATIONS, QFORM_RELATIONS, HERMITIAN_RELATIONS)
-    reports = _run_tables(r, tables, policy, use_exact, h)
-    reports.append(run_jacobi_suite(h, policy))
+    reports = _run_tables(r, tables, policy, use_exact, ops)
+    reports.append(_run_jacobi(h, policy, ops))
     return merge_reports(reports, SUITE_PREFIXES)

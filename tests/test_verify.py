@@ -15,6 +15,7 @@ from gdoa_susy.grading import (
     GradedOperator,
     GradingError,
     check_antisymmetry,
+    graded_bracket,
     jacobi_defect,
 )
 from gdoa_susy.numerics import (
@@ -23,6 +24,7 @@ from gdoa_susy.numerics import (
     ExactScalar,
     TolerancePolicy,
     anticommutator,
+    commutator,
 )
 from gdoa_susy.realizations import (
     DEGREE_H,
@@ -392,21 +394,162 @@ class TestSharedRows:
         # 5 standard + 8 q-form + 12 Hermitian + 16 closure checks, 4 of them shared
         assert sum(calls.values()) == 41 - 4
 
-    @pytest.mark.parametrize("backend, count", [(Backend.FLOAT, 198), (Backend.EXACT, 192)])
-    def test_reference_cell_matmul_count(self, backend, count, monkeypatch):
-        # cv(1/2), mu 0, dim 256 (16 exact): 212 / 210 before shared rows ran
-        # once, and 200 on float while the exact variant multiplied a by P_mu
-        r = cv_realization(Fraction(1, 2), 0, 256 if backend is Backend.FLOAT else 16, backend)
+    @staticmethod
+    def _record_matmuls(monkeypatch):
         calls = []
         original = BandMatrix.__matmul__
 
-        def counting(a, b):
-            calls.append(1)
+        def recording(a, b):
+            calls.append((a, b))
             return original(a, b)
 
-        monkeypatch.setattr(BandMatrix, "__matmul__", counting)
-        assert run_all_suites(r).passed
+        monkeypatch.setattr(BandMatrix, "__matmul__", recording)
+        return calls
+
+    # cv(1/2), mu 0, dim 256 (16 exact): 26 table products, 4 more on the
+    # exact variant's set (float only), 2 inner Jacobi products the tables do
+    # not make (HH, ZZ) and 128 nested ones.  198 / 192 while every row and
+    # bracket made its own products; 212 / 210 before shared rows ran once.
+    # A second call makes them all again: no product outlives its call.
+    @pytest.mark.parametrize("backend, count", [(Backend.FLOAT, 160), (Backend.EXACT, 156)])
+    def test_reference_cell_matmul_count(self, backend, count, monkeypatch):
+        r = cv_realization(Fraction(1, 2), 0, 256 if backend is Backend.FLOAT else 16, backend)
+        calls = self._record_matmuls(monkeypatch)
+        first = run_all_suites(r)
+        assert first.passed and len(calls) == count
+        del calls[:]
+        assert run_all_suites(r).checks == first.checks
         assert len(calls) == count
+
+    @pytest.mark.parametrize("backend", [Backend.FLOAT, Backend.EXACT])
+    @pytest.mark.parametrize("family", ["cv", "gdoa"])
+    def test_each_generator_product_made_once(self, family, backend, monkeypatch):
+        r = _family(family, 1, 8, backend)
+        built = []
+
+        def capture(s):
+            built.append(hermitian_charges(s))
+            return built[-1]
+
+        monkeypatch.setattr(verify, "hermitian_charges", capture)
+        calls = self._record_matmuls(monkeypatch)
+        run_all_suites(r)
+        (h,) = built
+        generators = {id(op.matrix) for s in (r, r.exact) for op in (s.Qdag, s.Q, s.H, s.Z)}
+        generators |= {id(h.Q10.matrix), id(h.Q01.matrix)}
+        pairs = Counter((id(a), id(b)) for a, b in calls
+                        if id(a) in generators and id(b) in generators)
+        assert max(pairs.values()) == 1
+        # 26 table products and 2 inner Jacobi ones, plus 4 on a separate exact set
+        assert len(pairs) == (28 if backend is Backend.EXACT else 32)
+
+
+def _plain_pairs(s, h=None):
+    """Every table row's two sides, each product made by plain ``@``."""
+    qd, q, hh, z = s.Qdag.matrix, s.Q.matrix, s.H.matrix, s.Z.matrix
+    zero = BandMatrix.zeros(s.dim, s.backend)
+    pairs = {
+        "qdag-squared-zero": (qd @ qd, zero),
+        "q-squared-zero": (q @ q, zero),
+        "anticommutator-gives-h": (anticommutator(qd, q), hh),
+        "h-commutes-qdag": (commutator(hh, qd), zero),
+        "h-commutes-q": (commutator(hh, q), zero),
+        "squares-cancel": (qd @ qd + q @ q, zero),
+        "commutator-gives-z": (commutator(qd, q), z),
+        "h-commutes-z": (commutator(hh, z), zero),
+        "z-anticommutes-qdag": (anticommutator(z, qd), zero),
+        "z-anticommutes-q": (anticommutator(z, q), zero),
+    }
+    if h is not None:
+        q10, q01 = h.Q10.matrix, h.Q01.matrix
+        two_i = ExactScalar(0, 2) if s.backend is Backend.EXACT else 2j
+        pairs.update({
+            "hermitian-q10": (q10.adjoint(), q10),
+            "hermitian-q01": (q01.adjoint(), q01),
+            "hermitian-h": (hh.adjoint(), hh),
+            "hermitian-z": (z.adjoint(), z),
+            "q10-squared-gives-2h": (anticommutator(q10, q10), hh.scaled(2)),
+            "q01-squared-gives-2h": (anticommutator(q01, q01), hh.scaled(2)),
+            "q10-q01-commutator-gives-2iz": (commutator(q10, q01), z.scaled(two_i)),
+            "h-commutes-q10": (commutator(hh, q10), zero),
+            "h-commutes-q01": (commutator(hh, q01), zero),
+            "z-anticommutes-q10": (anticommutator(z, q10), zero),
+            "z-anticommutes-q01": (anticommutator(z, q01), zero),
+        })
+    return pairs
+
+
+def _oracle_checks(r, policy=verify.DEFAULT_POLICY):
+    """The 121 checks of ``run_all_suites(r)``, rebuilt with no product ledger:
+    every bracket from ``commutator``/``anticommutator``/``graded_bracket``."""
+    h = hermitian_charges(r)
+    pairs = _plain_pairs(r, h)
+    exact = _plain_pairs(r.exact) if r.exact is not None else None
+    checks = []
+    for prefix, table in zip(SUITE_PREFIXES, (verify.STANDARD_RELATIONS, verify.QFORM_RELATIONS,
+                                              verify.HERMITIAN_RELATIONS)):
+        for row in table:
+            exact_pair = None
+            if exact is not None and row.exactness is Exactness.DIAGONAL_EXACT:
+                exact_pair = exact[row.name]
+            check = verify._check(row.name, row.formula, row.guard_band, row.exactness,
+                                  pairs[row.name], policy, exact_pair)
+            checks.append(replace(check, name=f"{prefix}/{row.name}"))
+    generators = (h.H, h.Q10, h.Q01, h.Z)
+    for x, y in product(generators, repeat=2):
+        residual = check_antisymmetry(x, y)
+        scale = verify._top([x.matrix.max_abs(), y.matrix.max_abs()])
+        checks.append(verify.RelationCheck(
+            f"jacobi/antisymmetry[{x.label},{y.label}]", "[[X,Y]] + (-1)^(x.y) [[Y,X]] = 0",
+            0, Exactness.STRUCTURAL_EXACT, residual, scale, 0.0, residual == 0.0))
+    for x, y, z in product(generators, repeat=3):
+        residual, scale = jacobi_defect(x, y, z)
+        bound = policy.bound(scale)
+        checks.append(verify.RelationCheck(
+            f"jacobi/jacobi[{x.label},{y.label},{z.label}]", "graded Jacobi cyclic sum = 0",
+            3, Exactness.FLOAT_TOLERANCE, residual, scale, bound, residual <= bound))
+    for x, y in product(generators, repeat=2):
+        check = verify._check(
+            f"closure[{x.label},{y.label}]", "[[X,Y]] = structure constants", 1,
+            Exactness.FLOAT_TOLERANCE,
+            (graded_bracket(x, y).matrix, verify._closure_expectation(x, y, h)), policy)
+        checks.append(replace(check, name=f"jacobi/{check.name}"))
+    return checks
+
+
+def _fields(check):
+    """A check's fields, floats by ``float.hex`` so that NaN and -0.0 compare."""
+    return tuple(v.hex() if isinstance(v, float) else v for v in vars(check).values())
+
+
+def _corrupted(r, fault):
+    if fault == "h-bumped":
+        one = ExactScalar(1) if r.backend is Backend.EXACT else 1.0
+        return replace(r, H=replace(r.H, matrix=r.H.matrix + BandMatrix(r.dim, r.backend,
+                                                                          {(0, 0): one})))
+    if fault == "z-aliases-h":
+        return replace(r, Z=replace(r.Z, matrix=r.H.matrix))
+    if fault == "q-is-qdag":
+        return replace(r, Q=replace(r.Q, matrix=r.Qdag.matrix))
+    return r
+
+
+class TestLedgerFreeOracle:
+    # run_all_suites reads each generator product from one ledger; every check
+    # must equal the one rebuilt with plain products, bit for bit, on honest
+    # and on corrupted sets (one of which holds one matrix in two slots).
+    @pytest.mark.parametrize("fault", ["none", "h-bumped", "z-aliases-h", "q-is-qdag"])
+    @pytest.mark.parametrize("backend", [Backend.FLOAT, Backend.EXACT])
+    @pytest.mark.parametrize("dim", [8, 16])
+    @pytest.mark.parametrize("mu", [0, 1])
+    @pytest.mark.parametrize("family", ["cv", "gdoa"])
+    def test_report_equals_plain_products(self, family, mu, dim, backend, fault):
+        r = _corrupted(_family(family, mu, dim, backend), fault)
+        report = run_all_suites(r)
+        expected = _oracle_checks(r)
+        assert [c.name for c in report.checks] == [c.name for c in expected]
+        assert [_fields(c) for c in report.checks] == [_fields(c) for c in expected]
+        assert report.passed is (fault == "none")
 
 
 _ANTI_H = {"standard/anticommutator-gives-h", "qform/anticommutator-gives-h"}
