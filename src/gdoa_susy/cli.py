@@ -325,8 +325,8 @@ _JSON_TABLE = """\
 _JSON_ROW = """\
       {
         "n": %d,
-        "E": %s,
-        "Z": %s,
+        "E": "%s",
+        "Z": "%s",
         "pair": %s
       }"""
 
@@ -335,12 +335,15 @@ def _spectrum_json(
     tables: Sequence[SpectrumTable], reports: Sequence[DegeneracyReport], dim: int
 ) -> str:
     """The tables as ``json.dumps(..., indent=2)`` writes them (a table has
-    at least one row); every string goes through ``json.dumps``."""
+    at least one row).  A row's strings are a rational's ``str`` and a
+    ``p{k}`` label, which need no escaping, so they are written as they are;
+    the spec and the verdict go through ``json.dumps``."""
     dump = json.dumps
     blocks = []
     for t, r in zip(tables, reports):
         rows = ",\n".join(
-            _JSON_ROW % (row["n"], dump(row["E"]), dump(row["Z"]), dump(row["pair"]))
+            _JSON_ROW % (row["n"], row["E"], row["Z"],
+                         "null" if row["pair"] is None else f'"{row["pair"]}"')
             for row in _spectrum_rows(t, r)
         )
         head = (dump(t.spec.describe()), t.mu, dim, t.n_max, dump(t.verdict))

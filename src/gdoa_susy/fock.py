@@ -188,31 +188,38 @@ def fits_double(value: int | float | Fraction) -> bool:
         return False
 
 
-def _sqrt_entry(value: Fraction, backend: Backend):
+def _sqrt_entry(value: Fraction | float, backend: Backend):
+    """sqrt(F(n)) from F(n) as a rational (exact) or as its double (float)."""
     if backend is Backend.EXACT:
         return ExactScalar.sqrt_of(value)
-    return complex(math.sqrt(float(value)))
+    return complex(math.sqrt(value))
 
 
-def _ladder_values(spec: OscillatorSpec, dim: int, backend: Backend) -> tuple[Fraction, ...]:
-    """F(0..dim) for ladder amplitudes on dimension dim >= 2; on the float
-    backend every F(1..dim-1) must fit a double."""
+def _ladder_values(
+    spec: OscillatorSpec, dim: int, backend: Backend
+) -> tuple[tuple[Fraction, ...], list[float]]:
+    """F(0..dim) for ladder amplitudes on dimension dim >= 2, and on the float
+    backend F(0..dim-1) as doubles, each converted once from its integer
+    parts (none on the exact backend); every F(1..dim-1) must fit a double."""
     if dim < 2:
         raise ValidationError("dim must be >= 2")
     values = structure_values(spec, dim)
-    if backend is Backend.FLOAT:
-        n = next((n for n in range(1, dim) if not fits_double(values[n])), None)
-        if n is not None:
-            raise ValidationError(f"F({n}) is beyond the double range of the float backend")
-    return values
+    if backend is Backend.EXACT:
+        return values, []
+    try:
+        return values, [value.numerator / value.denominator for value in values[:dim]]
+    except OverflowError:
+        n = next(n for n in range(1, dim) if not fits_double(values[n]))
+        raise ValidationError(f"F({n}) is beyond the double range of the float backend") from None
 
 
 def build_fock_rep(
     spec: OscillatorSpec, dim: int, backend: Backend = Backend.FLOAT
 ) -> FockRep:
     """Build the ladder and parity projector matrices on dimension dim."""
-    values = _ladder_values(spec, dim, backend)
-    roots = {n: _sqrt_entry(values[n], backend) for n in range(1, dim)}
+    values, doubles = _ladder_values(spec, dim, backend)
+    levels = values if backend is Backend.EXACT else doubles
+    roots = {n: _sqrt_entry(levels[n], backend) for n in range(1, dim)}
     a = BandMatrix(dim, backend, {(n - 1, n): roots[n] for n in range(1, dim)})
     a_dag = BandMatrix(dim, backend, {(n + 1, n): roots[n + 1] for n in range(dim - 1)})
     p_even = BandMatrix.diagonal([Fraction(1 - n % 2) for n in range(dim)], backend)

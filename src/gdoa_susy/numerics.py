@@ -8,13 +8,16 @@ Two scalar backends coexist:
   equality is structural and products of matching radicals collapse back to
   rationals.  Sums of incompatible radicals raise :class:`ExactnessError`;
   the identities verified exactly in this package never produce such sums.
-  Values are canonical by construction: the public constructor factors its
-  radicand once (numerator and denominator each up to 10**18; a larger
-  non-square raises :class:`ExactnessError`), and ``+``, ``-``, ``*``,
+  Values are canonical by construction: :func:`_rooted` factors a radicand
+  once from integer parts (numerator and denominator each up to 10**18; a
+  larger non-square raises :class:`ExactnessError`); the public constructor
+  reads its arguments' parts through ``Fraction`` and calls it, and the
+  realizations call it on a level's parts directly.  ``+``, ``-``, ``*``,
   negation and ``conjugate`` run on the ints, combine already square-free
   radicands by gcd without factoring and divide out ``gcd(p, q, d)`` once;
-  :func:`coerce_scalar` wraps a rational directly.  No ``Fraction`` is built
-  on these paths; ``re``/``im``/``rad`` read the parts back as Fractions.
+  :func:`coerce_scalar` and :meth:`BandMatrix.diagonal` wrap a rational
+  directly.  No ``Fraction`` is built on these paths; ``re``/``im``/``rad``
+  read the parts back as Fractions.
 * ``Backend.FLOAT``: complex double precision (python ``complex``).
 
 Tolerances (:class:`TolerancePolicy`) must be finite and nonnegative.
@@ -117,17 +120,10 @@ class ExactScalar:
         rad = Fraction(rad)
         if rad < 0:
             raise ExactnessError("radicand must be nonnegative")
-        if rad == 0 or (re == 0 and im == 0):
-            p, q, d, rn, rd = 0, 0, 1, 1, 1
-        else:
-            sn, rn = _square_split(rad.numerator)
-            sd, rd = _square_split(rad.denominator)
-            b, e = re.denominator, im.denominator
-            p, q, d = re.numerator * e * sn, im.numerator * b * sn, b * e * sd
-            g = math.gcd(p, q, d)
-            p, q, d = p // g, q // g, d // g
-        for name, value in zip(ExactScalar.__slots__, (p, q, d, rn, rd)):
-            object.__setattr__(self, name, value)
+        b, e = re.denominator, im.denominator
+        value = _rooted(re.numerator * e, im.numerator * b, b * e, rad.numerator, rad.denominator)
+        for name in ExactScalar.__slots__:
+            object.__setattr__(self, name, getattr(value, name))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("ExactScalar is immutable")
@@ -271,6 +267,17 @@ def _canonical(p: int, q: int, d: int, rn: int, rd: int) -> ExactScalar:
     return scalar
 
 
+def _rooted(p: int, q: int, d: int, rn: int, rd: int) -> ExactScalar:
+    """``(p + q*i)/d * sqrt(rn/rd)`` from integer parts with ``d > 0``,
+    ``rn >= 0`` and ``rd > 0`` coprime: the radicand is split once by
+    :func:`_square_split`; zero parts or a zero radicand give zero."""
+    if not (p or q) or not rn:
+        return _canonical(0, 0, 1, 1, 1)
+    sn, rn = _square_split(rn)
+    sd, rd = _square_split(rd)
+    return _canonical(p * sn, q * sn, d * sd, rn, rd)
+
+
 def _sum(a: ExactScalar, b: ExactScalar, b_p: int, b_q: int) -> ExactScalar:
     """``a + (b_p + b_q*i)/d * sqrt(rad)`` with d and rad those of b: b itself
     or -b, so a difference needs no negated intermediate."""
@@ -314,6 +321,9 @@ def coerce_scalar(value: object, backend: Backend) -> Scalar:
     if isinstance(value, Fraction):
         return complex(float(value))
     raise BackendMismatchError(f"cannot coerce {value!r} to a float scalar")
+
+
+_RATIONALS = (int, Fraction)
 
 
 def _zero(backend: Backend) -> Scalar:
@@ -433,7 +443,17 @@ class BandMatrix:
 
     @classmethod
     def diagonal(cls, values: Sequence[object], backend: Backend) -> "BandMatrix":
-        return cls._build(len(values), backend, {0: [coerce_scalar(v, backend) for v in values]})
+        """The diagonal matrix of ``values``.  Ints and Fractions are written
+        from their integer parts, as :func:`coerce_scalar` writes them (a
+        rational beyond the double range raises ``OverflowError`` on the float
+        backend); any other value goes through :func:`coerce_scalar`."""
+        if backend is Backend.EXACT:
+            scalars = [_canonical(v.numerator, 0, v.denominator, 1, 1) if type(v) in _RATIONALS
+                       else coerce_scalar(v, backend) for v in values]
+        else:
+            scalars = [complex(v.numerator / v.denominator) if type(v) in _RATIONALS
+                       else coerce_scalar(v, backend) for v in values]
+        return cls._build(len(values), backend, {0: scalars})
 
     @classmethod
     def from_entries(

@@ -13,8 +13,14 @@ levels.  Two sign conventions are produced by the two construction families:
 Both are written entry by entry, f(m) sqrt(F(m)) per edge, by one writer: no
 realization builds a ladder.  Every build and spectrum reads F, and a
 sqrt-free f, from its spec's level record (see
-:class:`~gdoa_susy.fock.OscillatorSpec`), and an exact variant is built from
-the same spec, so each is evaluated (F validated) once per spec.
+:class:`~gdoa_susy.fock.OscillatorSpec`), so each is evaluated (F
+validated) once per spec.  The exact variant of a float build is no second
+build: it writes only the exact charges, from the same record, and takes H
+and Z from the exact energies and central charges the float build recorded
+(``h_diag``, ``z_diag``).  It never reads the float matrices, so the exact
+re-check still rests on the defining data alone.  Each level's scalar is
+written from integer parts: an exact edge through its radicand's split, a
+float one from F(m)'s one double, a diagonal entry from its rational.
 
 At f = 1 and the reflection-deformed structure function the two families
 coincide under the swap Q <-> Q+, Z <-> -Z with identical H;
@@ -52,6 +58,7 @@ from .numerics import (
     Backend,
     BandMatrix,
     ExactScalar,
+    _rooted,
     approx_equal_matrix,
 )
 
@@ -120,26 +127,31 @@ def _central_charges(energies: Sequence[Fraction | float], mu: int, convention: 
 
 def _charges(spec: OscillatorSpec, mu: int, dim: int, backend: Backend) -> tuple:
     """Raising and lowering charges of parity mu, f(m) sqrt(F(m)) at (m, m-1) and
-    (m-1, m) for m = mu (mod 2), and the F(0..dim) and f read from the spec."""
+    (m-1, m) for m = mu (mod 2), and the F(0..dim) and f read from the spec.
+    Each edge is written from integer parts: exact through its radicand's
+    split, float from F(m)'s one double."""
     _require_mu(mu)
-    values = _ladder_values(spec, dim, backend)
+    values, doubles = _ladder_values(spec, dim, backend)
     if backend is Backend.EXACT and not spec.weight_is_exact:
         raise ValidationError("weight function contains sqrt; use the float backend")
     weights = _weight_levels(spec, dim)
+    levels = range(2 - mu, dim, 2)
     if backend is Backend.EXACT:
-        edges = {m: ExactScalar(weights[m], 0, values[m]) for m in range(2 - mu, dim, 2)}
+        edges = {m: _rooted(weights[m].numerator, 0, weights[m].denominator,
+                            values[m].numerator, values[m].denominator) for m in levels}
     else:
-        edges = {m: complex(float(weights[m]) * math.sqrt(float(values[m])))
-                 for m in range(2 - mu, dim, 2)}
+        edges = {m: complex(float(weights[m]) * math.sqrt(doubles[m])) for m in levels}
     raising = BandMatrix(dim, backend, {(m, m - 1): edge for m, edge in edges.items()})
     lowering = BandMatrix(dim, backend, {(m - 1, m): edge for m, edge in edges.items()})
     return raising, lowering, values, weights
 
 
 def _realization(spec: OscillatorSpec, mu: int, dim: int, backend: Backend, convention: str,
-                 qdag: BandMatrix, q: BandMatrix, energies: list) -> RealizationSet:
-    """One build's record: Q+ and Q, and H and Z diagonal in the energies."""
-    central = _central_charges(energies, mu, convention)
+                 raising: BandMatrix, lowering: BandMatrix, energies: Sequence,
+                 central: Sequence) -> RealizationSet:
+    """One build's record: Q+ and Q in the convention's order (cv lowers with
+    Q+), and H and Z diagonal in the energies and central charges."""
+    qdag, q = (lowering, raising) if convention == "cv" else (raising, lowering)
     exact = spec.weight_is_exact
     return RealizationSet(
         spec=spec, mu=mu, dim=dim, backend=backend, convention=convention,
@@ -165,7 +177,8 @@ def cv_realization(
                               f"not {spec.describe()}")
     raising, lowering, _, _ = _charges(spec, mu, dim, backend)
     energies = _energies(mu, dim, partial(_cv_energy, spec.kappa))
-    return _realization(spec, mu, dim, backend, "cv", lowering, raising, energies)
+    central = _central_charges(energies, mu, "cv")
+    return _realization(spec, mu, dim, backend, "cv", raising, lowering, energies, central)
 
 
 def gdoa_realization(
@@ -175,7 +188,8 @@ def gdoa_realization(
     try:
         raising, lowering, values, weights = _charges(spec, mu, dim, backend)
         energies = _energies(mu, dim, partial(_gdoa_energy, values, weights))
-        return _realization(spec, mu, dim, backend, "gdoa", raising, lowering, energies)
+        central = _central_charges(energies, mu, "gdoa")
+        return _realization(spec, mu, dim, backend, "gdoa", raising, lowering, energies, central)
     except OverflowError:
         # redo the conversions level by level to name the first that overflows
         values, weights = structure_values(spec, dim), _weight_levels(spec, dim)
@@ -192,14 +206,16 @@ def gdoa_realization(
 def exact_variant(r: RealizationSet) -> RealizationSet | None:
     """The same realization on the exact backend, or None if f needs floats.
 
-    It is built from ``r.spec``, so it reads the level record the float build
-    left there."""
+    Only its charges are built, exact, from ``r.spec``'s level record; H and
+    Z are the exact energies and central charges ``r`` recorded.  It never
+    reads ``r``'s float matrices, so it is derived from the defining data."""
     if r.backend is Backend.EXACT:
         return r
     if not r.spec.weight_is_exact:
         return None
-    build = cv_realization if r.convention == "cv" else gdoa_realization
-    return build(r.spec, r.mu, r.dim, Backend.EXACT)
+    raising, lowering, _, _ = _charges(r.spec, r.mu, r.dim, Backend.EXACT)
+    return _realization(r.spec, r.mu, r.dim, Backend.EXACT, r.convention, raising, lowering,
+                        r.h_diag, r.z_diag)
 
 
 @dataclass(frozen=True)

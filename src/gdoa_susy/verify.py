@@ -171,8 +171,10 @@ def _check(
     relation with an exact pair must cancel identically there AND the instance
     matrices must still satisfy it within policy; the instance comparison is
     what catches a perturbed operator, since the exact pair is derived from
-    the defining data rather than the instance entries.  Without an exact pair
-    it is a float-tolerance check.
+    the defining data rather than the instance entries: exact charges written
+    from the spec's level record, and H and Z from the closed-form energies
+    and central charges the build recorded, never from its float matrices.
+    Without an exact pair it is a float-tolerance check.
     """
     structural = exactness is _STRUCTURAL
     cmp = guard_band_equal(*pair, guard_band, EXACT_POLICY if structural else policy)

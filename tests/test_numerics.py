@@ -755,6 +755,62 @@ class TestDiagonalStorage:
             m.max_abs(range(0, 4, 2))
 
 
+# Rationals a level diagonal holds: zero, signs, thirds and sevenths, values
+# near the top of the double range (2^1024 - 2^970 is the first int that
+# rounds past it), a tiny one that rounds to 0.0, and huge parts with a
+# moderate ratio.  _BEYOND_DOUBLE is past the double range.
+_LEVELS = [0, Fraction(0), 1, -1, 7, Fraction(-3, 7), Fraction(22, 7), 10**300, -(10**300),
+           2**1024 - 2**970 - 1, Fraction(1, 10**400), Fraction(10**400, 3**700), True]
+_BEYOND_DOUBLE = [10**320, -(10**320), 2**1024 - 2**970, Fraction(10**700, 3**700)]
+
+
+class TestDiagonalFromIntegerParts:
+    # BandMatrix.diagonal writes ints and Fractions from their integer parts;
+    # coerce_scalar is the oracle, float parts by float.hex and exact values
+    # structurally
+    @staticmethod
+    def _assert_matches_coerce(values, backend):
+        stored = BandMatrix.diagonal(values, backend)
+        dense = to_dense(stored)
+        for i, value in enumerate(values):
+            got, expected = dense[i][i], coerce_scalar(value, backend)
+            assert type(got) is type(expected)
+            assert _bits(got) == _bits(expected) and got == expected
+        assert stored == BandMatrix(len(values), backend, {
+            (i, i): coerce_scalar(value, backend) for i, value in enumerate(values)
+        })
+
+    @pytest.mark.parametrize("backend", [FLOAT, EXACT])
+    def test_levels_match_coerce_scalar(self, backend):
+        values = _LEVELS + (_BEYOND_DOUBLE if backend is EXACT else [])
+        self._assert_matches_coerce(values, backend)
+        # other scalars go through coerce_scalar itself
+        other = 2.5 if backend is FLOAT else ExactScalar.sqrt_of(2)
+        self._assert_matches_coerce([Fraction(0), other, 3], backend)
+
+    @pytest.mark.parametrize("value", _BEYOND_DOUBLE)
+    def test_beyond_the_double_range_raises_overflow(self, value):
+        # gdoa_realization turns this OverflowError into a message naming the level
+        with pytest.raises(OverflowError):
+            coerce_scalar(value, FLOAT)
+        with pytest.raises(OverflowError):
+            BandMatrix.diagonal([Fraction(1, 3), value, 2], FLOAT)
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=st.lists(st.one_of(st.integers(-10**320, 10**320),
+                                     st.fractions(max_denominator=10**12)),
+                           min_size=1, max_size=12),
+           backend=st.sampled_from([FLOAT, EXACT]))
+    def test_random_rationals_match_coerce_scalar(self, values, backend):
+        try:
+            [coerce_scalar(value, backend) for value in values]
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                BandMatrix.diagonal(values, backend)
+            return
+        self._assert_matches_coerce(values, backend)
+
+
 class TestNonFiniteEntries:
     NAN = complex(float("nan"), 0.0)
     INF = complex(float("inf"), 0.0)

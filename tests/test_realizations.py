@@ -215,6 +215,68 @@ class TestWeightedRealizations:
         assert exact_variant(gdoa_realization(sqrt_spec, 0, 6)) is None
 
 
+# (family, kappa or (F, f)): f = n - 3 has a zero edge at m = 3, f = 0 only
+# zero edges, and F = n^600 holds F(4) = 2^1200, past the double range
+_VARIANT_GRID = [("cv", kappa) for kappa in ("1/2", "0", "5/2", "-3/7")] + [
+    ("gdoa", pair) for pair in
+    (("n^2", "n"), ("12*n/7", "1/(n+2)"), ("n^2", "n-3"), ("n^2", "0"), ("n^600", "1"))
+]
+
+
+class TestExactVariantFromTheRecord:
+    # exact_variant builds only the exact charges and takes H and Z from the
+    # float build's exact record: it must equal a fresh exact build, on a
+    # spec of its own, entry for entry.
+    @staticmethod
+    def _build(family, arg, mu, dim, backend):
+        if family == "cv":
+            return cv_realization(OscillatorSpec.calogero_vasiliev(arg), mu, dim, backend)
+        return gdoa_realization(OscillatorSpec.gdoa(arg[0], weight=arg[1]), mu, dim, backend)
+
+    @staticmethod
+    def _assert_same(variant, fresh):
+        assert (variant.spec, variant.mu, variant.dim, variant.backend, variant.convention) == (
+            fresh.spec, fresh.mu, fresh.dim, EXACT, fresh.convention)
+        for field in ("Qdag", "Q", "H", "Z"):
+            got, expected = getattr(variant, field), getattr(fresh, field)
+            assert (got.degree, got.label) == (expected.degree, expected.label)
+            assert list(got.matrix.entries()) == list(expected.matrix.entries())
+            assert all(type(v) is ExactScalar for _, _, v in got.matrix.entries())
+            assert got.matrix == expected.matrix
+        assert variant.h_diag == fresh.h_diag and variant.z_diag == fresh.z_diag
+
+    @pytest.mark.parametrize("dim", [8, 24, 64])
+    @pytest.mark.parametrize("mu", [0, 1])
+    @pytest.mark.parametrize("family, arg", _VARIANT_GRID)
+    def test_equals_a_fresh_exact_build(self, family, arg, mu, dim):
+        fresh = self._build(family, arg, mu, dim, EXACT)
+        # both builds write their charges through one writer; its edges must
+        # be f(m) sqrt(F(m)) as the public constructor writes it
+        values = fock.structure_values(fresh.spec, dim)
+        weights = fock.weight_values(fresh.spec, dim)
+        edges = {(m, m - 1): ExactScalar(weights[m], 0, values[m]) for m in range(2 - mu, dim, 2)}
+        raising = fresh.Q if family == "cv" else fresh.Qdag
+        assert raising.matrix == BandMatrix(dim, EXACT, edges)
+        try:
+            r = self._build(family, arg, mu, dim, FLOAT)
+        except ValidationError:  # F(4) = 2^1200 has no float build
+            assert arg == ("n^600", "1")
+        else:
+            variant = exact_variant(r)
+            assert variant.spec is r.spec
+            self._assert_same(variant, fresh)
+        # the float matrices are never read: a record without them gives the same
+        bare = replace(fresh, backend=FLOAT, Qdag=None, Q=None, H=None, Z=None)
+        self._assert_same(exact_variant(bare), fresh)
+
+    def test_zero_weight_writes_the_canonical_zero(self):
+        # f(3) = 0 beside F(3) = 6: the edge is the zero of coerce_scalar(0),
+        # not 0 * sqrt(6); equality compares the zero kept inside the diagonal
+        r = gdoa_realization(OscillatorSpec.gdoa("2*n", weight="n-3"), 1, 8)
+        edges = {(m, m - 1): ExactScalar(m - 3, 0, 2 * m) for m in (1, 5, 7)}
+        assert r.exact.Qdag.matrix == BandMatrix.from_entries(8, {**edges, (3, 2): 0}, EXACT)
+
+
 class TestHermitianCharges:
     def test_explicit_small_case(self):
         import math
