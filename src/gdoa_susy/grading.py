@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .numerics import BandMatrix, _bracket, _top
+from .numerics import BandMatrix, _bracket, _signed_max_abs, _top
 
 
 class GradingError(ValueError):
@@ -103,9 +103,8 @@ def _graded(x: GradedOperator, y: GradedOperator, xy: BandMatrix, yx: BandMatrix
 
 
 def antisymmetry_residual(sign: int, forward: BandMatrix, backward: BandMatrix) -> float:
-    """Max |entry| of [[X,Y]] + sign [[Y,X]] from the two brackets, sign = (-1)^(x.y)."""
-    total = forward + backward if sign == 1 else forward - backward
-    return total.max_abs()
+    """Max |entry| of [[X,Y]] + sign [[Y,X]], sign = (-1)^(x.y), in one pass."""
+    return _signed_max_abs([(1, forward), (sign, backward)])
 
 
 def check_antisymmetry(x: GradedOperator, y: GradedOperator) -> float:
@@ -131,15 +130,16 @@ def guard_columns(dim: int, guard_band: int) -> range:
 def jacobi_sum(
     terms: Sequence[tuple[int, BandMatrix]], guard_band: int
 ) -> tuple[float, float]:
-    """(residual, scale) of a sign-weighted sum of nested brackets.
+    """(residual, scale) of a sign-weighted sum of nested brackets, signs ±1.
 
-    The top guard_band columns are excluded; the scale is the largest entry of
-    the unsigned terms on the compared columns, NaN if any entry there is NaN.
+    The top guard_band columns are excluded; the sum is taken left to right in
+    one pass; the scale is the largest entry of the unsigned terms on the
+    compared columns, NaN if any entry there is NaN.
     """
+    if not terms:
+        raise GradingError("a Jacobi sum needs at least one term")
     cols = guard_columns(terms[0][1].dim, guard_band)
-    signed = [matrix if sign == 1 else -matrix for sign, matrix in terms]
-    scale = _top([matrix.max_abs(cols) for _, matrix in terms])
-    return sum(signed[1:], signed[0]).max_abs(cols), scale
+    return _signed_max_abs(terms, cols), _top([matrix.max_abs(cols) for _, matrix in terms])
 
 
 def jacobi_defect(

@@ -578,6 +578,28 @@ def _bracket(ab: BandMatrix, ba: BandMatrix, sign: int) -> BandMatrix:
     return ab - ba if sign == 1 else ab + ba
 
 
+def _signed_max_abs(terms: Sequence[tuple[int, BandMatrix]], cols: range | None = None) -> float:
+    """``max_abs(cols)`` of ``(s0 t0 + s1 t1) + s2 t2 ...`` for terms ``(s, t)``,
+    signs ±1, in one pass over the compared columns of each diagonal, with no
+    negated or summed matrix built.  A diagonal starts from the first term
+    that holds it, unsigned, and adds or subtracts the others left to right by
+    their sign relative to it.  IEEE rounding is symmetric in sign, so only
+    the sign of a zero may differ from the signed sum, and no magnitude reads it.
+    """
+    first = terms[0][1]
+    for _, matrix in terms[1:]:
+        first._check_compatible(matrix)
+    magnitude = _MAGNITUDE[first.backend]
+    mags: list[float] = []
+    for d in sorted(set().union(*(matrix._diags for _, matrix in terms))):
+        lo, hi = _col_span(d, first.dim - abs(d), cols)
+        (lead, total), *rest = [(s, m._diags[d][lo:hi]) for s, m in terms if d in m._diags]
+        for sign, values in rest:
+            total = map(_add if sign == lead else _sub, total, values)
+        mags += map(magnitude, total)
+    return _top(mags) if mags else 0.0
+
+
 def commutator(a: BandMatrix, b: BandMatrix) -> BandMatrix:
     """[a, b] = ab - ba."""
     return _bracket(a @ b, b @ a, 1)

@@ -25,7 +25,8 @@ lists [H,Z] = 0 re-checks it on the same exact H and Z.
 and computes each product of two generator matrices once: the operator set is
 the ledger of its products, keyed by slot pair and alive for one call, and the
 tables and the Jacobi suite's inner brackets read their products from it.  The
-Jacobi suite computes each generator's scale once too.
+Jacobi suite computes each generator's scale once too, and builds 40 of its 64
+nested brackets, reading the other 24 from them by sign.
 
 The Jacobi suite contains three layers: graded antisymmetry of all 16 ordered
 generator pairs (an identity, required to cancel bitwise), the 64 graded
@@ -52,7 +53,7 @@ from .grading import (
     antisymmetry_residual,
     graded_bracket,
     graded_sign,
-    jacobi_sum,
+    guard_columns,
 )
 from .numerics import (
     Backend,
@@ -62,6 +63,7 @@ from .numerics import (
     ExactScalar,
     TolerancePolicy,
     _bracket,
+    _signed_max_abs,
     _top,
 )
 from .realizations import HermitianSet, RealizationSet, hermitian_charges
@@ -404,9 +406,10 @@ def run_jacobi_suite(
 ) -> VerificationReport:
     """Antisymmetry, all 64 graded Jacobi defects, and bracket closure.
 
-    The 16 brackets [[Y,Z]] and 64 nested brackets [[X,[[Y,Z]]]] are each
-    computed once, keyed by generator slot rather than label (a faulty set may
-    repeat a label), and every check reads from them.
+    The 16 brackets [[Y,Z]], and the 40 nested brackets [[X,[[Y,Z]]]] with Y
+    at or before Z in slot order, are each computed once, keyed by generator
+    slot rather than label (a faulty set may repeat a label).  The other 24
+    nested brackets are read from those by sign; every check reads from them.
     """
     return _run_jacobi(h, policy, _Operators(h))
 
@@ -418,12 +421,18 @@ def _run_jacobi(h: HermitianSet, policy: TolerancePolicy, ops: _Operators) -> Ve
     """The Jacobi suite of ``h``, whose generators ``ops`` holds in
     :data:`_JACOBI_SLOTS`.  The inner brackets read their products from the
     ledger of ``ops``, which is emptied before the nested brackets are built:
-    those products are never reused."""
+    those products are never reused.  ``inner[k, j]`` is ``-s inner[j, k]``
+    with ``s = (-1)^(deg_j . deg_k)``, from the same two products (IEEE
+    ``a - b`` is ``-(b - a)``, ``a + b`` is ``b + a``), and as rounding is
+    symmetric in sign, ``nested[i, k, j]`` is ``-s nested[i, j, k]``: bit for
+    bit up to the sign of a zero, which no residual or scale reads.  So only
+    ``j <= k`` is built, with its guard-column scale taken once."""
     started = time.perf_counter()
     generators = (h.H, h.Q10, h.Q01, h.Z)
     degrees = [g.require_degree() for g in generators]
     scales = [g.matrix.max_abs() for g in generators]
     slots = range(len(generators))
+    cols = guard_columns(h.dim, JACOBI_GUARD_BAND)
     inner = {
         (j, k): _graded(
             generators[j], generators[k],
@@ -435,8 +444,9 @@ def _run_jacobi(h: HermitianSet, policy: TolerancePolicy, ops: _Operators) -> Ve
     ops.ledger.clear()
     nested = {
         (i, j, k): graded_bracket(generators[i], inner[j, k]).matrix
-        for i, j, k in product(slots, repeat=3)
+        for i, j, k in product(slots, repeat=3) if j <= k
     }
+    peaks = {key: matrix.max_abs(cols) for key, matrix in nested.items()}
     checks: list[RelationCheck] = []
     for i, j in product(slots, repeat=2):
         x, y = generators[i], generators[j]
@@ -448,14 +458,14 @@ def _run_jacobi(h: HermitianSet, policy: TolerancePolicy, ops: _Operators) -> Ve
             residual == 0.0,
         ))
     for i, j, k in product(slots, repeat=3):
-        residual, scale = jacobi_sum(
-            [
-                (graded_sign(degrees[i], degrees[k]), nested[i, j, k]),
-                (graded_sign(degrees[j], degrees[i]), nested[j, k, i]),
-                (graded_sign(degrees[k], degrees[j]), nested[k, i, j]),
-            ],
-            JACOBI_GUARD_BAND,
-        )
+        terms = []  # (sign, key of nested) of (-1)^(a.c) [[X_a, [[X_b, X_c]]]]
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            sign = graded_sign(degrees[a], degrees[c])
+            if b > c:
+                sign, b, c = -sign * graded_sign(degrees[b], degrees[c]), c, b
+            terms.append((sign, (a, b, c)))
+        residual = _signed_max_abs([(sign, nested[key]) for sign, key in terms], cols)
+        scale = _top([peaks[key] for _, key in terms])
         bound = policy.bound(scale)
         x, y, z = generators[i], generators[j], generators[k]
         checks.append(RelationCheck(

@@ -16,11 +16,18 @@ from gdoa_susy.grading import (
     degree_add,
     degree_dot,
     graded_bracket,
+    antisymmetry_residual,
     graded_sign,
     jacobi_defect,
     jacobi_sum,
 )
-from gdoa_susy.numerics import Backend, BandMatrix, commutator
+from gdoa_susy.numerics import (
+    Backend,
+    BackendMismatchError,
+    BandMatrix,
+    DimensionMismatchError,
+    commutator,
+)
 from gdoa_susy.realizations import cv_realization
 
 ALL_DEGREES = [degree(0, 0), degree(1, 0), degree(0, 1), degree(1, 1)]
@@ -200,6 +207,28 @@ class TestJacobiDefect:
             residual, scale = jacobi_sum(terms, 0)
             assert math.isnan(residual) and math.isnan(scale)
         assert jacobi_sum([(1, ident), (-1, ident.scaled(2)), (1, ident)], 1) == (0.0, 2.0)
+
+    def test_empty_sum_is_a_grading_error(self):
+        with pytest.raises(GradingError, match="at least one term"):
+            jacobi_sum([], 0)
+
+    def test_mismatched_terms_raise_typed_errors(self):
+        # the one-pass kernel reads the terms' diagonals directly; it must
+        # still refuse terms of another dim or backend
+        ident = BandMatrix.diagonal([1] * 4, Backend.FLOAT)
+        smaller = BandMatrix.diagonal([1] * 3, Backend.FLOAT)
+        exact = BandMatrix.diagonal([1] * 4, Backend.EXACT)
+        for position in range(3):
+            for other, error in ((smaller, DimensionMismatchError), (exact, BackendMismatchError)):
+                terms = [(1, ident), (-1, ident), (1, ident)]
+                terms[position] = (1, other)
+                with pytest.raises(error):
+                    jacobi_sum(terms, 0)
+        for sign in (1, -1):
+            with pytest.raises(DimensionMismatchError):
+                antisymmetry_residual(sign, ident, smaller)
+            with pytest.raises(BackendMismatchError):
+                antisymmetry_residual(sign, exact, ident)
 
     def test_sweep_realization_triples(self):
         r = cv_realization(0, 1, 8)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gdoa_susy.grading import jacobi_sum
 from gdoa_susy.numerics import (
     Backend,
     BandMatrix,
@@ -17,6 +18,7 @@ from gdoa_susy.numerics import (
     ExactnessError,
     NumericsError,
     TolerancePolicy,
+    _signed_max_abs,
     anticommutator,
     approx_equal_matrix,
     coerce_scalar,
@@ -721,6 +723,85 @@ def test_max_abs_and_comparison_match_dict_kernel(pair, stop, whole):
                 assert cmp.worst is None
             else:
                 assert cmp.worst in at_max
+
+
+# Float entries of the signed-sum examples: NaN, infinities in either part,
+# and zeros of both signs.
+_SPECIAL = [complex("nan"), complex(float("inf"), 1.0), complex(2.0, float("-inf")),
+            complex(-0.0, -0.0), complex(-0.0, 3.0), 0j]
+
+
+@st.composite
+def signed_terms(draw):
+    """One to three band matrices of one dim and backend with signs ±1, and
+    the columns compared: all, or a guard band's.  Offsets -3..3, so some
+    diagonals lie in one term only; the second term may repeat a diagonal of
+    the first with the sign that cancels it in t0 ± t1."""
+    dim = draw(st.integers(1, 10))
+    backend = draw(st.sampled_from([FLOAT, EXACT]))
+    rad = draw(st.sampled_from([Fraction(1), Fraction(2), Fraction(5, 3)]))
+    small = st.integers(-4, 4)
+    finite = st.floats(-8, 8, allow_nan=False, allow_infinity=False)
+
+    def value():
+        if backend is EXACT:
+            if not draw(st.integers(0, 4)):
+                return ExactScalar(0)
+            return ExactScalar(Fraction(draw(small), draw(st.integers(1, 3))), draw(small), rad)
+        if not draw(st.integers(0, 3)):
+            return draw(st.sampled_from(_SPECIAL))
+        return complex(draw(finite), draw(finite))
+
+    def entries():
+        found = {}
+        for d in draw(st.sets(st.integers(-3, 3), max_size=4)):
+            for r in range(max(-d, 0), min(dim, dim - d)):
+                if draw(st.integers(0, 3)):
+                    found[(r, r + d)] = value()
+        return found
+
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=1, max_size=3))
+    found = [entries() for _ in signs]
+    offsets = sorted({c - r for r, c in found[0]})
+    if len(signs) > 1 and offsets and draw(st.booleans()):
+        d = draw(st.sampled_from(offsets))
+        flip = signs[0] == signs[1]  # t0 + t1 cancels on -t0, t0 - t1 on t0
+        found[1] = {key: v for key, v in found[1].items() if key[1] - key[0] != d}
+        found[1].update({key: -v if flip else v
+                         for key, v in found[0].items() if key[1] - key[0] == d})
+    terms = [(sign, BandMatrix(dim, backend, e)) for sign, e in zip(signs, found)]
+    guard = draw(st.integers(0, min(3, dim - 1)))
+    return terms, draw(st.sampled_from([None, range(dim - guard)]))
+
+
+def _dense_signed_max_abs(terms, cols):
+    """Largest magnitude of (s0 t0 + s1 t1) + s2 t2 on dense copies, each term
+    negated first where its sign is -1; NaN if any magnitude is NaN."""
+    dense = [[[v if sign == 1 else -v for v in row] for row in to_dense(m)] for sign, m in terms]
+    dim = terms[0][1].dim
+    mags = []
+    for r in range(dim):
+        for c in range(dim) if cols is None else cols:
+            total = dense[0][r][c]
+            for other in dense[1:]:
+                total = total + other[r][c]
+            mags.append(_magnitude(total))
+    if any(m != m for m in mags):
+        return math.nan
+    return max(mags, default=0.0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(signed_terms())
+def test_signed_max_abs_matches_dense_sum(example):
+    # the one-pass kernel behind every Jacobi and antisymmetry residual, and
+    # so behind the oracle the verify tests compare those suites with
+    terms, cols = example
+    residual = _signed_max_abs(terms, cols)
+    assert float.hex(residual) == float.hex(_dense_signed_max_abs(terms, cols))
+    if cols is not None:
+        guard = terms[0][1].dim - len(cols)
+        assert float.hex(jacobi_sum(terms, guard)[0]) == float.hex(residual)
 
 
 class TestDiagonalStorage:

@@ -15,6 +15,7 @@ from gdoa_susy.grading import (
     GradedOperator,
     GradingError,
     check_antisymmetry,
+    degree,
     graded_bracket,
     jacobi_defect,
 )
@@ -408,10 +409,12 @@ class TestSharedRows:
 
     # cv(1/2), mu 0, dim 256 (16 exact): 26 table products, 4 more on the
     # exact variant's set (float only), 2 inner Jacobi products the tables do
-    # not make (HH, ZZ) and 128 nested ones.  198 / 192 while every row and
-    # bracket made its own products; 212 / 210 before shared rows ran once.
-    # A second call makes them all again: no product outlives its call.
-    @pytest.mark.parametrize("backend, count", [(Backend.FLOAT, 160), (Backend.EXACT, 156)])
+    # not make (HH, ZZ) and 80 nested ones, two for each of the 40 nested
+    # brackets with j <= k (the other 24 are read from them by sign).
+    # 160 / 156 while all 64 nested brackets were built; 198 / 192 while every
+    # row and bracket made its own products; 212 / 210 before shared rows ran
+    # once.  A second call makes them all again: no product outlives its call.
+    @pytest.mark.parametrize("backend, count", [(Backend.FLOAT, 112), (Backend.EXACT, 108)])
     def test_reference_cell_matmul_count(self, backend, count, monkeypatch):
         r = cv_realization(Fraction(1, 2), 0, 256 if backend is Backend.FLOAT else 16, backend)
         calls = self._record_matmuls(monkeypatch)
@@ -495,25 +498,34 @@ def _oracle_checks(r, policy=verify.DEFAULT_POLICY):
             check = verify._check(row.name, row.formula, row.guard_band, row.exactness,
                                   pairs[row.name], policy, exact_pair)
             checks.append(replace(check, name=f"{prefix}/{row.name}"))
+    checks += [replace(check, name=f"jacobi/{check.name}")
+               for check in _oracle_jacobi_checks(h, policy)]
+    return checks
+
+
+def _oracle_jacobi_checks(h, policy=verify.DEFAULT_POLICY):
+    """The 96 checks of ``run_jacobi_suite(h)``, each rebuilt on its own by
+    ``check_antisymmetry``, ``jacobi_defect`` (all 64 nested brackets, none
+    read from another by sign) and ``graded_bracket``."""
     generators = (h.H, h.Q10, h.Q01, h.Z)
+    checks = []
     for x, y in product(generators, repeat=2):
         residual = check_antisymmetry(x, y)
         scale = verify._top([x.matrix.max_abs(), y.matrix.max_abs()])
         checks.append(verify.RelationCheck(
-            f"jacobi/antisymmetry[{x.label},{y.label}]", "[[X,Y]] + (-1)^(x.y) [[Y,X]] = 0",
+            f"antisymmetry[{x.label},{y.label}]", "[[X,Y]] + (-1)^(x.y) [[Y,X]] = 0",
             0, Exactness.STRUCTURAL_EXACT, residual, scale, 0.0, residual == 0.0))
     for x, y, z in product(generators, repeat=3):
         residual, scale = jacobi_defect(x, y, z)
         bound = policy.bound(scale)
         checks.append(verify.RelationCheck(
-            f"jacobi/jacobi[{x.label},{y.label},{z.label}]", "graded Jacobi cyclic sum = 0",
+            f"jacobi[{x.label},{y.label},{z.label}]", "graded Jacobi cyclic sum = 0",
             3, Exactness.FLOAT_TOLERANCE, residual, scale, bound, residual <= bound))
     for x, y in product(generators, repeat=2):
-        check = verify._check(
+        checks.append(verify._check(
             f"closure[{x.label},{y.label}]", "[[X,Y]] = structure constants", 1,
             Exactness.FLOAT_TOLERANCE,
-            (graded_bracket(x, y).matrix, verify._closure_expectation(x, y, h)), policy)
-        checks.append(replace(check, name=f"jacobi/{check.name}"))
+            (graded_bracket(x, y).matrix, verify._closure_expectation(x, y, h)), policy))
     return checks
 
 
@@ -550,6 +562,41 @@ class TestLedgerFreeOracle:
         assert [c.name for c in report.checks] == [c.name for c in expected]
         assert [_fields(c) for c in report.checks] == [_fields(c) for c in expected]
         assert report.passed is (fault == "none")
+
+
+def _hermitian_fault(h, fault):
+    if fault == "z-is-h":
+        return replace(h, Z=replace(h.Z, matrix=h.H.matrix))
+    if fault == "q01-is-q10":
+        return replace(h, Q01=replace(h.Q01, matrix=h.Q10.matrix))
+    if fault == "z-degree-10":
+        return replace(h, Z=replace(h.Z, degree=degree(1, 0)))
+    if fault == "h-bumped":
+        one = ExactScalar(1) if h.backend is Backend.EXACT else 1.0
+        return replace(h, H=replace(h.H, matrix=h.H.matrix + BandMatrix(h.dim, h.backend,
+                                                                          {(0, 0): one})))
+    return h
+
+
+class TestJacobiSignReuse:
+    # run_jacobi_suite builds the nested brackets [[X,[[Y,Z]]]] with Y <= Z in
+    # slot order and reads the other 24 from them by sign.  Every nested
+    # bracket is exactly zero on honest generators, so only a faulty set can
+    # show a wrong sign; the oracle builds all 64 through jacobi_defect.  A
+    # sign of +1 for every reused term is wrong only where the inner bracket
+    # is a commutator; of the four faults, only a bumped H at mu 1 makes such
+    # a nested bracket nonzero on the compared columns.
+    @pytest.mark.parametrize("fault", ["z-is-h", "q01-is-q10", "z-degree-10", "h-bumped"])
+    @pytest.mark.parametrize("backend", [Backend.FLOAT, Backend.EXACT])
+    @pytest.mark.parametrize("dim", [8, 16])
+    @pytest.mark.parametrize("mu", [0, 1])
+    @pytest.mark.parametrize("family", ["cv", "gdoa"])
+    def test_faulty_set_equals_unshared_oracle(self, family, mu, dim, backend, fault):
+        h = _hermitian_fault(hermitian_charges(_family(family, mu, dim, backend)), fault)
+        report = run_jacobi_suite(h)
+        expected = _oracle_jacobi_checks(h)
+        assert [_fields(c) for c in report.checks] == [_fields(c) for c in expected]
+        assert not report.passed
 
 
 _ANTI_H = {"standard/anticommutator-gives-h", "qform/anticommutator-gives-h"}
