@@ -26,9 +26,9 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .exprlang import ExprError
-from .fock import OscillatorSpec, ValidationError, fits_double, structure_values
+from .fock import OscillatorSpec, ValidationError, structure_values
 from .grading import GradingError
-from .numerics import Backend, NumericsError, TolerancePolicy, parse_rational
+from .numerics import Backend, NumericsError, TolerancePolicy, fits_double, parse_rational
 from .realizations import (
     DegeneracyReport,
     RealizationSet,
@@ -41,12 +41,7 @@ from .realizations import (
     reduction_check,
     spectrum_H,
 )
-from .verify import (
-    VerificationReport,
-    merge_reports,
-    run_all_suites,
-    run_jacobi_suite,
-)
+from .verify import VerificationReport, json_residual, run_all_suites, run_jacobi_suite
 
 
 class ConfigError(ValueError):
@@ -271,7 +266,7 @@ def _verify_csv(reports: Sequence[VerificationReport]) -> str:
 def _emit_reports(reports: Sequence[VerificationReport], output: str) -> int:
     _emit(output, {
         "text": lambda: _verify_text(reports),
-        "json": lambda: json.dumps([r.to_dict() for r in reports], indent=2),
+        "json": lambda: json.dumps([r.to_dict() for r in reports], indent=2, allow_nan=False),
         "csv": lambda: _verify_csv(reports),
     })
     return 0 if all(r.passed for r in reports) else 1
@@ -417,9 +412,9 @@ def cmd_reduce(config: Config) -> int:
     _emit(config.output, {
         "text": lambda: _reduce_text(report),
         # asdict keeps the field order: kappa, dim, entries; then pass
-        "json": lambda: json.dumps(
-            {**asdict(report), "kappa": str(report.kappa), "pass": report.ok}, indent=2
-        ),
+        "json": lambda: json.dumps({**asdict(report), "kappa": str(report.kappa), "entries": [
+            {**asdict(e), "residual": json_residual(e.residual)} for e in report.entries
+        ], "pass": report.ok}, indent=2, allow_nan=False),
         "csv": lambda: _reduce_csv(report),
     })
     return 0 if report.ok else 1
@@ -430,7 +425,7 @@ def cmd_jacobi(config: Config) -> int:
     for mu in config.mus:
         r = build_realization(config, mu)
         h = hermitian_charges(r)
-        reports.append(merge_reports([run_jacobi_suite(h, config.policy)], ("jacobi",)))
+        reports.append(run_jacobi_suite(h, config.policy, prefix="jacobi/"))
     return _emit_reports(reports, config.output)
 
 

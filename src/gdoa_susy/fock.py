@@ -33,16 +33,7 @@ from .exprlang import (
     printable,
     validate_structure_function,
 )
-from .grading import guard_columns
-from .numerics import (
-    Backend,
-    BandMatrix,
-    ExactScalar,
-    MatrixComparison,
-    TolerancePolicy,
-    approx_equal_matrix,
-    DEFAULT_POLICY,
-)
+from .numerics import Backend, BandMatrix, ExactScalar, fits_double
 
 
 class ValidationError(ValueError):
@@ -180,14 +171,6 @@ class FockRep:
     odd_projector: BandMatrix
 
 
-def fits_double(value: int | float | Fraction) -> bool:
-    """True if ``value`` converts to a finite double."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # a rational beyond the double range
-        return False
-
-
 def _sqrt_entry(value: Fraction | float, backend: Backend):
     """sqrt(F(n)) from F(n) as a rational (exact) or as its double (float)."""
     if backend is Backend.EXACT:
@@ -225,13 +208,3 @@ def build_fock_rep(
     p_even = BandMatrix.diagonal([Fraction(1 - n % 2) for n in range(dim)], backend)
     p_odd = BandMatrix.diagonal([Fraction(n % 2) for n in range(dim)], backend)
     return FockRep(a, a_dag, p_even, p_odd)
-
-
-def guard_band_equal(
-    a: BandMatrix,
-    b: BandMatrix,
-    guard_band: int,
-    policy: TolerancePolicy = DEFAULT_POLICY,
-) -> MatrixComparison:
-    """Compare two matrices on the source columns [0, dim-1-guard_band]."""
-    return approx_equal_matrix(a, b, policy, guard_columns(a.dim, guard_band))

@@ -368,6 +368,14 @@ def _exact_gap(x: ExactScalar, y: ExactScalar) -> float:
             return math.inf
 
 
+def fits_double(value: int | float | Fraction) -> bool:
+    """True if ``value`` converts to a finite double."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int or rational beyond the double range
+        return False
+
+
 @dataclass(frozen=True)
 class TolerancePolicy:
     """Scale-aware comparison bound: |x - y| <= absolute + relative * scale."""
@@ -377,7 +385,7 @@ class TolerancePolicy:
 
     def __post_init__(self) -> None:
         for value in (self.absolute, self.relative):
-            if not math.isfinite(value) or value < 0:
+            if not fits_double(value) or value < 0:
                 raise NumericsError("tolerances must be finite and nonnegative")
 
     def bound(self, scale: float) -> float:

@@ -15,18 +15,19 @@ truncated representation supports:
   largest entry encountered on either side.
 
 The standard, q-form and Hermitian suites are tables of :class:`Relation`
-rows, each mapping an operator set to the two matrices it equates, and one
-function builds every check.  Each suite takes the realization, and one runner
-reads its tables from one operator set: the realization's generators plus its
-Hermitian charges.  A diagonal-exact row re-checks the same formula on the set
-of ``r.exact`` (on the exact backend, the instance set), so every suite that
-lists [H,Z] = 0 re-checks it on the same exact H and Z.
-:func:`run_all_suites` evaluates each distinct row of the three tables once,
-and computes each product of two generator matrices once: the operator set is
-the ledger of its products, keyed by slot pair and alive for one call, and the
-tables and the Jacobi suite's inner brackets read their products from it.  The
-Jacobi suite computes each generator's scale once too, and builds 40 of its 64
-nested brackets, reading the other 24 from them by sign.
+rows, each mapping an operator set to the two matrices it equates; one
+function computes every verdict, and each check is named ``prefix +
+row.name`` when it is built.  One runner reads ``(prefix, rows)`` suites from
+one operator set: the realization's generators plus its Hermitian charges.  A
+diagonal-exact row re-checks the same formula on the set of ``r.exact`` (on
+the exact backend, the instance set), so both suites that list [H,Z] = 0
+re-check it on the same exact H and Z.  :func:`run_all_suites` returns one
+report, timed over the whole call, whose names carry the prefixes
+``standard/``, ``qform/``, ``hermitian/`` and ``jacobi/``.  It evaluates each
+distinct table row once, and computes each product of two generator matrices
+once: the operator set is the ledger of its products, keyed by slot pair and
+alive for one call.  The Jacobi suite computes each generator's scale once
+too, and builds 40 of its 64 nested brackets, reading 24 from them by sign.
 
 The Jacobi suite contains three layers: graded antisymmetry of all 16 ordered
 generator pairs (an identity, required to cancel bitwise), the 64 graded
@@ -38,14 +39,14 @@ degree assignment, so it can only measure rounding, never algebra.
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, product
+from itertools import product
 from types import SimpleNamespace
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from .fock import guard_band_equal
 from .grading import (
     JACOBI_GUARD_BAND,
     GradedOperator,
@@ -65,6 +66,7 @@ from .numerics import (
     _bracket,
     _signed_max_abs,
     _top,
+    approx_equal_matrix,
 )
 from .realizations import HermitianSet, RealizationSet, hermitian_charges
 
@@ -75,6 +77,13 @@ class Exactness(Enum):
     STRUCTURAL_EXACT = "structural-exact"
     DIAGONAL_EXACT = "diagonal-exact"
     FLOAT_TOLERANCE = "float-tolerance"
+
+
+def json_residual(residual: float) -> float | str:
+    """``residual`` as JSON holds it: JSON has no NaN or infinity, so a
+    non-finite residual is the string the CSV prints for it, ``"nan"`` or
+    ``"inf"``."""
+    return residual if math.isfinite(residual) else repr(residual)
 
 
 @dataclass(frozen=True)
@@ -96,14 +105,14 @@ class RelationCheck:
             "paper_ref": self.relation,
             "guard_band": self.guard_band,
             "exactness": self.exactness.value,
-            "residual": self.residual,
+            "residual": json_residual(self.residual),
             "pass": self.passed,
         }
 
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """All checks of one suite (or one merged run) on one realization."""
+    """All checks of one suite run on one realization."""
 
     spec: str
     mu: int
@@ -125,28 +134,9 @@ class VerificationReport:
         }
 
 
-def merge_reports(reports: Sequence[VerificationReport], prefixes: Sequence[str]) -> VerificationReport:
-    """Concatenate suite reports over the same realization into one report."""
-    if not reports:
-        raise ValueError("nothing to merge")
-    first = reports[0]
-    checks = [
-        replace(check, name=f"{prefix}/{check.name}")
-        for report, prefix in zip(reports, prefixes)
-        for check in report.checks
-    ]
-    return VerificationReport(
-        spec=first.spec,
-        mu=first.mu,
-        dim=first.dim,
-        backend=first.backend,
-        checks=tuple(checks),
-        passed=all(c.passed for c in checks),
-        elapsed_ms=sum(r.elapsed_ms for r in reports),
-    )
-
-
 Pair = tuple[BandMatrix, BandMatrix]
+# exactness, residual, scale, bound, passed: a RelationCheck after its guard band
+Verdict = tuple[Exactness, float, float, float, bool]
 _STRUCTURAL = Exactness.STRUCTURAL_EXACT
 _DIAGONAL = Exactness.DIAGONAL_EXACT
 _FLOAT = Exactness.FLOAT_TOLERANCE
@@ -164,9 +154,9 @@ class Relation(NamedTuple):
 
 
 def _check(
-    name: str, formula: str, guard_band: int, exactness: Exactness,
-    pair: Pair, policy: TolerancePolicy, exact_pair: Pair | None = None,
-) -> RelationCheck:
+    guard_band: int, exactness: Exactness, pair: Pair, policy: TolerancePolicy,
+    exact_pair: Pair | None = None,
+) -> Verdict:
     """Compare ``pair`` on its guard band and classify the outcome.
 
     A structural-exact relation must cancel identically.  A diagonal-exact
@@ -178,18 +168,16 @@ def _check(
     and central charges the build recorded, never from its float matrices.
     Without an exact pair it is a float-tolerance check.
     """
-    structural = exactness is _STRUCTURAL
-    cmp = guard_band_equal(*pair, guard_band, EXACT_POLICY if structural else policy)
-    if structural:
-        residual, scale, bound, passed = cmp.residual, cmp.scale, 0.0, cmp.exact_zero
-    elif exact_pair is None:
-        exactness = _FLOAT
-        residual, scale, bound, passed = cmp.residual, cmp.scale, cmp.bound, cmp.passed
-    else:
-        proof = guard_band_equal(*exact_pair, guard_band, EXACT_POLICY)
-        residual, bound = (proof.residual, 0.0) if cmp.passed else (cmp.residual, cmp.bound)
-        scale, passed = proof.scale, proof.exact_zero and cmp.passed
-    return RelationCheck(name, formula, guard_band, exactness, residual, scale, bound, passed)
+    cols = guard_columns(pair[0].dim, guard_band)
+    if exactness is _STRUCTURAL:
+        cmp = approx_equal_matrix(*pair, EXACT_POLICY, cols)
+        return exactness, cmp.residual, cmp.scale, 0.0, cmp.exact_zero
+    cmp = approx_equal_matrix(*pair, policy, cols)
+    if exact_pair is None:
+        return _FLOAT, cmp.residual, cmp.scale, cmp.bound, cmp.passed
+    proof = approx_equal_matrix(*exact_pair, EXACT_POLICY, cols)
+    residual, bound = (proof.residual, 0.0) if cmp.passed else (cmp.residual, cmp.bound)
+    return exactness, residual, proof.scale, bound, proof.exact_zero and cmp.passed
 
 
 def _two_i(backend: Backend):
@@ -292,26 +280,26 @@ HERMITIAN_RELATIONS = (
 )
 
 
+# The tables of run_all_suites, each with the prefix of its check names.
+_TABLE_SUITES = (
+    ("standard/", STANDARD_RELATIONS),
+    ("qform/", QFORM_RELATIONS),
+    ("hermitian/", HERMITIAN_RELATIONS),
+)
+
+
 def _evaluate(
-    rows: Iterable[Relation],
-    ops: _Operators,
-    exact_ops: _Operators | None,
-    policy: TolerancePolicy,
-) -> dict[Relation, RelationCheck]:
-    """Check every row on ``ops``; a diagonal-exact row is evaluated by the
-    same pair function on ``exact_ops`` too, so its exact re-check can never
-    test a different formula from its float check.  Where the exact operators
-    are the float ones (the exact backend), one pair serves both."""
-    checks = {}
-    for row in rows:
-        pair = row.pair(ops)
-        exact_pair = None
-        if exact_ops is not None and row.exactness is _DIAGONAL:
-            exact_pair = pair if exact_ops is ops else row.pair(exact_ops)
-        checks[row] = _check(
-            row.name, row.formula, row.guard_band, row.exactness, pair, policy, exact_pair
-        )
-    return checks
+    row: Relation, ops: _Operators, exact_ops: _Operators | None, policy: TolerancePolicy
+) -> Verdict:
+    """The verdict of ``row`` on ``ops``; a diagonal-exact row is evaluated by
+    the same pair function on ``exact_ops`` too, so its exact re-check can
+    never test a different formula from its float check.  Where the exact
+    operators are the float ones (the exact backend), one pair serves both."""
+    pair = row.pair(ops)
+    exact_pair = None
+    if exact_ops is not None and row.exactness is _DIAGONAL:
+        exact_pair = pair if exact_ops is ops else row.pair(exact_ops)
+    return _check(row.guard_band, row.exactness, pair, policy, exact_pair)
 
 
 def _report(
@@ -330,25 +318,29 @@ def _report(
 
 def _run_tables(
     r: RealizationSet,
-    tables: Sequence[Sequence[Relation]],
+    suites: Sequence[tuple[str, Sequence[Relation]]],
     policy: TolerancePolicy,
     use_exact: bool,
     ops: _Operators,
-) -> list[VerificationReport]:
-    """One report per table, all read from ``ops``, the operator set of ``r``.
+) -> list[RelationCheck]:
+    """The checks of every ``(prefix, rows)`` suite, named ``prefix +
+    row.name`` and read from ``ops``, the operator set of ``r``.
     Diagonal-exact rows are re-checked on the set of ``r.exact`` (built on
     first use), which on the exact backend is ``ops`` itself; that set and its
-    products are dropped on return.  A row listed by several tables is
+    products are dropped on return.  A row listed by several suites is
     evaluated once."""
-    started = time.perf_counter()
     ex = r.exact if use_exact else None
     exact_ops = None if ex is None else ops if ex is r else _Operators(ex)
-    checks = _evaluate(dict.fromkeys(chain(*tables)), ops, exact_ops, policy)
-    reports = []
-    for table in tables:
-        reports.append(_report(r, [checks[row] for row in table], started))
-        started = time.perf_counter()
-    return reports
+    verdicts: dict[Relation, Verdict] = {}
+    checks = []
+    for prefix, rows in suites:
+        for row in rows:
+            if row not in verdicts:
+                verdicts[row] = _evaluate(row, ops, exact_ops, policy)
+            checks.append(RelationCheck(
+                prefix + row.name, row.formula, row.guard_band, *verdicts[row]
+            ))
+    return checks
 
 
 def run_standard_susy_suite(
@@ -357,7 +349,9 @@ def run_standard_susy_suite(
     use_exact: bool = True,
 ) -> VerificationReport:
     """Nilpotent supercharges with {Q+, Q} = H and a conserved H."""
-    return _run_tables(r, (STANDARD_RELATIONS,), policy, use_exact, _Operators(r))[0]
+    started = time.perf_counter()
+    checks = _run_tables(r, (("", STANDARD_RELATIONS),), policy, use_exact, _Operators(r))
+    return _report(r, checks, started)
 
 
 def run_qform_suite(
@@ -366,7 +360,9 @@ def run_qform_suite(
     use_exact: bool = True,
 ) -> VerificationReport:
     """The non-Hermitian presentation of the graded algebra (eight relations)."""
-    return _run_tables(r, (QFORM_RELATIONS,), policy, use_exact, _Operators(r))[0]
+    started = time.perf_counter()
+    checks = _run_tables(r, (("", QFORM_RELATIONS),), policy, use_exact, _Operators(r))
+    return _report(r, checks, started)
 
 
 def run_hermitian_suite(
@@ -378,8 +374,9 @@ def run_hermitian_suite(
     The exact re-check of [H,Z] = 0 reads the H and Z of ``r.exact``, as the
     q-form suite's does.
     """
+    started = time.perf_counter()
     ops = _Operators(r, hermitian_charges(r))
-    return _run_tables(r, (HERMITIAN_RELATIONS,), policy, True, ops)[0]
+    return _report(r, _run_tables(r, (("", HERMITIAN_RELATIONS),), policy, True, ops), started)
 
 
 def _closure_expectation(
@@ -403,31 +400,36 @@ def _closure_expectation(
 def run_jacobi_suite(
     h: HermitianSet,
     policy: TolerancePolicy = DEFAULT_POLICY,
+    prefix: str = "",
 ) -> VerificationReport:
-    """Antisymmetry, all 64 graded Jacobi defects, and bracket closure.
+    """Antisymmetry, all 64 graded Jacobi defects, and bracket closure, each
+    check named with ``prefix``.
 
     The 16 brackets [[Y,Z]], and the 40 nested brackets [[X,[[Y,Z]]]] with Y
     at or before Z in slot order, are each computed once, keyed by generator
     slot rather than label (a faulty set may repeat a label).  The other 24
     nested brackets are read from those by sign; every check reads from them.
     """
-    return _run_jacobi(h, policy, _Operators(h))
+    started = time.perf_counter()
+    return _report(h, _run_jacobi(h, policy, _Operators(h), prefix), started)
 
 
 _JACOBI_SLOTS = ("h", "q10", "q01", "z")  # of the generators H, Q10, Q01, Z
 
 
-def _run_jacobi(h: HermitianSet, policy: TolerancePolicy, ops: _Operators) -> VerificationReport:
-    """The Jacobi suite of ``h``, whose generators ``ops`` holds in
-    :data:`_JACOBI_SLOTS`.  The inner brackets read their products from the
-    ledger of ``ops``, which is emptied before the nested brackets are built:
-    those products are never reused.  ``inner[k, j]`` is ``-s inner[j, k]``
-    with ``s = (-1)^(deg_j . deg_k)``, from the same two products (IEEE
-    ``a - b`` is ``-(b - a)``, ``a + b`` is ``b + a``), and as rounding is
-    symmetric in sign, ``nested[i, k, j]`` is ``-s nested[i, j, k]``: bit for
-    bit up to the sign of a zero, which no residual or scale reads.  So only
-    ``j <= k`` is built, with its guard-column scale taken once."""
-    started = time.perf_counter()
+def _run_jacobi(
+    h: HermitianSet, policy: TolerancePolicy, ops: _Operators, prefix: str
+) -> list[RelationCheck]:
+    """The Jacobi checks of ``h``, named with ``prefix``, whose generators
+    ``ops`` holds in :data:`_JACOBI_SLOTS`.  The inner brackets read their
+    products from the ledger of ``ops``, which is emptied before the nested
+    brackets are built: those products are never reused.  ``inner[k, j]`` is
+    ``-s inner[j, k]`` with ``s = (-1)^(deg_j . deg_k)``, from the same two
+    products (IEEE ``a - b`` is ``-(b - a)``, ``a + b`` is ``b + a``), and as
+    rounding is symmetric in sign, ``nested[i, k, j]`` is
+    ``-s nested[i, j, k]``: bit for bit up to the sign of a zero, which no
+    residual or scale reads.  So only ``j <= k`` is built, with its
+    guard-column scale taken once."""
     generators = (h.H, h.Q10, h.Q01, h.Z)
     degrees = [g.require_degree() for g in generators]
     scales = [g.matrix.max_abs() for g in generators]
@@ -453,7 +455,7 @@ def _run_jacobi(h: HermitianSet, policy: TolerancePolicy, ops: _Operators) -> Ve
         sign = graded_sign(degrees[i], degrees[j])
         residual = antisymmetry_residual(sign, inner[i, j].matrix, inner[j, i].matrix)
         checks.append(RelationCheck(
-            f"antisymmetry[{x.label},{y.label}]", "[[X,Y]] + (-1)^(x.y) [[Y,X]] = 0", 0,
+            f"{prefix}antisymmetry[{x.label},{y.label}]", "[[X,Y]] + (-1)^(x.y) [[Y,X]] = 0", 0,
             _STRUCTURAL, residual, _top([scales[i], scales[j]]), 0.0,
             residual == 0.0,
         ))
@@ -469,19 +471,17 @@ def _run_jacobi(h: HermitianSet, policy: TolerancePolicy, ops: _Operators) -> Ve
         bound = policy.bound(scale)
         x, y, z = generators[i], generators[j], generators[k]
         checks.append(RelationCheck(
-            f"jacobi[{x.label},{y.label},{z.label}]", "graded Jacobi cyclic sum = 0",
+            f"{prefix}jacobi[{x.label},{y.label},{z.label}]", "graded Jacobi cyclic sum = 0",
             JACOBI_GUARD_BAND, _FLOAT, residual, scale, bound, residual <= bound,
         ))
     for i, j in product(slots, repeat=2):
         x, y = generators[i], generators[j]
-        checks.append(_check(
-            f"closure[{x.label},{y.label}]", "[[X,Y]] = structure constants", 1, _FLOAT,
-            (inner[i, j].matrix, _closure_expectation(x, y, h)), policy,
+        pair = (inner[i, j].matrix, _closure_expectation(x, y, h))
+        checks.append(RelationCheck(
+            f"{prefix}closure[{x.label},{y.label}]", "[[X,Y]] = structure constants", 1,
+            *_check(1, _FLOAT, pair, policy),
         ))
-    return _report(h, checks, started)
-
-
-SUITE_PREFIXES = ("standard", "qform", "hermitian", "jacobi")
+    return checks
 
 
 def run_all_suites(
@@ -489,17 +489,18 @@ def run_all_suites(
     policy: TolerancePolicy = DEFAULT_POLICY,
     use_exact: bool = True,
 ) -> VerificationReport:
-    """Standard, q-form, Hermitian, and Jacobi suites merged into one report.
+    """Standard, q-form, Hermitian, and Jacobi suites in one report, timed
+    over the whole call.
 
     The Hermitian charges are built once, for the tables and the Jacobi
-    suite.  Each distinct row is evaluated once; a shared row's check serves
+    suite.  Each distinct row is evaluated once; a shared row's verdict serves
     both suites that list it.  The tables and the Jacobi suite's inner
     brackets share one operator set, so each generator product is computed
     once per call.
     """
+    started = time.perf_counter()
     h = hermitian_charges(r)
     ops = _Operators(r, h)
-    tables = (STANDARD_RELATIONS, QFORM_RELATIONS, HERMITIAN_RELATIONS)
-    reports = _run_tables(r, tables, policy, use_exact, ops)
-    reports.append(_run_jacobi(h, policy, ops))
-    return merge_reports(reports, SUITE_PREFIXES)
+    checks = _run_tables(r, _TABLE_SUITES, policy, use_exact, ops)
+    checks += _run_jacobi(h, policy, ops, "jacobi/")
+    return _report(r, checks, started)

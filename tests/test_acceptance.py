@@ -11,14 +11,9 @@ import time
 from dataclasses import replace
 from fractions import Fraction
 
-from gdoa_susy.fock import (
-    OscillatorSpec,
-    build_fock_rep,
-    guard_band_equal,
-    structure_values,
-)
-from gdoa_susy.grading import GradedOperator
-from gdoa_susy.numerics import Backend, BandMatrix, DEFAULT_POLICY
+from gdoa_susy.fock import OscillatorSpec, build_fock_rep, structure_values
+from gdoa_susy.grading import GradedOperator, guard_columns
+from gdoa_susy.numerics import Backend, BandMatrix, DEFAULT_POLICY, approx_equal_matrix
 from gdoa_susy.realizations import (
     DEGREE_Z,
     cv_realization,
@@ -197,11 +192,11 @@ def test_c7_truncation_honesty():
         [complex(float(values[n + 1])) for n in range(dim)], Backend.FLOAT
     )
     product = rep.a @ rep.a_dag
-    bare = guard_band_equal(product, expected, 0, DEFAULT_POLICY)
+    bare = approx_equal_matrix(product, expected, DEFAULT_POLICY, guard_columns(dim, 0))
     assert not bare.passed
     assert bare.residual == float(values[dim]) == 16.0
     assert bare.worst == (dim - 1, dim - 1)
-    banded = guard_band_equal(product, expected, 1, DEFAULT_POLICY)
+    banded = approx_equal_matrix(product, expected, DEFAULT_POLICY, guard_columns(dim, 1))
     assert banded.passed
     for mu in (0, 1):
         assert run_all_suites(cv_realization(Fraction(1, 2), mu, dim)).passed

@@ -802,6 +802,51 @@ class TestJacobiCommand:
         assert all(check["name"].startswith("jacobi/") for check in checks)
 
 
+def strict_json(text):
+    """``json.loads`` that refuses the NaN and Infinity tokens RFC 8259 lacks."""
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestStrictJson:
+    # E = 10^154 n^2 fits a double, E^2 does not: the float products overflow
+    # and many residuals are nan.
+    SQUARE_OVERFLOW = {"algebra": {"type": "gdoa", "F": "n^2"}, "f": "10^77", "mu": 0, "dim": 8}
+    # f overflows to inf in floats, so H and the charges hold inf
+    INFINITE = {"algebra": {"type": "gdoa", "F": "n"}, "f": "sqrt(n) * 10^200 * 10^200",
+                "mu": 1, "dim": 8}
+
+    @pytest.mark.parametrize("config", ["SQUARE_OVERFLOW", "INFINITE"])
+    @pytest.mark.parametrize("command", ["verify", "jacobi"])
+    def test_non_finite_residual_is_the_csv_string(self, tmp_path, capsys, command, config):
+        path = write_config(tmp_path, getattr(self, config))
+        assert main([command, "--config", path, "--output", "json"]) == 1
+        (report,) = strict_json(capsys.readouterr().out)
+        assert main([command, "--config", path, "--output", "csv"]) == 1
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        residuals = [check["residual"] for check in report["checks"]]
+        assert len(residuals) == len(rows)
+        assert {r for r in residuals if isinstance(r, str)} == {"nan"}
+        for residual, row in zip(residuals, rows):
+            text = row.split(",")[-2]
+            assert residual == text if isinstance(residual, str) else residual == float(text)
+
+    def test_reduce_infinite_entry_is_a_string(self, monkeypatch, capsys):
+        # a wrong closed-form energy fails H and Z, and adds "H diagonal" and
+        # "Z diagonal" entries of residual inf
+        monkeypatch.setattr(realizations, "_cv_energy", lambda kappa, m: m + kappa + 1)
+        assert main(["reduce", "--kappa", "1/2", "--dim", "8", "--mu", "0",
+                     "--output", "json"]) == 1
+        entries = strict_json(capsys.readouterr().out)["entries"]
+        assert [(e["operator"], e["residual"]) for e in entries] == [
+            ("Q+ <-> Q", 0.0), ("Q <-> Q+", 0.0), ("H", 1.5), ("Z <-> -Z", 1.5),
+            ("H diagonal", "inf"), ("Z diagonal", "inf"),
+        ]
+
+
 _EXPR_PIECES = st.sampled_from(
     ["n", "c", "kappa", "x", "+", "-", "*", "/", "^", "(", ")", "(", ")", "parity(",
      "sqrt(", "bracket(", "@", ""]

@@ -14,10 +14,10 @@ from gdoa_susy.fock import (
     OscillatorSpec,
     ValidationError,
     build_fock_rep,
-    guard_band_equal,
     structure_values,
     weight_values,
 )
+from gdoa_susy.grading import guard_columns
 from gdoa_susy.numerics import (
     BandMatrix,
     Backend,
@@ -25,6 +25,7 @@ from gdoa_susy.numerics import (
     EXACT_POLICY,
     ExactScalar,
     anticommutator,
+    approx_equal_matrix,
     commutator,
 )
 
@@ -224,7 +225,9 @@ class TestTruncationBoundary:
         rep = build_fock_rep(self.spec, 8, EXACT)
         values = structure_values(self.spec, 8)
         expected = BandMatrix.diagonal([ExactScalar(v) for v in values[:8]], EXACT)
-        report = guard_band_equal(rep.a_dag @ rep.a, expected, 0, EXACT_POLICY)
+        report = approx_equal_matrix(
+            rep.a_dag @ rep.a, expected, EXACT_POLICY, guard_columns(8, 0)
+        )
         assert report.passed and report.residual == 0.0
 
     def test_reversed_product_fails_at_edge(self):
@@ -237,34 +240,36 @@ class TestTruncationBoundary:
             [complex(float(values[n + 1])) for n in range(dim)], FLOAT
         )
         product = rep.a @ rep.a_dag
-        bare = guard_band_equal(product, expected, 0, DEFAULT_POLICY)
+        bare = approx_equal_matrix(product, expected, DEFAULT_POLICY, guard_columns(dim, 0))
         assert not bare.passed
         assert bare.residual == float(values[dim])
         assert bare.worst == (dim - 1, dim - 1)
-        banded = guard_band_equal(product, expected, 1, DEFAULT_POLICY)
+        banded = approx_equal_matrix(product, expected, DEFAULT_POLICY, guard_columns(dim, 1))
         assert banded.passed
 
     def test_guard_band_bounds(self):
         rep = build_fock_rep(self.spec, 4, FLOAT)
         with pytest.raises(ValueError):
-            guard_band_equal(rep.a, rep.a, 4, DEFAULT_POLICY)
+            approx_equal_matrix(rep.a, rep.a, DEFAULT_POLICY, guard_columns(4, 4))
         with pytest.raises(ValueError):
-            guard_band_equal(rep.a, rep.a, -1, DEFAULT_POLICY)
+            approx_equal_matrix(rep.a, rep.a, DEFAULT_POLICY, guard_columns(4, -1))
 
     def test_number_commutator_exact_backend(self):
         # [N, a_dag] = a_dag on all columns in exact arithmetic. (In floats the
         # two sides round (n+1)*s and n*s independently, so exactness would be
         # a coincidence; the float check uses the default tolerance instead.)
         rep = build_fock_rep(self.spec, 8, EXACT)
-        report = guard_band_equal(
-            commutator(number_operator(8, EXACT), rep.a_dag), rep.a_dag, 0, EXACT_POLICY
+        report = approx_equal_matrix(
+            commutator(number_operator(8, EXACT), rep.a_dag), rep.a_dag, EXACT_POLICY,
+            guard_columns(8, 0),
         )
         assert report.passed and report.residual == 0.0
 
     def test_number_commutator_float_tolerance(self):
         rep = build_fock_rep(self.spec, 8, FLOAT)
-        report = guard_band_equal(
-            commutator(number_operator(8, FLOAT), rep.a_dag), rep.a_dag, 0, DEFAULT_POLICY
+        report = approx_equal_matrix(
+            commutator(number_operator(8, FLOAT), rep.a_dag), rep.a_dag, DEFAULT_POLICY,
+            guard_columns(8, 0),
         )
         assert report.passed
 
@@ -276,8 +281,8 @@ class TestTruncationBoundary:
         expected = BandMatrix.diagonal(
             [ExactScalar(values[n + 1] - values[n]) for n in range(dim)], EXACT
         )
-        report = guard_band_equal(
-            commutator(rep.a, rep.a_dag), expected, 1, EXACT_POLICY
+        report = approx_equal_matrix(
+            commutator(rep.a, rep.a_dag), expected, EXACT_POLICY, guard_columns(dim, 1)
         )
         assert report.passed and report.residual == 0.0
 
@@ -302,7 +307,7 @@ class TestCalogeroVasilievIdentities:
             + identity
             + rep.even_projector.scaled(ExactScalar(kappa))
         )
-        report = guard_band_equal(rep.a @ rep.a_dag, expected, 1, EXACT_POLICY)
+        report = approx_equal_matrix(rep.a @ rep.a_dag, expected, EXACT_POLICY, guard_columns(dim, 1))
         assert report.passed and report.residual == 0.0
 
     def test_number_recovered_from_anticommutator(self):
@@ -316,7 +321,9 @@ class TestCalogeroVasilievIdentities:
         candidate = anticommutator(rep.a_dag, rep.a).scaled(half) - (
             BandMatrix.diagonal([1] * dim, EXACT).scaled(shift)
         )
-        report = guard_band_equal(candidate, number_operator(dim, EXACT), 1, EXACT_POLICY)
+        report = approx_equal_matrix(
+            candidate, number_operator(dim, EXACT), EXACT_POLICY, guard_columns(dim, 1)
+        )
         assert report.passed and report.residual == 0.0
 
 
@@ -334,7 +341,7 @@ class TestWeightedSpecs:
         expected = BandMatrix.diagonal(
             [complex(float(n * n)) for n in range(1, 7)], FLOAT
         )
-        report = guard_band_equal(gram, expected, 1, DEFAULT_POLICY)
+        report = approx_equal_matrix(gram, expected, DEFAULT_POLICY, guard_columns(6, 1))
         assert report.passed
 
 

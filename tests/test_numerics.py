@@ -23,6 +23,7 @@ from gdoa_susy.numerics import (
     approx_equal_matrix,
     coerce_scalar,
     commutator,
+    fits_double,
     parse_rational,
 )
 
@@ -98,6 +99,19 @@ class TestTolerancePolicy:
             TolerancePolicy(value, 0)
         with pytest.raises(NumericsError, match="finite"):
             TolerancePolicy(0, value)
+
+    @pytest.mark.parametrize("value", [10**400, -(10**400), Fraction(10**400, 3)])
+    def test_beyond_double_range_rejected(self, value):
+        # math.isfinite raises OverflowError on these; the policy must not.
+        assert not fits_double(value)
+        with pytest.raises(NumericsError, match="finite"):
+            TolerancePolicy(value, 0)
+        with pytest.raises(NumericsError, match="finite"):
+            TolerancePolicy(0, value)
+
+    def test_fits_double(self):
+        assert fits_double(0) and fits_double(10**300) and fits_double(Fraction(1, 3))
+        assert not fits_double(float("nan")) and not fits_double(float("inf"))
 
 
 class TestExactScalar:

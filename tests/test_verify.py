@@ -10,21 +10,24 @@ from itertools import product
 import pytest
 
 from gdoa_susy import realizations, verify
-from gdoa_susy.fock import OscillatorSpec, guard_band_equal
+from gdoa_susy.fock import OscillatorSpec
 from gdoa_susy.grading import (
     GradedOperator,
     GradingError,
     check_antisymmetry,
     degree,
     graded_bracket,
+    guard_columns,
     jacobi_defect,
 )
 from gdoa_susy.numerics import (
     Backend,
     BandMatrix,
+    DEFAULT_POLICY,
     ExactScalar,
     TolerancePolicy,
     anticommutator,
+    approx_equal_matrix,
     commutator,
 )
 from gdoa_susy.realizations import (
@@ -38,8 +41,6 @@ from gdoa_susy.realizations import (
 )
 from gdoa_susy.verify import (
     Exactness,
-    SUITE_PREFIXES,
-    merge_reports,
     run_all_suites,
     run_hermitian_suite,
     run_jacobi_suite,
@@ -192,7 +193,8 @@ class TestFaultDetection:
         check = by_name(report)["standard/anticommutator-gives-h"]
         assert not check.passed and not report.passed
         assert check.residual == 1.0
-        cmp = guard_band_equal(anticommutator(r.Qdag.matrix, r.Q.matrix), r.H.matrix, 1)
+        cmp = approx_equal_matrix(anticommutator(r.Qdag.matrix, r.Q.matrix), r.H.matrix,
+                                  DEFAULT_POLICY, guard_columns(r.dim, 1))
         assert cmp.residual == 1.0 and not cmp.exact_zero
 
     def _swapped_central_element_failures(self, backend):
@@ -367,33 +369,43 @@ class TestSharedRows:
     SHARED = ("anticommutator-gives-h", "h-commutes-qdag", "h-commutes-q", "h-commutes-z")
 
     @staticmethod
-    def _count_checks(monkeypatch):
-        calls = Counter()
-        original = verify._check
+    def _count_evaluations(monkeypatch):
+        """Table rows evaluated, by row name, and verdicts computed."""
+        rows, verdicts = Counter(), []
+        evaluate, check = verify._evaluate, verify._check
 
-        def counting(name, *args):
-            calls[name] += 1
-            return original(name, *args)
+        def counting_evaluate(row, *args):
+            rows[row.name] += 1
+            return evaluate(row, *args)
 
-        monkeypatch.setattr(verify, "_check", counting)
-        return calls
+        def counting_check(*args):
+            verdicts.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(verify, "_evaluate", counting_evaluate)
+        monkeypatch.setattr(verify, "_check", counting_check)
+        return rows, verdicts
 
     @staticmethod
     def _separately(r):
-        reports = (run_standard_susy_suite(r), run_qform_suite(r), run_hermitian_suite(r),
-                   run_jacobi_suite(hermitian_charges(r)))
-        return merge_reports(reports, SUITE_PREFIXES).checks
+        reports = {"standard/": run_standard_susy_suite(r), "qform/": run_qform_suite(r),
+                   "hermitian/": run_hermitian_suite(r),
+                   "jacobi/": run_jacobi_suite(hermitian_charges(r))}
+        return tuple(replace(check, name=prefix + check.name)
+                     for prefix, report in reports.items() for check in report.checks)
 
     @pytest.mark.parametrize("backend", [Backend.FLOAT, Backend.EXACT])
     @pytest.mark.parametrize("family", ["cv", "gdoa"])
     def test_each_shared_row_evaluated_once(self, family, backend, monkeypatch):
         r = _family(family, 0, 8, backend)
         expected = self._separately(r)
-        calls = self._count_checks(monkeypatch)
+        rows, verdicts = self._count_evaluations(monkeypatch)
         assert run_all_suites(r).checks == expected
-        assert {name: calls[name] for name in self.SHARED} == dict.fromkeys(self.SHARED, 1)
-        # 5 standard + 8 q-form + 12 Hermitian + 16 closure checks, 4 of them shared
-        assert sum(calls.values()) == 41 - 4
+        assert {name: rows[name] for name in self.SHARED} == dict.fromkeys(self.SHARED, 1)
+        # 5 standard + 8 q-form + 12 Hermitian rows, 4 of them shared, each once
+        assert len(rows) == 25 - 4 and set(rows.values()) == {1}
+        # one verdict per distinct row and per closure check (16)
+        assert len(verdicts) == 41 - 4
 
     @staticmethod
     def _record_matmuls(monkeypatch):
@@ -489,15 +501,17 @@ def _oracle_checks(r, policy=verify.DEFAULT_POLICY):
     pairs = _plain_pairs(r, h)
     exact = _plain_pairs(r.exact) if r.exact is not None else None
     checks = []
-    for prefix, table in zip(SUITE_PREFIXES, (verify.STANDARD_RELATIONS, verify.QFORM_RELATIONS,
-                                              verify.HERMITIAN_RELATIONS)):
+    tables = {"standard/": verify.STANDARD_RELATIONS, "qform/": verify.QFORM_RELATIONS,
+              "hermitian/": verify.HERMITIAN_RELATIONS}
+    for prefix, table in tables.items():
         for row in table:
             exact_pair = None
             if exact is not None and row.exactness is Exactness.DIAGONAL_EXACT:
                 exact_pair = exact[row.name]
-            check = verify._check(row.name, row.formula, row.guard_band, row.exactness,
-                                  pairs[row.name], policy, exact_pair)
-            checks.append(replace(check, name=f"{prefix}/{row.name}"))
+            verdict = verify._check(row.guard_band, row.exactness, pairs[row.name], policy,
+                                    exact_pair)
+            checks.append(verify.RelationCheck(prefix + row.name, row.formula, row.guard_band,
+                                               *verdict))
     checks += [replace(check, name=f"jacobi/{check.name}")
                for check in _oracle_jacobi_checks(h, policy)]
     return checks
@@ -522,10 +536,10 @@ def _oracle_jacobi_checks(h, policy=verify.DEFAULT_POLICY):
             f"jacobi[{x.label},{y.label},{z.label}]", "graded Jacobi cyclic sum = 0",
             3, Exactness.FLOAT_TOLERANCE, residual, scale, bound, residual <= bound))
     for x, y in product(generators, repeat=2):
-        checks.append(verify._check(
+        pair = (graded_bracket(x, y).matrix, verify._closure_expectation(x, y, h))
+        checks.append(verify.RelationCheck(
             f"closure[{x.label},{y.label}]", "[[X,Y]] = structure constants", 1,
-            Exactness.FLOAT_TOLERANCE,
-            (graded_bracket(x, y).matrix, verify._closure_expectation(x, y, h)), policy))
+            *verify._check(1, Exactness.FLOAT_TOLERANCE, pair, policy)))
     return checks
 
 
@@ -690,11 +704,17 @@ class TestReports:
         r = cv_realization(0, 1, 8)
         merged = run_all_suites(r)
         prefixes = {check.name.split("/", 1)[0] for check in merged.checks}
-        assert prefixes == set(SUITE_PREFIXES)
+        assert prefixes == {"standard", "qform", "hermitian", "jacobi"}
 
-    def test_merge_requires_reports(self):
-        with pytest.raises(ValueError):
-            merge_reports([], [])
+    @pytest.mark.parametrize("backend", [Backend.FLOAT, Backend.EXACT])
+    @pytest.mark.parametrize("family", ["cv", "gdoa"])
+    def test_jacobi_prefix_names_each_check(self, family, backend):
+        h = hermitian_charges(_family(family, 1, 8, backend))
+        bare = run_jacobi_suite(h)
+        prefixed = run_jacobi_suite(h, prefix="jacobi/")
+        assert prefixed.checks == tuple(replace(c, name="jacobi/" + c.name) for c in bare.checks)
+        assert replace(prefixed, checks=(), elapsed_ms=0.0) == replace(
+            bare, checks=(), elapsed_ms=0.0)
 
     def test_report_dict_schema(self):
         r = cv_realization(Fraction(1, 2), 0, 8)
