@@ -21,14 +21,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from .exprlang import ExprError
 from .fock import OscillatorSpec, ValidationError, structure_values
 from .grading import GradingError
-from .numerics import Backend, NumericsError, TolerancePolicy, fits_double, parse_rational
+from .numerics import Backend, NumericsError, TolerancePolicy, parse_rational
 from .realizations import (
     DegeneracyReport,
     RealizationSet,
@@ -170,16 +170,15 @@ def _parse_config(raw: object, overrides: argparse.Namespace | None) -> Config:
     if not isinstance(tolerance, dict):
         raise ConfigError("'tolerance' must be an object")
     _require_keys(tolerance, {"absolute", "relative"}, "'tolerance'")
-    absolute = tolerance.get("absolute", 1e-12)
-    relative = tolerance.get("relative", 1e-10)
-    for name, value in (("absolute", absolute), ("relative", relative)):
-        if (
-            isinstance(value, bool)
-            or not isinstance(value, (int, float))
-            or not fits_double(value)
-            or value < 0
-        ):
-            raise ConfigError(f"'tolerance.{name}' must be a finite nonnegative number")
+    policy = TolerancePolicy()
+    for name in ("absolute", "relative"):
+        value = tolerance.get(name, getattr(policy, name))
+        try:
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise NumericsError(f"tolerance {name} is not a number")
+            policy = replace(policy, **{name: value})  # rejects non-finite and negative values
+        except NumericsError:
+            raise ConfigError(f"'tolerance.{name}' must be a finite nonnegative number") from None
 
     if output not in _OUTPUTS:
         raise ConfigError(f"'output' must be one of {_OUTPUTS}")
@@ -195,7 +194,7 @@ def _parse_config(raw: object, overrides: argparse.Namespace | None) -> Config:
         mus=mus,
         dim=dim,
         use_exact=(backend == "exact-where-possible"),
-        policy=TolerancePolicy(float(absolute), float(relative)),
+        policy=TolerancePolicy(float(policy.absolute), float(policy.relative)),
         output=output,
     )
 

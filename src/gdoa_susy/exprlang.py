@@ -18,8 +18,11 @@ Literals are unsigned integers; rationals are written ``3/2`` (division).
 
 :func:`eval_levels` evaluates an expression over a whole range of levels in
 one walk of the tree, and :func:`eval_expr` is its one-level case.  Exact
-values stay ints until a division leaves a remainder.  An error names the
-first failing level, as a walk of one level at a time would.
+values of ``n`` form a column, int numerators over one denominator, until a
+node that can fail at one level (division by a column, a power the bit bound
+does not clear, ``parity`` of a non-integer column, ``sqrt``) goes level by
+level.  An error names the first failing level, as a walk of one level at a
+time would.
 
 The source nests at most ``MAX_DEPTH`` parentheses, builtin calls and unary
 minuses, and the parsed tree is at most ``MAX_DEPTH // 2`` levels deep, so the
@@ -308,9 +311,10 @@ def eval_levels(
 
     The walk is post-order.  Each node yields one list of values over the
     live levels, or one scalar when its subtree does not read ``n``, so a
-    constant is evaluated once.  The exact backend computes in ints until a
-    division leaves a remainder, then in Fractions, rejects sqrt and any power
-    beyond ``MAX_POWER_BITS``, and returns Fractions.  The float backend runs
+    constant is evaluated once.  The exact backend keeps a list as a column
+    until a node that can fail at one level takes per-level values, rejects
+    sqrt and any power beyond ``MAX_POWER_BITS``, and builds one Fraction
+    per level at the end.  The float backend runs
     the same double operations, in the same order, as a walk of one level:
     a literal or power beyond the double range raises :class:`ExprEvalError`
     (a product that overflows is inf, which no verification check passes).
@@ -341,7 +345,7 @@ def eval_levels(
     def checked(op, *args):
         """op(*values, n) at each live level n, up to the first that raises; a
         scalar argument stands for every level, and scalars give a scalar."""
-        scalar = not any(isinstance(arg, list) for arg in args)
+        scalar = not any(isinstance(arg, (list, _Column)) for arg in args)
         values: list = []
         try:
             for row in zip(*_columns(args), range(start, start + (1 if scalar else size))):
@@ -399,23 +403,35 @@ def eval_levels(
             return constant(node.value)
         if isinstance(node, Var):
             levels = range(start, start + size)
-            return list(levels) if exact else list(map(float, levels))
+            return _Column(list(levels), 1) if exact else list(map(float, levels))
         if isinstance(node, Param):
             if node.name not in bindings:
                 fail(0, ExprEvalError(f"unbound parameter {node.name!r}"))
             return constant(Fraction(bindings[node.name]))
         if isinstance(node, Neg):
-            return _elementwise(operator.neg, ev(node.arg))
+            arg = ev(node.arg)
+            if isinstance(arg, _Column):
+                return _Column(list(map(operator.neg, arg.numerators)), arg.denominator)
+            return _elementwise(operator.neg, arg)
         if isinstance(node, BinOp):
             left, right = ev(node.left), ev(node.right)
+            kinds = {type(left), type(right)}
+            if _Column in kinds and list not in kinds and (node.op != "/" or (
+                    type(right) is not _Column and right != 0)):
+                return _column_arithmetic(node.op, left, right)
             if node.op == "/":
                 return checked(divide, left, right)
             return _elementwise(_ARITHMETIC[node.op], left, right)
         if isinstance(node, Pow):
             base = ev(node.base)
-            if isinstance(base, list) and (
-                not exact or _bit_bound(base) * node.exponent <= MAX_POWER_BITS
-            ):
+            if isinstance(base, _Column) and _bit_bound(
+                base.numerators, (base.denominator,)
+            ) * node.exponent <= MAX_POWER_BITS:  # no level can pass the bound
+                powers = list(map(pow, base.numerators, repeat(node.exponent)))
+                return _Column(powers, base.denominator ** node.exponent)
+            if isinstance(base, list) and (not exact or _bit_bound(
+                [value.numerator for value in base], [value.denominator for value in base]
+            ) * node.exponent <= MAX_POWER_BITS):
                 try:  # no level can pass the bit bound
                     return list(map(pow, base, repeat(node.exponent)))
                 except OverflowError:  # a float power: checked() names the level
@@ -425,12 +441,18 @@ def eval_levels(
             arg = ev(node.arg)
             if node.func not in builtins:
                 fail(0, ExprEvalError(f"unknown builtin {node.func!r}"))
+            if node.func == "parity" and isinstance(arg, _Column) and arg.denominator == 1:
+                return _Column([-1 if k % 2 else 1 for k in arg.numerators], 1)
             return checked(builtins[node.func], arg)
         fail(0, ExprEvalError(f"unknown node {node!r}"))
 
     values = ev(expr)
     if failure is not None:
         raise failure
+    if isinstance(values, _Column):
+        if values.denominator == 1:
+            return list(map(Fraction, values.numerators))
+        return list(map(Fraction, values.numerators, repeat(values.denominator)))
     if not isinstance(values, list):  # a constant, the same at every level
         return [Fraction(values) if exact else values] * size
     if not exact:
@@ -452,23 +474,61 @@ def eval_expr(
 _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
+@dataclass(frozen=True, slots=True)
+class _Column:
+    """Exact values over the live levels: int numerators over one positive
+    int denominator, not reduced to lowest terms."""
+
+    numerators: list[int]
+    denominator: int
+
+    def levels(self):
+        """The values level by level: the ints, or Fractions in lowest terms."""
+        if self.denominator == 1:
+            return self.numerators
+        return map(Fraction, self.numerators, repeat(self.denominator))
+
+
 def _columns(args: tuple) -> list:
-    """Each argument as an iterable over the levels: a list, or a scalar repeated."""
-    return [arg if isinstance(arg, list) else repeat(arg) for arg in args]
+    """Each argument as an iterable over the levels: a list, a column's
+    values, or a scalar repeated."""
+    return [arg if isinstance(arg, list) else arg.levels() if isinstance(arg, _Column)
+            else repeat(arg) for arg in args]
 
 
 def _elementwise(op, *args):
     """op at each level of an operation that cannot fail; scalars give a scalar."""
-    if any(isinstance(arg, list) for arg in args):
+    if any(isinstance(arg, (list, _Column)) for arg in args):
         return list(map(op, *_columns(args)))
     return op(*args)
 
 
-def _bit_bound(values: list) -> int:
+def _over(value, denominator: int):
+    """A column's numerators, or a scalar's one repeated, over a multiple of
+    its denominator."""
+    factor = denominator // value.denominator
+    if not isinstance(value, _Column):
+        return repeat(value.numerator * factor)
+    return value.numerators if factor == 1 else [k * factor for k in value.numerators]
+
+
+def _column_arithmetic(op: str, left, right) -> _Column:
+    """left op right for '+', '-', '*' and '/' by a nonzero scalar, where at
+    least one side is a column and the other a column or an exact scalar."""
+    if op == "/":  # times the reciprocal, whose denominator is positive
+        op, right = "*", Fraction(right.denominator, right.numerator)
+    if op == "*":
+        numerators = map(operator.mul, _over(left, left.denominator),
+                         _over(right, right.denominator))
+        return _Column(list(numerators), left.denominator * right.denominator)
+    denominator = math.lcm(left.denominator, right.denominator)
+    numerators = map(_ARITHMETIC[op], _over(left, denominator), _over(right, denominator))
+    return _Column(list(numerators), denominator)
+
+
+def _bit_bound(numerators, denominators) -> int:
     """An upper bound on numerator plus denominator bits over exact values."""
-    numerators = map(abs, map(operator.attrgetter("numerator"), values))
-    denominators = map(operator.attrgetter("denominator"), values)
-    return max(numerators).bit_length() + max(denominators).bit_length()
+    return max(map(abs, numerators)).bit_length() + max(denominators).bit_length()
 
 
 def printable(value: Fraction | float) -> str:
@@ -522,14 +582,15 @@ class StructureReport:
 def validate_structure_function(
     expr: Expr, env: Mapping[str, Fraction] | None, dim: int
 ) -> StructureReport:
-    """Check F(0) = 0 and F(n) > 0 for 1 <= n <= dim, in exact arithmetic."""
+    """Check F(0) = 0 and F(n) > 0 for 1 <= n <= dim, in exact arithmetic
+    (a level's sign is its numerator's: a Fraction's denominator is positive)."""
     if dim < 1:
         raise ExprError("dim must be >= 1")
     values = eval_levels(expr, 0, dim + 1, env, Backend.EXACT)
-    violations = [StructureViolation(0, values[0], "F(0) = 0")] if values[0] != 0 else []
+    violations = [StructureViolation(0, values[0], "F(0) = 0")] if values[0].numerator else []
     violations += (
         StructureViolation(level, value, "F(n) > 0")
         for level, value in enumerate(values[1:], 1)
-        if value <= 0
+        if value.numerator <= 0
     )
     return StructureReport(not violations, tuple(violations), tuple(values))

@@ -101,13 +101,23 @@ def _level(mu: int, n: int) -> int:
 
 
 def _cv_energy(kappa: Fraction, m: int) -> Fraction:
-    """Closed-form F(m) of the reflection oscillator: m, plus kappa for odd m."""
-    return Fraction(m) + kappa if m % 2 else Fraction(m)
+    """Closed-form F(m) of the reflection oscillator: m, plus kappa for odd m,
+    one Fraction from integer parts."""
+    if m % 2:
+        return Fraction(m * kappa.denominator + kappa.numerator, kappa.denominator)
+    return Fraction(m)
 
 
 def _gdoa_energy(values: tuple[Fraction, ...], weights: dict, m: int) -> Fraction | float:
-    """Energy f(m)^2 F(m) of the weighted family (f(0) is undefined, F(0) = 0)."""
-    return weights[m] ** 2 * values[m] if values[m] else Fraction(0)
+    """Energy f(m)^2 F(m) of the weighted family (f(0) is undefined, F(0) = 0):
+    one Fraction from integer parts for an exact f, a double for a float one."""
+    v = values[m]
+    if not v.numerator:
+        return Fraction(0)
+    w = weights[m]
+    if type(w) is float:
+        return w ** 2 * v
+    return Fraction(w.numerator ** 2 * v.numerator, w.denominator ** 2 * v.denominator)
 
 
 def _energies(mu: int, count: int, energy: Callable[[int], Fraction | float]) -> list:
@@ -306,8 +316,11 @@ class DegeneratePair:
 
     @property
     def z_splits(self) -> bool:
-        """True when opposite nonzero Z eigenvalues tell the two levels apart."""
-        return self.z_low != 0 and self.z_low == -self.z_high
+        """True when opposite nonzero Z eigenvalues tell the two levels apart
+        (compared by numerator and positive denominator, with no negation)."""
+        low, high = self.z_low, self.z_high
+        return (low.numerator != 0 and low.numerator == -high.numerator
+                and low.denominator == high.denominator)
 
 
 @dataclass(frozen=True)

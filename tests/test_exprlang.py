@@ -221,18 +221,20 @@ class TestIntrospection:
 
 
 @st.composite
-def expression_trees(draw, depth=0, ops="+-*", calls=()):
-    """Sources over n, kappa, lam and digits; ``calls`` wraps subtrees in builtins."""
+def expression_trees(draw, depth=0, ops="+-*", calls=(), exponents=(2,),
+                     names=("n", "kappa", "lam")):
+    """Sources over ``names`` and digits; ``calls`` wraps subtrees in builtins,
+    and a power's exponent is drawn from ``exponents``."""
     if depth >= 3 or draw(st.booleans()):
         leaf = draw(
-            st.sampled_from(["n", "kappa", "lam"])
+            st.sampled_from(names)
             if draw(st.booleans())
             else st.integers(min_value=0, max_value=9).map(str)
         )
         return leaf
     op = draw(st.sampled_from(list(ops)))
-    left = draw(expression_trees(depth + 1, ops, calls))
-    right = draw(expression_trees(depth + 1, ops, calls))
+    left = draw(expression_trees(depth + 1, ops, calls, exponents, names))
+    right = draw(expression_trees(depth + 1, ops, calls, exponents, names))
     shape = draw(st.sampled_from(["plain", "paren", "neg", "pow", *calls]))
     if shape in calls:
         return f"{shape}({left} {op} {right})"
@@ -241,7 +243,7 @@ def expression_trees(draw, depth=0, ops="+-*", calls=()):
     if shape == "neg":
         return f"-({left} {op} {right})"
     if shape == "pow":
-        return f"({left} {op} {right})^2"
+        return f"({left} {op} {right})^{draw(st.sampled_from(exponents))}"
     return f"{left} {op} {right}"
 
 
@@ -307,6 +309,22 @@ class TestStructureValidation:
         assert (0, "F(0) = 0") in constraints
         assert (1, "F(n) > 0") in constraints
         assert (2, "F(n) > 0") in constraints
+
+    @pytest.mark.parametrize("source, violations", [
+        ("n*(n-3)", [(1, -2, "F(n) > 0"), (2, -2, "F(n) > 0"), (3, 0, "F(n) > 0")]),
+        ("n - 5/2", [(0, Fraction(-5, 2), "F(0) = 0"), (1, Fraction(-3, 2), "F(n) > 0"),
+                     (2, Fraction(-1, 2), "F(n) > 0")]),
+    ])
+    def test_sign_changing_structure_function_violations(self, source, violations):
+        # at the spectrum benchmark's size; the sign is read from each value
+        report = validate_structure_function(parse_expr(source), {}, 4095)
+        assert not report.ok and len(report.values) == 4096
+        assert report.violations == tuple(
+            exprlang.StructureViolation(n, Fraction(value), constraint)
+            for n, value, constraint in violations
+        )
+        assert all(type(v.value) is Fraction for v in report.violations)
+        assert all(type(value) is Fraction for value in report.values)
 
     def test_negative_kappa_fails_positivity(self):
         report = validate_structure_function(
@@ -430,23 +448,37 @@ def assert_matches_reference(expr, start, stop, env, backend):
         assert first == outcome(lambda: [reference_eval(expr, start, env, backend)])
 
 
+# denominators whose lcm is not their product (6 and 15; 6 and 14, kappa/2's)
+_COMPOSITE_ENV = {"c": Fraction(5, 6), "kappa": Fraction(-3, 7), "lam": Fraction(4, 15)}
 _ENVS = st.sampled_from([
     {"kappa": Fraction(1, 2), "lam": Fraction(3), "c": Fraction(2)},
     {"kappa": Fraction(-3, 7), "c": Fraction(0)},
     {"lam": Fraction(-2)},
+    _COMPOSITE_ENV,
 ])
-_RANGES = st.tuples(st.sampled_from([0, 1]), st.integers(0, 9))
+# up to 40 levels, so a column carries many numerators over its denominator
+_RANGES = st.tuples(st.sampled_from([0, 1, 3]), st.integers(0, 40))
 
 
 class TestLevelRange:
     """eval_levels against the per-level oracle: values and first errors."""
 
     @settings(max_examples=400, deadline=None)
-    @given(expression_trees(ops="+-*/", calls=("parity", "sqrt", "bracket")), _ENVS, _RANGES,
-           st.sampled_from([EXACT, FLOAT]))
+    @given(expression_trees(ops="+-*/", calls=("parity", "sqrt", "bracket"), exponents=(2, 3, 5)),
+           _ENVS, _RANGES, st.sampled_from([EXACT, FLOAT]))
     def test_generated_trees_match_the_per_level_walk(self, source, env, levels, backend):
         start, count = levels
         assert_matches_reference(parse_expr(source), start, start + count, env, backend)
+
+    @settings(max_examples=400, deadline=None)
+    @given(expression_trees(ops="+-*/", calls=("parity", "bracket"), exponents=(2, 3, 5),
+                            names=("n", "n", "kappa", "lam", "c")),
+           st.sampled_from([_COMPOSITE_ENV, {"kappa": Fraction(1, 2), "lam": Fraction(3),
+                                              "c": Fraction(-9, 4)}]), _RANGES)
+    def test_exact_column_walk_matches_the_per_level_walk(self, source, env, levels):
+        # every name bound and no sqrt, so most trees reach the column arithmetic
+        start, count = levels
+        assert_matches_reference(parse_expr(source), start, start + count, env, EXACT)
 
     @settings(max_examples=400, deadline=None)
     @given(st.lists(_TOKENS, max_size=30).map(" ".join), _ENVS, _RANGES,
@@ -478,6 +510,40 @@ class TestLevelRange:
         assert str(err.value) == message
         for backend in (EXACT, FLOAT):
             assert_matches_reference(expr, start, start + 4, {}, backend)
+
+    @pytest.mark.parametrize("source, start, stop, message", [
+        # a column over denominator 2, integral at every level
+        ("parity(n/2*2)", 0, 40, None),
+        ("bracket(n/2*2) + parity(n*c/c)", 1, 40, None),
+        # not integral: the first odd level is named
+        ("parity(n/2)", 0, 40, "parity of non-integer 1/2 at n=1"),
+        ("parity(n/2)", 4, 40, "parity of non-integer 5/2 at n=5"),
+        ("n*c + parity((n - 1)/2)", 3, 40, "parity of non-integer 3/2 at n=4"),
+        # a divisor column that is zero at an interior level
+        ("1/(n - 17)", 0, 40, "division by zero at n=17"),
+        ("n/(n - 17) + 1/((n - 23)*(n - 5))", 3, 40, "division by zero at n=5"),
+        ("(n - 17)/(n*c - 17*c)", 0, 40, "division by zero at n=17"),
+        ("n/((n - 4)*kappa)^3", 0, 40, "division by zero at n=4"),
+        # a divisor column that is never zero: per-level values meet columns
+        ("1/(n + 1)^2 - kappa*n/c + parity(n)", 0, 40, None),
+        # every normalized level n^2600 stays within MAX_POWER_BITS, up to n = 45,
+        # though the unnormalized column (2n over 2) does not clear the bound
+        ("((n/2)*2)^2600", 0, 46, None),
+        ("((n/2)*2)^2600", 40, 50, f"power beyond {MAX_POWER_BITS} bits at n=46"),
+        # small numerators over a long denominator: the column's bound counts it
+        ("(n/2^40)^400", 0, 40, f"power beyond {MAX_POWER_BITS} bits at n=1"),
+        ("(n*kappa/kappa)^5 * (n/7)^3", 0, 40, None),
+    ])
+    def test_column_nodes_against_the_per_level_walk(self, source, start, stop, message):
+        expr = parse_expr(source)
+        if message is None:
+            values = eval_levels(expr, start, stop, _COMPOSITE_ENV)
+            assert all(type(value) is Fraction for value in values) and len(values) == stop - start
+        else:
+            with pytest.raises(ExprEvalError) as err:
+                eval_levels(expr, start, stop, _COMPOSITE_ENV)
+            assert str(err.value) == message
+        assert_matches_reference(expr, start, stop, _COMPOSITE_ENV, EXACT)
 
     def test_constant_weight_error_names_the_first_level(self):
         spec = OscillatorSpec.gdoa("n^2", weight="1/0")

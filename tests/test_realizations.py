@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from gdoa_susy import fock, realizations
+from gdoa_susy.exprlang import eval_expr
 from gdoa_susy.fock import OscillatorSpec, ValidationError
 from gdoa_susy.numerics import (
     Backend,
@@ -441,6 +442,18 @@ class TestPairing:
         assert report.accidental[0].levels == (0, 1, 2)
         assert report.accidental[0].energy == 0
 
+    @pytest.mark.parametrize("z_low, z_high, splits", [
+        (Fraction(1, 2), Fraction(-1, 2), True),
+        (Fraction(-5, 7), Fraction(5, 7), True),
+        (Fraction(1, 2), Fraction(-1, 3), False),  # opposite numerators only
+        (Fraction(2, 3), Fraction(2, 3), False),
+        (Fraction(0), Fraction(0), False),
+        (3, -3, True),
+    ])
+    def test_z_splits_compares_whole_values(self, z_low, z_high, splits):
+        pair = realizations.DegeneratePair(1, 2, Fraction(1), z_low, z_high)
+        assert pair.z_splits is splits
+
     def test_pairing_rejects_a_parity_other_than_0_or_1(self):
         table, _ = self._cv_half_rows(1, 3)
         with pytest.raises(ValidationError, match="mu must be 0 or 1"):
@@ -458,6 +471,74 @@ class TestPairing:
         table = SpectrumTable(spec, 1, 1, rows)
         with pytest.raises(ValidationError, match="degenerate"):
             degeneracy_pairs(table)
+
+
+BENCHMARK_SPECS = {
+    "cv(1/2)": lambda: OscillatorSpec.calogero_vasiliev(Fraction(1, 2)),
+    "cv(-3/7)": lambda: OscillatorSpec.calogero_vasiliev(Fraction(-3, 7)),
+    "gdoa(n^3+2n, f=n+1)": lambda: OscillatorSpec.gdoa("n^3 + 2*n", weight="n+1"),
+}
+
+
+class TestBenchmarkSize:
+    """Level records, spectra and doublets at the spectrum benchmark's n_max
+    4094, each value against a per-level oracle (eval_expr at one level, or a
+    closed form) and each an exact Fraction."""
+
+    N_MAX = 4094
+
+    @staticmethod
+    def _oracle(spec, levels):
+        """F(m) and f(m) at each level m, one eval_expr call each."""
+        return ({m: eval_expr(spec.structure, m, spec.params) for m in levels},
+                {m: eval_expr(spec.weight, m, spec.params) for m in levels if m})
+
+    @pytest.mark.parametrize("name", list(BENCHMARK_SPECS))
+    def test_level_records_match_the_per_level_walk(self, name):
+        spec, dim = BENCHMARK_SPECS[name](), self.N_MAX + 1
+        structure, weight = self._oracle(spec, range(dim + 1))
+        values = fock.structure_values(spec, dim)
+        assert values == tuple(structure.values())
+        assert all(type(value) is Fraction for value in values)
+        weights = fock.weight_values(spec, dim)
+        assert weights == weight and all(type(value) is Fraction for value in weights.values())
+        if spec.is_calogero_vasiliev:
+            assert values == tuple(m + spec.kappa * (m % 2) for m in range(dim + 1))
+
+    @pytest.mark.parametrize("mu", [0, 1])
+    @pytest.mark.parametrize("name", list(BENCHMARK_SPECS))
+    def test_spectrum_and_doublets_match_the_closed_form(self, name, mu):
+        spec, n_max = BENCHMARK_SPECS[name](), self.N_MAX
+        structure, weight = self._oracle(spec, range(n_max + 2))
+        cv = spec.is_calogero_vasiliev
+        sign = -(-1) ** mu if cv else (-1) ** mu  # Z_n = sign (-1)^n E_n
+        energies, charges = [], []
+        for n in range(n_max + 1):
+            m = n if n % 2 == mu else n + 1
+            if cv:
+                energy = cv_energy_oracle(n, spec.kappa, mu)
+            else:  # f(0) is undefined; E_0 = F(0) = 0
+                energy = weight[m] ** 2 * structure[m] if m else structure[0]
+            energies.append(energy)
+            charges.append(sign * (-1) ** n * energy)
+        table = spectrum_H(spec, mu, n_max)
+        assert [row.n for row in table.rows] == list(range(n_max + 1))
+        assert [row.energy for row in table.rows] == energies
+        assert [row.central for row in table.rows] == charges
+        assert all(type(row.energy) is Fraction and type(row.central) is Fraction
+                   for row in table.rows)
+
+        report = degeneracy_pairs(table)
+        lows = range(1 - mu, n_max, 2)  # (2k+1, 2k+2) for mu = 0, (2k, 2k+1) for mu = 1
+        assert [(p.low, p.high) for p in report.pairs] == [(low, low + 1) for low in lows]
+        assert [(p.energy, p.z_low, p.z_high) for p in report.pairs] == [
+            (energies[low], charges[low], charges[low + 1]) for low in lows
+        ]
+        assert all(type(value) is Fraction
+                   for p in report.pairs for value in (p.energy, p.z_low, p.z_high))
+        assert report.z_resolves and report.accidental == ()
+        unpaired = [(0, "ground")] if mu == 0 else [(n_max, "truncated")]
+        assert [(u.n, u.reason) for u in report.unpaired] == unpaired
 
 
 class TestReduction:
