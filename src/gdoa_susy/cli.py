@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
@@ -477,9 +478,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bind_dash_values(argv: Sequence[str]) -> list[str]:
+    """``--kappa -3/7`` as ``--kappa=-3/7``.  argparse takes a token of '-' and a
+    digit that is no plain number for an option; every long flag but --help
+    takes one value, so such a token after one is its value."""
+    bound: list[str] = []
+    for token in argv:
+        if bound and re.match(r"-\d", token) and re.fullmatch(r"--(?!help$)[\w-]+", bound[-1]):
+            bound[-1] += "=" + token
+        else:
+            bound.append(token)
+    return bound
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_bind_dash_values(sys.argv[1:] if argv is None else argv))
     try:
         if args.config is not None:
             config = load_config(args.config, args)

@@ -3,18 +3,18 @@
 Two scalar backends coexist:
 
 * ``Backend.EXACT``: Gaussian rationals carrying a radical factor, stored on
-  five ints as ``(p + q*i)/d * sqrt(rn/rd)`` with ``d > 0``,
-  ``gcd(p, q, d) == 1`` and ``rn``/``rd`` coprime and square-free, so
-  equality is structural and products of matching radicals collapse back to
-  rationals.  Sums of incompatible radicals raise :class:`ExactnessError`;
-  the identities verified exactly in this package never produce such sums.
-  Values are canonical by construction: :func:`_rooted` factors a radicand
-  once from integer parts (numerator and denominator each up to 10**18; a
-  larger non-square raises :class:`ExactnessError`); the public constructor
-  reads its arguments' parts through ``Fraction`` and calls it, and the
-  realizations call it on a level's parts directly.  ``+``, ``-``, ``*``,
+  four ints as ``(p + q*i)/d * sqrt(r)`` with ``d > 0``, ``gcd(p, q, d) == 1``
+  and ``r >= 1`` square-free, so equality is structural and products of
+  matching radicals collapse back to rationals.  Sums of incompatible
+  radicals raise :class:`ExactnessError`; the identities verified exactly in
+  this package never produce such sums.  Values are canonical by
+  construction: :func:`_rooted` factors a radicand ``rn/rd`` once from
+  integer parts (each up to 10**18; a larger non-square raises
+  :class:`ExactnessError`) and writes ``sqrt(rn/rd)`` as ``sqrt(rn*rd)/rd``;
+  the public constructor reads its arguments' parts through ``Fraction`` and
+  calls it, and the realizations call it on a level's parts directly.  ``+``, ``-``, ``*``,
   negation and ``conjugate`` run on the ints, combine already square-free
-  radicands by gcd without factoring and divide out ``gcd(p, q, d)`` once;
+  radicands by one gcd without factoring and divide out ``gcd(p, q, d)`` once;
   :func:`coerce_scalar` and :meth:`BandMatrix.diagonal` wrap a rational
   directly.  No ``Fraction`` is built on these paths; ``re``/``im``/``rad``
   read the parts back as Fractions.
@@ -106,18 +106,17 @@ def _square_split(n: int) -> tuple[int, int]:
 
 class ExactScalar:
     """A Gaussian rational times the square root of a nonnegative rational,
-    stored on five ints as ``(p + q*i)/d * sqrt(rn/rd)`` in the canonical form
-    the module docstring states; zero is ``(0, 0, 1, 1, 1)``.  The constructor canonicalizes
-    its arguments; arithmetic on canonical operands builds canonical results
-    directly (see :func:`_canonical`).  ``re``, ``im`` and ``rad`` are Fractions.
+    stored on four ints as ``(p + q*i)/d * sqrt(r)`` in the canonical form the
+    module docstring states; zero is ``(0, 0, 1, 1)``.  The constructor
+    canonicalizes its arguments (``ExactScalar(1, 0, Fraction(1, 3))`` reads
+    back as re 1/3, rad 3); arithmetic on canonical operands builds canonical
+    results directly (see :func:`_canonical`).  ``re``, ``im``, ``rad`` are Fractions.
     """
 
-    __slots__ = ("_p", "_q", "_d", "_rn", "_rd")
+    __slots__ = ("_p", "_q", "_d", "_r")
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0, rad: RationalLike = 1):
-        re = Fraction(re)
-        im = Fraction(im)
-        rad = Fraction(rad)
+        re, im, rad = Fraction(re), Fraction(im), Fraction(rad)
         if rad < 0:
             raise ExactnessError("radicand must be nonnegative")
         b, e = re.denominator, im.denominator
@@ -143,7 +142,7 @@ class ExactScalar:
 
     @property
     def rad(self) -> Fraction:
-        return Fraction(self._rn, self._rd)
+        return Fraction(self._r)
 
     def __bool__(self) -> bool:
         return self._p != 0 or self._q != 0
@@ -161,7 +160,7 @@ class ExactScalar:
         return _sum(self, other, -other._p, -other._q)
 
     def __neg__(self) -> "ExactScalar":
-        return _canonical(-self._p, -self._q, self._d, self._rn, self._rd)
+        return _canonical(-self._p, -self._q, self._d, self._r)
 
     def __mul__(self, other: object) -> "ExactScalar":
         if isinstance(other, ExactScalar):
@@ -174,39 +173,29 @@ class ExactScalar:
                 p, q = a_p * b_p, a_q * b_p
             else:
                 p, q = a_p * b_p - a_q * b_q, a_p * b_q + a_q * b_p
-            d = self._d * other._d
-            a_rn, a_rd, b_rn, b_rd = self._rn, self._rd, other._rn, other._rd
-            # coprime parts: rn == rd only for a radicand of 1
-            if b_rn == b_rd:
-                return _canonical(p, q, d, a_rn, a_rd)
-            if a_rn == a_rd:
-                return _canonical(p, q, d, b_rn, b_rd)
-            # Numerators and denominators are square-free, so
-            # sqrt(a) * sqrt(b) = g * sqrt((a/g) * (b/g)) with g = gcd(a, b);
-            # then cancel what the new numerator shares with the denominator.
-            gn, gd = math.gcd(a_rn, b_rn), math.gcd(a_rd, b_rd)
-            rn, rd = (a_rn // gn) * (b_rn // gn), (a_rd // gd) * (b_rd // gd)
-            c = math.gcd(rn, rd)
-            return _canonical(p * gn, q * gn, d * gd, rn // c, rd // c)
+            # Both radicands are square-free, so sqrt(a) * sqrt(b) =
+            # g * sqrt((a/g) * (b/g)) with g = gcd(a, b), and (a/g) * (b/g)
+            # is square-free again.
+            a, b = self._r, other._r
+            g = math.gcd(a, b)
+            return _canonical(p * g, q * g, self._d * other._d, (a // g) * (b // g))
         if isinstance(other, (int, Fraction)):
             if not other:
                 return EXACT_ZERO
             n = other.numerator
-            return _canonical(
-                self._p * n, self._q * n, self._d * other.denominator, self._rn, self._rd
-            )
+            return _canonical(self._p * n, self._q * n, self._d * other.denominator, self._r)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "ExactScalar":
-        return _canonical(self._p, -self._q, self._d, self._rn, self._rd)
+        return _canonical(self._p, -self._q, self._d, self._r)
 
     def magnitude(self) -> float:
         # sqrt of the rational (re^2 + im^2) * rad under one int/int true
         # division, which rounds exactly as float(Fraction) does.
         p, q, d = self._p, self._q, self._d
-        square, denominator = (p * p + q * q) * self._rn, d * d * self._rd
+        square, denominator = (p * p + q * q) * self._r, d * d
         try:
             return math.sqrt(square / denominator)
         except OverflowError:  # |x|^2 is beyond the double range, |x| may not be
@@ -216,8 +205,8 @@ class ExactScalar:
                 return math.inf
 
     def to_complex(self) -> complex:
-        # p/d rounds exactly as float(self.re) does, rn/rd as float(self.rad)
-        root = math.sqrt(self._rn / self._rd)
+        # p/d rounds exactly as float(self.re) does
+        root = math.sqrt(self._r)
         d = self._d
         return complex(self._p / d * root, self._q / d * root)
 
@@ -227,34 +216,27 @@ class ExactScalar:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactScalar):
             return NotImplemented
-        return (
-            self._p == other._p
-            and self._q == other._q
-            and self._d == other._d
-            and self._rn == other._rn
-            and self._rd == other._rd
-        )
+        return (self._p == other._p and self._q == other._q and self._d == other._d
+                and self._r == other._r)
 
     def __hash__(self) -> int:
-        return hash((self.re, self.im, self.rad))
+        return hash((self._p, self._q, self._d, self._r))
 
     def __repr__(self) -> str:
-        if self._rn == self._rd:
+        if self._r == 1:
             return f"ExactScalar({self.re}, {self.im})"
         return f"ExactScalar({self.re}, {self.im}, rad={self.rad})"
 
 
 # The slot descriptors' setters bypass the immutability guard in __setattr__.
 _new_scalar = object.__new__
-_set_p, _set_q, _set_d, _set_rn, _set_rd = (
-    vars(ExactScalar)[name].__set__ for name in ExactScalar.__slots__
-)
+_set_p, _set_q, _set_d, _set_r = (vars(ExactScalar)[n].__set__ for n in ExactScalar.__slots__)
 
 
-def _canonical(p: int, q: int, d: int, rn: int, rd: int) -> ExactScalar:
+def _canonical(p: int, q: int, d: int, r: int) -> ExactScalar:
     """Build from parts that are canonical up to a common factor of p, q and
-    d: ``d > 0``, ``rn``/``rd`` coprime and square-free, and (p, q) nonzero
-    or the zero parts.  Divides out gcd(p, q, d); nothing is factored."""
+    d: ``d > 0``, ``r >= 1`` square-free, and (p, q) nonzero or the zero
+    parts.  Divides out gcd(p, q, d); nothing is factored."""
     g = math.gcd(p, q, d)
     if g != 1:
         p, q, d = p // g, q // g, d // g
@@ -262,20 +244,20 @@ def _canonical(p: int, q: int, d: int, rn: int, rd: int) -> ExactScalar:
     _set_p(scalar, p)
     _set_q(scalar, q)
     _set_d(scalar, d)
-    _set_rn(scalar, rn)
-    _set_rd(scalar, rd)
+    _set_r(scalar, r)
     return scalar
 
 
 def _rooted(p: int, q: int, d: int, rn: int, rd: int) -> ExactScalar:
     """``(p + q*i)/d * sqrt(rn/rd)`` from integer parts with ``d > 0``,
-    ``rn >= 0`` and ``rd > 0`` coprime: the radicand is split once by
-    :func:`_square_split`; zero parts or a zero radicand give zero."""
+    ``rn >= 0`` and ``rd > 0`` coprime: each of rn and rd is split once by
+    :func:`_square_split`, and the coprime square-free rests give
+    ``sqrt(rn/rd) = sqrt(rn*rd)/rd``; zero parts or a zero radicand give zero."""
     if not (p or q) or not rn:
-        return _canonical(0, 0, 1, 1, 1)
+        return _canonical(0, 0, 1, 1)
     sn, rn = _square_split(rn)
     sd, rd = _square_split(rd)
-    return _canonical(p * sn, q * sn, d * sd, rn, rd)
+    return _canonical(p * sn, q * sn, d * sd * rd, rn * rd)
 
 
 def _sum(a: ExactScalar, b: ExactScalar, b_p: int, b_q: int) -> ExactScalar:
@@ -285,18 +267,16 @@ def _sum(a: ExactScalar, b: ExactScalar, b_p: int, b_q: int) -> ExactScalar:
         return a
     a_p, a_q, a_d, b_d = a._p, a._q, a._d, b._d
     if not (a_p or a_q):
-        return _canonical(b_p, b_q, b_d, b._rn, b._rd)
-    if a._rn != b._rn or a._rd != b._rd:
-        raise ExactnessError(
-            f"cannot add incompatible radicals sqrt({a.rad}) and sqrt({b.rad})"
-        )
+        return _canonical(b_p, b_q, b_d, b._r)
+    if a._r != b._r:
+        raise ExactnessError(f"cannot add incompatible radicals sqrt({a.rad}) and sqrt({b.rad})")
     if a_d == b_d:
         p, q, d = a_p + b_p, a_q + b_q, a_d
     else:
         p, q, d = a_p * b_d + b_p * a_d, a_q * b_d + b_q * a_d, a_d * b_d
     if not (p or q):
         return EXACT_ZERO
-    return _canonical(p, q, d, a._rn, a._rd)
+    return _canonical(p, q, d, a._r)
 
 
 RationalLike = Union[int, Fraction]
@@ -311,8 +291,8 @@ def coerce_scalar(value: object, backend: Backend) -> Scalar:
         if isinstance(value, ExactScalar):
             return value
         if isinstance(value, (int, Fraction)):
-            # a rational is canonical as (num, 0, den, 1, 1), zero included
-            return _canonical(value.numerator, 0, value.denominator, 1, 1)
+            # a rational is canonical as (num, 0, den, 1), zero included
+            return _canonical(value.numerator, 0, value.denominator, 1)
         raise BackendMismatchError(f"cannot represent {value!r} exactly")
     if isinstance(value, ExactScalar):
         return value.to_complex()
@@ -456,7 +436,7 @@ class BandMatrix:
         rational beyond the double range raises ``OverflowError`` on the float
         backend); any other value goes through :func:`coerce_scalar`."""
         if backend is Backend.EXACT:
-            scalars = [_canonical(v.numerator, 0, v.denominator, 1, 1) if type(v) in _RATIONALS
+            scalars = [_canonical(v.numerator, 0, v.denominator, 1) if type(v) in _RATIONALS
                        else coerce_scalar(v, backend) for v in values]
         else:
             scalars = [complex(v.numerator / v.denominator) if type(v) in _RATIONALS
@@ -521,10 +501,6 @@ class BandMatrix:
 
     def __sub__(self, other: "BandMatrix") -> "BandMatrix":
         return self._merge(other, _sub)
-
-    def __neg__(self) -> "BandMatrix":
-        diags = {d: list(map(_neg, values)) for d, values in self._diags.items()}
-        return BandMatrix._build(self.dim, self.backend, diags)
 
     def scaled(self, factor: object) -> "BandMatrix":
         s = coerce_scalar(factor, self.backend)
@@ -606,16 +582,6 @@ def _signed_max_abs(terms: Sequence[tuple[int, BandMatrix]], cols: range | None 
             total = map(_add if sign == lead else _sub, total, values)
         mags += map(magnitude, total)
     return _top(mags) if mags else 0.0
-
-
-def commutator(a: BandMatrix, b: BandMatrix) -> BandMatrix:
-    """[a, b] = ab - ba."""
-    return _bracket(a @ b, b @ a, 1)
-
-
-def anticommutator(a: BandMatrix, b: BandMatrix) -> BandMatrix:
-    """{a, b} = ab + ba."""
-    return _bracket(a @ b, b @ a, -1)
 
 
 @dataclass(frozen=True)

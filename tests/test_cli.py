@@ -755,6 +755,38 @@ class TestReduceCommand:
         assert code == 2
         assert "finite nonnegative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_negative_kappa_as_a_separate_token(self, capsys, output):
+        # argparse reads "-3/7" as an option, not as a number; the flag binds it
+        assert main(["reduce", "--kappa=-3/7", "--dim", "8", "--output", output]) == 0
+        expected = capsys.readouterr()
+        assert main(["reduce", "--kappa", "-3/7", "--dim", "8", "--output", output]) == 0
+        assert capsys.readouterr() == expected
+        assert "-3/7" in expected.out
+
+    def test_negative_integer_kappa_fails_validation(self, capsys):
+        assert main(["reduce", "--kappa", "-2", "--dim", "8"]) == 2
+        assert capsys.readouterr().err == (
+            "error: invalid structure function: F(1) = -1 violates F(n) > 0\n")
+
+    @pytest.mark.parametrize("argv", [["--kappa", "--dim", "8"], ["--dim", "8", "--kappa"]])
+    def test_kappa_without_a_value(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["reduce", *argv])
+        assert exc.value.code == 2
+        assert "argument --kappa: expected one argument" in capsys.readouterr().err
+
+    def test_help_takes_no_value(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["reduce", "--help", "-3/7"])
+        assert exc.value.code == 0
+        assert "--kappa" in capsys.readouterr().out
+
+    def test_dash_digit_value_reaches_tolerance_validation(self, capsys):
+        # "-1e-3" is no plain number for argparse either; the config rejects it
+        assert main(["reduce", "--kappa", "1/2", "--tolerance-abs", "-1e-3"]) == 2
+        assert "finite nonnegative" in capsys.readouterr().err
+
     def test_kappa_flag_over_config(self, tmp_path, capsys):
         # --kappa replaces the config's algebra; its other keys still hold
         config = write_config(tmp_path, dict(CV_HALF, dim=16))

@@ -24,10 +24,9 @@ from gdoa_susy.numerics import (
     DEFAULT_POLICY,
     EXACT_POLICY,
     ExactScalar,
-    anticommutator,
     approx_equal_matrix,
-    commutator,
 )
+from oracles import anticommutator, commutator
 
 EXACT = Backend.EXACT
 FLOAT = Backend.FLOAT
@@ -208,7 +207,7 @@ class TestRepresentation:
         rep = build_fock_rep(spec, 8, EXACT)
         parity = parity_operator(rep)
         lhs = parity @ rep.a @ parity
-        assert lhs == -rep.a
+        assert lhs == rep.a.scaled(-1)
 
     def test_projector_shifts_through_ladder(self):
         spec = OscillatorSpec.calogero_vasiliev(Fraction(1, 2))

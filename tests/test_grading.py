@@ -26,9 +26,9 @@ from gdoa_susy.numerics import (
     BackendMismatchError,
     BandMatrix,
     DimensionMismatchError,
-    commutator,
 )
 from gdoa_susy.realizations import cv_realization
+from oracles import commutator
 
 ALL_DEGREES = [degree(0, 0), degree(1, 0), degree(0, 1), degree(1, 1)]
 

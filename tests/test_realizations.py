@@ -13,7 +13,6 @@ from gdoa_susy.numerics import (
     BandMatrix,
     DEFAULT_POLICY,
     ExactScalar,
-    anticommutator,
     approx_equal_matrix,
 )
 from gdoa_susy.realizations import (
@@ -26,6 +25,7 @@ from gdoa_susy.realizations import (
     reduction_check,
     spectrum_H,
 )
+from oracles import anticommutator
 
 EXACT = Backend.EXACT
 FLOAT = Backend.FLOAT

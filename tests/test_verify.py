@@ -26,9 +26,7 @@ from gdoa_susy.numerics import (
     DEFAULT_POLICY,
     ExactScalar,
     TolerancePolicy,
-    anticommutator,
     approx_equal_matrix,
-    commutator,
 )
 from gdoa_susy.realizations import (
     DEGREE_H,
@@ -47,6 +45,7 @@ from gdoa_susy.verify import (
     run_qform_suite,
     run_standard_susy_suite,
 )
+from oracles import anticommutator, commutator
 
 
 def by_name(report):
