@@ -21,8 +21,9 @@ one walk of the tree, and :func:`eval_expr` is its one-level case.  Exact
 values of ``n`` form a column, int numerators over one denominator, until a
 node that can fail at one level (division by a column, a power the bit bound
 does not clear, ``parity`` of a non-integer column, ``sqrt``) goes level by
-level.  An error names the first failing level, as a walk of one level at a
-time would.
+level.  The walk raises at the first error it meets; a bisection over the
+levels, re-walking only the half still open, then names the first failing
+level, as a walk of one level at a time would.
 
 The source nests at most ``MAX_DEPTH`` parentheses, builtin calls and unary
 minuses, and the parsed tree is at most ``MAX_DEPTH // 2`` levels deep, so the
@@ -310,7 +311,7 @@ def eval_levels(
     """Values at the levels start <= n < stop, from one walk of the tree.
 
     The walk is post-order.  Each node yields one list of values over the
-    live levels, or one scalar when its subtree does not read ``n``, so a
+    levels, or one scalar when its subtree does not read ``n``, so a
     constant is evaluated once.  The exact backend keeps a list as a column
     until a node that can fail at one level takes per-level values, rejects
     sqrt and any power beyond ``MAX_POWER_BITS``, and builds one Fraction
@@ -319,48 +320,51 @@ def eval_levels(
     a literal or power beyond the double range raises :class:`ExprEvalError`
     (a product that overflows is inf, which no verification check passes).
 
-    Errors are those of the first failing level, visited level by level: a
-    node that fails first at level L records its error and cuts the live
-    levels to [start, L) for every node visited after it; the error left at
-    the end is raised.
+    Errors are those of the first failing level, visited level by level.
+    The walk raises at the first error it meets, which may be at a later
+    level than another node's; since a level's value and error depend on
+    that level alone, a bisection then finds the first failing level by
+    re-walking the half of the range still open, and a walk of that one
+    level raises its error.
     """
-    bindings = env or {}
-    exact = backend is Backend.EXACT
-    size = max(stop - start, 0)  # live levels: start .. start + size - 1
-    failure: ExprEvalError | None = None
-    if not size:
+    if stop <= start:
         return []
-
-    def fail(offset: int, exc: Exception) -> None:
-        """Record exc as the error at level start + offset and cut the live
-        levels there; at the first level no later node can fail earlier."""
-        nonlocal size, failure
-        if isinstance(exc, OverflowError):  # float conversion or power beyond the double range
-            cause, exc = exc, ExprEvalError(f"float overflow at n={start + offset}: {exc}")
-            exc.__cause__ = cause
-        size, failure = offset, exc
-        if not offset:
-            raise exc
-
-    def checked(op, *args):
-        """op(*values, n) at each live level n, up to the first that raises; a
-        scalar argument stands for every level, and scalars give a scalar."""
-        scalar = not any(isinstance(arg, (list, _Column)) for arg in args)
-        values: list = []
+    bindings, exact = env or {}, backend is Backend.EXACT
+    try:
+        return _walk(expr, start, stop, bindings, exact)
+    except (ExprEvalError, OverflowError):
+        pass
+    low, high = start, stop - 1  # the first failing level is in [low, high]
+    while low < high:
+        middle = (low + high) // 2
         try:
-            for row in zip(*_columns(args), range(start, start + (1 if scalar else size))):
-                values.append(op(*row))
-        except (ExprEvalError, OverflowError) as exc:
-            fail(len(values), exc)
-        return values[0] if scalar else values
+            _walk(expr, low, middle + 1, bindings, exact)
+            low = middle + 1
+        except (ExprEvalError, OverflowError):
+            high = middle
+    try:
+        _walk(expr, low, low + 1, bindings, exact)
+    except OverflowError as exc:  # float conversion or power beyond the double range
+        raise ExprEvalError(f"float overflow at n={low}: {exc}") from exc
+    # unreachable while a level's value and error depend on that level alone
+    raise ExprEvalError(f"no failing level in [{start}, {stop})")
+
+
+def _walk(expr: Expr, start: int, stop: int, bindings: Mapping[str, Fraction], exact: bool):
+    """The values of :func:`eval_levels` from one post-order walk, raising
+    the first error that the walk meets."""
+
+    def per_level(op, *args):
+        """op(*values, n) at each level n; scalars give a scalar at the
+        first level."""
+        if any(isinstance(arg, (list, _Column)) for arg in args):
+            return list(map(op, *_columns(args), range(start, stop)))
+        return op(*args, start)
 
     def constant(value: Fraction) -> int | Fraction | float:
         if exact:
             return value.numerator if value.denominator == 1 else value
-        try:
-            return float(value)
-        except OverflowError as exc:
-            fail(0, exc)
+        return float(value)
 
     def divide(left, right, n: int):
         if right == 0:
@@ -402,11 +406,11 @@ def eval_levels(
         if isinstance(node, Number):
             return constant(node.value)
         if isinstance(node, Var):
-            levels = range(start, start + size)
+            levels = range(start, stop)
             return _Column(list(levels), 1) if exact else list(map(float, levels))
         if isinstance(node, Param):
             if node.name not in bindings:
-                fail(0, ExprEvalError(f"unbound parameter {node.name!r}"))
+                raise ExprEvalError(f"unbound parameter {node.name!r}")
             return constant(Fraction(bindings[node.name]))
         if isinstance(node, Neg):
             arg = ev(node.arg)
@@ -420,41 +424,32 @@ def eval_levels(
                     type(right) is not _Column and right != 0)):
                 return _column_arithmetic(node.op, left, right)
             if node.op == "/":
-                return checked(divide, left, right)
+                return per_level(divide, left, right)
             return _elementwise(_ARITHMETIC[node.op], left, right)
         if isinstance(node, Pow):
             base = ev(node.base)
-            if isinstance(base, _Column) and _bit_bound(
-                base.numerators, (base.denominator,)
-            ) * node.exponent <= MAX_POWER_BITS:  # no level can pass the bound
+            if isinstance(base, _Column) and (  # no level can pass the bit bound
+                max(map(abs, base.numerators)).bit_length() + base.denominator.bit_length()
+            ) * node.exponent <= MAX_POWER_BITS:
                 powers = list(map(pow, base.numerators, repeat(node.exponent)))
                 return _Column(powers, base.denominator ** node.exponent)
-            if isinstance(base, list) and (not exact or _bit_bound(
-                [value.numerator for value in base], [value.denominator for value in base]
-            ) * node.exponent <= MAX_POWER_BITS):
-                try:  # no level can pass the bit bound
-                    return list(map(pow, base, repeat(node.exponent)))
-                except OverflowError:  # a float power: checked() names the level
-                    pass
-            return checked(power, base, node.exponent)
+            return per_level(power, base, node.exponent)
         if isinstance(node, Call):
             arg = ev(node.arg)
             if node.func not in builtins:
-                fail(0, ExprEvalError(f"unknown builtin {node.func!r}"))
+                raise ExprEvalError(f"unknown builtin {node.func!r}")
             if node.func == "parity" and isinstance(arg, _Column) and arg.denominator == 1:
                 return _Column([-1 if k % 2 else 1 for k in arg.numerators], 1)
-            return checked(builtins[node.func], arg)
-        fail(0, ExprEvalError(f"unknown node {node!r}"))
+            return per_level(builtins[node.func], arg)
+        raise ExprEvalError(f"unknown node {node!r}")
 
     values = ev(expr)
-    if failure is not None:
-        raise failure
     if isinstance(values, _Column):
         if values.denominator == 1:
             return list(map(Fraction, values.numerators))
         return list(map(Fraction, values.numerators, repeat(values.denominator)))
     if not isinstance(values, list):  # a constant, the same at every level
-        return [Fraction(values) if exact else values] * size
+        return [Fraction(values) if exact else values] * (stop - start)
     if not exact:
         return values
     return [value if type(value) is Fraction else Fraction(value) for value in values]
@@ -524,11 +519,6 @@ def _column_arithmetic(op: str, left, right) -> _Column:
     denominator = math.lcm(left.denominator, right.denominator)
     numerators = map(_ARITHMETIC[op], _over(left, denominator), _over(right, denominator))
     return _Column(list(numerators), denominator)
-
-
-def _bit_bound(numerators, denominators) -> int:
-    """An upper bound on numerator plus denominator bits over exact values."""
-    return max(map(abs, numerators)).bit_length() + max(denominators).bit_length()
 
 
 def printable(value: Fraction | float) -> str:

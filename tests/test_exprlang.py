@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gdoa_susy import exprlang, fock
+from gdoa_susy.cli import MAX_DIM
 from gdoa_susy.exprlang import (
     MAX_DEPTH,
     MAX_POWER_BITS,
@@ -533,6 +534,8 @@ class TestLevelRange:
         # small numerators over a long denominator: the column's bound counts it
         ("(n/2^40)^400", 0, 40, f"power beyond {MAX_POWER_BITS} bits at n=1"),
         ("(n*kappa/kappa)^5 * (n/7)^3", 0, 40, None),
+        # a node visited later fails at an earlier level, over 4097 levels
+        ("1/(n - 3000) + 1/(n - 17)", 0, 4097, "division by zero at n=17"),
     ])
     def test_column_nodes_against_the_per_level_walk(self, source, start, stop, message):
         expr = parse_expr(source)
@@ -571,6 +574,27 @@ class TestLevelRange:
             eval_levels(parse_expr("(n*10^102)^3"), 0, 8, backend=FLOAT)
         with pytest.raises(ExprEvalError, match=r"^float overflow at n=2: "):
             eval_levels(parse_expr("n + " + "1" + "0" * 400), 2, 8, backend=FLOAT)
+        # an overflow and a division by zero rank by their levels, not by
+        # which node the walk meets first
+        with pytest.raises(ExprEvalError, match=r"^float overflow at n=6: "):
+            eval_levels(parse_expr("1/(n - 7) + sqrt(n)*(n*10^102)^3"), 0, 8, backend=FLOAT)
+        with pytest.raises(ExprEvalError, match=r"^division by zero at n=5$"):
+            eval_levels(parse_expr("sqrt(n)*(n*10^102)^3 + 1/(n - 5)"), 0, 8, backend=FLOAT)
+
+    def test_first_failing_level_is_found_in_logarithmically_many_walks(self, monkeypatch):
+        walks = []
+        walk = exprlang._walk
+
+        def counted(expr, start, stop, *args):
+            walks.append((start, stop))
+            return walk(expr, start, stop, *args)
+
+        monkeypatch.setattr(exprlang, "_walk", counted)
+        with pytest.raises(ExprEvalError, match=r"^division by zero at n=65000$"):
+            validate_structure_function(parse_expr("n + 1/(n - 65000)^2"), {}, MAX_DIM)
+        # the whole range, one probe per halving of 65537 levels, the last level
+        assert walks[0] == (0, MAX_DIM + 1) and walks[-1] == (65000, 65001)
+        assert len(walks) <= 2 + math.ceil(math.log2(MAX_DIM + 1))
 
     def test_callers_make_no_per_level_calls(self, monkeypatch):
         def per_level(*args, **kwargs):
