@@ -15,6 +15,9 @@ band of columns [0, D-1-g].
 
 The projectors P0, P1 onto even and odd levels are exact diagonals in either
 backend; the parity (Klein) operator is T = (-1)^N = P0 - P1.
+
+Each spec keeps one level record, read by ladders, realizations and spectra:
+F and f, exact (f as floats if it has sqrt), each evaluated once per spec.
 """
 
 from __future__ import annotations
@@ -50,9 +53,9 @@ class OscillatorSpec:
     parity-restricted charges; it defaults to the constant 1.
 
     ``params`` is a read-only copy of the mapping passed in.  The spec also
-    owns its exact level record: the longest F(0..D) that
-    :func:`structure_values` has validated for it, which a smaller dim reads
-    a prefix of, and beside it the exact f(1..D) of a sqrt-free weight.  The
+    owns its level record: the longest F(0..D) that :func:`structure_values`
+    has validated for it, which a smaller dim reads a prefix of, and the
+    longest f(1..D) asked for, exact, or floats for a weight with sqrt.  The
     record is neither a constructor argument nor part of equality, and
     ``dataclasses.replace`` starts a new spec without one.
     """
@@ -64,7 +67,7 @@ class OscillatorSpec:
     structure_src: str
     weight_src: str
     _levels: tuple[Fraction, ...] = field(default=(), init=False, repr=False, compare=False)
-    _weights: dict[int, Fraction] = field(
+    _weights: dict[int, Fraction | float] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -151,13 +154,12 @@ def weight_values(
 
 
 def _weight_levels(spec: OscillatorSpec, dim: int) -> Mapping[int, Fraction | float]:
-    """f(1..dim) or more, for the realizations and spectra: exact values from the
-    spec's level record (evaluated once per spec for the largest dim asked so
-    far), or floats evaluated on every call for a weight with sqrt."""
-    if not spec.weight_is_exact:
-        return weight_values(spec, dim, Backend.FLOAT)
+    """f(1..dim) or more, for the realizations and spectra, from the spec's level
+    record: evaluated once per spec for the largest dim asked so far, exact, or
+    as floats for a weight with sqrt."""
     if len(spec._weights) < dim:
-        object.__setattr__(spec, "_weights", weight_values(spec, dim, Backend.EXACT))
+        backend = Backend.EXACT if spec.weight_is_exact else Backend.FLOAT
+        object.__setattr__(spec, "_weights", weight_values(spec, dim, backend))
     return spec._weights
 
 

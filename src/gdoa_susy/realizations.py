@@ -11,16 +11,17 @@ levels.  Two sign conventions are produced by the two construction families:
   Z = (-1)^mu T H.
 
 Both are written entry by entry, f(m) sqrt(F(m)) per edge, by one writer: no
-realization builds a ladder.  Every build and spectrum reads F, and a
-sqrt-free f, from its spec's level record (see
-:class:`~gdoa_susy.fock.OscillatorSpec`), so each is evaluated (F
-validated) once per spec.  The exact variant of a float build is no second
-build: it writes only the exact charges, from the same record, and takes H
-and Z from the exact energies and central charges the float build recorded
-(``h_diag``, ``z_diag``).  It never reads the float matrices, so the exact
-re-check still rests on the defining data alone.  Each level's scalar is
-written from integer parts: an exact edge through its radicand's split, a
-float one from F(m)'s one double, a diagonal entry from its rational.
+realization builds a ladder.  Every build, spectrum and reduction reads F and
+f (floats for a weight with sqrt) from its spec's one level record (see
+:class:`~gdoa_susy.fock.OscillatorSpec`), evaluated once per spec, and takes
+E and Z from one function, :func:`_energies_and_charges`.  The exact variant
+of a float build is no second build: it writes only the exact charges, from
+the same record, and takes H and Z from the exact energies and central
+charges the float build recorded (``h_diag``, ``z_diag``).  It never reads
+the float matrices, so the exact re-check still rests on the defining data
+alone.  Each level's scalar is written from integer parts: an exact edge
+through its radicand's split, a float one from F(m)'s one double, a diagonal
+entry from its rational.
 
 At f = 1 and the reflection-deformed structure function the two families
 coincide under the swap Q <-> Q+, Z <-> -Z with identical H;
@@ -43,7 +44,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from typing import Callable, Sequence
+from itertools import chain, islice
+from typing import Sequence
 
 from .fock import (
     OscillatorSpec,
@@ -120,24 +122,26 @@ def _gdoa_energy(values: tuple[Fraction, ...], weights: dict, m: int) -> Fractio
     return Fraction(w.numerator ** 2 * v.numerator, w.denominator ** 2 * v.denominator)
 
 
-def _energies(mu: int, count: int, energy: Callable[[int], Fraction | float]) -> list:
-    """E_0..E_(count-1), calling energy(m) once per level m that sets them."""
-    levels = [_level(mu, n) for n in range(count)]
-    by_level = {m: energy(m) for m in dict.fromkeys(levels)}
-    return [by_level[m] for m in levels]
-
-
-def _central_charges(energies: Sequence[Fraction | float], mu: int, convention: str) -> list:
-    """Z_n = s (-1)^n E_n with s = -(-1)^mu for 'cv' and (-1)^mu for 'gdoa'."""
-    charges = list(energies)
-    first = 0 if (mu == 0) == (convention == "cv") else 1  # first level with s (-1)^n = -1
-    charges[first::2] = [-energy for energy in energies[first::2]]
-    return charges
+def _energies_and_charges(spec: OscillatorSpec, mu: int, count: int,
+                          convention: str) -> tuple[tuple, tuple]:
+    """E_0..E_(count-1) and Z_n = s (-1)^n E_n (s = -(-1)^mu for 'cv', (-1)^mu for
+    'gdoa'), from the spec's level record.  Each doublet level m is evaluated
+    once, by the convention's formula (``_cv_energy`` or ``_gdoa_energy``), and
+    negated once: its levels m - 1 and m share E_m, and take E_m and -E_m as Z."""
+    values = structure_values(spec, count)  # also validates F for 'cv'
+    energy = (partial(_cv_energy, spec.kappa) if convention == "cv"
+              else partial(_gdoa_energy, values, _weight_levels(spec, count)))
+    energies = [energy(m) for m in range(mu, count + 1, 2)]
+    negated = [-e for e in energies]
+    charges = zip(energies, negated) if convention == "cv" else zip(negated, energies)
+    first = 1 - mu  # the pairs cover levels m - 1, m of each m: skip n = -1 for mu = 0
+    return (tuple(islice(chain.from_iterable(zip(energies, energies)), first, first + count)),
+            tuple(islice(chain.from_iterable(charges), first, first + count)))
 
 
 def _charges(spec: OscillatorSpec, mu: int, dim: int, backend: Backend) -> tuple:
     """Raising and lowering charges of parity mu, f(m) sqrt(F(m)) at (m, m-1) and
-    (m-1, m) for m = mu (mod 2), and the F(0..dim) and f read from the spec.
+    (m-1, m) for m = mu (mod 2), with F and f read from the spec's level record.
     Each edge is written from integer parts: exact through its radicand's
     split, float from F(m)'s one double."""
     _require_mu(mu)
@@ -153,12 +157,12 @@ def _charges(spec: OscillatorSpec, mu: int, dim: int, backend: Backend) -> tuple
         edges = {m: complex(float(weights[m]) * math.sqrt(doubles[m])) for m in levels}
     raising = BandMatrix(dim, backend, {(m, m - 1): edge for m, edge in edges.items()})
     lowering = BandMatrix(dim, backend, {(m - 1, m): edge for m, edge in edges.items()})
-    return raising, lowering, values, weights
+    return raising, lowering
 
 
 def _realization(spec: OscillatorSpec, mu: int, dim: int, backend: Backend, convention: str,
-                 raising: BandMatrix, lowering: BandMatrix, energies: Sequence,
-                 central: Sequence) -> RealizationSet:
+                 raising: BandMatrix, lowering: BandMatrix, energies: tuple,
+                 central: tuple) -> RealizationSet:
     """One build's record: Q+ and Q in the convention's order (cv lowers with
     Q+), and H and Z diagonal in the energies and central charges."""
     qdag, q = (lowering, raising) if convention == "cv" else (raising, lowering)
@@ -168,8 +172,8 @@ def _realization(spec: OscillatorSpec, mu: int, dim: int, backend: Backend, conv
         Qdag=GradedOperator(qdag, None, "Q+"), Q=GradedOperator(q, None, "Q"),
         H=GradedOperator(BandMatrix.diagonal(energies, backend), DEGREE_H, "H"),
         Z=GradedOperator(BandMatrix.diagonal(central, backend), DEGREE_Z, "Z"),
-        h_diag=tuple(energies) if exact else None,
-        z_diag=tuple(central) if exact else None,
+        h_diag=energies if exact else None,
+        z_diag=central if exact else None,
     )
 
 
@@ -185,10 +189,8 @@ def cv_realization(
     if not spec.is_calogero_vasiliev:
         raise ValidationError(f"cv_realization needs a calogero_vasiliev spec, "
                               f"not {spec.describe()}")
-    raising, lowering, _, _ = _charges(spec, mu, dim, backend)
-    energies = _energies(mu, dim, partial(_cv_energy, spec.kappa))
-    central = _central_charges(energies, mu, "cv")
-    return _realization(spec, mu, dim, backend, "cv", raising, lowering, energies, central)
+    return _realization(spec, mu, dim, backend, "cv", *_charges(spec, mu, dim, backend),
+                        *_energies_and_charges(spec, mu, dim, "cv"))
 
 
 def gdoa_realization(
@@ -196,10 +198,8 @@ def gdoa_realization(
 ) -> RealizationSet:
     """Weighted-charge realization for an arbitrary structure function."""
     try:
-        raising, lowering, values, weights = _charges(spec, mu, dim, backend)
-        energies = _energies(mu, dim, partial(_gdoa_energy, values, weights))
-        central = _central_charges(energies, mu, "gdoa")
-        return _realization(spec, mu, dim, backend, "gdoa", raising, lowering, energies, central)
+        return _realization(spec, mu, dim, backend, "gdoa", *_charges(spec, mu, dim, backend),
+                            *_energies_and_charges(spec, mu, dim, "gdoa"))
     except OverflowError:
         # redo the conversions level by level to name the first that overflows
         values, weights = structure_values(spec, dim), _weight_levels(spec, dim)
@@ -223,9 +223,8 @@ def exact_variant(r: RealizationSet) -> RealizationSet | None:
         return r
     if not r.spec.weight_is_exact:
         return None
-    raising, lowering, _, _ = _charges(r.spec, r.mu, r.dim, Backend.EXACT)
-    return _realization(r.spec, r.mu, r.dim, Backend.EXACT, r.convention, raising, lowering,
-                        r.h_diag, r.z_diag)
+    return _realization(r.spec, r.mu, r.dim, Backend.EXACT, r.convention,
+                        *_charges(r.spec, r.mu, r.dim, Backend.EXACT), r.h_diag, r.z_diag)
 
 
 @dataclass(frozen=True)
@@ -293,14 +292,9 @@ def spectrum_H(spec: OscillatorSpec, mu: int, n_max: int) -> SpectrumTable:
         raise ValidationError("n_max must be nonnegative")
     if not spec.weight_is_exact:
         raise ValidationError("spectrum tables require an exactly evaluable weight (no sqrt)")
-    values = structure_values(spec, n_max + 1)
-    if spec.is_calogero_vasiliev:
-        energy = partial(_cv_energy, spec.kappa)
-    else:
-        energy = partial(_gdoa_energy, values, _weight_levels(spec, n_max + 1))
-    energies = _energies(mu, n_max + 1, energy)
-    charges = _central_charges(energies, mu, "cv" if spec.is_calogero_vasiliev else "gdoa")
-    rows = tuple(map(SpectrumRow, range(n_max + 1), energies, charges))
+    convention = "cv" if spec.is_calogero_vasiliev else "gdoa"
+    rows = tuple(map(SpectrumRow, range(n_max + 1),
+                     *_energies_and_charges(spec, mu, n_max + 1, convention)))
     return SpectrumTable(spec, mu, n_max, rows)
 
 
@@ -365,7 +359,7 @@ def degeneracy_pairs(table: SpectrumTable) -> DegeneracyReport:
         groups.setdefault(_level(table.mu, row.n), []).append(row)
     pairs: list[DegeneratePair] = []
     unpaired: list[UnpairedLevel] = []
-    by_energy: dict[Fraction, list[list[SpectrumRow]]] = {}
+    by_energy: dict[tuple[int, int], list[list[SpectrumRow]]] = {}
     for m, group in groups.items():
         row = group[0]
         if len(group) == 2:
@@ -376,10 +370,10 @@ def degeneracy_pairs(table: SpectrumTable) -> DegeneracyReport:
             pairs.append(DegeneratePair(row.n, mate.n, row.energy, row.central, mate.central))
         else:
             unpaired.append(UnpairedLevel(row.n, row.energy, "ground" if m == 0 else "truncated"))
-        by_energy.setdefault(row.energy, []).append(group)
+        by_energy.setdefault((row.energy.numerator, row.energy.denominator), []).append(group)
     accidental = sorted(
-        (AccidentalGroup(energy, tuple(r.n for group in shared for r in group))
-         for energy, shared in by_energy.items() if len(shared) > 1),
+        (AccidentalGroup(shared[0][0].energy, tuple(r.n for group in shared for r in group))
+         for shared in by_energy.values() if len(shared) > 1),
         key=lambda group: group.energy,
     )
     return DegeneracyReport(table.mu, table.n_max, tuple(pairs), tuple(unpaired), tuple(accidental))
@@ -423,14 +417,15 @@ def reduction_check(
         raise ValidationError(
             f"reduction_check needs a calogero_vasiliev spec, not {spec.describe()}"
         )
+    if not mus:
+        raise ValidationError("reduction_check needs at least one parity label mu")
     rep = build_fock_rep(spec, dim, backend)
     projectors = (rep.even_projector, rep.odd_projector)
     entries: list[ReductionEntry] = []
     for mu in mus:
         gd = gdoa_realization(spec, mu, dim, backend)
         # the CV presentation as written: Q+ = a P_mu, Q = a+ P_(1-mu), closed-form H, Z
-        h_diag = tuple(_energies(mu, dim, partial(_cv_energy, spec.kappa)))
-        z_diag = tuple(_central_charges(h_diag, mu, "cv"))
+        h_diag, z_diag = _energies_and_charges(spec, mu, dim, "cv")
         comparisons = [
             ("Q+ <-> Q", rep.a @ projectors[mu], gd.Q.matrix),
             ("Q <-> Q+", rep.a_dag @ projectors[1 - mu], gd.Qdag.matrix),

@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -186,11 +187,12 @@ class TestWeightedRealizations:
         assert r.exact.h_diag == r.h_diag
         gdoa_realization(spec, 1, 6)
         assert calls == [(8, EXACT)]
-        # a sqrt weight stays float and is evaluated by every build
+        # a sqrt weight is kept as floats, evaluated once per spec too: the
+        # charges and energies of both builds read one evaluation
         sqrt_spec = OscillatorSpec.gdoa("n", weight="sqrt(n)")
         gdoa_realization(sqrt_spec, 0, 8)
         gdoa_realization(sqrt_spec, 1, 8)
-        assert calls[1:] == [(8, FLOAT), (8, FLOAT)]
+        assert calls[1:] == [(8, FLOAT)]
 
     def test_float_levels_beyond_the_double_range(self):
         # F(4) = 2^1200 is past the largest double; the exact backend holds it
@@ -374,6 +376,53 @@ class TestSpectra:
         assert table.verdict == "unbroken"
 
 
+# spec sources of the E/Z differential test, each with the conventions it
+# takes: a reflection oscillator goes through either formula, a weighted one
+# through f^2 F only
+_RECORD_SPECS = {
+    "cv(1/2)": lambda: OscillatorSpec.calogero_vasiliev("1/2"),
+    "cv(-3/7)": lambda: OscillatorSpec.calogero_vasiliev("-3/7"),
+    "gdoa(n^3+2n, n+1)": lambda: OscillatorSpec.gdoa("n^3 + 2*n", weight="n + 1"),
+    "gdoa(n^2, sqrt(n))": lambda: OscillatorSpec.gdoa("n^2", weight="sqrt(n)"),
+}
+_RECORD_GRID = [(name, convention) for name in _RECORD_SPECS
+                for convention in (("cv", "gdoa") if name.startswith("cv") else ("gdoa",))]
+
+
+class TestEnergiesAndCharges:
+    # the one source of E and Z for builds, spectra and the reduction, against
+    # a per-level oracle: E_n = energy(_level(mu, n)) and Z_n = s (-1)^n E_n,
+    # s = -(-1)^mu for 'cv' and (-1)^mu for 'gdoa'
+    @pytest.mark.parametrize("count", [1, 2, 3, 4095])
+    @pytest.mark.parametrize("mu", [0, 1])
+    @pytest.mark.parametrize("name, convention", _RECORD_GRID)
+    def test_matches_the_per_level_oracle(self, name, convention, mu, count, monkeypatch):
+        spec = _RECORD_SPECS[name]()
+        formula = "_cv_energy" if convention == "cv" else "_gdoa_energy"
+        original = getattr(realizations, formula)
+        if convention == "cv":
+            energy = partial(original, spec.kappa)
+        else:
+            backend = EXACT if spec.weight_is_exact else FLOAT
+            energy = partial(original, fock.structure_values(spec, count),
+                             fock.weight_values(spec, count, backend))
+        sign = -(-1) ** mu if convention == "cv" else (-1) ** mu
+        energies = [energy(realizations._level(mu, n)) for n in range(count)]
+        charges = [sign * (-1) ** n * e for n, e in enumerate(energies)]
+        calls = []
+
+        def counting(*args):
+            calls.append(args[-1])
+            return original(*args)
+
+        monkeypatch.setattr(realizations, formula, counting)
+        got_energies, got_charges = realizations._energies_and_charges(spec, mu, count, convention)
+        assert got_energies == tuple(energies) and got_charges == tuple(charges)
+        assert [type(e) for e in got_energies + got_charges] == [type(e) for e in energies * 2]
+        # each doublet level m once, the top one (m = count) included
+        assert calls == list(range(mu, count + 1, 2))
+
+
 class TestPairing:
     @pytest.mark.parametrize("n_max, pairs, unpaired", [
         (5, [(1, 2), (3, 4)], [(0, "ground"), (5, "truncated")]),
@@ -425,6 +474,24 @@ class TestPairing:
         report = degeneracy_pairs(replace(table, rows=tuple(rows)))
         assert report.z_resolves
         assert [(g.energy, g.levels) for g in report.accidental] == [(2, (1, 2, 3, 4))]
+
+    def test_accidental_groups_keep_fraction_energies_in_order(self, monkeypatch):
+        # doublets (0, 1) and (2, 3) moved onto the energies of (8, 9) and
+        # (6, 7): the groups are met from the highest energy down, and are
+        # grouped by integer parts, with no Fraction hashed
+        table, rows = self._cv_half_rows(1, 9)
+        for n, mate in ((0, 8), (1, 9), (2, 6), (3, 7)):
+            rows[n] = SpectrumRow(n, rows[mate].energy, rows[n].central)
+
+        def unhashable(value):
+            raise AssertionError("degeneracy_pairs hashed a Fraction")
+
+        monkeypatch.setattr(Fraction, "__hash__", unhashable)
+        report = degeneracy_pairs(replace(table, rows=tuple(rows)))
+        monkeypatch.undo()
+        assert [(g.energy, g.levels) for g in report.accidental] == [
+            (Fraction(15, 2), (2, 3, 6, 7)), (Fraction(19, 2), (0, 1, 8, 9))]
+        assert all(type(g.energy) is Fraction for g in report.accidental)
 
     def test_zero_energy_pair_not_resolved(self):
         spec = OscillatorSpec.gdoa("n", weight="n - 1")
@@ -559,6 +626,11 @@ class TestReduction:
         spec = OscillatorSpec.gdoa("bracket(n)", {"kappa": Fraction(1, 2)})
         with pytest.raises(ValidationError, match="calogero_vasiliev"):
             reduction_check(spec, dim=8)
+
+    def test_no_parity_label_is_rejected(self):
+        # a reduction over no mu would pass with no entries
+        with pytest.raises(ValidationError, match="at least one parity label"):
+            reduction_check(OscillatorSpec.calogero_vasiliev(Fraction(1, 2)), dim=8, mus=())
 
     def test_exact_backend_reduction(self):
         spec = OscillatorSpec.calogero_vasiliev(Fraction(1, 2))
