@@ -8,6 +8,7 @@ comparing.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -95,3 +96,40 @@ def test_reduce_builds_only_the_printed_parities(mu, builds, output, tmp_path, m
     printed = render("reduce", "cv", output, str(tmp_path), "--mu", mu)
     assert built == builds
     assert printed == golden_reduce_for_mu(output, mu)
+
+
+# sha256 of the stdout at the benchmark's sizes, as the CLI wrote it before
+# the level record moved to integer columns: spectrum --dim 4096 --mu both on
+# cv(1/2) and gdoa(F = n^3 + 2n, f = n + 1), and reduce --kappa=-3/7 --dim 1024
+BENCHMARK_SIZE_SHA256 = {
+    ("spectrum", "cv", "json"): "8a81f180d563c72b03febd0c7cdb6eae3150fdddf395a57cfd0f9a4f7c4bb973",
+    ("spectrum", "cv", "text"): "c064a703ef314b91dca14688932810e8d981f03bd6e416ee35d1f8335b8e7356",
+    ("spectrum", "cv", "csv"): "5b85d372153d6b7f19fc5ee9b3f8c6d1706a2e220338f1b95444081cba145776",
+    ("spectrum", "cubic", "json"): "ad9ed26cdbe52ec8bb83034134463b55b6194ab7832686fe533cbe2b276c5bb5",
+    ("spectrum", "cubic", "text"): "07391e3274e4a351c197d8f079e6dd336dfa6320269b8422456cb0f74deaa3f8",
+    ("spectrum", "cubic", "csv"): "85edee6ea7d3cb3ea97dd1fbf06823b74f13d2460d46815a00b9287a7d820d68",
+    ("reduce", "-3/7", "json"): "02ec3ac2f76ed92c3a2f9f4929a9b6a396bd9f95154656454e3b224e19e2765e",
+    ("reduce", "-3/7", "text"): "15ab280ad84e84fd88697bfb042a26ccd6ea73cf86060cbefb2588b3fab0b74d",
+    ("reduce", "-3/7", "csv"): "d90f4feeed96b869b32a567fc3519d40a7e5bc7c7c31313fc59a62854b99e57f",
+}
+BENCHMARK_SIZE_CONFIGS = {
+    "cv": CONFIGS["cv"]["algebra"],
+    "cubic": {"type": "gdoa", "F": "n^3 + 2*n"},
+}
+
+
+@pytest.mark.parametrize("command, case, output", list(BENCHMARK_SIZE_SHA256))
+def test_benchmark_size_output_bytes(command, case, output, tmp_path):
+    if command == "spectrum":
+        path = str(tmp_path / "config.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump({"algebra": BENCHMARK_SIZE_CONFIGS[case],
+                       **({"f": "n+1"} if case == "cubic" else {})}, handle)
+        argv = ["spectrum", "--config", path, "--dim", "4096", "--mu", "both"]
+    else:
+        argv = ["reduce", f"--kappa={case}", "--dim", "1024"]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert cli.main([*argv, "--output", output]) == 0
+    digest = hashlib.sha256(stdout.getvalue().encode("utf-8")).hexdigest()
+    assert digest == BENCHMARK_SIZE_SHA256[command, case, output]
