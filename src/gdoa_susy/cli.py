@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .exprlang import ExprError
-from .fock import OscillatorSpec, ValidationError, structure_values
+from .fock import OscillatorSpec, ValidationError, _structure_record
 from .grading import GradingError
 from .numerics import Backend, NumericsError, TolerancePolicy, parse_rational
 from .realizations import (
@@ -186,7 +186,7 @@ def _parse_config(raw: object, overrides: argparse.Namespace | None) -> Config:
 
     spec = _build_spec(raw["algebra"], weight_src)
     try:
-        structure_values(spec, dim)  # rejects F(0) != 0 and F(n) <= 0 up front
+        _structure_record(spec, dim)  # rejects F(0) != 0 and F(n) <= 0 up front
     except (ValidationError, ExprError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -298,9 +298,9 @@ def _spectrum_text(table: SpectrumTable, report: DegeneracyReport) -> str:
 
 
 def _spectrum_csv(table: SpectrumTable, report: DegeneracyReport) -> str:
-    lines = ["n,E,Z,pair,verdict"]
+    lines, verdict = ["n,E,Z,pair,verdict"], table.verdict
     for row in _spectrum_rows(table, report):
-        lines.append(f"{row['n']},{row['E']},{row['Z']},{row['pair'] or '-'},{table.verdict}")
+        lines.append(f"{row['n']},{row['E']},{row['Z']},{row['pair'] or '-'},{verdict}")
     return "\n".join(lines)
 
 

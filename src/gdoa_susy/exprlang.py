@@ -16,14 +16,14 @@ requires the parameter ``kappa`` to be bound.  Exponents are single unsigned
 integer literals; unary minus binds looser than '^', so ``-n^2 == -(n^2)``.
 Literals are unsigned integers; rationals are written ``3/2`` (division).
 
-:func:`eval_levels` evaluates an expression over a whole range of levels in
-one walk of the tree, and :func:`eval_expr` is its one-level case.  Exact
-values of ``n`` form a column, int numerators over one denominator, until a
-node that can fail at one level (division by a column, a power the bit bound
-does not clear, ``parity`` of a non-integer column, ``sqrt``) goes level by
-level.  The walk raises at the first error it meets; a bisection over the
-levels, re-walking only the half still open, then names the first failing
-level, as a walk of one level at a time would.
+:func:`_level_parts` evaluates an expression over a whole range of levels in
+one walk of the tree, as the int numerators and denominators a spec's level
+record keeps; :func:`eval_levels` is its Fraction view, :func:`eval_expr` the
+one-level case.  Exact values of ``n`` form a column over one denominator
+until a node that can fail at one level (division by a column, a power the
+bit bound does not clear, ``parity`` of a non-integer column, ``sqrt``) goes
+level by level.  A walk raises at the first error it meets; a bisection then
+names the first failing level, as a walk of one level at a time would.
 
 The source nests at most ``MAX_DEPTH`` parentheses, builtin calls and unary
 minuses, and the parsed tree is at most ``MAX_DEPTH // 2`` levels deep, so the
@@ -301,24 +301,28 @@ def parse_expr(text: str) -> Expr:
     return tree
 
 
-def eval_levels(
-    expr: Expr,
-    start: int,
-    stop: int,
-    env: Mapping[str, Fraction] | None = None,
-    backend: Backend = Backend.EXACT,
-) -> list[Fraction | float]:
-    """Values at the levels start <= n < stop, from one walk of the tree.
+def eval_levels(expr: Expr, start: int, stop: int, env: Mapping[str, Fraction] | None = None,
+                backend: Backend = Backend.EXACT) -> list[Fraction | float]:
+    """Values at the levels start <= n < stop, from one walk of the tree: a
+    Fraction per level of :func:`_level_parts`' exact parts, or its doubles."""
+    values, denominators = _level_parts(expr, start, stop, env, backend)
+    return values if denominators is None else list(map(Fraction, values, denominators))
+
+
+def _level_parts(expr: Expr, start: int, stop: int, env: Mapping[str, Fraction] | None,
+                 backend: Backend = Backend.EXACT) -> tuple[list, list[int] | None]:
+    """The values at the levels start <= n < stop as exact int numerators and
+    positive denominators, not in lowest terms, or as doubles and None.
 
     The walk is post-order.  Each node yields one list of values over the
     levels, or one scalar when its subtree does not read ``n``, so a
     constant is evaluated once.  The exact backend keeps a list as a column
-    until a node that can fail at one level takes per-level values, rejects
-    sqrt and any power beyond ``MAX_POWER_BITS``, and builds one Fraction
-    per level at the end.  The float backend runs
-    the same double operations, in the same order, as a walk of one level:
-    a literal or power beyond the double range raises :class:`ExprEvalError`
-    (a product that overflows is inf, which no verification check passes).
+    until a node that can fail at one level takes per-level values, and
+    rejects sqrt and any power beyond ``MAX_POWER_BITS``.  The float backend
+    runs the same double operations, in the same order, as a walk of one
+    level: a literal or power beyond the double range raises
+    :class:`ExprEvalError` (a product that overflows is inf, which no
+    verification check passes).
 
     Errors are those of the first failing level, visited level by level.
     The walk raises at the first error it meets, which may be at a later
@@ -328,7 +332,7 @@ def eval_levels(
     level raises its error.
     """
     if stop <= start:
-        return []
+        return [], [] if backend is Backend.EXACT else None
     bindings, exact = env or {}, backend is Backend.EXACT
     try:
         return _walk(expr, start, stop, bindings, exact)
@@ -351,7 +355,7 @@ def eval_levels(
 
 
 def _walk(expr: Expr, start: int, stop: int, bindings: Mapping[str, Fraction], exact: bool):
-    """The values of :func:`eval_levels` from one post-order walk, raising
+    """The parts of :func:`_level_parts` from one post-order walk, raising
     the first error that the walk meets."""
 
     def per_level(op, *args):
@@ -443,16 +447,14 @@ def _walk(expr: Expr, start: int, stop: int, bindings: Mapping[str, Fraction], e
             return per_level(builtins[node.func], arg)
         raise ExprEvalError(f"unknown node {node!r}")
 
-    values = ev(expr)
+    values, count = ev(expr), stop - start
     if isinstance(values, _Column):
-        if values.denominator == 1:
-            return list(map(Fraction, values.numerators))
-        return list(map(Fraction, values.numerators, repeat(values.denominator)))
+        return values.numerators, [values.denominator] * count
     if not isinstance(values, list):  # a constant, the same at every level
-        return [Fraction(values) if exact else values] * (stop - start)
+        values = [values] * count
     if not exact:
-        return values
-    return [value if type(value) is Fraction else Fraction(value) for value in values]
+        return values, None
+    return [value.numerator for value in values], [value.denominator for value in values]
 
 
 def eval_expr(

@@ -17,12 +17,14 @@ The projectors P0, P1 onto even and odd levels are exact diagonals in either
 backend; the parity (Klein) operator is T = (-1)^N = P0 - P1.
 
 Each spec keeps one level record, read by ladders, realizations and spectra:
-F and f, exact (f as floats if it has sqrt), each evaluated once per spec.
+F and f as int numerators and denominators (f as doubles if it has sqrt), each
+evaluated once per spec; ``structure_values`` is its Fraction view.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
@@ -30,13 +32,14 @@ from typing import Mapping
 
 from .exprlang import (
     Expr,
+    _level_parts,
     eval_levels,
     has_sqrt,
     parse_expr,
     printable,
     validate_structure_function,
 )
-from .numerics import Backend, BandMatrix, ExactScalar, fits_double
+from .numerics import Backend, BandMatrix, ExactScalar, coerce_scalar, fits_double
 
 
 class ValidationError(ValueError):
@@ -53,10 +56,10 @@ class OscillatorSpec:
     parity-restricted charges; it defaults to the constant 1.
 
     ``params`` is a read-only copy of the mapping passed in.  The spec also
-    owns its level record: the longest F(0..D) that :func:`structure_values`
-    has validated for it, which a smaller dim reads a prefix of, and the
-    longest f(1..D) asked for, exact, or floats for a weight with sqrt.  The
-    record is neither a constructor argument nor part of equality, and
+    owns its level record of int numerators and denominators: the longest
+    F(0..D) validated for it, which a smaller dim reads a prefix of, and the
+    longest f(0..D) asked for (doubles for a weight with sqrt).  The record
+    is neither a constructor argument nor part of equality, and
     ``dataclasses.replace`` starts a new spec without one.
     """
 
@@ -66,10 +69,8 @@ class OscillatorSpec:
     kappa: Fraction | None
     structure_src: str
     weight_src: str
-    _levels: tuple[Fraction, ...] = field(default=(), init=False, repr=False, compare=False)
-    _weights: dict[int, Fraction | float] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    _levels: tuple = field(default=((), ()), init=False, repr=False, compare=False)
+    _weights: tuple = field(default=((), ()), init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
@@ -125,25 +126,32 @@ class OscillatorSpec:
         return f"gdoa({', '.join(pieces)})"
 
 
-def structure_values(spec: OscillatorSpec, dim: int) -> tuple[Fraction, ...]:
-    """Exact F(0..dim); raises ValidationError if F(0) != 0 or any F(n) <= 0.
-
-    F is evaluated and validated once per spec for the largest dim asked so
-    far; the values are kept in the spec's level record.
-    """
-    if 1 <= dim < len(spec._levels):
-        return spec._levels[: dim + 1]
+def _structure_record(spec: OscillatorSpec, dim: int) -> tuple[list[int], list[int]]:
+    """F(0..D), D >= dim, as exact int numerators and positive denominators,
+    not reduced: the spec's level record.  F is evaluated and validated once
+    per spec for the largest dim asked so far, by the sign of each numerator;
+    raises ValidationError if F(0) != 0 or any F(n) <= 0."""
+    if 1 <= dim < len(spec._levels[0]):
+        return spec._levels
     if has_sqrt(spec.structure):
         raise ValidationError("structure function must be exactly evaluable (no sqrt)")
-    report = validate_structure_function(spec.structure, spec.params, dim)
-    if not report.ok:
+    numerators, denominators = _level_parts(spec.structure, 0, dim + 1, spec.params)
+    if dim < 1 or numerators[0] or min(numerators[1:]) <= 0:
+        report = validate_structure_function(spec.structure, spec.params, dim)  # names them
         details = "; ".join(
             f"F({v.n}) = {printable(v.value)} violates {v.constraint}"
             for v in report.violations[:4]
         )
         raise ValidationError(f"invalid structure function: {details}")
-    object.__setattr__(spec, "_levels", report.values)
-    return report.values
+    object.__setattr__(spec, "_levels", (numerators, denominators))
+    return spec._levels
+
+
+def structure_values(spec: OscillatorSpec, dim: int) -> tuple[Fraction, ...]:
+    """Exact F(0..dim), one Fraction per level of the spec's level record;
+    raises ValidationError if F(0) != 0 or any F(n) <= 0."""
+    numerators, denominators = _structure_record(spec, dim)
+    return tuple(map(Fraction, numerators[: dim + 1], denominators[: dim + 1]))
 
 
 def weight_values(
@@ -153,13 +161,14 @@ def weight_values(
     return dict(enumerate(eval_levels(spec.weight, 1, dim + 1, spec.params, backend), 1))
 
 
-def _weight_levels(spec: OscillatorSpec, dim: int) -> Mapping[int, Fraction | float]:
-    """f(1..dim) or more, for the realizations and spectra, from the spec's level
-    record: evaluated once per spec for the largest dim asked so far, exact, or
-    as floats for a weight with sqrt."""
-    if len(spec._weights) < dim:
+def _weight_record(spec: OscillatorSpec, dim: int) -> tuple[list, list[int]]:
+    """f(0..D), D >= dim, from the spec's level record, evaluated once per spec
+    for the largest dim asked so far: exact int numerators and denominators, or
+    doubles over 1 for a weight with sqrt; f(0), a factor of F(0) = 0 only, is 0."""
+    if len(spec._weights[0]) <= dim:
         backend = Backend.EXACT if spec.weight_is_exact else Backend.FLOAT
-        object.__setattr__(spec, "_weights", weight_values(spec, dim, backend))
+        values, denominators = _level_parts(spec.weight, 1, dim + 1, spec.params, backend)
+        object.__setattr__(spec, "_weights", ([0, *values], [1, *(denominators or [1] * dim)]))
     return spec._weights
 
 
@@ -180,21 +189,20 @@ def _sqrt_entry(value: Fraction | float, backend: Backend):
     return complex(math.sqrt(value))
 
 
-def _ladder_values(
-    spec: OscillatorSpec, dim: int, backend: Backend
-) -> tuple[tuple[Fraction, ...], list[float]]:
-    """F(0..dim) for ladder amplitudes on dimension dim >= 2, and on the float
-    backend F(0..dim-1) as doubles, each converted once from its integer
-    parts (none on the exact backend); every F(1..dim-1) must fit a double."""
+def _ladder_values(spec: OscillatorSpec, dim: int, backend: Backend) -> tuple[tuple, list]:
+    """F's level record for ladder amplitudes on dimension dim >= 2, and on
+    the float backend F(0..dim-1) as doubles, each the correctly rounded
+    quotient of its integer parts (none on the exact backend); every
+    F(1..dim-1) must fit a double."""
     if dim < 2:
         raise ValidationError("dim must be >= 2")
-    values = structure_values(spec, dim)
+    record = _structure_record(spec, dim)
     if backend is Backend.EXACT:
-        return values, []
+        return record, []
     try:
-        return values, [value.numerator / value.denominator for value in values[:dim]]
+        return record, list(map(operator.truediv, *(parts[:dim] for parts in record)))
     except OverflowError:
-        n = next(n for n in range(1, dim) if not fits_double(values[n]))
+        n = next(n for n, parts in enumerate(zip(*record)) if not fits_double(Fraction(*parts)))
         raise ValidationError(f"F({n}) is beyond the double range of the float backend") from None
 
 
@@ -202,11 +210,11 @@ def build_fock_rep(
     spec: OscillatorSpec, dim: int, backend: Backend = Backend.FLOAT
 ) -> FockRep:
     """Build the ladder and parity projector matrices on dimension dim."""
-    values, doubles = _ladder_values(spec, dim, backend)
-    levels = values if backend is Backend.EXACT else doubles
+    _, doubles = _ladder_values(spec, dim, backend)
+    levels = structure_values(spec, dim) if backend is Backend.EXACT else doubles
     roots = {n: _sqrt_entry(levels[n], backend) for n in range(1, dim)}
     a = BandMatrix(dim, backend, {(n - 1, n): roots[n] for n in range(1, dim)})
     a_dag = BandMatrix(dim, backend, {(n + 1, n): roots[n + 1] for n in range(dim - 1)})
-    p_even = BandMatrix.diagonal([Fraction(1 - n % 2) for n in range(dim)], backend)
-    p_odd = BandMatrix.diagonal([Fraction(n % 2) for n in range(dim)], backend)
+    alternating = [coerce_scalar(1, backend), coerce_scalar(0, backend)] * (dim // 2 + 1)
+    p_even, p_odd = (BandMatrix._build(dim, backend, {0: alternating[p:p + dim]}) for p in (0, 1))
     return FockRep(a, a_dag, p_even, p_odd)

@@ -303,9 +303,6 @@ def coerce_scalar(value: object, backend: Backend) -> Scalar:
     raise BackendMismatchError(f"cannot coerce {value!r} to a float scalar")
 
 
-_RATIONALS = (int, Fraction)
-
-
 def _zero(backend: Backend) -> Scalar:
     return EXACT_ZERO if backend is Backend.EXACT else 0j
 
@@ -431,17 +428,8 @@ class BandMatrix:
 
     @classmethod
     def diagonal(cls, values: Sequence[object], backend: Backend) -> "BandMatrix":
-        """The diagonal matrix of ``values``.  Ints and Fractions are written
-        from their integer parts, as :func:`coerce_scalar` writes them (a
-        rational beyond the double range raises ``OverflowError`` on the float
-        backend); any other value goes through :func:`coerce_scalar`."""
-        if backend is Backend.EXACT:
-            scalars = [_canonical(v.numerator, 0, v.denominator, 1) if type(v) in _RATIONALS
-                       else coerce_scalar(v, backend) for v in values]
-        else:
-            scalars = [complex(v.numerator / v.denominator) if type(v) in _RATIONALS
-                       else coerce_scalar(v, backend) for v in values]
-        return cls._build(len(values), backend, {0: scalars})
+        """The diagonal matrix of ``values``, each through :func:`coerce_scalar`."""
+        return cls._build(len(values), backend, {0: [coerce_scalar(v, backend) for v in values]})
 
     @classmethod
     def from_entries(

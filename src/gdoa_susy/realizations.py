@@ -11,17 +11,15 @@ levels.  Two sign conventions are produced by the two construction families:
   Z = (-1)^mu T H.
 
 Both are written entry by entry, f(m) sqrt(F(m)) per edge, by one writer: no
-realization builds a ladder.  Every build, spectrum and reduction reads F and
-f (floats for a weight with sqrt) from its spec's one level record (see
-:class:`~gdoa_susy.fock.OscillatorSpec`), evaluated once per spec, and takes
-E and Z from one function, :func:`_energies_and_charges`.  The exact variant
-of a float build is no second build: it writes only the exact charges, from
-the same record, and takes H and Z from the exact energies and central
-charges the float build recorded (``h_diag``, ``z_diag``).  It never reads
-the float matrices, so the exact re-check still rests on the defining data
-alone.  Each level's scalar is written from integer parts: an exact edge
-through its radicand's split, a float one from F(m)'s one double, a diagonal
-entry from its rational.
+realization builds a ladder.  Every build, spectrum and reduction reads one
+level record of ints: F and f from the spec (see
+:class:`~gdoa_susy.fock.OscillatorSpec`), evaluated once per spec, and E_m per
+doublet level m from :func:`_energies`, with Z as E under the convention's
+signs.  Scalars are written from integer parts; Fractions are built only for
+the views ``h_diag``/``z_diag`` and spectrum rows, one per doublet.  The exact
+variant of a float build writes only the exact charges, from the same record,
+and takes H and Z from the energies the float build recorded, never from its
+float matrices, so the exact re-check rests on the defining data alone.
 
 At f = 1 and the reflection-deformed structure function the two families
 coincide under the swap Q <-> Q+, Z <-> -Z with identical H;
@@ -43,23 +41,27 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
-from itertools import chain, islice
+from functools import cached_property
+from itertools import chain, islice, repeat
+from operator import floordiv
 from typing import Sequence
 
 from .fock import (
     OscillatorSpec,
     ValidationError,
     _ladder_values,
-    _weight_levels,
+    _structure_record,
+    _weight_record,
     build_fock_rep,
     structure_values,
+    weight_values,
 )
 from .grading import GradedOperator, degree
 from .numerics import (
     Backend,
     BandMatrix,
     ExactScalar,
+    _canonical,
     _rooted,
     approx_equal_matrix,
 )
@@ -83,8 +85,19 @@ class RealizationSet:
     Q: GradedOperator
     H: GradedOperator
     Z: GradedOperator
-    h_diag: tuple[Fraction, ...] | None
-    z_diag: tuple[Fraction, ...] | None
+    energies: tuple  # E_m per doublet level m, as :func:`_energies` gives them
+
+    @cached_property
+    def h_diag(self) -> tuple[Fraction, ...] | None:
+        """Exact E_0..E_(dim-1), a view of ``energies``; None for a weight with sqrt."""
+        views = _fractions(self.energies, self.mu, self.dim, self.convention)
+        return views and tuple(views[0])
+
+    @cached_property
+    def z_diag(self) -> tuple[Fraction, ...] | None:
+        """Exact Z_0..Z_(dim-1), a view of ``energies``; None for a weight with sqrt."""
+        views = _fractions(self.energies, self.mu, self.dim, self.convention)
+        return views and tuple(views[1])
 
     @cached_property
     def exact(self) -> "RealizationSet | None":
@@ -102,78 +115,89 @@ def _level(mu: int, n: int) -> int:
     return n if n % 2 == mu else n + 1
 
 
-def _cv_energy(kappa: Fraction, m: int) -> Fraction:
-    """Closed-form F(m) of the reflection oscillator: m, plus kappa for odd m,
-    one Fraction from integer parts."""
-    if m % 2:
-        return Fraction(m * kappa.denominator + kappa.numerator, kappa.denominator)
-    return Fraction(m)
+def _energies(spec: OscillatorSpec, mu: int, count: int, convention: str) -> tuple:
+    """E_m of each doublet level m = mu, mu + 2, ..., <= count, by the
+    construction's formula (m, plus kappa for odd m, for 'cv'; f(m)^2 F(m) from
+    the level record for 'gdoa'): reduced int numerators and positive
+    denominators, or doubles and None for a weight with sqrt."""
+    structure = [parts[mu:count + 1:2] for parts in _structure_record(spec, count)]
+    if convention == "cv":  # F is validated all the same; every m has the parity mu
+        kn, kd = (spec.kappa.numerator, spec.kappa.denominator) if mu else (0, 1)
+        levels = range(mu * kd + kn, (count + 1) * kd + kn, 2 * kd)
+        return list(levels), [kd] * len(levels)
+    weights, divisors = _weight_record(spec, count)
+    if not spec.weight_is_exact:
+        return [w ** 2 * (n / d) for w, n, d in zip(weights[mu::2], *structure)], None
+    tops = [w * w * n for w, n in zip(weights[mu::2], structure[0])]
+    bottoms = [w * w * d for w, d in zip(divisors[mu::2], structure[1])]
+    gcds = list(map(math.gcd, tops, bottoms))
+    return list(map(floordiv, tops, gcds)), list(map(floordiv, bottoms, gcds))
 
 
-def _gdoa_energy(values: tuple[Fraction, ...], weights: dict, m: int) -> Fraction | float:
-    """Energy f(m)^2 F(m) of the weighted family (f(0) is undefined, F(0) = 0):
-    one Fraction from integer parts for an exact f, a double for a float one."""
-    v = values[m]
-    if not v.numerator:
-        return Fraction(0)
-    w = weights[m]
-    if type(w) is float:
-        return w ** 2 * v
-    return Fraction(w.numerator ** 2 * v.numerator, w.denominator ** 2 * v.denominator)
+def _by_level(values: list, negated: list, mu: int, count: int, convention: str) -> list:
+    """E and Z on levels 0..count-1 from E_m and -E_m of each doublet level m:
+    levels m - 1 (-1 for m = 0) and m share E_m and take (E_m, -E_m) as Z for
+    'cv', (-E_m, E_m) for 'gdoa': Z_n = s (-1)^n E_n, s = -(-1)^mu or (-1)^mu."""
+    charges = zip(values, negated) if convention == "cv" else zip(negated, values)
+    return [list(islice(chain.from_iterable(pairs), 1 - mu, 1 - mu + count))
+            for pairs in (zip(values, values), charges)]
 
 
-def _energies_and_charges(spec: OscillatorSpec, mu: int, count: int,
-                          convention: str) -> tuple[tuple, tuple]:
-    """E_0..E_(count-1) and Z_n = s (-1)^n E_n (s = -(-1)^mu for 'cv', (-1)^mu for
-    'gdoa'), from the spec's level record.  Each doublet level m is evaluated
-    once, by the convention's formula (``_cv_energy`` or ``_gdoa_energy``), and
-    negated once: its levels m - 1 and m share E_m, and take E_m and -E_m as Z."""
-    values = structure_values(spec, count)  # also validates F for 'cv'
-    energy = (partial(_cv_energy, spec.kappa) if convention == "cv"
-              else partial(_gdoa_energy, values, _weight_levels(spec, count)))
-    energies = [energy(m) for m in range(mu, count + 1, 2)]
-    negated = [-e for e in energies]
-    charges = zip(energies, negated) if convention == "cv" else zip(negated, energies)
-    first = 1 - mu  # the pairs cover levels m - 1, m of each m: skip n = -1 for mu = 0
-    return (tuple(islice(chain.from_iterable(zip(energies, energies)), first, first + count)),
-            tuple(islice(chain.from_iterable(charges), first, first + count)))
+def _fractions(energies: tuple, mu: int, count: int, convention: str) -> list | None:
+    """E and Z level by level, a Fraction per doublet level negated once; None for doubles."""
+    if energies[1] is None:
+        return None
+    values = list(map(Fraction, *energies))
+    return _by_level(values, [-e for e in values], mu, count, convention)
+
+
+def _diagonals(energies: tuple, mu: int, count: int, convention: str, backend: Backend) -> list:
+    """H and Z, diagonal in E and Z level by level; a doublet level's two
+    scalars are written once, from integer parts as ``coerce_scalar`` writes a
+    rational, or from the doubles of a weight with sqrt."""
+    values, denominators = energies
+    signed, denominators = (values, [-e for e in values]), denominators or repeat(1)
+    if backend is Backend.EXACT:
+        scalars = [list(map(_canonical, v, repeat(0), denominators, repeat(1))) for v in signed]
+    else:  # a double over 1 is itself
+        scalars = [[complex(k / d) for k, d in zip(v, denominators)] for v in signed]
+    return [BandMatrix._build(count, backend, {0: diagonal})
+            for diagonal in _by_level(*scalars, mu, count, convention)]
 
 
 def _charges(spec: OscillatorSpec, mu: int, dim: int, backend: Backend) -> tuple:
     """Raising and lowering charges of parity mu, f(m) sqrt(F(m)) at (m, m-1) and
     (m-1, m) for m = mu (mod 2), with F and f read from the spec's level record.
     Each edge is written from integer parts: exact through its radicand's
-    split, float from F(m)'s one double."""
+    split (F(m)'s parts in lowest terms), float from F(m)'s one double."""
     _require_mu(mu)
-    values, doubles = _ladder_values(spec, dim, backend)
+    (numerators, denominators), doubles = _ladder_values(spec, dim, backend)
     if backend is Backend.EXACT and not spec.weight_is_exact:
         raise ValidationError("weight function contains sqrt; use the float backend")
-    weights = _weight_levels(spec, dim)
+    weights, divisors = _weight_record(spec, dim)
     levels = range(2 - mu, dim, 2)
     if backend is Backend.EXACT:
-        edges = {m: _rooted(weights[m].numerator, 0, weights[m].denominator,
-                            values[m].numerator, values[m].denominator) for m in levels}
+        gcds = {m: math.gcd(numerators[m], denominators[m]) for m in levels}
+        edges = {m: _rooted(weights[m], 0, divisors[m], numerators[m] // g, denominators[m] // g)
+                 for m, g in gcds.items()}
     else:
-        edges = {m: complex(float(weights[m]) * math.sqrt(doubles[m])) for m in levels}
+        edges = {m: complex(weights[m] / divisors[m] * math.sqrt(doubles[m])) for m in levels}
     raising = BandMatrix(dim, backend, {(m, m - 1): edge for m, edge in edges.items()})
     lowering = BandMatrix(dim, backend, {(m - 1, m): edge for m, edge in edges.items()})
     return raising, lowering
 
 
 def _realization(spec: OscillatorSpec, mu: int, dim: int, backend: Backend, convention: str,
-                 raising: BandMatrix, lowering: BandMatrix, energies: tuple,
-                 central: tuple) -> RealizationSet:
+                 raising: BandMatrix, lowering: BandMatrix, energies: tuple) -> RealizationSet:
     """One build's record: Q+ and Q in the convention's order (cv lowers with
-    Q+), and H and Z diagonal in the energies and central charges."""
+    Q+), and H and Z diagonal in the energies and the convention's signs."""
     qdag, q = (lowering, raising) if convention == "cv" else (raising, lowering)
-    exact = spec.weight_is_exact
+    h, z = _diagonals(energies, mu, dim, convention, backend)
     return RealizationSet(
         spec=spec, mu=mu, dim=dim, backend=backend, convention=convention,
         Qdag=GradedOperator(qdag, None, "Q+"), Q=GradedOperator(q, None, "Q"),
-        H=GradedOperator(BandMatrix.diagonal(energies, backend), DEGREE_H, "H"),
-        Z=GradedOperator(BandMatrix.diagonal(central, backend), DEGREE_Z, "Z"),
-        h_diag=energies if exact else None,
-        z_diag=central if exact else None,
+        H=GradedOperator(h, DEGREE_H, "H"), Z=GradedOperator(z, DEGREE_Z, "Z"),
+        energies=energies,
     )
 
 
@@ -190,7 +214,7 @@ def cv_realization(
         raise ValidationError(f"cv_realization needs a calogero_vasiliev spec, "
                               f"not {spec.describe()}")
     return _realization(spec, mu, dim, backend, "cv", *_charges(spec, mu, dim, backend),
-                        *_energies_and_charges(spec, mu, dim, "cv"))
+                        _energies(spec, mu, dim, "cv"))
 
 
 def gdoa_realization(
@@ -199,11 +223,12 @@ def gdoa_realization(
     """Weighted-charge realization for an arbitrary structure function."""
     try:
         return _realization(spec, mu, dim, backend, "gdoa", *_charges(spec, mu, dim, backend),
-                            *_energies_and_charges(spec, mu, dim, "gdoa"))
+                            _energies(spec, mu, dim, "gdoa"))
     except OverflowError:
-        # redo the conversions level by level to name the first that overflows
-        values, weights = structure_values(spec, dim), _weight_levels(spec, dim)
-        for m in range(1, dim + 1):
+        # redo the conversions of this build's levels m = mu (mod 2) to name one
+        values = structure_values(spec, dim)
+        weights = weight_values(spec, dim, Backend.EXACT if spec.weight_is_exact else Backend.FLOAT)
+        for m in range(2 - mu, dim + 1, 2):
             try:
                 float(weights[m]), float(weights[m] ** 2 * values[m])
             except OverflowError:
@@ -217,14 +242,14 @@ def exact_variant(r: RealizationSet) -> RealizationSet | None:
     """The same realization on the exact backend, or None if f needs floats.
 
     Only its charges are built, exact, from ``r.spec``'s level record; H and
-    Z are the exact energies and central charges ``r`` recorded.  It never
-    reads ``r``'s float matrices, so it is derived from the defining data."""
+    Z are written from the exact energies ``r`` recorded.  It never reads
+    ``r``'s float matrices, so it is derived from the defining data."""
     if r.backend is Backend.EXACT:
         return r
     if not r.spec.weight_is_exact:
         return None
     return _realization(r.spec, r.mu, r.dim, Backend.EXACT, r.convention,
-                        *_charges(r.spec, r.mu, r.dim, Backend.EXACT), r.h_diag, r.z_diag)
+                        *_charges(r.spec, r.mu, r.dim, Backend.EXACT), r.energies)
 
 
 @dataclass(frozen=True)
@@ -292,9 +317,9 @@ def spectrum_H(spec: OscillatorSpec, mu: int, n_max: int) -> SpectrumTable:
         raise ValidationError("n_max must be nonnegative")
     if not spec.weight_is_exact:
         raise ValidationError("spectrum tables require an exactly evaluable weight (no sqrt)")
-    convention = "cv" if spec.is_calogero_vasiliev else "gdoa"
-    rows = tuple(map(SpectrumRow, range(n_max + 1),
-                     *_energies_and_charges(spec, mu, n_max + 1, convention)))
+    convention, count = "cv" if spec.is_calogero_vasiliev else "gdoa", n_max + 1
+    energies = _energies(spec, mu, count, convention)
+    rows = tuple(map(SpectrumRow, range(count), *_fractions(energies, mu, count, convention)))
     return SpectrumTable(spec, mu, n_max, rows)
 
 
@@ -425,18 +450,19 @@ def reduction_check(
     for mu in mus:
         gd = gdoa_realization(spec, mu, dim, backend)
         # the CV presentation as written: Q+ = a P_mu, Q = a+ P_(1-mu), closed-form H, Z
-        h_diag, z_diag = _energies_and_charges(spec, mu, dim, "cv")
+        reference = _energies(spec, mu, dim, "cv")
+        h_diag, z_diag = _diagonals(reference, mu, dim, "cv", backend)
         comparisons = [
             ("Q+ <-> Q", rep.a @ projectors[mu], gd.Q.matrix),
             ("Q <-> Q+", rep.a_dag @ projectors[1 - mu], gd.Qdag.matrix),
-            ("H", BandMatrix.diagonal(h_diag, backend), gd.H.matrix),
-            ("Z <-> -Z", BandMatrix.diagonal(z_diag, backend), gd.Z.matrix.scaled(-1)),
+            ("H", h_diag, gd.H.matrix),
+            ("Z <-> -Z", z_diag, gd.Z.matrix.scaled(-1)),
         ]
         for name, lhs, rhs in comparisons:
             cmp = approx_equal_matrix(lhs, rhs)
             entries.append(ReductionEntry(mu, name, cmp.residual, lhs == rhs))
-        if h_diag != gd.h_diag:
-            entries.append(ReductionEntry(mu, "H diagonal", float("inf"), False))
-        if z_diag != tuple(-z for z in gd.z_diag):  # f = 1 is exact: both are set
-            entries.append(ReductionEntry(mu, "Z diagonal", float("inf"), False))
+        # the two records as ints (f = 1 is exact); Z is E under opposite signs
+        if reference != gd.energies:
+            entries += [ReductionEntry(mu, f"{name} diagonal", float("inf"), False)
+                        for name in ("H", "Z")]
     return ReductionReport(spec.kappa, dim, tuple(entries))

@@ -165,7 +165,7 @@ def _check(
     what catches a perturbed operator, since the exact pair is derived from
     the defining data rather than the instance entries: exact charges written
     from the spec's level record, and H and Z from the closed-form energies
-    and central charges the build recorded, never from its float matrices.
+    the build recorded as ints, never from its float matrices.
     Without an exact pair it is a float-tolerance check.
     """
     cols = guard_columns(pair[0].dim, guard_band)

@@ -2,6 +2,7 @@
 
 import json
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -250,12 +251,14 @@ class TestMalformedInput:
         "algebra, weight, message",
         [({"type": "gdoa", "F": "10^400*n"}, "1", "F(1) is beyond the double range"),
          ({"type": "calogero_vasiliev", "kappa": 10**400}, "1", "F(1) is beyond"),
-         ({"type": "gdoa", "F": "10^300*n"}, "10^300", "f(1) or f(1)^2 F(1) is beyond"),
-         ({"type": "gdoa", "F": "n"}, "10^400", "f(1) or f(1)^2 F(1) is beyond"),
+         # every level overflows: the mu = 0 build, which runs first, reads
+         # f at the even levels only, so it names level 2
+         ({"type": "gdoa", "F": "10^300*n"}, "10^300", "f(2) or f(2)^2 F(2) is beyond"),
+         ({"type": "gdoa", "F": "n"}, "10^400", "f(2) or f(2)^2 F(2) is beyond"),
          # f and every charge fit a double, E = 10^320 n^2 does not: the H
          # diagonal raises OverflowError, and the build names the level
-         ({"type": "gdoa", "F": "n^2"}, "10^160", "f(1) or f(1)^2 F(1) is beyond"),
-         ({"type": "gdoa", "F": "n"}, "sqrt(n)*10^160", "f(1) or f(1)^2 F(1) is beyond")],
+         ({"type": "gdoa", "F": "n^2"}, "10^160", "f(2) or f(2)^2 F(2) is beyond"),
+         ({"type": "gdoa", "F": "n"}, "sqrt(n)*10^160", "f(2) or f(2)^2 F(2) is beyond")],
     )
     @pytest.mark.parametrize("backend", ["float", "exact-where-possible"])
     def test_values_beyond_the_double_range(self, tmp_path, capsys, algebra, weight, message,
@@ -265,6 +268,15 @@ class TestMalformedInput:
         payload = {"algebra": algebra, "f": weight, "dim": 8, "backend": backend}
         code = main(["verify", "--config", write_config(tmp_path, payload)])
         assert code == 2 and message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mu, level", [(0, 6), (1, 7)])
+    def test_overflow_names_a_level_of_the_build_parity(self, tmp_path, capsys, mu, level):
+        # f(m)^2 F(m) = m^402 passes the double range from m = 6 on; a build
+        # reads f at the levels m = mu (mod 2) only, so mu = 1 first fails at 7
+        payload = {"algebra": {"type": "gdoa", "F": "n^2"}, "f": "n^200", "dim": 16, "mu": mu}
+        code = main(["verify", "--config", write_config(tmp_path, payload)])
+        err = capsys.readouterr().err
+        assert code == 2 and f"f({level}) or f({level})^2 F({level}) is beyond" in err
 
     def test_exact_values_whose_square_is_beyond_the_double_range(self, tmp_path, capsys):
         # E = 10^154 m^2 fits a double, E^2 does not: the exact re-check's
@@ -370,13 +382,14 @@ class TestLevelRecord:
     def test_weight_evaluated_once(self, tmp_path, capsys, monkeypatch, command, levels):
         # both parity labels, and verify's exact variants, read f from the record
         calls = []
-        original = fock.weight_values
+        original = fock._level_parts
 
-        def counting(spec, dim, backend):
-            calls.append(dim)
-            return original(spec, dim, backend)
+        def counting(expr, start, stop, env, backend=Backend.EXACT):
+            if start == 1:  # f is evaluated from level 1, F from level 0
+                calls.append(stop - 1)
+            return original(expr, start, stop, env, backend)
 
-        monkeypatch.setattr(fock, "weight_values", counting)
+        monkeypatch.setattr(fock, "_level_parts", counting)
         payload = {"algebra": {"type": "gdoa", "F": "n^2"}, "f": "n", "dim": 16}
         assert main([command, "--config", write_config(tmp_path, payload), "--mu", "both"]) == 0
         assert calls == [levels]
@@ -401,13 +414,14 @@ class TestLevelRecord:
     @staticmethod
     def _count_validations(monkeypatch):
         calls = []
-        original = fock.validate_structure_function
+        original = fock._level_parts
 
-        def counting(expr, env, dim):
-            calls.append(dim)
-            return original(expr, env, dim)
+        def counting(expr, start, stop, env, backend=Backend.EXACT):
+            if start == 0:  # F is evaluated from level 0, f from level 1
+                calls.append(stop - 1)
+            return original(expr, start, stop, env, backend)
 
-        monkeypatch.setattr(fock, "validate_structure_function", counting)
+        monkeypatch.setattr(fock, "_level_parts", counting)
         return calls
 
 
@@ -867,9 +881,18 @@ class TestStrictJson:
             assert residual == text if isinstance(residual, str) else residual == float(text)
 
     def test_reduce_infinite_entry_is_a_string(self, monkeypatch, capsys):
-        # a wrong closed-form energy fails H and Z, and adds "H diagonal" and
-        # "Z diagonal" entries of residual inf
-        monkeypatch.setattr(realizations, "_cv_energy", lambda kappa, m: m + kappa + 1)
+        # a wrong closed-form energy, E_m + kappa + 1, fails H and Z, and adds
+        # "H diagonal" and "Z diagonal" entries of residual inf
+        original = realizations._energies
+
+        def shifted(spec, mu, count, convention):
+            energies = original(spec, mu, count, convention)
+            if convention != "cv":
+                return energies
+            values = [Fraction(n, d) + spec.kappa + 1 for n, d in zip(*energies)]
+            return [e.numerator for e in values], [e.denominator for e in values]
+
+        monkeypatch.setattr(realizations, "_energies", shifted)
         assert main(["reduce", "--kappa", "1/2", "--dim", "8", "--mu", "0",
                      "--output", "json"]) == 1
         entries = strict_json(capsys.readouterr().out)["entries"]

@@ -130,13 +130,14 @@ class TestStructureValues:
 
     def test_level_record_evaluates_once_per_spec(self, monkeypatch):
         calls = []
-        original = fock.validate_structure_function
+        original = fock._level_parts
 
-        def counting(expr, env, dim):
-            calls.append(dim)
-            return original(expr, env, dim)
+        def counting(expr, start, stop, env, backend=Backend.EXACT):
+            if start == 0:  # F is evaluated from level 0, f from level 1
+                calls.append(stop - 1)
+            return original(expr, start, stop, env, backend)
 
-        monkeypatch.setattr(fock, "validate_structure_function", counting)
+        monkeypatch.setattr(fock, "_level_parts", counting)
         spec = OscillatorSpec.gdoa("n^3 + 2*n")
         values = structure_values(spec, 16)
         assert structure_values(spec, 5) == values[:6]

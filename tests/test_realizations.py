@@ -1,8 +1,8 @@
 """Tests for charge realizations, spectra, degeneracy pairing, and reduction."""
 
 from dataclasses import replace
+import math
 from fractions import Fraction
-from functools import partial
 
 import pytest
 
@@ -175,13 +175,14 @@ class TestWeightedRealizations:
 
     def test_exact_weights_evaluated_once_per_spec(self, monkeypatch):
         calls = []
-        original = fock.weight_values
+        original = fock._level_parts
 
-        def counting(spec, dim, backend):
-            calls.append((dim, backend))
-            return original(spec, dim, backend)
+        def counting(expr, start, stop, env, backend=EXACT):
+            if start == 1:  # f is evaluated from level 1, F from level 0
+                calls.append((stop - 1, backend))
+            return original(expr, start, stop, env, backend)
 
-        monkeypatch.setattr(fock, "weight_values", counting)
+        monkeypatch.setattr(fock, "_level_parts", counting)
         spec = OscillatorSpec.gdoa("n^2", weight="n")
         r = gdoa_realization(spec, 0, 8)
         assert r.exact.h_diag == r.h_diag
@@ -376,51 +377,131 @@ class TestSpectra:
         assert table.verdict == "unbroken"
 
 
-# spec sources of the E/Z differential test, each with the conventions it
-# takes: a reflection oscillator goes through either formula, a weighted one
-# through f^2 F only
+# Specs of the level-record differential test, each with its F and f level
+# by level in Fraction arithmetic (f as a double for sqrt(n); f(0) only
+# multiplies F(0) = 0 and is taken as 0) and the conventions it takes: a
+# reflection oscillator goes through either formula, a weighted one through
+# f^2 F only.  f = n - 3 has a zero weight at level 3, F = n^2/(n+1) leaves
+# the column path (division by a column), and F = n^600 holds F(4) = 2^1200,
+# past the double range.
 _RECORD_SPECS = {
-    "cv(1/2)": lambda: OscillatorSpec.calogero_vasiliev("1/2"),
-    "cv(-3/7)": lambda: OscillatorSpec.calogero_vasiliev("-3/7"),
-    "gdoa(n^3+2n, n+1)": lambda: OscillatorSpec.gdoa("n^3 + 2*n", weight="n + 1"),
-    "gdoa(n^2, sqrt(n))": lambda: OscillatorSpec.gdoa("n^2", weight="sqrt(n)"),
+    "cv(1/2)": (lambda: OscillatorSpec.calogero_vasiliev("1/2"),
+                lambda n: n + Fraction(1, 2) * (n % 2), lambda n: Fraction(1)),
+    "cv(-3/7)": (lambda: OscillatorSpec.calogero_vasiliev("-3/7"),
+                 lambda n: n + Fraction(-3, 7) * (n % 2), lambda n: Fraction(1)),
+    "gdoa(n^3+2n, n+1)": (lambda: OscillatorSpec.gdoa("n^3 + 2*n", weight="n + 1"),
+                          lambda n: Fraction(n**3 + 2 * n), lambda n: Fraction(n + 1)),
+    "gdoa(n^2, 1/(n+1))": (lambda: OscillatorSpec.gdoa("n^2", weight="1/(n+1)"),
+                           lambda n: Fraction(n**2), lambda n: Fraction(1, n + 1)),
+    "gdoa(n^2, n-3)": (lambda: OscillatorSpec.gdoa("n^2", weight="n - 3"),
+                       lambda n: Fraction(n**2), lambda n: Fraction(n - 3)),
+    "gdoa(n^2, sqrt(n))": (lambda: OscillatorSpec.gdoa("n^2", weight="sqrt(n)"),
+                           lambda n: Fraction(n**2), lambda n: math.sqrt(n)),
+    "gdoa(n^2/(n+1), 1)": (lambda: OscillatorSpec.gdoa("n^2/(n+1)"),
+                           lambda n: Fraction(n**2, n + 1), lambda n: Fraction(1)),
+    "gdoa(n^600, 1)": (lambda: OscillatorSpec.gdoa("n^600"),
+                       lambda n: Fraction(n**600), lambda n: Fraction(1)),
 }
 _RECORD_GRID = [(name, convention) for name in _RECORD_SPECS
                 for convention in (("cv", "gdoa") if name.startswith("cv") else ("gdoa",))]
 
 
-class TestEnergiesAndCharges:
-    # the one source of E and Z for builds, spectra and the reduction, against
-    # a per-level oracle: E_n = energy(_level(mu, n)) and Z_n = s (-1)^n E_n,
-    # s = -(-1)^mu for 'cv' and (-1)^mu for 'gdoa'
-    @pytest.mark.parametrize("count", [1, 2, 3, 4095])
+def _diagonal_bits(matrix):
+    """A diagonal matrix's stored diagonal, doubles by float.hex."""
+    values = matrix._diags.get(0, [])
+    if matrix.backend is EXACT:
+        return values
+    return [(v.real.hex(), v.imag.hex()) for v in values]
+
+
+class TestLevelRecord:
+    # the integer columns of the level record (F, f and E per doublet level
+    # m), the Fraction views built from them and the H and Z diagonals
+    # written from them, against a per-level oracle: E_n = f(m)^2 F(m), or
+    # the closed form F(m) for 'cv', with m = _level(mu, n), and Z_n =
+    # s (-1)^n E_n, s = -(-1)^mu for 'cv' and (-1)^mu for 'gdoa'
+    @pytest.mark.parametrize("count", [1, 2, 3, 1024, 4095])
     @pytest.mark.parametrize("mu", [0, 1])
     @pytest.mark.parametrize("name, convention", _RECORD_GRID)
-    def test_matches_the_per_level_oracle(self, name, convention, mu, count, monkeypatch):
-        spec = _RECORD_SPECS[name]()
-        formula = "_cv_energy" if convention == "cv" else "_gdoa_energy"
-        original = getattr(realizations, formula)
-        if convention == "cv":
-            energy = partial(original, spec.kappa)
+    def test_matches_the_per_level_oracle(self, name, convention, mu, count):
+        make, structure, weight = _RECORD_SPECS[name]
+        spec = make()
+        exact = spec.weight_is_exact
+        top = count + 1
+        numerators, denominators = fock._structure_record(spec, count)
+        assert list(map(Fraction, numerators[:top], denominators[:top])) == [
+            structure(n) for n in range(top)]
+        assert min(denominators) > 0
+        weights, divisors = fock._weight_record(spec, count)
+        if exact:
+            got = list(map(Fraction, weights[1:top], divisors[1:top]))
+        else:  # doubles over 1
+            got = weights[1:top]
+            assert set(divisors) == {1} and {type(w) for w in got} == {float}
+        assert got == [weight(n) for n in range(1, top)]
+
+        def energy(m):
+            if convention == "cv":
+                return structure(m)
+            return (weight(m) if m else 0 * weight(1)) ** 2 * structure(m)
+
+        levels = range(mu, top, 2)
+        values, parts = realizations._energies(spec, mu, count, convention)
+        if exact:
+            assert list(map(Fraction, values, parts)) == [energy(m) for m in levels]
+            assert all(d > 0 and math.gcd(n, d) == 1 for n, d in zip(values, parts))
         else:
-            backend = EXACT if spec.weight_is_exact else FLOAT
-            energy = partial(original, fock.structure_values(spec, count),
-                             fock.weight_values(spec, count, backend))
+            assert parts is None
+            assert [e.hex() for e in values] == [energy(m).hex() for m in levels]
+
         sign = -(-1) ** mu if convention == "cv" else (-1) ** mu
         energies = [energy(realizations._level(mu, n)) for n in range(count)]
-        charges = [sign * (-1) ** n * e for n, e in enumerate(energies)]
-        calls = []
+        charges = [e if sign * (-1) ** n > 0 else -e for n, e in enumerate(energies)]
+        views = realizations._fractions((values, parts), mu, count, convention)
+        if exact:
+            assert views == [energies, charges]
+            assert all(type(v) is Fraction for v in views[0] + views[1])
+        else:
+            assert views is None
+        for backend in (EXACT, FLOAT) if exact else (FLOAT,):
+            try:
+                expected = [BandMatrix.diagonal(v, backend) for v in (energies, charges)]
+            except OverflowError:  # a rational beyond the double range
+                with pytest.raises(OverflowError):
+                    realizations._diagonals((values, parts), mu, count, convention, backend)
+                assert name == "gdoa(n^600, 1)" and backend is FLOAT
+                continue
+            got = realizations._diagonals((values, parts), mu, count, convention, backend)
+            assert [_diagonal_bits(m) for m in got] == [_diagonal_bits(m) for m in expected]
+            assert list(got) == expected
 
-        def counting(*args):
-            calls.append(args[-1])
-            return original(*args)
 
-        monkeypatch.setattr(realizations, formula, counting)
-        got_energies, got_charges = realizations._energies_and_charges(spec, mu, count, convention)
-        assert got_energies == tuple(energies) and got_charges == tuple(charges)
-        assert [type(e) for e in got_energies + got_charges] == [type(e) for e in energies * 2]
-        # each doublet level m once, the top one (m = count) included
-        assert calls == list(range(mu, count + 1, 2))
+class TestFractionCounts:
+    # the record is ints: a reduction builds no Fraction per level, and a
+    # spectrum one per doublet level plus its negation
+    @staticmethod
+    def _count(monkeypatch, run):
+        built = []
+        original = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            built.append(args)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        run()
+        monkeypatch.undo()
+        return len(built)
+
+    def test_reduction_builds_no_fraction_per_level(self, monkeypatch):
+        counts = [self._count(monkeypatch, lambda: reduction_check(
+            OscillatorSpec.calogero_vasiliev(Fraction(3, 5)), dim)) for dim in (64, 1024)]
+        assert counts[0] == counts[1]
+
+    def test_spectrum_builds_one_fraction_per_doublet_and_its_negation(self, monkeypatch):
+        spec = OscillatorSpec.calogero_vasiliev(Fraction(1, 2))
+        count = self._count(monkeypatch, lambda: spectrum_H(spec, 0, 4094))
+        assert 2048 <= count <= 4096 + 8
 
 
 class TestPairing:
@@ -661,12 +742,16 @@ class TestReduction:
     @pytest.mark.parametrize("backend", [FLOAT, EXACT])
     @pytest.mark.parametrize("level", [3, 4])
     def test_shifted_closed_form_energy_fails_h_and_z(self, level, backend, monkeypatch):
-        original = realizations._cv_energy
+        original = realizations._energies
 
-        def shifted(kappa, m):
-            return original(kappa, m) + (m == level)
+        def shifted(spec, mu, count, convention):
+            # E_level + 1 in the closed form, at the doublet entry of m = level
+            numerators, denominators = original(spec, mu, count, convention)
+            if convention == "cv" and level % 2 == mu:
+                numerators[(level - mu) // 2] += denominators[(level - mu) // 2]
+            return numerators, denominators
 
-        monkeypatch.setattr(realizations, "_cv_energy", shifted)
+        monkeypatch.setattr(realizations, "_energies", shifted)
         mu = level % 2
         assert self._failing(backend) == {
             (mu, "H"), (mu, "H diagonal"), (mu, "Z <-> -Z"), (mu, "Z diagonal")
