@@ -98,9 +98,9 @@ def test_reduce_builds_only_the_printed_parities(mu, builds, output, tmp_path, m
     assert printed == golden_reduce_for_mu(output, mu)
 
 
-# sha256 of the stdout at the benchmark's sizes, as the CLI wrote it before
-# the level record moved to integer columns: spectrum --dim 4096 --mu both on
-# cv(1/2) and gdoa(F = n^3 + 2n, f = n + 1), and reduce --kappa=-3/7 --dim 1024
+# sha256 of the stdout at the benchmark's sizes, pinned from a Fraction per
+# level evaluation: spectrum --dim 4096 --mu both on cv(1/2) and
+# gdoa(F = n^3 + 2n, f = n + 1), and reduce --kappa=-3/7 --dim 1024
 BENCHMARK_SIZE_SHA256 = {
     ("spectrum", "cv", "json"): "8a81f180d563c72b03febd0c7cdb6eae3150fdddf395a57cfd0f9a4f7c4bb973",
     ("spectrum", "cv", "text"): "c064a703ef314b91dca14688932810e8d981f03bd6e416ee35d1f8335b8e7356",
