@@ -39,7 +39,7 @@ from .exprlang import (
     printable,
     validate_structure_function,
 )
-from .numerics import Backend, BandMatrix, ExactScalar, coerce_scalar, fits_double
+from .numerics import Backend, BandMatrix, _rooted, coerce_scalar, fits_double
 
 
 class ValidationError(ValueError):
@@ -182,11 +182,11 @@ class FockRep:
     odd_projector: BandMatrix
 
 
-def _sqrt_entry(value: Fraction | float, backend: Backend):
-    """sqrt(F(n)) from F(n) as a rational (exact) or as its double (float)."""
+def _sqrt_entry(level: tuple[int, int] | float, backend: Backend):
+    """sqrt(F(n)) from F(n)'s int parts (exact) or from its double (float)."""
     if backend is Backend.EXACT:
-        return ExactScalar.sqrt_of(value)
-    return complex(math.sqrt(value))
+        return _rooted(1, 0, 1, *level)
+    return complex(math.sqrt(level))
 
 
 def _ladder_values(spec: OscillatorSpec, dim: int, backend: Backend) -> tuple[tuple, list]:
@@ -210,8 +210,8 @@ def build_fock_rep(
     spec: OscillatorSpec, dim: int, backend: Backend = Backend.FLOAT
 ) -> FockRep:
     """Build the ladder and parity projector matrices on dimension dim."""
-    _, doubles = _ladder_values(spec, dim, backend)
-    levels = structure_values(spec, dim) if backend is Backend.EXACT else doubles
+    record, doubles = _ladder_values(spec, dim, backend)
+    levels = list(zip(*(parts[:dim] for parts in record))) if backend is Backend.EXACT else doubles
     roots = {n: _sqrt_entry(levels[n], backend) for n in range(1, dim)}
     a = BandMatrix(dim, backend, {(n - 1, n): roots[n] for n in range(1, dim)})
     a_dag = BandMatrix(dim, backend, {(n + 1, n): roots[n + 1] for n in range(dim - 1)})

@@ -8,16 +8,17 @@ Two scalar backends coexist:
   matching radicals collapse back to rationals.  Sums of incompatible
   radicals raise :class:`ExactnessError`; the identities verified exactly in
   this package never produce such sums.  Values are canonical by
-  construction: :func:`_rooted` factors a radicand ``rn/rd`` once from
-  integer parts (each up to 10**18; a larger non-square raises
+  construction: :func:`_rooted` reduces a radicand ``rn/rd`` of integer
+  parts, factors it once (each part up to 10**18; a larger non-square raises
   :class:`ExactnessError`) and writes ``sqrt(rn/rd)`` as ``sqrt(rn*rd)/rd``;
   the public constructor reads its arguments' parts through ``Fraction`` and
-  calls it, and the realizations call it on a level's parts directly.  ``+``, ``-``, ``*``,
-  negation and ``conjugate`` run on the ints, combine already square-free
-  radicands by one gcd without factoring and divide out ``gcd(p, q, d)`` once;
-  :func:`coerce_scalar` and :meth:`BandMatrix.diagonal` wrap a rational
-  directly.  No ``Fraction`` is built on these paths; ``re``/``im``/``rad``
-  read the parts back as Fractions.
+  calls it; realizations and ladders call it on a level's parts directly.
+  ``+``, ``-``, ``*``, negation and ``conjugate`` run on the ints, combine
+  already square-free radicands by one gcd without factoring and divide out
+  ``gcd(p, q, d)`` once; :func:`coerce_scalar` and :meth:`BandMatrix.diagonal`
+  wrap a rational, or a Gaussian integer given as a ``complex``, directly.
+  No ``Fraction`` is built on these paths; ``re``/``im``/``rad`` read the
+  parts back as Fractions.
 * ``Backend.FLOAT``: complex double precision (python ``complex``).
 
 Tolerances (:class:`TolerancePolicy`) must be finite and nonnegative.
@@ -250,13 +251,16 @@ def _canonical(p: int, q: int, d: int, r: int) -> ExactScalar:
 
 def _rooted(p: int, q: int, d: int, rn: int, rd: int) -> ExactScalar:
     """``(p + q*i)/d * sqrt(rn/rd)`` from integer parts with ``d > 0``,
-    ``rn >= 0`` and ``rd > 0`` coprime: each of rn and rd is split once by
-    :func:`_square_split`, and the coprime square-free rests give
-    ``sqrt(rn/rd) = sqrt(rn*rd)/rd``; zero parts or a zero radicand give zero."""
+    ``rn >= 0`` and ``rd > 0``: rn and rd in lowest terms are each split once
+    by :func:`_square_split` (a radicand of 1 is not), and the square-free
+    rests give ``sqrt(rn/rd) = sqrt(rn*rd)/rd``; zero parts or radicand give 0."""
     if not (p or q) or not rn:
         return _canonical(0, 0, 1, 1)
-    sn, rn = _square_split(rn)
-    sd, rd = _square_split(rd)
+    if rn == rd:
+        return _canonical(p, q, d, 1)
+    g = math.gcd(rn, rd)
+    sn, rn = _square_split(rn // g)
+    sd, rd = _square_split(rd // g)
     return _canonical(p * sn, q * sn, d * sd * rd, rn * rd)
 
 
@@ -293,6 +297,9 @@ def coerce_scalar(value: object, backend: Backend) -> Scalar:
         if isinstance(value, (int, Fraction)):
             # a rational is canonical as (num, 0, den, 1), zero included
             return _canonical(value.numerator, 0, value.denominator, 1)
+        # a Gaussian integer such as 2j, the one kind of float taken exactly
+        if isinstance(value, complex) and value.real.is_integer() and value.imag.is_integer():
+            return _canonical(int(value.real), int(value.imag), 1, 1)
         raise BackendMismatchError(f"cannot represent {value!r} exactly")
     if isinstance(value, ExactScalar):
         return value.to_complex()

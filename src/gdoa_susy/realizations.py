@@ -27,11 +27,12 @@ coincide under the swap Q <-> Q+, Z <-> -Z with identical H;
 presentation as written, the ladder products a P_mu and a+ P_(1-mu).
 
 Spectra come from closed-form level formulas (exact rationals), independent of
-the matrix construction.  One rule, :func:`_level`, maps level n to the level m
-whose F sets E_n: m = n when n % 2 == mu, else n + 1.  Levels sharing m form
-one doublet, labelled ``p{m // 2}``: (2k+1, 2k+2) for mu = 0, whose m = 0 is the
-unpaired ground state, and (2k, 2k+1) for mu = 1.  The energies, the
-doublets of :func:`degeneracy_pairs` and the CLI's pair labels all read it.
+the matrix construction.  Level n takes E_n from the level m whose F sets it:
+m = n when n % 2 == mu, else n + 1.  Levels sharing m form one doublet,
+labelled ``p{m // 2}``: (2k+1, 2k+2) for mu = 0, whose m = 0 is the unpaired
+ground state, and (2k, 2k+1) for mu = 1.  :func:`_by_level` lays E and Z out
+on the levels by this rule; :func:`degeneracy_pairs` groups a table's rows by
+it through :func:`_level`, and the CLI labels each level from those pairs.
 Within a doublet the two central-charge eigenvalues are opposite, which is
 what separates the paired states.
 """
@@ -57,14 +58,7 @@ from .fock import (
     weight_values,
 )
 from .grading import GradedOperator, degree
-from .numerics import (
-    Backend,
-    BandMatrix,
-    ExactScalar,
-    _canonical,
-    _rooted,
-    approx_equal_matrix,
-)
+from .numerics import Backend, BandMatrix, _rooted, approx_equal_matrix
 
 DEGREE_H = degree(0, 0)
 DEGREE_Q10 = degree(1, 0)
@@ -153,12 +147,13 @@ def _fractions(energies: tuple, mu: int, count: int, convention: str) -> list | 
 
 def _diagonals(energies: tuple, mu: int, count: int, convention: str, backend: Backend) -> list:
     """H and Z, diagonal in E and Z level by level; a doublet level's two
-    scalars are written once, from integer parts as ``coerce_scalar`` writes a
-    rational, or from the doubles of a weight with sqrt."""
+    scalars are written once, from integer parts under a radicand of 1, or
+    from the doubles of a weight with sqrt."""
     values, denominators = energies
     signed, denominators = (values, [-e for e in values]), denominators or repeat(1)
     if backend is Backend.EXACT:
-        scalars = [list(map(_canonical, v, repeat(0), denominators, repeat(1))) for v in signed]
+        scalars = [list(map(_rooted, v, repeat(0), denominators, repeat(1), repeat(1)))
+                   for v in signed]
     else:  # a double over 1 is itself
         scalars = [[complex(k / d) for k, d in zip(v, denominators)] for v in signed]
     return [BandMatrix._build(count, backend, {0: diagonal})
@@ -168,8 +163,8 @@ def _diagonals(energies: tuple, mu: int, count: int, convention: str, backend: B
 def _charges(spec: OscillatorSpec, mu: int, dim: int, backend: Backend) -> tuple:
     """Raising and lowering charges of parity mu, f(m) sqrt(F(m)) at (m, m-1) and
     (m-1, m) for m = mu (mod 2), with F and f read from the spec's level record.
-    Each edge is written from integer parts: exact through its radicand's
-    split (F(m)'s parts in lowest terms), float from F(m)'s one double."""
+    Each edge is written from integer parts: exact through the split of F(m)'s
+    parts, float from F(m)'s one double."""
     _require_mu(mu)
     (numerators, denominators), doubles = _ladder_values(spec, dim, backend)
     if backend is Backend.EXACT and not spec.weight_is_exact:
@@ -177,9 +172,8 @@ def _charges(spec: OscillatorSpec, mu: int, dim: int, backend: Backend) -> tuple
     weights, divisors = _weight_record(spec, dim)
     levels = range(2 - mu, dim, 2)
     if backend is Backend.EXACT:
-        gcds = {m: math.gcd(numerators[m], denominators[m]) for m in levels}
-        edges = {m: _rooted(weights[m], 0, divisors[m], numerators[m] // g, denominators[m] // g)
-                 for m, g in gcds.items()}
+        edges = {m: _rooted(weights[m], 0, divisors[m], numerators[m], denominators[m])
+                 for m in levels}
     else:
         edges = {m: complex(weights[m] / divisors[m] * math.sqrt(doubles[m])) for m in levels}
     raising = BandMatrix(dim, backend, {(m, m - 1): edge for m, edge in edges.items()})
@@ -271,18 +265,12 @@ class HermitianSet:
 
 def hermitian_charges(r: RealizationSet) -> HermitianSet:
     """Combine Q+/Q into the Hermitian degree-(1,0) and degree-(0,1) charges."""
-    minus_i = ExactScalar(0, -1) if r.backend is Backend.EXACT else -1j
     q10 = r.Qdag.matrix + r.Q.matrix
-    q01 = (r.Qdag.matrix - r.Q.matrix).scaled(minus_i)
+    q01 = (r.Qdag.matrix - r.Q.matrix).scaled(-1j)
     return HermitianSet(
-        spec=r.spec,
-        mu=r.mu,
-        dim=r.dim,
-        backend=r.backend,
-        Q10=GradedOperator(q10, DEGREE_Q10, "Q10"),
-        Q01=GradedOperator(q01, DEGREE_Q01, "Q01"),
-        H=r.H,
-        Z=r.Z,
+        spec=r.spec, mu=r.mu, dim=r.dim, backend=r.backend,
+        Q10=GradedOperator(q10, DEGREE_Q10, "Q10"), Q01=GradedOperator(q01, DEGREE_Q01, "Q01"),
+        H=r.H, Z=r.Z,
     )
 
 
@@ -307,7 +295,7 @@ class SpectrumTable:
     @property
     def verdict(self) -> str:
         """'unbroken' when a zero-energy level exists in the window."""
-        return "unbroken" if any(row.energy == 0 for row in self.rows) else "broken"
+        return "unbroken" if any(row.energy.numerator == 0 for row in self.rows) else "broken"
 
 
 def spectrum_H(spec: OscillatorSpec, mu: int, n_max: int) -> SpectrumTable:
@@ -376,9 +364,12 @@ class DegeneracyReport:
 
 
 def degeneracy_pairs(table: SpectrumTable) -> DegeneracyReport:
-    """Group the table's levels by :func:`_level` into doublets and unpaired
-    levels, and flag energies that more than one group shares."""
+    """Group the table's rows, which must be levels 0..n_max in order, by
+    :func:`_level` into doublets and unpaired levels, and flag energies that
+    more than one group shares; energies compare as (numerator, denominator)."""
     _require_mu(table.mu)
+    if [row.n for row in table.rows] != list(range(table.n_max + 1)):
+        raise ValidationError(f"spectrum rows must be levels 0..{table.n_max} in order")
     groups: dict[int, list[SpectrumRow]] = {}
     for row in table.rows:
         groups.setdefault(_level(table.mu, row.n), []).append(row)
@@ -387,15 +378,16 @@ def degeneracy_pairs(table: SpectrumTable) -> DegeneracyReport:
     by_energy: dict[tuple[int, int], list[list[SpectrumRow]]] = {}
     for m, group in groups.items():
         row = group[0]
+        key = (row.energy.numerator, row.energy.denominator)
         if len(group) == 2:
             mate = group[1]
-            if mate.energy != row.energy:
+            if (mate.energy.numerator, mate.energy.denominator) != key:
                 raise ValidationError(f"levels {row.n} and {mate.n} should be degenerate: "
                                       f"{row.energy} != {mate.energy}")
             pairs.append(DegeneratePair(row.n, mate.n, row.energy, row.central, mate.central))
         else:
             unpaired.append(UnpairedLevel(row.n, row.energy, "ground" if m == 0 else "truncated"))
-        by_energy.setdefault((row.energy.numerator, row.energy.denominator), []).append(group)
+        by_energy.setdefault(key, []).append(group)
     accidental = sorted(
         (AccidentalGroup(shared[0][0].energy, tuple(r.n for group in shared for r in group))
          for shared in by_energy.values() if len(shared) > 1),

@@ -34,7 +34,9 @@ generator pairs (an identity, required to cancel bitwise), the 64 graded
 Jacobi defects on guard band 3, and closure of each bracket onto the structure
 constants (2H, +-2iZ, or 0).  The closure layer is what detects a wrong
 generator: the Jacobi sum itself vanishes for any four matrices whatever the
-degree assignment, so it can only measure rounding, never algebra.
+degree assignment, so it can only measure rounding, never algebra.  The
+structure constants are one table keyed by operator slot, which closure and
+the Hermitian rows for 2H and 2iZ read; a label names checks, never a verdict.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from typing import Callable, NamedTuple, Sequence
 
 from .grading import (
     JACOBI_GUARD_BAND,
-    GradedOperator,
     _graded,
     antisymmetry_residual,
     graded_bracket,
@@ -57,11 +58,9 @@ from .grading import (
     guard_columns,
 )
 from .numerics import (
-    Backend,
     BandMatrix,
     DEFAULT_POLICY,
     EXACT_POLICY,
-    ExactScalar,
     TolerancePolicy,
     _bracket,
     _signed_max_abs,
@@ -180,13 +179,14 @@ def _check(
     return exactness, residual, proof.scale, bound, proof.exact_zero and cmp.passed
 
 
-def _two_i(backend: Backend):
-    return ExactScalar(0, 2) if backend is Backend.EXACT else 2j
-
-
 # Operator-set slots and the generator each reads from a realization or
 # Hermitian set: qd is Q+.
 _SLOTS = (("qd", "Qdag"), ("q", "Q"), ("h", "H"), ("z", "Z"), ("q10", "Q10"), ("q01", "Q01"))
+
+# Structure constants by slot: (a, b): (c, factor) is [[a, b]] = factor times
+# slot c; every other pair of H, Q10, Q01 and Z brackets to 0.
+_STRUCTURE_CONSTANTS = {("q10", "q10"): ("h", 2), ("q01", "q01"): ("h", 2),
+                        ("q10", "q01"): ("z", 2j), ("q01", "q10"): ("z", -2j)}
 
 
 class _Operators(SimpleNamespace):
@@ -217,6 +217,11 @@ class _Operators(SimpleNamespace):
 
     def anticommutator(self, a: str, b: str) -> BandMatrix:
         return _bracket(self.product(a, b), self.product(b, a), -1)
+
+    def constant(self, a: str, b: str) -> BandMatrix:
+        """The value of [[a, b]] by the structure constants: 2H, +-2iZ or 0."""
+        slot, factor = _STRUCTURE_CONSTANTS.get((a, b), ("zero", 0))
+        return getattr(self, slot).scaled(factor)
 
 
 # Rows read their products from an operator set.  Rows shared by two suites
@@ -263,11 +268,11 @@ HERMITIAN_RELATIONS = (
     Relation("hermitian-h", "H+ = H", 0, _FLOAT, lambda o: (o.h.adjoint(), o.h)),
     Relation("hermitian-z", "Z+ = Z", 0, _FLOAT, lambda o: (o.z.adjoint(), o.z)),
     Relation("q10-squared-gives-2h", "{Q10,Q10} = 2H", 1, _FLOAT,
-             lambda o: (o.anticommutator("q10", "q10"), o.h.scaled(2))),
+             lambda o: (o.anticommutator("q10", "q10"), o.constant("q10", "q10"))),
     Relation("q01-squared-gives-2h", "{Q01,Q01} = 2H", 1, _FLOAT,
-             lambda o: (o.anticommutator("q01", "q01"), o.h.scaled(2))),
+             lambda o: (o.anticommutator("q01", "q01"), o.constant("q01", "q01"))),
     Relation("q10-q01-commutator-gives-2iz", "[Q10,Q01] = 2iZ", 1, _FLOAT,
-             lambda o: (o.commutator("q10", "q01"), o.z.scaled(_two_i(o.z.backend)))),
+             lambda o: (o.commutator("q10", "q01"), o.constant("q10", "q01"))),
     Relation("h-commutes-q10", "[H,Q10] = 0", 1, _FLOAT,
              lambda o: (o.commutator("h", "q10"), o.zero)),
     Relation("h-commutes-q01", "[H,Q01] = 0", 1, _FLOAT,
@@ -379,24 +384,6 @@ def run_hermitian_suite(
     return _report(r, _run_tables(r, (("", HERMITIAN_RELATIONS),), policy, True, ops), started)
 
 
-def _closure_expectation(
-    x: GradedOperator, y: GradedOperator, h: HermitianSet
-) -> BandMatrix:
-    """Structure-constant value of [[X, Y]] in the verified algebra."""
-    labels = (x.label, y.label)
-    dim, backend = h.dim, h.backend
-    if "H" in labels or labels == ("Z", "Z"):
-        return BandMatrix.zeros(dim, backend)
-    if labels == ("Q10", "Q10") or labels == ("Q01", "Q01"):
-        return h.H.matrix.scaled(2)
-    if labels == ("Q10", "Q01"):
-        return h.Z.matrix.scaled(_two_i(backend))
-    if labels == ("Q01", "Q10"):
-        return h.Z.matrix.scaled(-_two_i(backend))
-    # remaining pairs mix Z with a supercharge: they anticommute to zero
-    return BandMatrix.zeros(dim, backend)
-
-
 def run_jacobi_suite(
     h: HermitianSet,
     policy: TolerancePolicy = DEFAULT_POLICY,
@@ -407,8 +394,9 @@ def run_jacobi_suite(
 
     The 16 brackets [[Y,Z]], and the 40 nested brackets [[X,[[Y,Z]]]] with Y
     at or before Z in slot order, are each computed once, keyed by generator
-    slot rather than label (a faulty set may repeat a label).  The other 24
-    nested brackets are read from those by sign; every check reads from them.
+    slot rather than label (a faulty set may repeat a label), as closure's
+    structure constants are.  The other 24 nested brackets are read from
+    those by sign; every check reads from them.
     """
     started = time.perf_counter()
     return _report(h, _run_jacobi(h, policy, _Operators(h), prefix), started)
@@ -476,7 +464,7 @@ def _run_jacobi(
         ))
     for i, j in product(slots, repeat=2):
         x, y = generators[i], generators[j]
-        pair = (inner[i, j].matrix, _closure_expectation(x, y, h))
+        pair = (inner[i, j].matrix, ops.constant(_JACOBI_SLOTS[i], _JACOBI_SLOTS[j]))
         checks.append(RelationCheck(
             f"{prefix}closure[{x.label},{y.label}]", "[[X,Y]] = structure constants", 1,
             *_check(1, _FLOAT, pair, policy),

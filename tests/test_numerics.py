@@ -18,6 +18,7 @@ from gdoa_susy.numerics import (
     ExactnessError,
     NumericsError,
     TolerancePolicy,
+    _rooted,
     _signed_max_abs,
     approx_equal_matrix,
     coerce_scalar,
@@ -258,6 +259,54 @@ def test_coerced_rational_equals_the_constructed_one(value):
     assert (coerced.re, coerced.im, coerced.rad) == (built.re, built.im, built.rad)
     assert all(type(part) is Fraction for part in (coerced.re, coerced.im, coerced.rad))
     assert coerced == built and hash(coerced) == hash(built)
+
+
+class TestGaussianIntegers:
+    # the exact backend takes a complex with integral parts as a Gaussian
+    # integer, so structure constants such as 2i are plain data on both backends
+    @pytest.mark.parametrize("value, parts", [
+        (2j, (0, 2)), (-2j, (0, -2)), (-1j, (0, -1)), (0j, (0, 0)), (complex(3, -4), (3, -4)),
+        (complex(-0.0, 0.0), (0, 0)), (complex(2.0**70, 1), (2**70, 1)),
+    ])
+    def test_integral_parts_are_exact(self, value, parts):
+        coerced = coerce_scalar(value, EXACT)
+        assert coerced == ExactScalar(*parts) and hash(coerced) == hash(ExactScalar(*parts))
+        assert (coerced.re, coerced.im, coerced.rad) == (*parts, 1)
+
+    @pytest.mark.parametrize("value", [
+        0.5j, complex(1.5, 0), complex(math.nan, 0), complex(0, math.inf),
+        complex(-math.inf, 1), 2.0, 0.0, math.nan,
+    ])
+    def test_other_floats_are_refused(self, value):
+        with pytest.raises(BackendMismatchError, match="cannot represent"):
+            coerce_scalar(value, EXACT)
+
+    def test_scaling_by_an_imaginary_unit_matches_the_constructed_scalar(self):
+        a = BandMatrix.diagonal([Fraction(1, 3), 2], EXACT)
+        assert a.scaled(-2j) == a.scaled(-ExactScalar(0, 2))
+        assert a.scaled(1j).scaled(-1j) == a
+
+
+class TestRootedRadicand:
+    # _rooted puts its radicand in lowest terms itself: parts with a common
+    # factor give the canonical scalar of the reduced radicand
+    @pytest.mark.parametrize("rn, rd", [
+        (2, 6), (12, 36), (8, 4), (6, 4), (4, 4), (10**18, 10**18), (2 * 10**18, 4 * 10**18),
+        (18, 8), (45, 20),
+    ])
+    def test_common_factors_reduce(self, rn, rd):
+        for p, q, d in ((1, 0, 1), (3, -2, 5), (0, 7, 2)):
+            got = _rooted(p, q, d, rn, rd)
+            expected = ExactScalar(Fraction(p, d), Fraction(q, d), Fraction(rn, rd))
+            assert got == expected and hash(got) == hash(expected)
+
+    def test_one_sixth_root_of_twelve_is_the_root_of_a_third(self):
+        assert _rooted(1, 0, 1, 2, 6) == ExactScalar.sqrt_of(Fraction(1, 3))
+        assert (_rooted(1, 0, 1, 2, 6).re, _rooted(1, 0, 1, 2, 6).rad) == (Fraction(1, 3), 3)
+
+    def test_zero_parts_or_radicand_give_zero(self):
+        assert _rooted(0, 0, 3, 2, 6) == ExactScalar(0)
+        assert _rooted(5, 1, 3, 0, 6) == ExactScalar(0)
 
 
 def _random_band1(rng, dim, backend):

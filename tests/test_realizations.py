@@ -504,6 +504,28 @@ class TestFractionCounts:
         assert 2048 <= count <= 4096 + 8
 
 
+class TestFractionComparisons:
+    # doublet mates are compared by (numerator, denominator), and the verdict
+    # reads numerators: a cv mu = 1 table at n_max 4094 calls Fraction.__eq__
+    # nowhere (2,047 + 4,095 times when both compared Fractions)
+    def test_pairing_and_verdict_compare_no_fraction(self, monkeypatch):
+        table = spectrum_H(OscillatorSpec.calogero_vasiliev(Fraction(1, 2)), 1, 4094)
+        calls = []
+        original = Fraction.__eq__
+
+        def counting(a, b):
+            calls.append(b)
+            return original(a, b)
+
+        monkeypatch.setattr(Fraction, "__eq__", counting)
+        report = degeneracy_pairs(table)
+        verdict = table.verdict
+        monkeypatch.undo()
+        assert len(calls) == 0
+        assert (verdict, len(report.pairs), report.z_resolves) == ("broken", 2047, True)
+        assert [(u.n, u.reason) for u in report.unpaired] == [(4094, "truncated")]
+
+
 class TestPairing:
     @pytest.mark.parametrize("n_max, pairs, unpaired", [
         (5, [(1, 2), (3, 4)], [(0, "ground"), (5, "truncated")]),
@@ -606,6 +628,18 @@ class TestPairing:
         table, _ = self._cv_half_rows(1, 3)
         with pytest.raises(ValidationError, match="mu must be 0 or 1"):
             degeneracy_pairs(replace(table, mu=2))
+
+    @pytest.mark.parametrize("levels", [
+        (0, 1, 1, 2), (0, 0), (0, 2, 1, 3), (1, 2, 3), (0, 1, 2), (0, 1, 2, 3, 4),
+    ], ids=["repeated", "two-ground", "swapped", "no-ground", "short", "long"])
+    @pytest.mark.parametrize("mu", [0, 1])
+    def test_rows_must_be_the_levels_in_order(self, levels, mu):
+        # rows 0, 1, 1, 2 at mu = 1 once read as no pairs, two truncated
+        # levels and z_resolves True; two ground rows as a "pair (0, 0)"
+        table, rows = self._cv_half_rows(mu, 3)
+        moved = replace(table, rows=tuple(replace(rows[min(n, 3)], n=n) for n in levels))
+        with pytest.raises(ValidationError, match=r"levels 0\.\.3 in order"):
+            degeneracy_pairs(moved)
 
     def test_broken_degeneracy_raises(self):
         # A spectrum whose structural partners disagree is a construction bug.
@@ -729,7 +763,10 @@ class TestReduction:
     @pytest.mark.parametrize("level", [3, 4])
     def test_perturbed_ladder_amplitude_fails_the_charges(self, level, backend, monkeypatch):
         original = fock._sqrt_entry
-        target = fock.structure_values(OscillatorSpec.calogero_vasiliev(Fraction(1, 2)), 12)[level]
+        record = fock._structure_record(OscillatorSpec.calogero_vasiliev(Fraction(1, 2)), 12)
+        numerator, denominator = (parts[level] for parts in record)
+        # F(level) as _sqrt_entry reads it: int parts (exact) or a double (float)
+        target = (numerator, denominator) if backend is EXACT else numerator / denominator
 
         def perturbed(value, backend):
             root = original(value, backend)

@@ -519,8 +519,14 @@ def _oracle_checks(r, policy=verify.DEFAULT_POLICY):
 def _oracle_jacobi_checks(h, policy=verify.DEFAULT_POLICY):
     """The 96 checks of ``run_jacobi_suite(h)``, each rebuilt on its own by
     ``check_antisymmetry``, ``jacobi_defect`` (all 64 nested brackets, none
-    read from another by sign) and ``graded_bracket``."""
+    read from another by sign) and ``graded_bracket``.  Closure compares with
+    the structure constants stated here by generator position, never label:
+    {Q10,Q10} = {Q01,Q01} = 2H, [Q10,Q01] = 2iZ = -[Q01,Q10], and 0 otherwise."""
     generators = (h.H, h.Q10, h.Q01, h.Z)
+    two_i = ExactScalar(0, 2) if h.backend is Backend.EXACT else 2j
+    constants = {(1, 1): h.H.matrix.scaled(2), (2, 2): h.H.matrix.scaled(2),
+                 (1, 2): h.Z.matrix.scaled(two_i), (2, 1): h.Z.matrix.scaled(-two_i)}
+    zero = BandMatrix.zeros(h.dim, h.backend)
     checks = []
     for x, y in product(generators, repeat=2):
         residual = check_antisymmetry(x, y)
@@ -534,8 +540,8 @@ def _oracle_jacobi_checks(h, policy=verify.DEFAULT_POLICY):
         checks.append(verify.RelationCheck(
             f"jacobi[{x.label},{y.label},{z.label}]", "graded Jacobi cyclic sum = 0",
             3, Exactness.FLOAT_TOLERANCE, residual, scale, bound, residual <= bound))
-    for x, y in product(generators, repeat=2):
-        pair = (graded_bracket(x, y).matrix, verify._closure_expectation(x, y, h))
+    for (i, x), (j, y) in product(enumerate(generators), repeat=2):
+        pair = (graded_bracket(x, y).matrix, constants.get((i, j), zero))
         checks.append(verify.RelationCheck(
             f"closure[{x.label},{y.label}]", "[[X,Y]] = structure constants", 1,
             *verify._check(1, Exactness.FLOAT_TOLERANCE, pair, policy)))
@@ -610,6 +616,54 @@ class TestJacobiSignReuse:
         expected = _oracle_jacobi_checks(h)
         assert [_fields(c) for c in report.checks] == [_fields(c) for c in expected]
         assert not report.passed
+
+
+def _relabelled(h, labels):
+    return replace(h, **{slot: replace(getattr(h, slot), label=label)
+                         for slot, label in zip(_LABELS, labels)})
+
+
+def _renamed(name, labels):
+    """``name`` with each generator label in its brackets replaced by ``labels``."""
+    head, _, inside = name.partition("[")
+    rename = dict(zip(_LABELS, labels))
+    return f"{head}[{','.join(rename[label] for label in inside[:-1].split(','))}]"
+
+
+class TestClosureBySlot:
+    # closure reads the structure constants by generator slot, so a label
+    # names a check and never decides its verdict
+    @pytest.mark.parametrize("family, mu, dim, backend", [
+        ("cv", 0, 16, Backend.FLOAT), ("cv", 0, 16, Backend.EXACT),
+        ("gdoa", 1, 1024, Backend.FLOAT),
+    ])
+    def test_zero_q10_labelled_h_fails_its_closures(self, family, mu, dim, backend):
+        # read by its label as H, this set passed all 96 checks
+        h = hermitian_charges(_family(family, mu, dim, backend))
+        zero = GradedOperator(BandMatrix.zeros(dim, backend), DEGREE_Q10, "H")
+        report = run_jacobi_suite(replace(h, Q10=zero))
+        assert len(report.checks) == 96
+        assert [c.name for c in report.checks if not c.passed] == [
+            "closure[H,H]", "closure[H,Q01]", "closure[Q01,H]"
+        ]
+
+    @pytest.mark.parametrize("labels", [
+        ("A", "B", "C", "D"), ("H", "A", "B", "Z"), ("Z", "Q01", "Q10", "H"), ("H",) * 4,
+    ], ids=["fresh", "charges", "reversed", "all-h"])
+    @pytest.mark.parametrize("fault", ["none", "z-is-h", "h-bumped"])
+    @pytest.mark.parametrize("backend", [Backend.FLOAT, Backend.EXACT])
+    @pytest.mark.parametrize("family", ["cv", "gdoa"])
+    def test_relabelling_changes_only_the_names(self, family, backend, fault, labels):
+        h = _hermitian_fault(hermitian_charges(_family(family, 1, 12, backend)), fault)
+        report = run_jacobi_suite(h)
+        relabelled = run_jacobi_suite(_relabelled(h, labels))
+        assert [c.name for c in relabelled.checks] == [
+            _renamed(c.name, labels) for c in report.checks
+        ]
+        assert [_fields(replace(c, name="")) for c in relabelled.checks] == [
+            _fields(replace(c, name="")) for c in report.checks
+        ]
+        assert relabelled.passed is report.passed is (fault == "none")
 
 
 _ANTI_H = {"standard/anticommutator-gives-h", "qform/anticommutator-gives-h"}
