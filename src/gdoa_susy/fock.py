@@ -16,9 +16,10 @@ band of columns [0, D-1-g].
 The projectors P0, P1 onto even and odd levels are exact diagonals in either
 backend; the parity (Klein) operator is T = (-1)^N = P0 - P1.
 
-Each spec keeps one level record, read by ladders, realizations and spectra:
-F and f as int numerators and denominators (f as doubles if it has sqrt), each
-evaluated once per spec; ``structure_values`` is its Fraction view.
+Each spec keeps one level record, read by ladders, realizations, spectra and
+a float build's overflow message: F and f as int numerators and denominators
+(f as doubles if it has sqrt), each evaluated once per spec.
+``structure_values`` is F's Fraction view; f has no view of its own.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from typing import Mapping
 from .exprlang import (
     Expr,
     _level_parts,
-    eval_levels,
     has_sqrt,
     parse_expr,
     printable,
@@ -152,13 +152,6 @@ def structure_values(spec: OscillatorSpec, dim: int) -> tuple[Fraction, ...]:
     raises ValidationError if F(0) != 0 or any F(n) <= 0."""
     numerators, denominators = _structure_record(spec, dim)
     return tuple(map(Fraction, numerators[: dim + 1], denominators[: dim + 1]))
-
-
-def weight_values(
-    spec: OscillatorSpec, dim: int, backend: Backend = Backend.EXACT
-) -> dict[int, Fraction | float]:
-    """f(1..dim); f(0) is never needed because it only multiplies F(0) = 0."""
-    return dict(enumerate(eval_levels(spec.weight, 1, dim + 1, spec.params, backend), 1))
 
 
 def _weight_record(spec: OscillatorSpec, dim: int) -> tuple[list, list[int]]:

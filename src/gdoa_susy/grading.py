@@ -19,7 +19,6 @@ constants as well (see the verification suites).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .numerics import BandMatrix, _bracket, _signed_max_abs, _top
 
@@ -127,36 +126,21 @@ def guard_columns(dim: int, guard_band: int) -> range:
     return range(dim - guard_band)
 
 
-def jacobi_sum(
-    terms: Sequence[tuple[int, BandMatrix]], guard_band: int
-) -> tuple[float, float]:
-    """(residual, scale) of a sign-weighted sum of nested brackets, signs ±1.
-
-    The top guard_band columns are excluded; the sum is taken left to right in
-    one pass; the scale is the largest entry of the unsigned terms on the
-    compared columns, NaN if any entry there is NaN.
-    """
-    if not terms:
-        raise GradingError("a Jacobi sum needs at least one term")
-    cols = guard_columns(terms[0][1].dim, guard_band)
-    return _signed_max_abs(terms, cols), _top([matrix.max_abs(cols) for _, matrix in terms])
-
-
 def jacobi_defect(
     x: GradedOperator, y: GradedOperator, z: GradedOperator, guard_band: int = JACOBI_GUARD_BAND
 ) -> tuple[float, float]:
     """(residual, scale) of the sign-weighted cyclic Jacobi sum.
 
     The top guard_band columns (default :data:`JACOBI_GUARD_BAND`) are
-    excluded.  The scale is the largest entry of the three cyclic terms on the
-    compared columns.
+    excluded; the sum is taken left to right in one pass.  The scale is the
+    largest entry of the three cyclic terms on the compared columns, NaN if
+    any entry there is NaN.
     """
     dx, dy, dz = x.require_degree(), y.require_degree(), z.require_degree()
-    return jacobi_sum(
-        [
-            (graded_sign(dx, dz), graded_bracket(x, graded_bracket(y, z)).matrix),
-            (graded_sign(dy, dx), graded_bracket(y, graded_bracket(z, x)).matrix),
-            (graded_sign(dz, dy), graded_bracket(z, graded_bracket(x, y)).matrix),
-        ],
-        guard_band,
-    )
+    terms = [
+        (graded_sign(dx, dz), graded_bracket(x, graded_bracket(y, z)).matrix),
+        (graded_sign(dy, dx), graded_bracket(y, graded_bracket(z, x)).matrix),
+        (graded_sign(dz, dy), graded_bracket(z, graded_bracket(x, y)).matrix),
+    ]
+    cols = guard_columns(x.matrix.dim, guard_band)
+    return _signed_max_abs(terms, cols), _top([matrix.max_abs(cols) for _, matrix in terms])

@@ -128,11 +128,6 @@ class ExactScalar:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("ExactScalar is immutable")
 
-    @classmethod
-    def sqrt_of(cls, value: RationalLike) -> "ExactScalar":
-        """Exact square root of a nonnegative rational."""
-        return cls(1, 0, Fraction(value))
-
     @property
     def re(self) -> Fraction:
         return Fraction(self._p, self._d)

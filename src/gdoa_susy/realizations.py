@@ -16,10 +16,12 @@ level record of ints: F and f from the spec (see
 :class:`~gdoa_susy.fock.OscillatorSpec`), evaluated once per spec, and E_m per
 doublet level m from :func:`_energies`, with Z as E under the convention's
 signs.  Scalars are written from integer parts; Fractions are built only for
-the views ``h_diag``/``z_diag`` and spectrum rows, one per doublet.  The exact
-variant of a float build writes only the exact charges, from the same record,
-and takes H and Z from the energies the float build recorded, never from its
-float matrices, so the exact re-check rests on the defining data alone.
+spectrum rows, one per doublet.  The exact variant of a float build writes
+only the exact charges, from the same record, and takes H and Z from the
+energies the float build recorded, never from its float matrices, so the
+exact re-check rests on the defining data alone.  The verification suites
+rebuild H and Z from the same record and require the instance matrices to
+equal them on every column.
 
 At f = 1 and the reflection-deformed structure function the two families
 coincide under the swap Q <-> Q+, Z <-> -Z with identical H;
@@ -54,8 +56,6 @@ from .fock import (
     _structure_record,
     _weight_record,
     build_fock_rep,
-    structure_values,
-    weight_values,
 )
 from .grading import GradedOperator, degree
 from .numerics import Backend, BandMatrix, _rooted, approx_equal_matrix
@@ -80,18 +80,6 @@ class RealizationSet:
     H: GradedOperator
     Z: GradedOperator
     energies: tuple  # E_m per doublet level m, as :func:`_energies` gives them
-
-    @cached_property
-    def h_diag(self) -> tuple[Fraction, ...] | None:
-        """Exact E_0..E_(dim-1), a view of ``energies``; None for a weight with sqrt."""
-        views = _fractions(self.energies, self.mu, self.dim, self.convention)
-        return views and tuple(views[0])
-
-    @cached_property
-    def z_diag(self) -> tuple[Fraction, ...] | None:
-        """Exact Z_0..Z_(dim-1), a view of ``energies``; None for a weight with sqrt."""
-        views = _fractions(self.energies, self.mu, self.dim, self.convention)
-        return views and tuple(views[1])
 
     @cached_property
     def exact(self) -> "RealizationSet | None":
@@ -135,14 +123,6 @@ def _by_level(values: list, negated: list, mu: int, count: int, convention: str)
     charges = zip(values, negated) if convention == "cv" else zip(negated, values)
     return [list(islice(chain.from_iterable(pairs), 1 - mu, 1 - mu + count))
             for pairs in (zip(values, values), charges)]
-
-
-def _fractions(energies: tuple, mu: int, count: int, convention: str) -> list | None:
-    """E and Z level by level, a Fraction per doublet level negated once; None for doubles."""
-    if energies[1] is None:
-        return None
-    values = list(map(Fraction, *energies))
-    return _by_level(values, [-e for e in values], mu, count, convention)
 
 
 def _diagonals(energies: tuple, mu: int, count: int, convention: str, backend: Backend) -> list:
@@ -219,12 +199,15 @@ def gdoa_realization(
         return _realization(spec, mu, dim, backend, "gdoa", *_charges(spec, mu, dim, backend),
                             _energies(spec, mu, dim, "gdoa"))
     except OverflowError:
-        # redo the conversions of this build's levels m = mu (mod 2) to name one
-        values = structure_values(spec, dim)
-        weights = weight_values(spec, dim, Backend.EXACT if spec.weight_is_exact else Backend.FLOAT)
+        # redo the conversions of this build's levels m = mu (mod 2) to name
+        # one, from the level record the failed build filled: f(m) is a
+        # Fraction, or the double of a weight with sqrt
+        weights, divisors = _weight_record(spec, dim)
+        numerators, denominators = _structure_record(spec, dim)
         for m in range(2 - mu, dim + 1, 2):
+            f = weights[m] / Fraction(divisors[m])
             try:
-                float(weights[m]), float(weights[m] ** 2 * values[m])
+                float(f), float(f ** 2 * Fraction(numerators[m], denominators[m]))
             except OverflowError:
                 break
         raise ValidationError(
@@ -306,8 +289,9 @@ def spectrum_H(spec: OscillatorSpec, mu: int, n_max: int) -> SpectrumTable:
     if not spec.weight_is_exact:
         raise ValidationError("spectrum tables require an exactly evaluable weight (no sqrt)")
     convention, count = "cv" if spec.is_calogero_vasiliev else "gdoa", n_max + 1
-    energies = _energies(spec, mu, count, convention)
-    rows = tuple(map(SpectrumRow, range(count), *_fractions(energies, mu, count, convention)))
+    energies = list(map(Fraction, *_energies(spec, mu, count, convention)))
+    columns = _by_level(energies, [-e for e in energies], mu, count, convention)
+    rows = tuple(map(SpectrumRow, range(count), *columns))
     return SpectrumTable(spec, mu, n_max, rows)
 
 
@@ -443,12 +427,12 @@ def reduction_check(
         gd = gdoa_realization(spec, mu, dim, backend)
         # the CV presentation as written: Q+ = a P_mu, Q = a+ P_(1-mu), closed-form H, Z
         reference = _energies(spec, mu, dim, "cv")
-        h_diag, z_diag = _diagonals(reference, mu, dim, "cv", backend)
+        h, z = _diagonals(reference, mu, dim, "cv", backend)
         comparisons = [
             ("Q+ <-> Q", rep.a @ projectors[mu], gd.Q.matrix),
             ("Q <-> Q+", rep.a_dag @ projectors[1 - mu], gd.Qdag.matrix),
-            ("H", h_diag, gd.H.matrix),
-            ("Z <-> -Z", z_diag, gd.Z.matrix.scaled(-1)),
+            ("H", h, gd.H.matrix),
+            ("Z <-> -Z", z, gd.Z.matrix.scaled(-1)),
         ]
         for name, lhs, rhs in comparisons:
             cmp = approx_equal_matrix(lhs, rhs)

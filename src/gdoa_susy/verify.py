@@ -21,13 +21,19 @@ row.name`` when it is built.  One runner reads ``(prefix, rows)`` suites from
 one operator set: the realization's generators plus its Hermitian charges.  A
 diagonal-exact row re-checks the same formula on the set of ``r.exact`` (on
 the exact backend, the instance set), so both suites that list [H,Z] = 0
-re-check it on the same exact H and Z.  :func:`run_all_suites` returns one
-report, timed over the whole call, whose names carry the prefixes
-``standard/``, ``qform/``, ``hermitian/`` and ``jacobi/``.  It evaluates each
-distinct table row once, and computes each product of two generator matrices
-once: the operator set is the ledger of its products, keyed by slot pair and
-alive for one call.  The Jacobi suite computes each generator's scale once
-too, and builds 40 of its 64 nested brackets, reading 24 from them by sign.
+re-check it on the same exact H and Z.  The rows that read H or Z ({Q+,Q} =
+H, [Q+,Q] = Z and [H,Z] = 0) also require the instance H and Z they read to
+equal, on every column, the diagonals that the build's level record gives: a
+guard band leaves the top level out of every relation, but never out of this
+comparison, which holds with or without the exact re-check.
+:func:`run_all_suites` returns one report, timed over the whole call, whose
+names carry the prefixes ``standard/``, ``qform/``, ``hermitian/`` and
+``jacobi/``.  It evaluates each distinct table row once, and computes each
+product of two generator matrices once: the operator set is the ledger of
+its products, keyed by slot pair and alive for one call, and builds each
+nonzero structure constant once.  The Jacobi suite computes each generator's
+scale once too, and builds 40 of its 64 nested brackets, reading 24 from them
+by sign.
 
 The Jacobi suite contains three layers: graded antisymmetry of all 16 ordered
 generator pairs (an identity, required to cancel bitwise), the 64 graded
@@ -67,7 +73,7 @@ from .numerics import (
     _top,
     approx_equal_matrix,
 )
-from .realizations import HermitianSet, RealizationSet, hermitian_charges
+from .realizations import HermitianSet, RealizationSet, _diagonals, hermitian_charges
 
 
 class Exactness(Enum):
@@ -143,13 +149,15 @@ _FLOAT = Exactness.FLOAT_TOLERANCE
 
 class Relation(NamedTuple):
     """One row of a relation table; ``pair`` maps an operator set to the two
-    matrices the relation equates."""
+    matrices the relation equates, and ``record`` names the slots among h and
+    z whose instance matrix must also equal the build's record."""
 
     name: str
     formula: str
     guard_band: int
     exactness: Exactness
     pair: Callable[["_Operators"], Pair]
+    record: tuple[str, ...] = ()
 
 
 def _check(
@@ -196,6 +204,8 @@ class _Operators(SimpleNamespace):
     The set is also the ledger of its products: :meth:`product` multiplies two
     slots once and keeps the result in ``ledger``, keyed by the slot pair and
     never by content, since a faulty set may hold one matrix in two slots.
+    Each nonzero structure constant is built once too, kept in ``constants``
+    by its slot and factor.
     """
 
     def __init__(self, *sets: RealizationSet | HermitianSet):
@@ -204,6 +214,7 @@ class _Operators(SimpleNamespace):
         })
         self.zero = BandMatrix.zeros(sets[0].dim, sets[0].backend)
         self.ledger: dict[tuple[str, str], BandMatrix] = {}
+        self.constants: dict[tuple[str, complex], BandMatrix] = {}
 
     def product(self, a: str, b: str) -> BandMatrix:
         """Slot ``a`` times slot ``b``, computed on first use."""
@@ -220,20 +231,26 @@ class _Operators(SimpleNamespace):
 
     def constant(self, a: str, b: str) -> BandMatrix:
         """The value of [[a, b]] by the structure constants: 2H, +-2iZ or 0."""
-        slot, factor = _STRUCTURE_CONSTANTS.get((a, b), ("zero", 0))
-        return getattr(self, slot).scaled(factor)
+        term = _STRUCTURE_CONSTANTS.get((a, b))
+        if term is None:
+            return self.zero
+        value = self.constants.get(term)
+        if value is None:
+            slot, factor = term
+            value = self.constants[term] = getattr(self, slot).scaled(factor)
+        return value
 
 
 # Rows read their products from an operator set.  Rows shared by two suites
 # are one object.
 _ANTICOMMUTATOR_GIVES_H = Relation("anticommutator-gives-h", "{Q+,Q} = H", 1, _DIAGONAL,
-                                   lambda o: (o.anticommutator("qd", "q"), o.h))
+                                   lambda o: (o.anticommutator("qd", "q"), o.h), ("h",))
 _H_COMMUTES_QDAG = Relation("h-commutes-qdag", "[H,Q+] = 0", 1, _FLOAT,
                             lambda o: (o.commutator("h", "qd"), o.zero))
 _H_COMMUTES_Q = Relation("h-commutes-q", "[H,Q] = 0", 1, _FLOAT,
                          lambda o: (o.commutator("h", "q"), o.zero))
 _H_COMMUTES_Z = Relation("h-commutes-z", "[H,Z] = 0", 0, _DIAGONAL,
-                         lambda o: (o.commutator("h", "z"), o.zero))
+                         lambda o: (o.commutator("h", "z"), o.zero), ("h", "z"))
 
 STANDARD_RELATIONS = (
     Relation("qdag-squared-zero", "(Q+)^2 = 0", 0, _STRUCTURAL,
@@ -250,7 +267,7 @@ QFORM_RELATIONS = (
     Relation("squares-cancel", "(Q+)^2 + Q^2 = 0", 0, _STRUCTURAL,
              lambda o: (o.product("qd", "qd") + o.product("q", "q"), o.zero)),
     Relation("commutator-gives-z", "[Q+,Q] = Z", 1, _DIAGONAL,
-             lambda o: (o.commutator("qd", "q"), o.z)),
+             lambda o: (o.commutator("qd", "q"), o.z), ("z",)),
     _H_COMMUTES_QDAG,
     _H_COMMUTES_Q,
     _H_COMMUTES_Z,
@@ -293,18 +310,34 @@ _TABLE_SUITES = (
 )
 
 
+def _off_record(r: RealizationSet, ops: _Operators) -> dict[str, float]:
+    """The residual, on every column, of each of H and Z in ``ops`` that
+    differs from the diagonal the level record of ``r`` gives it.  A build
+    writes H and Z from that record, so an honest set has none."""
+    record = _diagonals(r.energies, r.mu, r.dim, r.convention, r.backend)
+    return {slot: approx_equal_matrix(getattr(ops, slot), matrix, EXACT_POLICY).residual
+            for slot, matrix in zip(("h", "z"), record) if getattr(ops, slot) != matrix}
+
+
 def _evaluate(
-    row: Relation, ops: _Operators, exact_ops: _Operators | None, policy: TolerancePolicy
+    row: Relation, ops: _Operators, exact_ops: _Operators | None, policy: TolerancePolicy,
+    off_record: dict[str, float],
 ) -> Verdict:
     """The verdict of ``row`` on ``ops``; a diagonal-exact row is evaluated by
     the same pair function on ``exact_ops`` too, so its exact re-check can
     never test a different formula from its float check.  Where the exact
-    operators are the float ones (the exact backend), one pair serves both."""
+    operators are the float ones (the exact backend), one pair serves both.
+    A row that passes while a slot of its ``record`` is in ``off_record``
+    fails, with that slot's residual against the record and a bound of 0."""
     pair = row.pair(ops)
     exact_pair = None
     if exact_ops is not None and row.exactness is _DIAGONAL:
         exact_pair = pair if exact_ops is ops else row.pair(exact_ops)
-    return _check(row.guard_band, row.exactness, pair, policy, exact_pair)
+    verdict = _check(row.guard_band, row.exactness, pair, policy, exact_pair)
+    misses = [off_record[slot] for slot in row.record if slot in off_record]
+    if misses and verdict[4]:
+        return verdict[0], _top(misses), verdict[2], 0.0, False
+    return verdict
 
 
 def _report(
@@ -333,15 +366,17 @@ def _run_tables(
     Diagonal-exact rows are re-checked on the set of ``r.exact`` (built on
     first use), which on the exact backend is ``ops`` itself; that set and its
     products are dropped on return.  A row listed by several suites is
-    evaluated once."""
+    evaluated once.  Rows that read H or Z compare them with the record of
+    ``r`` too (see :func:`_off_record`)."""
     ex = r.exact if use_exact else None
     exact_ops = None if ex is None else ops if ex is r else _Operators(ex)
+    off_record = _off_record(r, ops)
     verdicts: dict[Relation, Verdict] = {}
     checks = []
     for prefix, rows in suites:
         for row in rows:
             if row not in verdicts:
-                verdicts[row] = _evaluate(row, ops, exact_ops, policy)
+                verdicts[row] = _evaluate(row, ops, exact_ops, policy, off_record)
             checks.append(RelationCheck(
                 prefix + row.name, row.formula, row.guard_band, *verdicts[row]
             ))
@@ -397,6 +432,10 @@ def run_jacobi_suite(
     slot rather than label (a faulty set may repeat a label), as closure's
     structure constants are.  The other 24 nested brackets are read from
     those by sign; every check reads from them.
+
+    A bare :class:`HermitianSet` carries no level record, so unlike
+    :func:`run_all_suites` this suite never compares H and Z with one: a
+    wrong H or Z on the columns its guard bands leave out goes unseen here.
     """
     started = time.perf_counter()
     return _report(h, _run_jacobi(h, policy, _Operators(h), prefix), started)

@@ -1,0 +1,154 @@
+"""Mutant catalog: small faults in ``src/`` that named tier-1 tests must catch.
+
+Each mutant replaces one text, which must occur exactly once in its file, and
+names the tier-1 tests that must fail on it.  For each mutant the runner
+copies ``src/`` to a temporary directory, applies the replacement there, and
+runs the named tests against that copy in one pytest subprocess; the working
+tree is never edited.  First it runs every named test once on an unmutated
+copy, so that a test which fails anyway is never counted as a kill.
+
+Equivalent mutants, which no test can kill because they change no result,
+are listed with a reason; the runner only checks that each still applies.
+
+Run from anywhere, with pytest installed (stdlib only otherwise):
+
+    python tests/mutants.py
+
+Exit status: 0 if every mutant is killed, 1 if one survives or a text does
+not occur exactly once, 2 if the named tests fail on the unmutated copy.
+pytest does not collect this file: its name does not start with ``test_``.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # under src/gdoa_susy/
+    old: str
+    new: str
+    tests: tuple[str, ...] = ()  # tier-1 node ids that must fail; none for an equivalent
+    reason: str = ""  # why an equivalent mutant changes no result
+
+
+_TOP_LEVEL = "tests/test_verify.py::TestTopLevelRecord::test_top_level_bump_fails_the_rows_reading_it"
+
+MUTANTS = (
+    Mutant(
+        "record comparison skipped for Z", "verify.py",
+        'zip(("h", "z"), record)', 'zip(("h",), record)',
+        (f"{_TOP_LEVEL}[cv-Backend.FLOAT-16-Z-True]",
+         f"{_TOP_LEVEL}[sqrt-Backend.FLOAT-1024-Z-False]"),
+    ),
+    Mutant(
+        "constants cache keyed by slot only, so 2iZ and -2iZ collide", "verify.py",
+        "        value = self.constants.get(term)\n"
+        "        if value is None:\n"
+        "            slot, factor = term\n"
+        "            value = self.constants[term] = getattr(self, slot).scaled(factor)\n",
+        "        slot, factor = term\n"
+        "        value = self.constants.get(slot)\n"
+        "        if value is None:\n"
+        "            value = self.constants[slot] = getattr(self, slot).scaled(factor)\n",
+        ("tests/test_verify.py::TestSuitesOverSpecs::test_square_structure_all_pass[0]",),
+    ),
+    Mutant(
+        "flipped graded_sign", "grading.py",
+        "return -1 if degree_dot(a, b) else 1", "return 1 if degree_dot(a, b) else -1",
+        ("tests/test_grading.py::TestDegreeVectors::test_sign_examples",),
+    ),
+    Mutant(
+        "math.lcm -> max in exprlang._column_arithmetic", "exprlang.py",
+        "denominator = math.lcm(left.denominator, right.denominator)",
+        "denominator = max(left.denominator, right.denominator)",
+        ("tests/test_exprlang.py::TestLevelRange::test_exact_column_walk_matches_the_per_level_walk",),
+    ),
+    Mutant(
+        "bisection keeps high = middle - 1", "exprlang.py",
+        "            high = middle\n", "            high = middle - 1\n",
+        ("tests/test_exprlang.py::TestLevelRange::"
+         "test_first_failing_level_is_found_in_logarithmically_many_walks",),
+    ),
+    Mutant(
+        "_by_level's convention swap inverted", "realizations.py",
+        'zip(values, negated) if convention == "cv" else zip(negated, values)',
+        'zip(values, negated) if convention != "cv" else zip(negated, values)',
+        ("tests/test_realizations.py::TestDeformedRealizations::test_central_charge_alternates",),
+    ),
+)
+
+EQUIVALENT = (
+    Mutant(
+        "no shortcut for equal denominators in _sum", "numerics.py",
+        "    if a_d == b_d:\n        p, q, d = a_p + b_p, a_q + b_q, a_d\n",
+        "    if False:\n        p, q, d = a_p + b_p, a_q + b_q, a_d\n",
+        reason="the general sum over a_d * b_d reduces by the same gcd to the same parts",
+    ),
+    Mutant(
+        "no shortcut for a radicand of 1 in _rooted", "numerics.py",
+        "    if rn == rd:\n        return _canonical(p, q, d, 1)\n",
+        "    if False:\n        return _canonical(p, q, d, 1)\n",
+        reason="rn == rd reduces to 1/1, which _square_split leaves as 1, giving the same parts",
+    ),
+    Mutant(
+        "_square_split tries every integer as a divisor", "numerics.py",
+        "        p += 1 if p == 2 else 2\n", "        p += 1\n",
+        reason="an even p > 2 never divides n once every factor 2 is divided out",
+    ),
+)
+
+
+def _copy_with(tmp: Path, mutant: Mutant | None) -> Path:
+    """A copy of src/ under ``tmp``, with ``mutant`` applied if given."""
+    src = tmp / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    if mutant is not None:
+        target = src / "gdoa_susy" / mutant.path
+        target.write_text(target.read_text().replace(mutant.old, mutant.new))
+    return src
+
+
+def _tests_pass(src: Path, tests: tuple[str, ...]) -> bool:
+    """True if every test in ``tests`` passes against the package in ``src``."""
+    env = dict(os.environ, PYTHONPATH=str(src), HYPOTHESIS_PROFILE="ci",
+               PYTHONDONTWRITEBYTECODE="1")
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(command, cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode == 0
+
+
+def main() -> int:
+    broken = [m.name for m in MUTANTS + EQUIVALENT
+              if (ROOT / "src" / "gdoa_susy" / m.path).read_text().count(m.old) != 1]
+    for name in broken:
+        print(f"STALE   {name}: its text does not occur exactly once")
+    if broken:
+        return 1
+    named = tuple(dict.fromkeys(test for m in MUTANTS for test in m.tests))
+    with tempfile.TemporaryDirectory() as tmp:
+        if not _tests_pass(_copy_with(Path(tmp), None), named):
+            print("the named tests fail on the unmutated source")
+            return 2
+    survivors = 0
+    for mutant in MUTANTS:
+        with tempfile.TemporaryDirectory() as tmp:
+            killed = not _tests_pass(_copy_with(Path(tmp), mutant), mutant.tests)
+        survivors += not killed
+        print(f"{'KILLED ' if killed else 'SURVIVED'} {mutant.name}")
+    for mutant in EQUIVALENT:
+        print(f"EQUIV   {mutant.name}: {mutant.reason}")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

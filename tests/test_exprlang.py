@@ -29,8 +29,9 @@ from gdoa_susy.exprlang import (
     printable,
     validate_structure_function,
 )
-from gdoa_susy.fock import OscillatorSpec, weight_values
+from gdoa_susy.fock import OscillatorSpec
 from gdoa_susy.numerics import Backend
+from gdoa_susy.realizations import gdoa_realization, spectrum_H
 
 EXACT = Backend.EXACT
 FLOAT = Backend.FLOAT
@@ -552,13 +553,12 @@ class TestLevelRange:
         spec = OscillatorSpec.gdoa("n^2", weight="1/0")
         for backend in (EXACT, FLOAT):
             with pytest.raises(ExprEvalError, match=r"^division by zero at n=1$"):
-                weight_values(spec, 8, backend)
+                gdoa_realization(spec, 0, 8, backend)
             with pytest.raises(ExprEvalError, match=r"^division by zero at n=1$"):
                 eval_levels(spec.weight, 1, 9, {}, backend)
 
     def test_empty_range_evaluates_nothing(self):
         assert eval_levels(parse_expr("1/0 + x"), 3, 3) == []
-        assert weight_values(OscillatorSpec.gdoa("n", weight="1/0"), 0) == {}
 
     def test_values_stay_exact_fractions(self):
         values = eval_levels(parse_expr("n^3 + 2*n - n/2 + 1"), 0, 6)
@@ -607,8 +607,10 @@ class TestLevelRange:
                                              64)
         assert report.ok and report.values[3] == Fraction(7, 2)
         spec = OscillatorSpec.gdoa("n^2", weight="n + 1")
-        assert weight_values(spec, 64)[64] == 65
-        assert weight_values(spec, 64, FLOAT)[7] == 8.0
+        # E_63 = f(64)^2 F(64), and f of a sqrt weight is read as doubles
+        assert spectrum_H(spec, 0, 63).rows[63].energy == 65**2 * 64**2
+        sqrt_spec = OscillatorSpec.gdoa("n^2", weight="n + 1 + 0*sqrt(n)")
+        assert gdoa_realization(sqrt_spec, 1, 8).energies[0][3] == 8.0**2 * 49
         assert fock.structure_values(spec, 64)[8] == 64
 
 

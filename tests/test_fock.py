@@ -15,7 +15,6 @@ from gdoa_susy.fock import (
     ValidationError,
     build_fock_rep,
     structure_values,
-    weight_values,
 )
 from gdoa_susy.grading import guard_columns
 from gdoa_susy.numerics import (
@@ -26,6 +25,7 @@ from gdoa_susy.numerics import (
     ExactScalar,
     approx_equal_matrix,
 )
+from gdoa_susy.realizations import spectrum_H
 from oracles import anticommutator, commutator
 
 EXACT = Backend.EXACT
@@ -160,10 +160,13 @@ class TestStructureValues:
         with pytest.raises(ExprError, match="dim must be >= 1"):
             structure_values(linear, 0)
 
-    def test_weight_values_skip_origin(self):
+    def test_weight_is_never_read_at_the_origin(self):
+        # f = 1/n is undefined at 0, where it would only multiply F(0) = 0:
+        # E_m = f(m)^2 F(m) = 1/m on levels m = 1..4, and E_0 = 0
         spec = OscillatorSpec.gdoa("n", weight="1/n")
-        values = weight_values(spec, 4)
-        assert values == {1: 1, 2: Fraction(1, 2), 3: Fraction(1, 3), 4: Fraction(1, 4)}
+        energies = [[row.energy for row in spectrum_H(spec, mu, 3).rows] for mu in (0, 1)]
+        assert energies == [[0, Fraction(1, 2), Fraction(1, 2), Fraction(1, 4)],
+                            [1, 1, Fraction(1, 3), Fraction(1, 3)]]
 
 
 class TestRepresentation:

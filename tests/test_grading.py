@@ -19,7 +19,6 @@ from gdoa_susy.grading import (
     antisymmetry_residual,
     graded_sign,
     jacobi_defect,
-    jacobi_sum,
 )
 from gdoa_susy.numerics import (
     Backend,
@@ -200,17 +199,23 @@ class TestJacobiDefect:
 
     def test_scale_is_nan_whatever_the_term_order(self):
         # builtin max skips a NaN that is not its first argument, so the scale
-        # read 1.0 while a term was NaN
-        ident = BandMatrix.diagonal([1] * 4, Backend.FLOAT)
-        nan = BandMatrix.diagonal([complex("nan")] * 4, Backend.FLOAT)
-        for terms in ([(1, ident), (1, nan), (1, ident)], [(1, nan), (1, ident), (-1, ident)]):
-            residual, scale = jacobi_sum(terms, 0)
-            assert math.isnan(residual) and math.isnan(scale)
-        assert jacobi_sum([(1, ident), (-1, ident.scaled(2)), (1, ident)], 1) == (0.0, 2.0)
+        # read 0.0 while a term was NaN.  With X = diag(nan, 1, 1, 1), Y the
+        # shift and Z the identity, all of degree (0,0), [[X,[[Y,Z]]]] is 0
+        # and the other two cyclic terms hold a NaN at column 1; each cyclic
+        # order puts the zero term in another place.
+        def op(values, offset=0):
+            entries = {(n, n + offset): v for n, v in enumerate(values)}
+            return GradedOperator(BandMatrix.from_entries(4, entries, Backend.FLOAT),
+                                  degree(0, 0), "M")
 
-    def test_empty_sum_is_a_grading_error(self):
-        with pytest.raises(GradingError, match="at least one term"):
-            jacobi_sum([], 0)
+        x, y, z = op([complex("nan"), 1, 1, 1]), op([1, 1, 1], 1), op([1] * 4)
+        for triple in ((x, y, z), (y, z, x), (z, x, y)):
+            residual, scale = jacobi_defect(*triple, guard_band=0)
+            assert math.isnan(residual) and math.isnan(scale)
+        # a NaN on the top column only is outside guard band 1
+        top = op([1, 1, 1, complex("nan")])
+        assert jacobi_defect(top, y, z, guard_band=1) == (0.0, 0.0)
+        assert math.isnan(jacobi_defect(top, y, z, guard_band=0)[1])
 
     def test_mismatched_terms_raise_typed_errors(self):
         # the one-pass kernel reads the terms' diagonals directly; it must
@@ -220,10 +225,10 @@ class TestJacobiDefect:
         exact = BandMatrix.diagonal([1] * 4, Backend.EXACT)
         for position in range(3):
             for other, error in ((smaller, DimensionMismatchError), (exact, BackendMismatchError)):
-                terms = [(1, ident), (-1, ident), (1, ident)]
-                terms[position] = (1, other)
+                ops = [GradedOperator(ident, degree(1, 0), "I")] * 3
+                ops[position] = GradedOperator(other, degree(1, 0), "M")
                 with pytest.raises(error):
-                    jacobi_sum(terms, 0)
+                    jacobi_defect(*ops, guard_band=0)
         for sign in (1, -1):
             with pytest.raises(DimensionMismatchError):
                 antisymmetry_residual(sign, ident, smaller)

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from gdoa_susy import fock, realizations
-from gdoa_susy.exprlang import eval_expr
+from gdoa_susy import exprlang, fock, realizations
+from gdoa_susy.exprlang import eval_expr, eval_levels
 from gdoa_susy.fock import OscillatorSpec, ValidationError
 from gdoa_susy.numerics import (
     Backend,
@@ -51,23 +51,22 @@ class TestDeformedRealizations:
         for kappa in (Fraction(0), Fraction(1, 2), Fraction(5, 2)):
             for mu in (0, 1):
                 r = cv_realization(kappa, mu, 12)
-                assert r.h_diag == tuple(
-                    cv_energy_oracle(n, kappa, mu) for n in range(12)
-                )
+                oracle = [cv_energy_oracle(n, kappa, mu) for n in range(12)]
+                assert r.exact.H.matrix == BandMatrix.diagonal(oracle, EXACT)
 
     def test_central_charge_alternates(self):
         r0 = cv_realization(Fraction(1, 2), 0, 8)
-        assert r0.z_diag == (0, 2, -2, 4, -4, 6, -6, 8)
+        assert r0.exact.Z.matrix == BandMatrix.diagonal([0, 2, -2, 4, -4, 6, -6, 8], EXACT)
         r1 = cv_realization(Fraction(1, 2), 1, 6)
         three_halves = Fraction(3, 2)
-        assert r1.z_diag == (
+        assert r1.exact.Z.matrix == BandMatrix.diagonal([
             three_halves,
             -three_halves,
             three_halves + 2,
             -(three_halves + 2),
             three_halves + 4,
             -(three_halves + 4),
-        )
+        ], EXACT)
 
     def test_central_is_signed_parity_weighted_energy(self):
         # Z = (-1)^(mu+1) T H as an exact matrix identity.
@@ -124,14 +123,14 @@ class TestWeightedRealizations:
     def test_linear_structure(self):
         spec = OscillatorSpec.gdoa("n")
         r = gdoa_realization(spec, 0, 4)
-        assert r.h_diag == (0, 2, 2, 4)
-        assert r.z_diag == (0, -2, 2, -4)
+        assert r.exact.H.matrix == BandMatrix.diagonal([0, 2, 2, 4], EXACT)
+        assert r.exact.Z.matrix == BandMatrix.diagonal([0, -2, 2, -4], EXACT)
 
     def test_square_structure(self):
         spec = OscillatorSpec.gdoa("n^2")
         r = gdoa_realization(spec, 1, 4)
-        assert r.h_diag == (1, 1, 9, 9)
-        assert r.z_diag == (-1, 1, -9, 9)
+        assert r.exact.H.matrix == BandMatrix.diagonal([1, 1, 9, 9], EXACT)
+        assert r.exact.Z.matrix == BandMatrix.diagonal([-1, 1, -9, 9], EXACT)
 
     def test_weighted_charge_entries(self):
         spec = OscillatorSpec.gdoa("n", weight="n")
@@ -153,13 +152,13 @@ class TestWeightedRealizations:
         with pytest.raises(ValidationError, match="float backend"):
             gdoa_realization(spec, 0, 8, EXACT)
         r = gdoa_realization(spec, 0, 8, FLOAT)
-        assert r.h_diag is None and r.z_diag is None
+        assert r.exact is None and r.energies[1] is None
 
     def test_weight_zero_levels_recorded(self):
         # f(1) = 0 leaves the mu = 1 doublet (0, 1) at zero energy.
         spec = OscillatorSpec.gdoa("n", weight="n - 1")
         r = gdoa_realization(spec, 1, 6)
-        assert [n for n, energy in enumerate(r.h_diag) if energy == 0] == [0, 1]
+        assert r.exact.H.matrix == BandMatrix.diagonal([0, 0, 12, 12, 80, 80], EXACT)
 
     @pytest.mark.parametrize("family", ["cv", "gdoa"])
     def test_builds_no_ladder(self, family, monkeypatch):
@@ -171,7 +170,7 @@ class TestWeightedRealizations:
             r = cv_realization(Fraction(1, 2), 1, 8)
         else:
             r = gdoa_realization(OscillatorSpec.gdoa("n^2", weight="n"), 1, 8)
-        assert r.exact is not None and r.exact.h_diag == r.h_diag
+        assert r.exact is not None and r.exact.energies is r.energies
 
     def test_exact_weights_evaluated_once_per_spec(self, monkeypatch):
         calls = []
@@ -185,7 +184,7 @@ class TestWeightedRealizations:
         monkeypatch.setattr(fock, "_level_parts", counting)
         spec = OscillatorSpec.gdoa("n^2", weight="n")
         r = gdoa_realization(spec, 0, 8)
-        assert r.exact.h_diag == r.h_diag
+        assert r.exact is not None and r.exact.energies is r.energies
         gdoa_realization(spec, 1, 6)
         assert calls == [(8, EXACT)]
         # a sqrt weight is kept as floats, evaluated once per spec too: the
@@ -195,12 +194,32 @@ class TestWeightedRealizations:
         gdoa_realization(sqrt_spec, 1, 8)
         assert calls[1:] == [(8, FLOAT)]
 
+    @pytest.mark.parametrize("mu, level", [(0, 6), (1, 7)])
+    def test_overflow_message_reads_the_record(self, mu, level, monkeypatch):
+        # f(m)^2 F(m) = m^402 leaves the double range at m = 6; the message
+        # names the first level m = mu (mod 2) past it from the level record
+        # the failed build filled, so f is walked once
+        spec = OscillatorSpec.gdoa("n^2", weight="n^200")
+        walks = []
+        walk = exprlang._walk
+
+        def counting(expr, start, stop, *args):
+            if expr is spec.weight:
+                walks.append((start, stop))
+            return walk(expr, start, stop, *args)
+
+        monkeypatch.setattr(exprlang, "_walk", counting)
+        message = rf"^f\({level}\) or f\({level}\)\^2 F\({level}\) is beyond the double range"
+        with pytest.raises(ValidationError, match=message):
+            gdoa_realization(spec, mu, 16)
+        assert walks == [(1, 17)]
+
     def test_float_levels_beyond_the_double_range(self):
         # F(4) = 2^1200 is past the largest double; the exact backend holds it
         spec = OscillatorSpec.gdoa("n^600")
         with pytest.raises(ValidationError, match=r"F\(4\) is beyond the double range"):
             gdoa_realization(spec, 0, 8)
-        assert gdoa_realization(spec, 0, 8, EXACT).h_diag[3] == 4**600
+        assert entry(gdoa_realization(spec, 0, 8, EXACT).H.matrix, 3, 3) == ExactScalar(4**600)
 
     @pytest.mark.parametrize("family", ["cv", "gdoa"])
     def test_exact_variant_shares_the_spec(self, family):
@@ -247,7 +266,7 @@ class TestExactVariantFromTheRecord:
             assert list(got.matrix.entries()) == list(expected.matrix.entries())
             assert all(type(v) is ExactScalar for _, _, v in got.matrix.entries())
             assert got.matrix == expected.matrix
-        assert variant.h_diag == fresh.h_diag and variant.z_diag == fresh.z_diag
+        assert variant.energies == fresh.energies
 
     @pytest.mark.parametrize("dim", [8, 24, 64])
     @pytest.mark.parametrize("mu", [0, 1])
@@ -257,8 +276,9 @@ class TestExactVariantFromTheRecord:
         # both builds write their charges through one writer; its edges must
         # be f(m) sqrt(F(m)) as the public constructor writes it
         values = fock.structure_values(fresh.spec, dim)
-        weights = fock.weight_values(fresh.spec, dim)
-        edges = {(m, m - 1): ExactScalar(weights[m], 0, values[m]) for m in range(2 - mu, dim, 2)}
+        weights = eval_levels(fresh.spec.weight, 1, dim, fresh.spec.params)  # f(1..dim-1)
+        edges = {(m, m - 1): ExactScalar(weights[m - 1], 0, values[m])
+                 for m in range(2 - mu, dim, 2)}
         raising = fresh.Q if family == "cv" else fresh.Qdag
         assert raising.matrix == BandMatrix(dim, EXACT, edges)
         try:
@@ -346,8 +366,10 @@ class TestSpectra:
         for mu in (0, 1):
             table = spectrum_H(spec, mu, 9)
             r = gdoa_realization(spec, mu, 10)
-            assert tuple(row.energy for row in table.rows) == r.h_diag
-            assert tuple(row.central for row in table.rows) == r.z_diag
+            energies, charges = ([getattr(row, column) for row in table.rows]
+                                 for column in ("energy", "central"))
+            assert BandMatrix.diagonal(energies, EXACT) == r.exact.H.matrix
+            assert BandMatrix.diagonal(charges, EXACT) == r.exact.Z.matrix
 
     def test_cv_table_matches_realization(self):
         for kappa in (0, Fraction(5, 2)):
@@ -355,8 +377,10 @@ class TestSpectra:
             for mu in (0, 1):
                 table = spectrum_H(spec, mu, 11)
                 r = cv_realization(kappa, mu, 12)
-                assert tuple(row.energy for row in table.rows) == r.h_diag
-                assert tuple(row.central for row in table.rows) == r.z_diag
+                energies, charges = ([getattr(row, column) for row in table.rows]
+                                     for column in ("energy", "central"))
+                assert BandMatrix.diagonal(energies, EXACT) == r.exact.H.matrix
+                assert BandMatrix.diagonal(charges, EXACT) == r.exact.Z.matrix
 
     def test_sqrt_weight_rejected(self):
         spec = OscillatorSpec.gdoa("n", weight="sqrt(n)")
@@ -389,6 +413,8 @@ _RECORD_SPECS = {
                 lambda n: n + Fraction(1, 2) * (n % 2), lambda n: Fraction(1)),
     "cv(-3/7)": (lambda: OscillatorSpec.calogero_vasiliev("-3/7"),
                  lambda n: n + Fraction(-3, 7) * (n % 2), lambda n: Fraction(1)),
+    "gdoa(n^2, n)": (lambda: OscillatorSpec.gdoa("n^2", weight="n"),
+                     lambda n: Fraction(n**2), lambda n: Fraction(n)),
     "gdoa(n^3+2n, n+1)": (lambda: OscillatorSpec.gdoa("n^3 + 2*n", weight="n + 1"),
                           lambda n: Fraction(n**3 + 2 * n), lambda n: Fraction(n + 1)),
     "gdoa(n^2, 1/(n+1))": (lambda: OscillatorSpec.gdoa("n^2", weight="1/(n+1)"),
@@ -416,7 +442,7 @@ def _diagonal_bits(matrix):
 
 class TestLevelRecord:
     # the integer columns of the level record (F, f and E per doublet level
-    # m), the Fraction views built from them and the H and Z diagonals
+    # m), the spectrum rows built from them and the H and Z diagonals
     # written from them, against a per-level oracle: E_n = f(m)^2 F(m), or
     # the closed form F(m) for 'cv', with m = _level(mu, n), and Z_n =
     # s (-1)^n E_n, s = -(-1)^mu for 'cv' and (-1)^mu for 'gdoa'
@@ -457,12 +483,11 @@ class TestLevelRecord:
         sign = -(-1) ** mu if convention == "cv" else (-1) ** mu
         energies = [energy(realizations._level(mu, n)) for n in range(count)]
         charges = [e if sign * (-1) ** n > 0 else -e for n, e in enumerate(energies)]
-        views = realizations._fractions((values, parts), mu, count, convention)
-        if exact:
+        if exact and convention == ("cv" if spec.is_calogero_vasiliev else "gdoa"):
+            rows = spectrum_H(spec, mu, count - 1).rows  # the Fraction view, in its convention
+            views = [[row.energy for row in rows], [row.central for row in rows]]
             assert views == [energies, charges]
             assert all(type(v) is Fraction for v in views[0] + views[1])
-        else:
-            assert views is None
         for backend in (EXACT, FLOAT) if exact else (FLOAT,):
             try:
                 expected = [BandMatrix.diagonal(v, backend) for v in (energies, charges)]
@@ -474,6 +499,24 @@ class TestLevelRecord:
             got = realizations._diagonals((values, parts), mu, count, convention, backend)
             assert [_diagonal_bits(m) for m in got] == [_diagonal_bits(m) for m in expected]
             assert list(got) == expected
+
+
+class TestBuildIsItsRecord:
+    # the verification suites hold the instance H and Z to the diagonals
+    # _diagonals writes from the build's record, on every column: every build
+    # must write H and Z exactly so
+    @pytest.mark.parametrize("dim", [8, 64, 1024])
+    @pytest.mark.parametrize("mu", [0, 1])
+    @pytest.mark.parametrize("name, backend", [
+        (name, backend) for name in ("cv(1/2)", "cv(-3/7)", "gdoa(n^2, n)", "gdoa(n^2, sqrt(n))")
+        for backend in (FLOAT, EXACT) if backend is FLOAT or "sqrt" not in name
+    ])
+    def test_h_and_z_equal_the_record_diagonals(self, name, backend, mu, dim):
+        spec = _RECORD_SPECS[name][0]()
+        build = cv_realization if spec.is_calogero_vasiliev else gdoa_realization
+        r = build(spec, mu, dim, backend)
+        h, z = realizations._diagonals(r.energies, r.mu, r.dim, r.convention, r.backend)
+        assert r.H.matrix == h and r.Z.matrix == z
 
 
 class TestFractionCounts:
@@ -682,8 +725,9 @@ class TestBenchmarkSize:
         values = fock.structure_values(spec, dim)
         assert values == tuple(structure.values())
         assert all(type(value) is Fraction for value in values)
-        weights = fock.weight_values(spec, dim)
-        assert weights == weight and all(type(value) is Fraction for value in weights.values())
+        weights = eval_levels(spec.weight, 1, dim + 1, spec.params)
+        assert weights == list(weight.values()) and all(type(value) is Fraction
+                                                        for value in weights)
         if spec.is_calogero_vasiliev:
             assert values == tuple(m + spec.kappa * (m % 2) for m in range(dim + 1))
 
