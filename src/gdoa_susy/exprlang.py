@@ -571,18 +571,26 @@ class StructureReport:
     values: tuple[Fraction, ...]
 
 
+def _structure_violations(numerators: list[int], denominators: list[int]) -> list:
+    """The violations of F(0) = 0 and F(n) > 0 on F(0..dim), dim >= 1, from
+    int parts over positive denominators: a level's sign is its numerator's."""
+    if len(numerators) < 2:
+        raise ExprError("dim must be >= 1")
+    p0, q0 = numerators[0], denominators[0]
+    violations = [StructureViolation(0, Fraction(p0, q0), "F(0) = 0")] if p0 else []
+    if min(numerators[1:]) <= 0:  # a valid F is cleared by one pass in C
+        violations += (
+            StructureViolation(n, Fraction(p, denominators[n]), "F(n) > 0")
+            for n, p in enumerate(numerators) if n and p <= 0
+        )
+    return violations
+
+
 def validate_structure_function(
     expr: Expr, env: Mapping[str, Fraction] | None, dim: int
 ) -> StructureReport:
-    """Check F(0) = 0 and F(n) > 0 for 1 <= n <= dim, in exact arithmetic
-    (a level's sign is its numerator's: a Fraction's denominator is positive)."""
-    if dim < 1:
-        raise ExprError("dim must be >= 1")
-    values = eval_levels(expr, 0, dim + 1, env, Backend.EXACT)
-    violations = [StructureViolation(0, values[0], "F(0) = 0")] if values[0].numerator else []
-    violations += (
-        StructureViolation(level, value, "F(n) > 0")
-        for level, value in enumerate(values[1:], 1)
-        if value.numerator <= 0
-    )
-    return StructureReport(not violations, tuple(violations), tuple(values))
+    """Check F(0) = 0 and F(n) > 0 for 1 <= n <= dim, in exact arithmetic."""
+    numerators, denominators = _level_parts(expr, 0, dim + 1, env)
+    violations = _structure_violations(numerators, denominators)
+    values = tuple(map(Fraction, numerators, denominators))
+    return StructureReport(not violations, tuple(violations), values)

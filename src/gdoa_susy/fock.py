@@ -34,10 +34,10 @@ from typing import Mapping
 from .exprlang import (
     Expr,
     _level_parts,
+    _structure_violations,
     has_sqrt,
     parse_expr,
     printable,
-    validate_structure_function,
 )
 from .numerics import Backend, BandMatrix, _rooted, coerce_scalar, fits_double
 
@@ -136,11 +136,10 @@ def _structure_record(spec: OscillatorSpec, dim: int) -> tuple[list[int], list[i
     if has_sqrt(spec.structure):
         raise ValidationError("structure function must be exactly evaluable (no sqrt)")
     numerators, denominators = _level_parts(spec.structure, 0, dim + 1, spec.params)
-    if dim < 1 or numerators[0] or min(numerators[1:]) <= 0:
-        report = validate_structure_function(spec.structure, spec.params, dim)  # names them
+    violations = _structure_violations(numerators, denominators)
+    if violations:
         details = "; ".join(
-            f"F({v.n}) = {printable(v.value)} violates {v.constraint}"
-            for v in report.violations[:4]
+            f"F({v.n}) = {printable(v.value)} violates {v.constraint}" for v in violations[:4]
         )
         raise ValidationError(f"invalid structure function: {details}")
     object.__setattr__(spec, "_levels", (numerators, denominators))

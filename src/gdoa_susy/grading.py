@@ -89,21 +89,9 @@ class GradedOperator:
 
 def graded_bracket(x: GradedOperator, y: GradedOperator) -> GradedOperator:
     """[[X, Y]] = XY - (-1)^(x.y) YX, of degree x + y."""
-    x.require_degree(), y.require_degree()  # a missing degree raises before any product
-    return _graded(x, y, x.matrix @ y.matrix, y.matrix @ x.matrix)
-
-
-def _graded(x: GradedOperator, y: GradedOperator, xy: BandMatrix, yx: BandMatrix) -> GradedOperator:
-    """[[X, Y]] from its two products XY and YX."""
-    dx, dy = x.require_degree(), y.require_degree()
-    return GradedOperator(
-        _bracket(xy, yx, graded_sign(dx, dy)), degree_add(dx, dy), f"[[{x.label},{y.label}]]"
-    )
-
-
-def antisymmetry_residual(sign: int, forward: BandMatrix, backward: BandMatrix) -> float:
-    """Max |entry| of [[X,Y]] + sign [[Y,X]], sign = (-1)^(x.y), in one pass."""
-    return _signed_max_abs([(1, forward), (sign, backward)])
+    dx, dy = x.require_degree(), y.require_degree()  # raises before any product
+    matrix = _bracket(x.matrix @ y.matrix, y.matrix @ x.matrix, graded_sign(dx, dy))
+    return GradedOperator(matrix, degree_add(dx, dy), f"[[{x.label},{y.label}]]")
 
 
 def check_antisymmetry(x: GradedOperator, y: GradedOperator) -> float:
@@ -113,7 +101,7 @@ def check_antisymmetry(x: GradedOperator, y: GradedOperator) -> float:
     cancels bitwise on every column; no guard band applies.
     """
     sign = graded_sign(x.require_degree(), y.require_degree())
-    return antisymmetry_residual(sign, graded_bracket(x, y).matrix, graded_bracket(y, x).matrix)
+    return _signed_max_abs([(1, graded_bracket(x, y).matrix), (sign, graded_bracket(y, x).matrix)])
 
 
 JACOBI_GUARD_BAND = 3  # nested brackets of band-1 generators reach band 3

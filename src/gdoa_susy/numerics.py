@@ -455,12 +455,7 @@ class BandMatrix:
     def max_abs(self, cols: range | None = None) -> float:
         """Largest entry magnitude, optionally restricted to a contiguous
         range of source columns; NaN if any entry there is NaN."""
-        magnitude = _MAGNITUDE[self.backend]
-        mags: list[float] = []
-        for d, values in self._diags.items():
-            lo, hi = _col_span(d, len(values), cols)
-            mags += map(magnitude, values[lo:hi])
-        return _top(mags) if mags else 0.0
+        return _signed_max_abs([(1, self)], cols)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -553,11 +548,12 @@ def _bracket(ab: BandMatrix, ba: BandMatrix, sign: int) -> BandMatrix:
 
 
 def _signed_max_abs(terms: Sequence[tuple[int, BandMatrix]], cols: range | None = None) -> float:
-    """``max_abs(cols)`` of ``(s0 t0 + s1 t1) + s2 t2 ...`` for terms ``(s, t)``,
-    signs ±1, in one pass over the compared columns of each diagonal, with no
-    negated or summed matrix built.  A diagonal starts from the first term
-    that holds it, unsigned, and adds or subtracts the others left to right by
-    their sign relative to it.  IEEE rounding is symmetric in sign, so only
+    """The largest entry magnitude of ``(s0 t0 + s1 t1) + s2 t2 ...`` for terms
+    ``(s, t)``, signs ±1, on the source columns ``cols`` (all if None), NaN if
+    any entry there is NaN, in one pass over each diagonal, with no negated or
+    summed matrix built.  A diagonal starts from the first term that holds
+    it, unsigned, and adds or subtracts the others left to right by their
+    sign relative to it.  IEEE rounding is symmetric in sign, so only
     the sign of a zero may differ from the signed sum, and no magnitude reads it.
     """
     first = terms[0][1]

@@ -29,11 +29,12 @@ comparison, which holds with or without the exact re-check.
 :func:`run_all_suites` returns one report, timed over the whole call, whose
 names carry the prefixes ``standard/``, ``qform/``, ``hermitian/`` and
 ``jacobi/``.  It evaluates each distinct table row once, and computes each
-product of two generator matrices once: the operator set is the ledger of
-its products, keyed by slot pair and alive for one call, and builds each
-nonzero structure constant once.  The Jacobi suite computes each generator's
-scale once too, and builds 40 of its 64 nested brackets, reading 24 from them
-by sign.
+product of two generator matrices and each bracket once: the tables and the
+Jacobi suite's inner brackets share one operator set, the ledger of its
+products and brackets, keyed by slots (a bracket by its sign too) and alive
+for one call, which builds each nonzero structure constant once too.  The
+Jacobi suite computes each generator's scale once, and builds 40 of its 64
+nested brackets, reading 24 from them by sign.
 
 The Jacobi suite contains three layers: graded antisymmetry of all 16 ordered
 generator pairs (an identity, required to cancel bitwise), the 64 graded
@@ -57,8 +58,8 @@ from typing import Callable, NamedTuple, Sequence
 
 from .grading import (
     JACOBI_GUARD_BAND,
-    _graded,
-    antisymmetry_residual,
+    GradedOperator,
+    degree_add,
     graded_bracket,
     graded_sign,
     guard_columns,
@@ -201,11 +202,12 @@ class _Operators(SimpleNamespace):
     """The generator matrices of ``sets`` in their slots, plus a zero of their
     backend.
 
-    The set is also the ledger of its products: :meth:`product` multiplies two
-    slots once and keeps the result in ``ledger``, keyed by the slot pair and
-    never by content, since a faulty set may hold one matrix in two slots.
-    Each nonzero structure constant is built once too, kept in ``constants``
-    by its slot and factor.
+    The set is also the ledger of its products and brackets, keyed by slot and
+    never by content, since a faulty set may hold one matrix in two slots:
+    :meth:`product` keeps each product of two slots in ``ledger``, and
+    :meth:`bracket` each bracket of two slots in ``brackets``, keyed by its
+    sign too.  Each nonzero structure constant is built once too, kept in
+    ``constants`` by its slot and factor.
     """
 
     def __init__(self, *sets: RealizationSet | HermitianSet):
@@ -214,6 +216,7 @@ class _Operators(SimpleNamespace):
         })
         self.zero = BandMatrix.zeros(sets[0].dim, sets[0].backend)
         self.ledger: dict[tuple[str, str], BandMatrix] = {}
+        self.brackets: dict[tuple[str, str, int], BandMatrix] = {}
         self.constants: dict[tuple[str, complex], BandMatrix] = {}
 
     def product(self, a: str, b: str) -> BandMatrix:
@@ -223,11 +226,12 @@ class _Operators(SimpleNamespace):
             ab = self.ledger[a, b] = getattr(self, a) @ getattr(self, b)
         return ab
 
-    def commutator(self, a: str, b: str) -> BandMatrix:
-        return _bracket(self.product(a, b), self.product(b, a), 1)
-
-    def anticommutator(self, a: str, b: str) -> BandMatrix:
-        return _bracket(self.product(a, b), self.product(b, a), -1)
+    def bracket(self, a: str, b: str, sign: int) -> BandMatrix:
+        """``ab - sign ba``: [a, b] for sign 1, {a, b} for -1, built on first use."""
+        key = (a, b, sign)
+        if key not in self.brackets:
+            self.brackets[key] = _bracket(self.product(a, b), self.product(b, a), sign)
+        return self.brackets[key]
 
     def constant(self, a: str, b: str) -> BandMatrix:
         """The value of [[a, b]] by the structure constants: 2H, +-2iZ or 0."""
@@ -241,16 +245,16 @@ class _Operators(SimpleNamespace):
         return value
 
 
-# Rows read their products from an operator set.  Rows shared by two suites
-# are one object.
+# Rows read their products and brackets from an operator set.  Rows shared by
+# two suites are one object.
 _ANTICOMMUTATOR_GIVES_H = Relation("anticommutator-gives-h", "{Q+,Q} = H", 1, _DIAGONAL,
-                                   lambda o: (o.anticommutator("qd", "q"), o.h), ("h",))
+                                   lambda o: (o.bracket("qd", "q", -1), o.h), ("h",))
 _H_COMMUTES_QDAG = Relation("h-commutes-qdag", "[H,Q+] = 0", 1, _FLOAT,
-                            lambda o: (o.commutator("h", "qd"), o.zero))
+                            lambda o: (o.bracket("h", "qd", 1), o.zero))
 _H_COMMUTES_Q = Relation("h-commutes-q", "[H,Q] = 0", 1, _FLOAT,
-                         lambda o: (o.commutator("h", "q"), o.zero))
+                         lambda o: (o.bracket("h", "q", 1), o.zero))
 _H_COMMUTES_Z = Relation("h-commutes-z", "[H,Z] = 0", 0, _DIAGONAL,
-                         lambda o: (o.commutator("h", "z"), o.zero), ("h", "z"))
+                         lambda o: (o.bracket("h", "z", 1), o.zero), ("h", "z"))
 
 STANDARD_RELATIONS = (
     Relation("qdag-squared-zero", "(Q+)^2 = 0", 0, _STRUCTURAL,
@@ -267,38 +271,38 @@ QFORM_RELATIONS = (
     Relation("squares-cancel", "(Q+)^2 + Q^2 = 0", 0, _STRUCTURAL,
              lambda o: (o.product("qd", "qd") + o.product("q", "q"), o.zero)),
     Relation("commutator-gives-z", "[Q+,Q] = Z", 1, _DIAGONAL,
-             lambda o: (o.commutator("qd", "q"), o.z), ("z",)),
+             lambda o: (o.bracket("qd", "q", 1), o.z), ("z",)),
     _H_COMMUTES_QDAG,
     _H_COMMUTES_Q,
     _H_COMMUTES_Z,
     Relation("z-anticommutes-qdag", "{Z,Q+} = 0", 1, _FLOAT,
-             lambda o: (o.anticommutator("z", "qd"), o.zero)),
+             lambda o: (o.bracket("z", "qd", -1), o.zero)),
     Relation("z-anticommutes-q", "{Z,Q} = 0", 1, _FLOAT,
-             lambda o: (o.anticommutator("z", "q"), o.zero)),
+             lambda o: (o.bracket("z", "q", -1), o.zero)),
 )
 
-# Fixed (anti)commutators, not graded brackets: a bracket follows the degree an
-# operator declares, so a mis-degreed Z would pass {Z,Q10} = 0 through it.
+# Each bracket's sign is fixed by its formula, never read from the degrees: a
+# mis-degreed Z would pass {Z,Q10} = 0 through a bracket that followed its degree.
 HERMITIAN_RELATIONS = (
     Relation("hermitian-q10", "Q10+ = Q10", 0, _FLOAT, lambda o: (o.q10.adjoint(), o.q10)),
     Relation("hermitian-q01", "Q01+ = Q01", 0, _FLOAT, lambda o: (o.q01.adjoint(), o.q01)),
     Relation("hermitian-h", "H+ = H", 0, _FLOAT, lambda o: (o.h.adjoint(), o.h)),
     Relation("hermitian-z", "Z+ = Z", 0, _FLOAT, lambda o: (o.z.adjoint(), o.z)),
     Relation("q10-squared-gives-2h", "{Q10,Q10} = 2H", 1, _FLOAT,
-             lambda o: (o.anticommutator("q10", "q10"), o.constant("q10", "q10"))),
+             lambda o: (o.bracket("q10", "q10", -1), o.constant("q10", "q10"))),
     Relation("q01-squared-gives-2h", "{Q01,Q01} = 2H", 1, _FLOAT,
-             lambda o: (o.anticommutator("q01", "q01"), o.constant("q01", "q01"))),
+             lambda o: (o.bracket("q01", "q01", -1), o.constant("q01", "q01"))),
     Relation("q10-q01-commutator-gives-2iz", "[Q10,Q01] = 2iZ", 1, _FLOAT,
-             lambda o: (o.commutator("q10", "q01"), o.constant("q10", "q01"))),
+             lambda o: (o.bracket("q10", "q01", 1), o.constant("q10", "q01"))),
     Relation("h-commutes-q10", "[H,Q10] = 0", 1, _FLOAT,
-             lambda o: (o.commutator("h", "q10"), o.zero)),
+             lambda o: (o.bracket("h", "q10", 1), o.zero)),
     Relation("h-commutes-q01", "[H,Q01] = 0", 1, _FLOAT,
-             lambda o: (o.commutator("h", "q01"), o.zero)),
+             lambda o: (o.bracket("h", "q01", 1), o.zero)),
     _H_COMMUTES_Z,
     Relation("z-anticommutes-q10", "{Z,Q10} = 0", 1, _FLOAT,
-             lambda o: (o.anticommutator("z", "q10"), o.zero)),
+             lambda o: (o.bracket("z", "q10", -1), o.zero)),
     Relation("z-anticommutes-q01", "{Z,Q01} = 0", 1, _FLOAT,
-             lambda o: (o.anticommutator("z", "q01"), o.zero)),
+             lambda o: (o.bracket("z", "q01", -1), o.zero)),
 )
 
 
@@ -448,9 +452,9 @@ def _run_jacobi(
     h: HermitianSet, policy: TolerancePolicy, ops: _Operators, prefix: str
 ) -> list[RelationCheck]:
     """The Jacobi checks of ``h``, named with ``prefix``, whose generators
-    ``ops`` holds in :data:`_JACOBI_SLOTS`.  The inner brackets read their
-    products from the ledger of ``ops``, which is emptied before the nested
-    brackets are built: those products are never reused.  ``inner[k, j]`` is
+    ``ops`` holds in :data:`_JACOBI_SLOTS`.  Each inner bracket is
+    ``ops.bracket`` of two slots and their graded sign; ``ops`` drops its
+    products and brackets before the nested ones are built.  ``inner[k, j]`` is
     ``-s inner[j, k]`` with ``s = (-1)^(deg_j . deg_k)``, from the same two
     products (IEEE ``a - b`` is ``-(b - a)``, ``a + b`` is ``b + a``), and as
     rounding is symmetric in sign, ``nested[i, k, j]`` is
@@ -463,14 +467,14 @@ def _run_jacobi(
     slots = range(len(generators))
     cols = guard_columns(h.dim, JACOBI_GUARD_BAND)
     inner = {
-        (j, k): _graded(
-            generators[j], generators[k],
-            ops.product(_JACOBI_SLOTS[j], _JACOBI_SLOTS[k]),
-            ops.product(_JACOBI_SLOTS[k], _JACOBI_SLOTS[j]),
+        (j, k): GradedOperator(
+            ops.bracket(_JACOBI_SLOTS[j], _JACOBI_SLOTS[k], graded_sign(degrees[j], degrees[k])),
+            degree_add(degrees[j], degrees[k]), f"[[{generators[j].label},{generators[k].label}]]",
         )
         for j, k in product(slots, repeat=2)
     }
     ops.ledger.clear()
+    ops.brackets.clear()
     nested = {
         (i, j, k): graded_bracket(generators[i], inner[j, k]).matrix
         for i, j, k in product(slots, repeat=3) if j <= k
@@ -480,7 +484,7 @@ def _run_jacobi(
     for i, j in product(slots, repeat=2):
         x, y = generators[i], generators[j]
         sign = graded_sign(degrees[i], degrees[j])
-        residual = antisymmetry_residual(sign, inner[i, j].matrix, inner[j, i].matrix)
+        residual = _signed_max_abs([(1, inner[i, j].matrix), (sign, inner[j, i].matrix)])
         checks.append(RelationCheck(
             f"{prefix}antisymmetry[{x.label},{y.label}]", "[[X,Y]] + (-1)^(x.y) [[Y,X]] = 0", 0,
             _STRUCTURAL, residual, _top([scales[i], scales[j]]), 0.0,
@@ -522,8 +526,8 @@ def run_all_suites(
     The Hermitian charges are built once, for the tables and the Jacobi
     suite.  Each distinct row is evaluated once; a shared row's verdict serves
     both suites that list it.  The tables and the Jacobi suite's inner
-    brackets share one operator set, so each generator product is computed
-    once per call.
+    brackets share one operator set, so each generator product, and each
+    bracket of two generators with one sign, is computed once per call.
     """
     started = time.perf_counter()
     h = hermitian_charges(r)

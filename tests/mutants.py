@@ -63,6 +63,31 @@ MUTANTS = (
         ("tests/test_verify.py::TestSuitesOverSpecs::test_square_structure_all_pass[0]",),
     ),
     Mutant(
+        "bracket cache keyed by slot pair only, so {Q+,Q} and [Q+,Q] collide", "verify.py",
+        "key = (a, b, sign)", "key = (a, b)",
+        ("tests/test_verify.py::TestSuitesOverSpecs::test_square_structure_all_pass[0]",),
+    ),
+    Mutant(
+        "Jacobi inner brackets built with sign 1 whatever the degrees", "verify.py",
+        "_JACOBI_SLOTS[k], graded_sign(degrees[j], degrees[k]))", "_JACOBI_SLOTS[k], 1)",
+        ("tests/test_verify.py::TestJacobiSuite::test_check_census",),
+    ),
+    Mutant(
+        "antisymmetry layer alone adds [[Y,X]] with the opposite sign", "verify.py",
+        "(sign, inner[j, i].matrix)", "(-sign, inner[j, i].matrix)",
+        ("tests/test_verify.py::TestJacobiSuite::test_antisymmetry_residuals_exactly_zero",),
+    ),
+    Mutant(
+        "ledger keyed by the left slot only", "verify.py",
+        "        ab = self.ledger.get((a, b))\n"
+        "        if ab is None:\n"
+        "            ab = self.ledger[a, b] = ",
+        "        ab = self.ledger.get(a)\n"
+        "        if ab is None:\n"
+        "            ab = self.ledger[a] = ",
+        ("tests/test_verify.py::TestSuitesOverSpecs::test_square_structure_all_pass[0]",),
+    ),
+    Mutant(
         "flipped graded_sign", "grading.py",
         "return -1 if degree_dot(a, b) else 1", "return 1 if degree_dot(a, b) else -1",
         ("tests/test_grading.py::TestDegreeVectors::test_sign_examples",),
@@ -85,6 +110,18 @@ MUTANTS = (
         'zip(values, negated) if convention != "cv" else zip(negated, values)',
         ("tests/test_realizations.py::TestDeformedRealizations::test_central_charge_alternates",),
     ),
+    Mutant(
+        "f(m)'s denominator dropped from the exact edges in _charges", "realizations.py",
+        "_rooted(weights[m], 0, divisors[m], ", "_rooted(weights[m], 0, 1, ",
+        ("tests/test_realizations.py::TestExactVariantFromTheRecord::"
+         "test_equals_a_fresh_exact_build[gdoa-arg5-0-8]",),
+    ),
+    Mutant(
+        "_rooted without the * rd in its denominator", "numerics.py",
+        "d * sd * rd, rn * rd)", "d * sd, rn * rd)",
+        ("tests/test_numerics.py::TestRootedRadicand::"
+         "test_one_sixth_root_of_twelve_is_the_root_of_a_third",),
+    ),
 )
 
 EQUIVALENT = (
@@ -104,6 +141,16 @@ EQUIVALENT = (
         "_square_split tries every integer as a divisor", "numerics.py",
         "        p += 1 if p == 2 else 2\n", "        p += 1\n",
         reason="an even p > 2 never divides n once every factor 2 is divided out",
+    ),
+    Mutant(
+        "max_abs passes its one term with sign -1", "numerics.py",
+        "return _signed_max_abs([(1, self)], cols)", "return _signed_max_abs([(-1, self)], cols)",
+        reason="a diagonal starts from its first term unsigned, and magnitudes do not see a sign",
+    ),
+    Mutant(
+        "bracket cache never cleared", "verify.py",
+        "    ops.brackets.clear()\n", "",
+        reason="no bracket is read after the clear; keeping them only keeps memory alive",
     ),
 )
 

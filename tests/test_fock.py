@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gdoa_susy import fock
+from gdoa_susy import exprlang, fock
 from gdoa_susy.exprlang import ExprError, parse_expr
 from gdoa_susy.fock import (
     OscillatorSpec,
@@ -159,6 +159,27 @@ class TestStructureValues:
         structure_values(linear, 4)
         with pytest.raises(ExprError, match="dim must be >= 1"):
             structure_values(linear, 0)
+
+    def test_violations_are_named_from_the_one_walk(self, monkeypatch):
+        # the levels that break F(n) > 0 are named from the int parts of the
+        # record's own walk of F: F is walked once, not again to name them
+        spec = OscillatorSpec.gdoa("n*(n-3)")
+        walks = []
+        walk = exprlang._walk
+
+        def counting(expr, start, stop, *args):
+            if expr is spec.structure:
+                walks.append((start, stop))
+            return walk(expr, start, stop, *args)
+
+        monkeypatch.setattr(exprlang, "_walk", counting)
+        with pytest.raises(ValidationError) as error:
+            structure_values(spec, 1024)
+        assert str(error.value) == (
+            "invalid structure function: F(1) = -2 violates F(n) > 0; "
+            "F(2) = -2 violates F(n) > 0; F(3) = 0 violates F(n) > 0"
+        )
+        assert walks == [(0, 1025)]
 
     def test_weight_is_never_read_at_the_origin(self):
         # f = 1/n is undefined at 0, where it would only multiply F(0) = 0:

@@ -16,7 +16,6 @@ from gdoa_susy.grading import (
     degree_add,
     degree_dot,
     graded_bracket,
-    antisymmetry_residual,
     graded_sign,
     jacobi_defect,
 )
@@ -25,6 +24,7 @@ from gdoa_susy.numerics import (
     BackendMismatchError,
     BandMatrix,
     DimensionMismatchError,
+    _signed_max_abs,
 )
 from gdoa_susy.realizations import cv_realization
 from oracles import commutator
@@ -231,9 +231,9 @@ class TestJacobiDefect:
                     jacobi_defect(*ops, guard_band=0)
         for sign in (1, -1):
             with pytest.raises(DimensionMismatchError):
-                antisymmetry_residual(sign, ident, smaller)
+                _signed_max_abs([(1, ident), (sign, smaller)])
             with pytest.raises(BackendMismatchError):
-                antisymmetry_residual(sign, exact, ident)
+                _signed_max_abs([(1, exact), (sign, ident)])
 
     def test_sweep_realization_triples(self):
         r = cv_realization(0, 1, 8)

@@ -9,7 +9,7 @@ from itertools import product
 
 import pytest
 
-from gdoa_susy import realizations, verify
+from gdoa_susy import grading, realizations, verify
 from gdoa_susy.fock import OscillatorSpec
 from gdoa_susy.grading import (
     GradedOperator,
@@ -256,8 +256,14 @@ class TestJacobiSuite:
                 assert check.guard_band == 0
 
     def test_antisymmetry_catches_a_wrong_graded_sign(self, monkeypatch):
-        # The brackets keep their true signs; only the antisymmetry layer reads
-        # the flipped one, for the ordered degree pair (1,0).(0,1).
+        # The sign is flipped for the ordered degree pair (1,0).(0,1), and it
+        # signs both the antisymmetry layer and the inner bracket [[Q10,Q01]],
+        # built as {Q10,Q01} = -2i((Q+)^2 - Q^2) = 0.  That zero fails closure
+        # against 2iZ and leaves [[Q01,Q10]] = -2iZ unmatched in both
+        # antisymmetry checks of the pair.  Every nested bracket it enters is 0
+        # with the true inner bracket 2iZ too, so no Jacobi check moves.  A
+        # wrong sign in the antisymmetry layer alone is a mutant in
+        # tests/mutants.py.
         original = verify.graded_sign
 
         def flipped(a, b):
@@ -267,7 +273,9 @@ class TestJacobiSuite:
         monkeypatch.setattr(verify, "graded_sign", flipped)
         report = run_jacobi_suite(hermitian_charges(cv_realization(Fraction(1, 2), 0, 12)))
         assert len(report.checks) == 96
-        assert [c.name for c in report.checks if not c.passed] == ["antisymmetry[Q10,Q01]"]
+        assert [c.name for c in report.checks if not c.passed] == [
+            "antisymmetry[Q10,Q01]", "antisymmetry[Q01,Q10]", "closure[Q10,Q01]"
+        ]
 
 
 # Ordered census of one report: (name, guard band, exactness) of every check.
@@ -437,6 +445,26 @@ class TestSharedRows:
         del calls[:]
         assert run_all_suites(r).checks == first.checks
         assert len(calls) == count
+
+    # cv(1/2), mu 0, dim 64: 14 table brackets, 3 more on the exact variant's
+    # set (float only), 16 inner Jacobi brackets less the 8 the Hermitian
+    # table built with the same slots and sign, and 40 nested ones (73 / 70
+    # with the 8 built twice).  Each bracket is built from its own products.
+    @pytest.mark.parametrize("backend, count", [(Backend.FLOAT, 65), (Backend.EXACT, 62)])
+    def test_reference_cell_bracket_count(self, backend, count, monkeypatch):
+        calls = []
+        original = verify._bracket
+
+        def recording(ab, ba, sign):
+            calls.append((ab, ba, sign))
+            return original(ab, ba, sign)
+
+        monkeypatch.setattr(verify, "_bracket", recording)
+        monkeypatch.setattr(grading, "_bracket", recording)
+        assert run_all_suites(cv_realization(Fraction(1, 2), 0, 64, backend)).passed
+        assert len(calls) == count
+        # the recorded matrices stay alive, so no two of them share an id
+        assert len({(id(ab), id(ba), sign) for ab, ba, sign in calls}) == count
 
     @pytest.mark.parametrize("backend", [Backend.FLOAT, Backend.EXACT])
     @pytest.mark.parametrize("family", ["cv", "gdoa"])
@@ -689,6 +717,124 @@ class TestClosureBySlot:
             _fields(replace(c, name="")) for c in report.checks
         ]
         assert relabelled.passed is report.passed is (fault == "none")
+
+
+_EPS = Fraction(1, 10**4)  # each corruption's size, relative to the entry it corrupts
+
+
+def _scaled(field, keys, imaginary=False):
+    """The Hermitian set with the ``keys`` entries of ``field`` multiplied by
+    1 + _EPS, or by 1 + i _EPS."""
+    def corrupt(h):
+        op = getattr(h, field)
+        re, im = (1, _EPS) if imaginary else (1 + _EPS, 0)
+        factor = ExactScalar(re, im) if h.backend is Backend.EXACT else complex(re, im)
+        entries = {(i, j): v for i, j, v in op.matrix.entries()}
+        entries.update({key: entries[key] * factor for key in keys})
+        return replace(h, **{field: replace(op, matrix=BandMatrix(h.dim, h.backend, entries))})
+    return corrupt
+
+
+def _degree_10(field):
+    return lambda h: replace(h, **{field: replace(getattr(h, field), degree=degree(1, 0))})
+
+
+_H_READS = ("standard/anticommutator-gives-h", "standard/h-commutes-qdag", "standard/h-commutes-q",
+            "qform/anticommutator-gives-h", "qform/h-commutes-qdag", "qform/h-commutes-q",
+            "qform/h-commutes-z", "hermitian/q10-squared-gives-2h",
+            "hermitian/q01-squared-gives-2h", "hermitian/h-commutes-q10",
+            "hermitian/h-commutes-q01", "hermitian/h-commutes-z", "jacobi/closure[H,Q10]",
+            "jacobi/closure[H,Q01]", "jacobi/closure[Q10,H]", "jacobi/closure[Q10,Q10]",
+            "jacobi/closure[Q01,H]", "jacobi/closure[Q01,Q01]")
+_Z_READS = ("qform/commutator-gives-z", "qform/h-commutes-z", "qform/z-anticommutes-qdag",
+            "qform/z-anticommutes-q", "hermitian/q10-q01-commutator-gives-2iz",
+            "hermitian/h-commutes-z", "hermitian/z-anticommutes-q10",
+            "hermitian/z-anticommutes-q01", "jacobi/closure[Q10,Q01]", "jacobi/closure[Q10,Z]",
+            "jacobi/closure[Q01,Q10]", "jacobi/closure[Q01,Z]", "jacobi/closure[Z,Q10]",
+            "jacobi/closure[Z,Q01]")
+_Q10_PAIR = ("hermitian/q10-squared-gives-2h", "hermitian/q10-q01-commutator-gives-2iz",
+             "jacobi/closure[Q10,Q10]", "jacobi/closure[Q10,Q01]", "jacobi/closure[Q01,Q10]")
+_Q01_PAIR = ("hermitian/q01-squared-gives-2h", "hermitian/q10-q01-commutator-gives-2iz",
+             "jacobi/closure[Q10,Q01]", "jacobi/closure[Q01,Q10]", "jacobi/closure[Q01,Q01]")
+
+# Corruptions of the Hermitian set at mu 0, dim 16, each with the exact set of
+# checks of run_all_suites that it fails, on both families and backends.
+# Levels 3 and 4 form one doublet, which Q10 and Q01 join at (4, 3) and (3, 4).
+# A one-sided entry, or an imaginary part on H(3,3) or Z(3,3), breaks
+# hermiticity; a scaled pair breaks {Q,Q} = 2H; a scaled H(3,3) splits the
+# doublet (and leaves the level record); a scaled Z(3,3) breaks the
+# Z(3,3) = -Z(4,4) that {Z,Q10} = 0 needs.
+_CORRUPTIONS = {
+    "q10-entry": (_scaled("Q10", [(4, 3)]), ("hermitian/hermitian-q10",) + _Q10_PAIR),
+    "q01-entry": (_scaled("Q01", [(4, 3)]), ("hermitian/hermitian-q01",) + _Q01_PAIR),
+    "q10-pair": (_scaled("Q10", [(4, 3), (3, 4)]), _Q10_PAIR),
+    "q01-pair": (_scaled("Q01", [(4, 3), (3, 4)]), _Q01_PAIR),
+    "h-imaginary": (_scaled("H", [(3, 3)], True), _H_READS + ("hermitian/hermitian-h",)),
+    "z-imaginary": (_scaled("Z", [(3, 3)], True), _Z_READS + ("hermitian/hermitian-z",)),
+    "h-scaled": (_scaled("H", [(3, 3)]), _H_READS),
+    "z-scaled": (_scaled("Z", [(3, 3)]), _Z_READS),
+    # [[H,H]], [[Z,Z]] and [[H,Z]] of diagonal matrices vanish for any entries:
+    # only a degree that makes them anticommutators fails their closure
+    "h-degree-10": (_degree_10("H"), ("jacobi/closure[H,H]", "jacobi/closure[H,Q10]",
+                                      "jacobi/closure[H,Z]", "jacobi/closure[Q10,H]",
+                                      "jacobi/closure[Z,H]")),
+    "z-degree-10": (_degree_10("Z"), ("jacobi/closure[Q01,Z]", "jacobi/closure[Z,Q01]",
+                                      "jacobi/closure[Z,Z]")),
+}
+
+# Every check that reads a bracket shared by the Hermitian table and the
+# Jacobi suite, with a corruption that fails it.
+_SHARED_BRACKET_CENSUS = {
+    "hermitian/hermitian-q10": "q10-entry",
+    "hermitian/hermitian-q01": "q01-entry",
+    "hermitian/hermitian-h": "h-imaginary",
+    "hermitian/hermitian-z": "z-imaginary",
+    "hermitian/q10-squared-gives-2h": "q10-pair",
+    "hermitian/q01-squared-gives-2h": "q01-pair",
+    "hermitian/q10-q01-commutator-gives-2iz": "q10-pair",
+    "hermitian/h-commutes-q10": "h-scaled",
+    "hermitian/h-commutes-q01": "h-scaled",
+    "hermitian/h-commutes-z": "h-scaled",
+    "hermitian/z-anticommutes-q10": "z-scaled",
+    "hermitian/z-anticommutes-q01": "z-scaled",
+    "jacobi/closure[H,H]": "h-degree-10",
+    "jacobi/closure[H,Q10]": "h-scaled",
+    "jacobi/closure[H,Q01]": "h-scaled",
+    "jacobi/closure[H,Z]": "h-degree-10",
+    "jacobi/closure[Q10,H]": "h-scaled",
+    "jacobi/closure[Q10,Q10]": "q10-pair",
+    "jacobi/closure[Q10,Q01]": "q10-pair",
+    "jacobi/closure[Q10,Z]": "z-scaled",
+    "jacobi/closure[Q01,H]": "h-scaled",
+    "jacobi/closure[Q01,Q10]": "q01-pair",
+    "jacobi/closure[Q01,Q01]": "q01-pair",
+    "jacobi/closure[Q01,Z]": "z-scaled",
+    "jacobi/closure[Z,H]": "h-degree-10",
+    "jacobi/closure[Z,Q10]": "z-scaled",
+    "jacobi/closure[Z,Q01]": "z-scaled",
+    "jacobi/closure[Z,Z]": "z-degree-10",
+}
+
+
+class TestSharedBracketCensus:
+    # No check that reads a shared bracket passes whatever its inputs: each
+    # fails under a corruption of the Hermitian set run_all_suites builds.
+    def test_census_covers_every_shared_bracket_check(self):
+        names = [name for name, _, _ in SUITE_CENSUS
+                 if name.startswith(("hermitian/", "jacobi/closure["))]
+        assert list(_SHARED_BRACKET_CENSUS) == names and len(names) == 12 + 16
+
+    @pytest.mark.parametrize("backend", [Backend.FLOAT, Backend.EXACT])
+    @pytest.mark.parametrize("family", ["cv", "gdoa"])
+    @pytest.mark.parametrize("name", list(_SHARED_BRACKET_CENSUS))
+    def test_corruption_fails_the_check(self, name, family, backend, monkeypatch):
+        corrupt, failing = _CORRUPTIONS[_SHARED_BRACKET_CENSUS[name]]
+        monkeypatch.setattr(verify, "hermitian_charges", lambda r: corrupt(hermitian_charges(r)))
+        report = run_all_suites(_family(family, 0, 16, backend))
+        assert name in failing
+        assert [c.name for c in report.checks if not c.passed] == [
+            c for c, _, _ in SUITE_CENSUS if c in failing
+        ]
 
 
 _ANTI_H = {"standard/anticommutator-gives-h", "qform/anticommutator-gives-h"}
