@@ -10,18 +10,18 @@ levels.  Two sign conventions are produced by the two construction families:
 * ``gdoa``: the weighted family Q+ = f(N) a+ P_(1-mu), Q = f(N+1) a P_mu and
   Z = (-1)^mu T H.
 
-Both are written entry by entry, f(m) sqrt(F(m)) per edge, by one writer: no
-realization builds a ladder.  Every build, spectrum and reduction reads one
-level record of ints: F and f from the spec (see
-:class:`~gdoa_susy.fock.OscillatorSpec`), evaluated once per spec, and E_m per
-doublet level m from :func:`_energies`, with Z as E under the convention's
-signs.  Scalars are written from integer parts; Fractions are built only for
-spectrum rows, one per doublet.  The exact variant of a float build writes
-only the exact charges, from the same record, and takes H and Z from the
-energies the float build recorded, never from its float matrices, so the
-exact re-check rests on the defining data alone.  The verification suites
-rebuild H and Z from the same record and require the instance matrices to
-equal them on every column.
+Both are written entry by entry, f(m) sqrt(F(m)) per edge, by one writer of
+every realization set, :func:`_realization`: builds, exact variants and the
+record the suites compare with.  No realization builds a ladder.  Every build,
+spectrum and reduction reads one level record of ints: F and f from the spec
+(see :class:`~gdoa_susy.fock.OscillatorSpec`), evaluated once per spec, and
+E_m per doublet level m from :func:`_energies`, with Z as E under the
+convention's signs.  Scalars are written from integer parts; Fractions are
+built only for spectrum rows, one per doublet.  The exact variant of a float
+build is written from the same record, H and Z from the energies the float
+build recorded, never from its float matrices, so the exact re-check rests on
+the defining data alone.  The verification suites hold the instance Q+, Q, H
+and Z to the set the record gives, on every entry.
 
 At f = 1 and the reflection-deformed structure function the two families
 coincide under the swap Q <-> Q+, Z <-> -Z with identical H;
@@ -58,7 +58,7 @@ from .fock import (
     build_fock_rep,
 )
 from .grading import GradedOperator, degree
-from .numerics import Backend, BandMatrix, _rooted, approx_equal_matrix
+from .numerics import Backend, BandMatrix, _rooted, approx_equal_matrix, fits_double
 
 DEGREE_H = degree(0, 0)
 DEGREE_Q10 = degree(1, 0)
@@ -162,9 +162,13 @@ def _charges(spec: OscillatorSpec, mu: int, dim: int, backend: Backend) -> tuple
 
 
 def _realization(spec: OscillatorSpec, mu: int, dim: int, backend: Backend, convention: str,
-                 raising: BandMatrix, lowering: BandMatrix, energies: tuple) -> RealizationSet:
-    """One build's record: Q+ and Q in the convention's order (cv lowers with
-    Q+), and H and Z diagonal in the energies and the convention's signs."""
+                 energies: tuple | None = None) -> RealizationSet:
+    """Every realization set, from its record: Q+ and Q by :func:`_charges` in
+    the convention's order (cv lowers with Q+), then H and Z diagonal in the
+    energies under its signs: those recorded, or for a build, computed here."""
+    raising, lowering = _charges(spec, mu, dim, backend)
+    if energies is None:
+        energies = _energies(spec, mu, dim, convention)
     qdag, q = (lowering, raising) if convention == "cv" else (raising, lowering)
     h, z = _diagonals(energies, mu, dim, convention, backend)
     return RealizationSet(
@@ -187,8 +191,7 @@ def cv_realization(
     if not spec.is_calogero_vasiliev:
         raise ValidationError(f"cv_realization needs a calogero_vasiliev spec, "
                               f"not {spec.describe()}")
-    return _realization(spec, mu, dim, backend, "cv", *_charges(spec, mu, dim, backend),
-                        _energies(spec, mu, dim, "cv"))
+    return _realization(spec, mu, dim, backend, "cv")
 
 
 def gdoa_realization(
@@ -196,20 +199,16 @@ def gdoa_realization(
 ) -> RealizationSet:
     """Weighted-charge realization for an arbitrary structure function."""
     try:
-        return _realization(spec, mu, dim, backend, "gdoa", *_charges(spec, mu, dim, backend),
-                            _energies(spec, mu, dim, "gdoa"))
+        return _realization(spec, mu, dim, backend, "gdoa")
     except OverflowError:
-        # redo the conversions of this build's levels m = mu (mod 2) to name
-        # one, from the level record the failed build filled: f(m) is a
-        # Fraction, or the double of a weight with sqrt
+        # name the first level m = mu (mod 2) beyond the double range, from the
+        # record the failed build filled (f(m) is a double for a weight with sqrt)
         weights, divisors = _weight_record(spec, dim)
         numerators, denominators = _structure_record(spec, dim)
-        for m in range(2 - mu, dim + 1, 2):
-            f = weights[m] / Fraction(divisors[m])
-            try:
-                float(f), float(f ** 2 * Fraction(numerators[m], denominators[m]))
-            except OverflowError:
-                break
+        levels = ((m, weights[m] / Fraction(divisors[m]), Fraction(numerators[m], denominators[m]))
+                  for m in range(2 - mu, dim + 1, 2))
+        m = next(m for m, f, F in levels
+                 if not (fits_double(F) and fits_double(f) and fits_double(f * f * F)))
         raise ValidationError(
             f"f({m}) or f({m})^2 F({m}) is beyond the double range of the float backend"
         ) from None
@@ -225,8 +224,7 @@ def exact_variant(r: RealizationSet) -> RealizationSet | None:
         return r
     if not r.spec.weight_is_exact:
         return None
-    return _realization(r.spec, r.mu, r.dim, Backend.EXACT, r.convention,
-                        *_charges(r.spec, r.mu, r.dim, Backend.EXACT), r.energies)
+    return _realization(r.spec, r.mu, r.dim, Backend.EXACT, r.convention, r.energies)
 
 
 @dataclass(frozen=True)

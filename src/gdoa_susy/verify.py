@@ -21,11 +21,11 @@ row.name`` when it is built.  One runner reads ``(prefix, rows)`` suites from
 one operator set: the realization's generators plus its Hermitian charges.  A
 diagonal-exact row re-checks the same formula on the set of ``r.exact`` (on
 the exact backend, the instance set), so both suites that list [H,Z] = 0
-re-check it on the same exact H and Z.  The rows that read H or Z ({Q+,Q} =
-H, [Q+,Q] = Z and [H,Z] = 0) also require the instance H and Z they read to
-equal, on every column, the diagonals that the build's level record gives: a
-guard band leaves the top level out of every relation, but never out of this
-comparison, which holds with or without the exact re-check.
+re-check it on the same exact H and Z.  The diagonal-exact rows also hold each
+of Q+, Q, H and Z they read, on every entry, to the set the one writer of
+sets, ``realizations._realization``, gives from the build's record, past any
+guard band or tolerance.  The Hermitian rows read Q10 and Q01, derived from
+the charges: no record, and one tolerance scale per matrix.
 :func:`run_all_suites` returns one report, timed over the whole call, whose
 names carry the prefixes ``standard/``, ``qform/``, ``hermitian/`` and
 ``jacobi/``.  It evaluates each distinct table row once, and computes each
@@ -74,7 +74,7 @@ from .numerics import (
     _top,
     approx_equal_matrix,
 )
-from .realizations import HermitianSet, RealizationSet, _diagonals, hermitian_charges
+from .realizations import HermitianSet, RealizationSet, _realization, hermitian_charges
 
 
 class Exactness(Enum):
@@ -150,8 +150,8 @@ _FLOAT = Exactness.FLOAT_TOLERANCE
 
 class Relation(NamedTuple):
     """One row of a relation table; ``pair`` maps an operator set to the two
-    matrices the relation equates, and ``record`` names the slots among h and
-    z whose instance matrix must also equal the build's record."""
+    matrices the relation equates, and ``record`` names the slots among qd,
+    q, h and z whose instance matrix must also equal the build's record."""
 
     name: str
     formula: str
@@ -170,10 +170,10 @@ def _check(
     A structural-exact relation must cancel identically.  A diagonal-exact
     relation with an exact pair must cancel identically there AND the instance
     matrices must still satisfy it within policy; the instance comparison is
-    what catches a perturbed operator, since the exact pair is derived from
-    the defining data rather than the instance entries: exact charges written
-    from the spec's level record, and H and Z from the closed-form energies
-    the build recorded as ints, never from its float matrices.
+    what catches a perturbed operator, since the exact pair is written from
+    the defining data by the one writer of every set (exact charges from the
+    level record, H and Z from the energies recorded as ints), never from the
+    instance entries, which :func:`_off_record` holds to that set too.
     Without an exact pair it is a float-tolerance check.
     """
     cols = guard_columns(pair[0].dim, guard_band)
@@ -248,7 +248,7 @@ class _Operators(SimpleNamespace):
 # Rows read their products and brackets from an operator set.  Rows shared by
 # two suites are one object.
 _ANTICOMMUTATOR_GIVES_H = Relation("anticommutator-gives-h", "{Q+,Q} = H", 1, _DIAGONAL,
-                                   lambda o: (o.bracket("qd", "q", -1), o.h), ("h",))
+                                   lambda o: (o.bracket("qd", "q", -1), o.h), ("qd", "q", "h"))
 _H_COMMUTES_QDAG = Relation("h-commutes-qdag", "[H,Q+] = 0", 1, _FLOAT,
                             lambda o: (o.bracket("h", "qd", 1), o.zero))
 _H_COMMUTES_Q = Relation("h-commutes-q", "[H,Q] = 0", 1, _FLOAT,
@@ -271,7 +271,7 @@ QFORM_RELATIONS = (
     Relation("squares-cancel", "(Q+)^2 + Q^2 = 0", 0, _STRUCTURAL,
              lambda o: (o.product("qd", "qd") + o.product("q", "q"), o.zero)),
     Relation("commutator-gives-z", "[Q+,Q] = Z", 1, _DIAGONAL,
-             lambda o: (o.bracket("qd", "q", 1), o.z), ("z",)),
+             lambda o: (o.bracket("qd", "q", 1), o.z), ("qd", "q", "z")),
     _H_COMMUTES_QDAG,
     _H_COMMUTES_Q,
     _H_COMMUTES_Z,
@@ -315,12 +315,13 @@ _TABLE_SUITES = (
 
 
 def _off_record(r: RealizationSet, ops: _Operators) -> dict[str, float]:
-    """The residual, on every column, of each of H and Z in ``ops`` that
-    differs from the diagonal the level record of ``r`` gives it.  A build
-    writes H and Z from that record, so an honest set has none."""
-    record = _diagonals(r.energies, r.mu, r.dim, r.convention, r.backend)
-    return {slot: approx_equal_matrix(getattr(ops, slot), matrix, EXACT_POLICY).residual
-            for slot, matrix in zip(("h", "z"), record) if getattr(ops, slot) != matrix}
+    """The residual, on every entry, of each of Q+, Q, H and Z in ``ops`` that
+    differs from the set :func:`_realization` writes from the record of ``r``.
+    Every build is that writer's output, so an honest set has none."""
+    record = _Operators(_realization(r.spec, r.mu, r.dim, r.backend, r.convention, r.energies))
+    pairs = {slot: (getattr(ops, slot), getattr(record, slot)) for slot in ("qd", "q", "h", "z")}
+    return {slot: approx_equal_matrix(*pair, EXACT_POLICY).residual
+            for slot, pair in pairs.items() if pair[0] != pair[1]}
 
 
 def _evaluate(
@@ -370,8 +371,8 @@ def _run_tables(
     Diagonal-exact rows are re-checked on the set of ``r.exact`` (built on
     first use), which on the exact backend is ``ops`` itself; that set and its
     products are dropped on return.  A row listed by several suites is
-    evaluated once.  Rows that read H or Z compare them with the record of
-    ``r`` too (see :func:`_off_record`)."""
+    evaluated once.  Diagonal-exact rows compare what they read with the
+    record of ``r`` too (see :func:`_off_record`)."""
     ex = r.exact if use_exact else None
     exact_ops = None if ex is None else ops if ex is r else _Operators(ex)
     off_record = _off_record(r, ops)
@@ -438,7 +439,7 @@ def run_jacobi_suite(
     those by sign; every check reads from them.
 
     A bare :class:`HermitianSet` carries no level record, so unlike
-    :func:`run_all_suites` this suite never compares H and Z with one: a
+    :func:`run_all_suites` this suite never compares a generator with one: a
     wrong H or Z on the columns its guard bands leave out goes unseen here.
     """
     started = time.perf_counter()

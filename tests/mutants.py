@@ -42,13 +42,50 @@ class Mutant(NamedTuple):
 
 
 _TOP_LEVEL = "tests/test_verify.py::TestTopLevelRecord::test_top_level_bump_fails_the_rows_reading_it"
+_ONE_CHARGE = ("tests/test_verify.py::TestChargeRecord::"
+               "test_one_bumped_charge_fails_the_rows_reading_it")
+_BUILD_ERROR = "tests/test_realizations.py::TestBuildErrors::test_first_error_and_its_message"
+_NO_FRACTION = ("tests/test_realizations.py::TestFractionComparisons::"
+                "test_pairing_and_verdict_compare_no_fraction")
 
 MUTANTS = (
     Mutant(
         "record comparison skipped for Z", "verify.py",
-        'zip(("h", "z"), record)', 'zip(("h",), record)',
+        'for slot in ("qd", "q", "h", "z")', 'for slot in ("qd", "q", "h")',
         (f"{_TOP_LEVEL}[cv-Backend.FLOAT-16-Z-True]",
          f"{_TOP_LEVEL}[sqrt-Backend.FLOAT-1024-Z-False]"),
+    ),
+    Mutant(
+        "record comparison skipped for Q+", "verify.py",
+        'for slot in ("qd", "q", "h", "z")', 'for slot in ("q", "h", "z")',
+        (f"{_ONE_CHARGE}[cv-Backend.FLOAT-Qdag]", f"{_ONE_CHARGE}[sqrt-Backend.FLOAT-Qdag]"),
+    ),
+    Mutant(
+        "record comparison skipped for Q", "verify.py",
+        'for slot in ("qd", "q", "h", "z")', 'for slot in ("qd", "h", "z")',
+        (f"{_ONE_CHARGE}[cv-Backend.FLOAT-Q]", f"{_ONE_CHARGE}[sqrt-Backend.FLOAT-Q]"),
+    ),
+    Mutant(
+        "energies computed before the charges in a build", "realizations.py",
+        "    raising, lowering = _charges(spec, mu, dim, backend)\n"
+        "    if energies is None:\n"
+        "        energies = _energies(spec, mu, dim, convention)\n",
+        "    if energies is None:\n"
+        "        energies = _energies(spec, mu, dim, convention)\n"
+        "    raising, lowering = _charges(spec, mu, dim, backend)\n",
+        (f"{_BUILD_ERROR}[cv-dim-0]", f"{_BUILD_ERROR}[exact-large-sqrt-weight]"),
+    ),
+    Mutant(
+        "sign flip of the [Q01,Q10] structure constant", "verify.py",
+        '("q01", "q10"): ("z", -2j)}', '("q01", "q10"): ("z", 2j)}',
+        ("tests/test_verify.py::TestSuitesOverSpecs::test_square_structure_all_pass[0]",),
+    ),
+    Mutant(
+        "closure keyed by label again", "verify.py",
+        "ops.constant(_JACOBI_SLOTS[i], _JACOBI_SLOTS[j])",
+        "ops.constant(x.label.lower(), y.label.lower())",
+        ("tests/test_verify.py::TestClosureBySlot::"
+         "test_zero_q10_labelled_h_fails_its_closures[cv-0-16-Backend.FLOAT]",),
     ),
     Mutant(
         "constants cache keyed by slot only, so 2iZ and -2iZ collide", "verify.py",
@@ -121,6 +158,44 @@ MUTANTS = (
         "d * sd * rd, rn * rd)", "d * sd, rn * rd)",
         ("tests/test_numerics.py::TestRootedRadicand::"
          "test_one_sixth_root_of_twelve_is_the_root_of_a_third",),
+    ),
+    Mutant(
+        "_rooted without its gcd", "numerics.py",
+        "    g = math.gcd(rn, rd)\n", "    g = 1\n",
+        ("tests/test_numerics.py::TestRootedRadicand::test_common_factors_reduce[18-8]",),
+    ),
+    Mutant(
+        "the Gaussian branch of coerce_scalar takes any imaginary part", "numerics.py",
+        "value.real.is_integer() and value.imag.is_integer()", "value.real.is_integer()",
+        ("tests/test_numerics.py::TestGaussianIntegers::test_other_floats_are_refused[0.5j]",),
+    ),
+    Mutant(
+        "row-order check removed from degeneracy_pairs", "realizations.py",
+        "if [row.n for row in table.rows] != list(range(table.n_max + 1)):", "if False:",
+        ("tests/test_realizations.py::TestPairing::"
+         "test_rows_must_be_the_levels_in_order[0-swapped]",),
+    ),
+    Mutant(
+        "doublet mates compared as Fractions", "realizations.py",
+        "if (mate.energy.numerator, mate.energy.denominator) != key:",
+        "if mate.energy != row.energy:",
+        (_NO_FRACTION,),
+    ),
+    Mutant(
+        "the verdict compares Fractions", "realizations.py",
+        "any(row.energy.numerator == 0 for row in self.rows)",
+        "any(row.energy == 0 for row in self.rows)",
+        (_NO_FRACTION,),
+    ),
+    Mutant(
+        "_sqrt_entry reads F(n)'s parts in the wrong order", "fock.py",
+        "_rooted(1, 0, 1, *level)", "_rooted(1, 0, 1, *reversed(level))",
+        ("tests/test_fock.py::TestRepresentation::test_exact_entries",),
+    ),
+    Mutant(
+        "hermitian_charges scales by +1j", "realizations.py",
+        ".scaled(-1j)", ".scaled(1j)",
+        ("tests/test_realizations.py::TestHermitianCharges::test_explicit_small_case",),
     ),
 )
 

@@ -238,6 +238,51 @@ class TestWeightedRealizations:
         assert exact_variant(gdoa_realization(sqrt_spec, 0, 6)) is None
 
 
+def _gdoa(structure, weight="1"):
+    return OscillatorSpec.gdoa(structure, weight=weight)
+
+
+# Which error a build raises first, and its message.  The charges are written
+# before the energies, so a dim below 2 is named before F's record is read,
+# and the exact backend refuses a sqrt weight before any level overflows.
+_BUILD_ERRORS = {
+    "cv-dim-0": (lambda: cv_realization(Fraction(1, 2), 0, 0), "dim must be >= 2"),
+    "gdoa-dim-0": (lambda: gdoa_realization(_gdoa("n^2", "n"), 0, 0), "dim must be >= 2"),
+    "cv-dim-1": (lambda: cv_realization(Fraction(1, 2), 0, 1), "dim must be >= 2"),
+    "gdoa-dim-1": (lambda: gdoa_realization(_gdoa("n^2", "n"), 0, 1), "dim must be >= 2"),
+    "mu-2": (lambda: gdoa_realization(_gdoa("n^2", "n"), 2, 8), "mu must be 0 or 1, got 2"),
+    "mu-minus-1": (lambda: cv_realization(Fraction(1, 2), -1, 8), "mu must be 0 or 1, got -1"),
+    "exact-sqrt-weight": (lambda: gdoa_realization(_gdoa("n^2", "sqrt(n)"), 0, 8, EXACT),
+                          "weight function contains sqrt; use the float backend"),
+    "exact-large-sqrt-weight": (
+        lambda: gdoa_realization(_gdoa("n^2", "sqrt(n)*10^200"), 0, 8, EXACT),
+        "weight function contains sqrt; use the float backend"),
+    "float-overflow-mu-0": (lambda: gdoa_realization(_gdoa("n^2", "n^200"), 0, 16),
+                            "f(6) or f(6)^2 F(6) is beyond the double range of the float backend"),
+    "float-overflow-sqrt-weight": (
+        lambda: gdoa_realization(_gdoa("n^2", "sqrt(n)*10^200"), 0, 16),
+        "f(2) or f(2)^2 F(2) is beyond the double range of the float backend"),
+    "invalid-structure-dim-0": (lambda: gdoa_realization(_gdoa("n - 3", "n"), 0, 0),
+                                "dim must be >= 2"),
+    "invalid-structure-dim-8": (lambda: gdoa_realization(_gdoa("n - 3", "n"), 0, 8),
+                        "invalid structure function: F(0) = -3 violates F(0) = 0; "
+                        "F(1) = -2 violates F(n) > 0; F(2) = -1 violates F(n) > 0; "
+                        "F(3) = 0 violates F(n) > 0"),
+    "float-structure-overflow": (lambda: gdoa_realization(_gdoa("n^400"), 0, 8),
+                                 "F(6) is beyond the double range of the float backend"),
+}
+
+
+class TestBuildErrors:
+    @pytest.mark.parametrize("case", list(_BUILD_ERRORS))
+    def test_first_error_and_its_message(self, case):
+        build, message = _BUILD_ERRORS[case]
+        with pytest.raises(ValidationError) as raised:
+            build()
+        assert type(raised.value) is ValidationError
+        assert str(raised.value) == message
+
+
 # (family, kappa or (F, f)): f = n - 3 has a zero edge at m = 3, f = 0 only
 # zero edges, and F = n^600 holds F(4) = 2^1200, past the double range
 _VARIANT_GRID = [("cv", kappa) for kappa in ("1/2", "0", "5/2", "-3/7")] + [
@@ -502,19 +547,22 @@ class TestLevelRecord:
 
 
 class TestBuildIsItsRecord:
-    # the verification suites hold the instance H and Z to the diagonals
-    # _diagonals writes from the build's record, on every column: every build
-    # must write H and Z exactly so
+    # the verification suites hold the instance Q+, Q, H and Z to the set
+    # _realization writes from the build's record, on every entry: every build
+    # must be that set, with H and Z the diagonals _diagonals writes
     @pytest.mark.parametrize("dim", [8, 64, 1024])
     @pytest.mark.parametrize("mu", [0, 1])
     @pytest.mark.parametrize("name, backend", [
         (name, backend) for name in ("cv(1/2)", "cv(-3/7)", "gdoa(n^2, n)", "gdoa(n^2, sqrt(n))")
         for backend in (FLOAT, EXACT) if backend is FLOAT or "sqrt" not in name
     ])
-    def test_h_and_z_equal_the_record_diagonals(self, name, backend, mu, dim):
+    def test_every_generator_equals_the_record(self, name, backend, mu, dim):
         spec = _RECORD_SPECS[name][0]()
         build = cv_realization if spec.is_calogero_vasiliev else gdoa_realization
         r = build(spec, mu, dim, backend)
+        record = realizations._realization(spec, mu, dim, backend, r.convention, r.energies)
+        assert [op.matrix for op in (r.Qdag, r.Q, r.H, r.Z)] == [
+            op.matrix for op in (record.Qdag, record.Q, record.H, record.Z)]
         h, z = realizations._diagonals(r.energies, r.mu, r.dim, r.convention, r.backend)
         assert r.H.matrix == h and r.Z.matrix == z
 

@@ -524,27 +524,32 @@ def _plain_pairs(s, h=None):
     return pairs
 
 
-# The rows that also hold the instance H and Z they read to the closed forms
-_RECORD_READS = {"anticommutator-gives-h": ("H",), "commutator-gives-z": ("Z",),
-                 "h-commutes-z": ("H", "Z")}
+# The rows that also hold the instance generators they read to the record:
+# Q+ and Q to a fresh build of the spec, H and Z to the closed forms
+_RECORD_READS = {"anticommutator-gives-h": ("Qdag", "Q", "H"),
+                 "commutator-gives-z": ("Qdag", "Q", "Z"), "h-commutes-z": ("H", "Z")}
 
 
 def _record_residuals(r):
-    """The residual of ``r``'s H and of its Z against the closed-form spectrum
-    of ``r.spec`` on every level, as diagonal matrices."""
+    """The residual of each of ``r``'s Q+ and Q against a fresh build of
+    ``r.spec``, and of its H and Z against the closed-form spectrum of
+    ``r.spec`` on every level, as diagonal matrices."""
+    build = cv_realization if r.convention == "cv" else gdoa_realization
+    fresh = build(r.spec, r.mu, r.dim, r.backend)
     rows = spectrum_H(r.spec, r.mu, r.dim - 1).rows
-    closed = {"H": [row.energy for row in rows], "Z": [row.central for row in rows]}
-    return {name: approx_equal_matrix(getattr(r, name).matrix,
-                                      BandMatrix.diagonal(values, r.backend),
+    closed = {"Qdag": fresh.Qdag.matrix, "Q": fresh.Q.matrix,
+              "H": BandMatrix.diagonal([row.energy for row in rows], r.backend),
+              "Z": BandMatrix.diagonal([row.central for row in rows], r.backend)}
+    return {name: approx_equal_matrix(getattr(r, name).matrix, matrix,
                                       TolerancePolicy(0.0, 0.0)).residual
-            for name, values in closed.items()}
+            for name, matrix in closed.items()}
 
 
 def _oracle_checks(r, policy=verify.DEFAULT_POLICY):
     """The 121 checks of ``run_all_suites(r)``, rebuilt with no product ledger:
     every bracket from ``commutator``/``anticommutator``/``graded_bracket``.
-    A table row that passes while an H or Z it reads is off the closed form
-    fails, with that residual against it and a bound of 0."""
+    A table row that passes while a generator it holds to the record is off
+    it fails, with that residual against it and a bound of 0."""
     h = hermitian_charges(r)
     pairs = _plain_pairs(r, h)
     off = {name: residual for name, residual in _record_residuals(r).items() if residual != 0.0}
@@ -615,6 +620,8 @@ def _corrupted(r, fault):
         return replace(r, Z=replace(r.Z, matrix=r.H.matrix))
     if fault == "q-is-qdag":
         return replace(r, Q=replace(r.Q, matrix=r.Qdag.matrix))
+    if fault == "edge-bumped":
+        return _edge_bumped(r, ("Qdag", "Q"))[0]
     return r
 
 
@@ -622,7 +629,8 @@ class TestLedgerFreeOracle:
     # run_all_suites reads each generator product from one ledger; every check
     # must equal the one rebuilt with plain products, bit for bit, on honest
     # and on corrupted sets (one of which holds one matrix in two slots).
-    @pytest.mark.parametrize("fault", ["none", "h-bumped", "z-aliases-h", "q-is-qdag"])
+    @pytest.mark.parametrize("fault", ["none", "h-bumped", "z-aliases-h", "q-is-qdag",
+                                       "edge-bumped"])
     @pytest.mark.parametrize("backend", [Backend.FLOAT, Backend.EXACT])
     @pytest.mark.parametrize("dim", [8, 16])
     @pytest.mark.parametrize("mu", [0, 1])
@@ -837,6 +845,101 @@ class TestSharedBracketCensus:
         ]
 
 
+def _shifted(field):
+    """The realization set with an entry added to ``field`` one level below its
+    entry joining levels 3 and 4, of _EPS times that entry."""
+    def corrupt(r):
+        op = getattr(r, field)
+        entries = {(i, j): v for i, j, v in op.matrix.entries()}
+        i, j = (4, 3) if (4, 3) in entries else (3, 4)
+        factor = ExactScalar(_EPS) if r.backend is Backend.EXACT else float(_EPS)
+        entries[i - 1, j - 1] = entries[i, j] * factor
+        return replace(r, **{field: replace(op, matrix=BandMatrix(r.dim, r.backend, entries))})
+    return corrupt
+
+
+def _h_off_diagonal(r):
+    """The realization set with H(3,4) = H(4,3) = _EPS H(3,3)."""
+    entries = {(i, j): v for i, j, v in r.H.matrix.entries()}
+    factor = ExactScalar(_EPS) if r.backend is Backend.EXACT else float(_EPS)
+    entries[3, 4] = entries[4, 3] = entries[3, 3] * factor
+    return replace(r, H=replace(r.H, matrix=BandMatrix(r.dim, r.backend, entries)))
+
+
+_CHARGE_READS = ("standard/anticommutator-gives-h", "qform/anticommutator-gives-h",
+                 "qform/commutator-gives-z")
+_SHIFTED_CHARGE = _CHARGE_READS + (
+    "qform/squares-cancel", "hermitian/hermitian-q10", "hermitian/hermitian-q01",
+    "hermitian/q10-squared-gives-2h", "hermitian/q01-squared-gives-2h",
+    "hermitian/h-commutes-q10", "hermitian/h-commutes-q01", "hermitian/z-anticommutes-q10",
+    "hermitian/z-anticommutes-q01", "jacobi/closure[H,Q10]", "jacobi/closure[H,Q01]",
+    "jacobi/closure[Q10,H]", "jacobi/closure[Q10,Q10]", "jacobi/closure[Q10,Z]",
+    "jacobi/closure[Q01,H]", "jacobi/closure[Q01,Q01]", "jacobi/closure[Q01,Z]",
+    "jacobi/closure[Z,Q10]", "jacobi/closure[Z,Q01]")
+
+# Corruptions of the realization set at mu 0, dim 16, each with the exact set
+# of checks of run_all_suites that it fails, on both families and backends.
+# An entry one level below the doublet edge (3, 4) makes a charge square to a
+# nonzero matrix and moves it off its sector; an edge bumped by a relative
+# 1e-12 with its adjoint entry is seen only by the record; a scaled H(3,3) or
+# Z(3,3) is "h-scaled" or "z-scaled" of the Hermitian census; an off-diagonal
+# H stops commuting with Z, whose doublet entries are opposite.
+_SET_CORRUPTIONS = {
+    "qdag-shifted": (_shifted("Qdag"), _SHIFTED_CHARGE + (
+        "standard/qdag-squared-zero", "standard/h-commutes-qdag", "qform/h-commutes-qdag",
+        "qform/z-anticommutes-qdag")),
+    "q-shifted": (_shifted("Q"), _SHIFTED_CHARGE + (
+        "standard/q-squared-zero", "standard/h-commutes-q", "qform/h-commutes-q",
+        "qform/z-anticommutes-q")),
+    "edge-bumped": (lambda r: _edge_bumped(r, ("Qdag", "Q"))[0], _CHARGE_READS),
+    "h-scaled": (_scaled("H", [(3, 3)]), _H_READS),
+    "z-scaled": (_scaled("Z", [(3, 3)]), _Z_READS),
+    "h-off-diagonal": (_h_off_diagonal, (
+        "standard/anticommutator-gives-h", "standard/h-commutes-qdag", "standard/h-commutes-q",
+        "qform/anticommutator-gives-h", "qform/h-commutes-qdag", "qform/h-commutes-q",
+        "qform/h-commutes-z", "hermitian/q10-squared-gives-2h", "hermitian/q01-squared-gives-2h",
+        "hermitian/h-commutes-q01", "hermitian/h-commutes-z", "jacobi/closure[H,Q01]",
+        "jacobi/closure[H,Z]", "jacobi/closure[Q10,Q10]", "jacobi/closure[Q01,H]",
+        "jacobi/closure[Q01,Q01]", "jacobi/closure[Z,H]")),
+}
+
+# Every check of the standard and q-form tables, with a corruption that fails it.
+_TABLE_CENSUS = {
+    "standard/qdag-squared-zero": "qdag-shifted",
+    "standard/q-squared-zero": "q-shifted",
+    "standard/anticommutator-gives-h": "edge-bumped",
+    "standard/h-commutes-qdag": "h-scaled",
+    "standard/h-commutes-q": "h-scaled",
+    "qform/anticommutator-gives-h": "edge-bumped",
+    "qform/squares-cancel": "qdag-shifted",
+    "qform/commutator-gives-z": "edge-bumped",
+    "qform/h-commutes-qdag": "h-scaled",
+    "qform/h-commutes-q": "h-scaled",
+    "qform/h-commutes-z": "h-off-diagonal",
+    "qform/z-anticommutes-qdag": "z-scaled",
+    "qform/z-anticommutes-q": "z-scaled",
+}
+
+
+class TestTableCensus:
+    # No check of the standard or q-form table passes whatever its inputs:
+    # each fails under a corruption of the realization set.
+    def test_census_covers_every_table_check(self):
+        names = [name for name, _, _ in SUITE_CENSUS if name.startswith(("standard/", "qform/"))]
+        assert list(_TABLE_CENSUS) == names and len(names) == 5 + 8
+
+    @pytest.mark.parametrize("backend", [Backend.FLOAT, Backend.EXACT])
+    @pytest.mark.parametrize("family", ["cv", "gdoa"])
+    @pytest.mark.parametrize("name", list(_TABLE_CENSUS))
+    def test_corruption_fails_the_check(self, name, family, backend):
+        corrupt, failing = _SET_CORRUPTIONS[_TABLE_CENSUS[name]]
+        report = run_all_suites(corrupt(_family(family, 0, 16, backend)))
+        assert name in failing
+        assert [c.name for c in report.checks if not c.passed] == [
+            c for c, _, _ in SUITE_CENSUS if c in failing
+        ]
+
+
 _ANTI_H = {"standard/anticommutator-gives-h", "qform/anticommutator-gives-h"}
 
 
@@ -907,6 +1010,8 @@ _OFF_RECORD = {
     "H": {"standard/anticommutator-gives-h", "qform/anticommutator-gives-h",
           "qform/h-commutes-z", "hermitian/h-commutes-z"},
     "Z": {"qform/commutator-gives-z", "qform/h-commutes-z", "hermitian/h-commutes-z"},
+    "Qdag": _ANTI_H | {"qform/commutator-gives-z"},
+    "Q": _ANTI_H | {"qform/commutator-gives-z"},
 }
 
 
@@ -935,6 +1040,85 @@ class TestTopLevelRecord:
         failed = [c for c in report.checks if not c.passed]
         assert {c.name for c in failed} == _OFF_RECORD[field]
         assert all((c.residual, c.bound) == (1000.0, 0.0) for c in failed)
+
+
+_BUMP = Fraction(1, 10**12)  # an edge's bump, relative to the edge
+
+
+def _edge_bumped(r, fields, last=False, value=None):
+    """``r`` with the first (or last) edge f(m) sqrt(F(m)) of its raising
+    charge, at (m, m-1), and the lowering charge's entry (m-1, m), each
+    multiplied by 1 + _BUMP or set to ``value``, in those of Qdag and Q that
+    ``fields`` names; with the edge and its new value."""
+    raising = "Q" if r.convention == "cv" else "Qdag"
+    m = sorted(key for *key, _ in getattr(r, raising).matrix.entries())[-1 if last else 0][0]
+    changed = {}
+    for field in fields:
+        op = getattr(r, field)
+        entries = {(i, j): v for i, j, v in op.matrix.entries()}
+        key = (m, m - 1) if field == raising else (m - 1, m)
+        edge = entries[key]
+        if value is None:
+            value = edge * (ExactScalar(1 + _BUMP) if r.backend is Backend.EXACT
+                            else 1 + float(_BUMP))
+        entries[key] = value
+        changed[field] = replace(op, matrix=BandMatrix(r.dim, r.backend, entries))
+    return replace(r, **changed), edge, value
+
+
+def _magnitude(x):
+    return x.magnitude() if isinstance(x, ExactScalar) else abs(x)
+
+
+class TestChargeRecord:
+    # The rows {Q+,Q} = H and [Q+,Q] = Z also hold the instance Q+ and Q to
+    # the charges the record gives, on every entry.  An edge bumped by a
+    # relative 1e-12, with its adjoint entry, so that Q+ stays the adjoint of
+    # Q, is far inside every float tolerance, and the exact re-check reads
+    # the record: on the float backend only the record comparison sees it,
+    # and fails those two rows, with the bump as residual and a bound of 0.
+    # On the exact backend with the re-check, the exact proof of those rows
+    # fails first, with the change of the edge's square.
+    @pytest.mark.parametrize("use_exact", [True, False])
+    @pytest.mark.parametrize("last", [False, True], ids=["first", "last"])
+    @pytest.mark.parametrize("mu", [0, 1])
+    @pytest.mark.parametrize("family, backend, dim", [
+        (family, Backend.FLOAT, dim) for family in ("cv", "gdoa", "sqrt") for dim in (8, 64, 1024)
+    ] + [(family, Backend.EXACT, dim) for family in ("cv", "gdoa") for dim in (8, 16)])
+    def test_bumped_edge_fails_the_rows_reading_the_charges(self, family, backend, dim, mu,
+                                                            last, use_exact):
+        r, edge, value = _edge_bumped(_family(family, mu, dim, backend), ("Qdag", "Q"), last)
+        report = run_all_suites(r, use_exact=use_exact)
+        assert len(report.checks) == 121
+        failed = [c for c in report.checks if not c.passed]
+        assert {c.name for c in failed} == _OFF_RECORD["Qdag"] | _OFF_RECORD["Q"]
+        proof_first = backend is Backend.EXACT and use_exact
+        residual = _magnitude(value * value - edge * edge if proof_first else value - edge)
+        assert all((c.residual, c.bound) == (residual, 0.0) for c in failed)
+
+    @pytest.mark.parametrize("field", ["Qdag", "Q"])
+    @pytest.mark.parametrize("family, backend", [
+        ("cv", Backend.FLOAT), ("cv", Backend.EXACT), ("gdoa", Backend.EXACT),
+        ("sqrt", Backend.FLOAT),
+    ])
+    def test_one_bumped_charge_fails_the_rows_reading_it(self, family, backend, field):
+        # the bumped charge is no longer the adjoint of the other, but by far
+        # less than the tolerance of the Hermitian rows
+        r, edge, value = _edge_bumped(_family(family, 0, 64, backend), (field,), last=True)
+        report = run_all_suites(r, use_exact=False)
+        failed = [c for c in report.checks if not c.passed]
+        assert {c.name for c in failed} == _OFF_RECORD[field]
+        assert all((c.residual, c.bound) == (_magnitude(value - edge), 0.0) for c in failed)
+
+    def test_edge_of_four_raised_to_nine_fails(self):
+        # gdoa(n^2, f=n), mu 0: the first edge f(2) sqrt(F(2)) is 4.  Raised to
+        # 9 at dim 1024, it is hidden from every relation by a tolerance scaled
+        # by the largest entry, about 1e12; only the record comparison sees it
+        r, edge, value = _edge_bumped(_family("gdoa", 0, 1024), ("Qdag", "Q"), value=9 + 0j)
+        assert edge == 4
+        failed = [c for c in run_all_suites(r).checks if not c.passed]
+        assert {c.name for c in failed} == _OFF_RECORD["Qdag"]
+        assert all((c.residual, c.bound) == (5.0, 0.0) for c in failed)
 
 
 class TestStructureConstants:
