@@ -321,8 +321,8 @@ def _level_parts(expr: Expr, start: int, stop: int, env: Mapping[str, Fraction] 
     rejects sqrt and any power beyond ``MAX_POWER_BITS``.  The float backend
     runs the same double operations, in the same order, as a walk of one
     level: a literal or power beyond the double range raises
-    :class:`ExprEvalError` (a product that overflows is inf, which no
-    verification check passes).
+    :class:`ExprEvalError` (a product that overflows is inf, and a float
+    build refuses an inf or NaN weight's energy as beyond the double range).
 
     Errors are those of the first failing level, visited level by level.
     The walk raises at the first error it meets, which may be at a later

@@ -108,8 +108,11 @@ def _energies(spec: OscillatorSpec, mu: int, count: int, convention: str) -> tup
         levels = range(mu * kd + kn, (count + 1) * kd + kn, 2 * kd)
         return list(levels), [kd] * len(levels)
     weights, divisors = _weight_record(spec, count)
-    if not spec.weight_is_exact:
-        return [w ** 2 * (n / d) for w, n, d in zip(weights[mu::2], *structure)], None
+    if not spec.weight_is_exact:  # an inf or NaN energy overflows, as an exact one does
+        energies = [w ** 2 * (n / d) for w, n, d in zip(weights[mu::2], *structure)]
+        if not all(map(math.isfinite, energies)):
+            raise OverflowError("an energy is beyond the double range")
+        return energies, None
     tops = [w * w * n for w, n in zip(weights[mu::2], structure[0])]
     bottoms = [w * w * d for w, d in zip(divisors[mu::2], structure[1])]
     gcds = list(map(math.gcd, tops, bottoms))

@@ -29,12 +29,12 @@ the charges: no record, and one tolerance scale per matrix.
 :func:`run_all_suites` returns one report, timed over the whole call, whose
 names carry the prefixes ``standard/``, ``qform/``, ``hermitian/`` and
 ``jacobi/``.  It evaluates each distinct table row once, and computes each
-product of two generator matrices and each bracket once: the tables and the
-Jacobi suite's inner brackets share one operator set, the ledger of its
-products and brackets, keyed by slots (a bracket by its sign too) and alive
-for one call, which builds each nonzero structure constant once too.  The
-Jacobi suite computes each generator's scale once, and builds 40 of its 64
-nested brackets, reading 24 from them by sign.
+product of two generator matrices, each bracket and each comparison once: the
+tables and the Jacobi suite share one operator set, the ledger of its products
+and brackets, keyed by slots (a bracket by its sign too) and alive for one
+call, which builds each nonzero structure constant once too.  The Jacobi suite
+reads its graded signs from one table, computes each generator's scale once,
+and builds 40 of its 64 nested brackets, reading 24 from them by sign.
 
 The Jacobi suite contains three layers: graded antisymmetry of all 16 ordered
 generator pairs (an identity, required to cancel bitwise), the 64 graded
@@ -170,11 +170,11 @@ def _check(
     A structural-exact relation must cancel identically.  A diagonal-exact
     relation with an exact pair must cancel identically there AND the instance
     matrices must still satisfy it within policy; the instance comparison is
-    what catches a perturbed operator, since the exact pair is written from
-    the defining data by the one writer of every set (exact charges from the
-    level record, H and Z from the energies recorded as ints), never from the
-    instance entries, which :func:`_off_record` holds to that set too.
-    Without an exact pair it is a float-tolerance check.
+    what catches a perturbed operator, since the exact pair is written from the
+    defining data by the one writer of every set, never from the instance
+    entries, which :func:`_off_record` holds to that set too.  An exact pair
+    that is ``pair`` is compared once: no policy moves a residual, scale or
+    ``exact_zero``.  Without one it is a float-tolerance check.
     """
     cols = guard_columns(pair[0].dim, guard_band)
     if exactness is _STRUCTURAL:
@@ -183,13 +183,13 @@ def _check(
     cmp = approx_equal_matrix(*pair, policy, cols)
     if exact_pair is None:
         return _FLOAT, cmp.residual, cmp.scale, cmp.bound, cmp.passed
-    proof = approx_equal_matrix(*exact_pair, EXACT_POLICY, cols)
+    proof = cmp if exact_pair is pair else approx_equal_matrix(*exact_pair, EXACT_POLICY, cols)
     residual, bound = (proof.residual, 0.0) if cmp.passed else (cmp.residual, cmp.bound)
     return exactness, residual, proof.scale, bound, proof.exact_zero and cmp.passed
 
 
-# Operator-set slots and the generator each reads from a realization or
-# Hermitian set: qd is Q+.
+# Operator-set slots and the generator each reads from a realization set (the
+# first four) or a Hermitian set: qd is Q+.
 _SLOTS = (("qd", "Qdag"), ("q", "Q"), ("h", "H"), ("z", "Z"), ("q10", "Q10"), ("q01", "Q01"))
 
 # Structure constants by slot: (a, b): (c, factor) is [[a, b]] = factor times
@@ -316,10 +316,10 @@ _TABLE_SUITES = (
 
 def _off_record(r: RealizationSet, ops: _Operators) -> dict[str, float]:
     """The residual, on every entry, of each of Q+, Q, H and Z in ``ops`` that
-    differs from the set :func:`_realization` writes from the record of ``r``.
-    Every build is that writer's output, so an honest set has none."""
-    record = _Operators(_realization(r.spec, r.mu, r.dim, r.backend, r.convention, r.energies))
-    pairs = {slot: (getattr(ops, slot), getattr(record, slot)) for slot in ("qd", "q", "h", "z")}
+    differs from its matrix in the set :func:`_realization` writes from the
+    record of ``r``.  Every build is that writer's output, so none differ."""
+    record = _realization(r.spec, r.mu, r.dim, r.backend, r.convention, r.energies)
+    pairs = {slot: (getattr(ops, slot), getattr(record, name).matrix) for slot, name in _SLOTS[:4]}
     return {slot: approx_equal_matrix(*pair, EXACT_POLICY).residual
             for slot, pair in pairs.items() if pair[0] != pair[1]}
 
@@ -453,23 +453,24 @@ def _run_jacobi(
     h: HermitianSet, policy: TolerancePolicy, ops: _Operators, prefix: str
 ) -> list[RelationCheck]:
     """The Jacobi checks of ``h``, named with ``prefix``, whose generators
-    ``ops`` holds in :data:`_JACOBI_SLOTS`.  Each inner bracket is
-    ``ops.bracket`` of two slots and their graded sign; ``ops`` drops its
-    products and brackets before the nested ones are built.  ``inner[k, j]`` is
-    ``-s inner[j, k]`` with ``s = (-1)^(deg_j . deg_k)``, from the same two
-    products (IEEE ``a - b`` is ``-(b - a)``, ``a + b`` is ``b + a``), and as
-    rounding is symmetric in sign, ``nested[i, k, j]`` is
-    ``-s nested[i, j, k]``: bit for bit up to the sign of a zero, which no
-    residual or scale reads.  So only ``j <= k`` is built, with its
-    guard-column scale taken once."""
+    ``ops`` holds in :data:`_JACOBI_SLOTS`.  Every graded sign is read from
+    ``sign``, one table of the four degrees.  Each inner bracket is
+    ``ops.bracket`` of two slots and their sign; ``ops`` drops its products
+    and brackets before the nested ones are built.  ``inner[k, j]`` is
+    ``-s inner[j, k]`` with ``s = sign[j][k]``, from the same two products
+    (IEEE ``a - b`` is ``-(b - a)``, ``a + b`` is ``b + a``), and as rounding
+    is symmetric in sign, ``nested[i, k, j]`` is ``-s nested[i, j, k]``: bit
+    for bit up to the sign of a zero, which no residual or scale reads.  So
+    only ``j <= k`` is built, with its guard-column scale taken once."""
     generators = (h.H, h.Q10, h.Q01, h.Z)
     degrees = [g.require_degree() for g in generators]
+    sign = [[graded_sign(a, b) for b in degrees] for a in degrees]
     scales = [g.matrix.max_abs() for g in generators]
     slots = range(len(generators))
     cols = guard_columns(h.dim, JACOBI_GUARD_BAND)
     inner = {
         (j, k): GradedOperator(
-            ops.bracket(_JACOBI_SLOTS[j], _JACOBI_SLOTS[k], graded_sign(degrees[j], degrees[k])),
+            ops.bracket(_JACOBI_SLOTS[j], _JACOBI_SLOTS[k], sign[j][k]),
             degree_add(degrees[j], degrees[k]), f"[[{generators[j].label},{generators[k].label}]]",
         )
         for j, k in product(slots, repeat=2)
@@ -484,8 +485,7 @@ def _run_jacobi(
     checks: list[RelationCheck] = []
     for i, j in product(slots, repeat=2):
         x, y = generators[i], generators[j]
-        sign = graded_sign(degrees[i], degrees[j])
-        residual = _signed_max_abs([(1, inner[i, j].matrix), (sign, inner[j, i].matrix)])
+        residual = _signed_max_abs([(1, inner[i, j].matrix), (sign[i][j], inner[j, i].matrix)])
         checks.append(RelationCheck(
             f"{prefix}antisymmetry[{x.label},{y.label}]", "[[X,Y]] + (-1)^(x.y) [[Y,X]] = 0", 0,
             _STRUCTURAL, residual, _top([scales[i], scales[j]]), 0.0,
@@ -494,11 +494,11 @@ def _run_jacobi(
     for i, j, k in product(slots, repeat=3):
         terms = []  # (sign, key of nested) of (-1)^(a.c) [[X_a, [[X_b, X_c]]]]
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            sign = graded_sign(degrees[a], degrees[c])
+            s = sign[a][c]
             if b > c:
-                sign, b, c = -sign * graded_sign(degrees[b], degrees[c]), c, b
-            terms.append((sign, (a, b, c)))
-        residual = _signed_max_abs([(sign, nested[key]) for sign, key in terms], cols)
+                s, b, c = -s * sign[b][c], c, b
+            terms.append((s, (a, b, c)))
+        residual = _signed_max_abs([(s, nested[key]) for s, key in terms], cols)
         scale = _top([peaks[key] for _, key in terms])
         bound = policy.bound(scale)
         x, y, z = generators[i], generators[j], generators[k]

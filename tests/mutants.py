@@ -45,24 +45,25 @@ _TOP_LEVEL = "tests/test_verify.py::TestTopLevelRecord::test_top_level_bump_fail
 _ONE_CHARGE = ("tests/test_verify.py::TestChargeRecord::"
                "test_one_bumped_charge_fails_the_rows_reading_it")
 _BUILD_ERROR = "tests/test_realizations.py::TestBuildErrors::test_first_error_and_its_message"
+_IDENTITY = "tests/test_verify.py::TestIdentityCensus::test_fault_fails_exactly_its_identities"
 _NO_FRACTION = ("tests/test_realizations.py::TestFractionComparisons::"
                 "test_pairing_and_verdict_compare_no_fraction")
 
 MUTANTS = (
     Mutant(
         "record comparison skipped for Z", "verify.py",
-        'for slot in ("qd", "q", "h", "z")', 'for slot in ("qd", "q", "h")',
+        "for slot, name in _SLOTS[:4]}", "for slot, name in _SLOTS[:3]}",
         (f"{_TOP_LEVEL}[cv-Backend.FLOAT-16-Z-True]",
          f"{_TOP_LEVEL}[sqrt-Backend.FLOAT-1024-Z-False]"),
     ),
     Mutant(
         "record comparison skipped for Q+", "verify.py",
-        'for slot in ("qd", "q", "h", "z")', 'for slot in ("q", "h", "z")',
+        "for slot, name in _SLOTS[:4]}", "for slot, name in _SLOTS[1:4]}",
         (f"{_ONE_CHARGE}[cv-Backend.FLOAT-Qdag]", f"{_ONE_CHARGE}[sqrt-Backend.FLOAT-Qdag]"),
     ),
     Mutant(
         "record comparison skipped for Q", "verify.py",
-        'for slot in ("qd", "q", "h", "z")', 'for slot in ("qd", "h", "z")',
+        "for slot, name in _SLOTS[:4]}", 'for slot, name in _SLOTS[:4] if slot != "q"}',
         (f"{_ONE_CHARGE}[cv-Backend.FLOAT-Q]", f"{_ONE_CHARGE}[sqrt-Backend.FLOAT-Q]"),
     ),
     Mutant(
@@ -74,6 +75,13 @@ MUTANTS = (
         "        energies = _energies(spec, mu, dim, convention)\n"
         "    raising, lowering = _charges(spec, mu, dim, backend)\n",
         (f"{_BUILD_ERROR}[cv-dim-0]", f"{_BUILD_ERROR}[exact-large-sqrt-weight]"),
+    ),
+    Mutant(
+        "a sqrt weight's energies not checked for the double range", "realizations.py",
+        "        if not all(map(math.isfinite, energies)):\n"
+        '            raise OverflowError("an energy is beyond the double range")\n', "",
+        (f"{_BUILD_ERROR}[float-energy-overflow-sqrt-weight]",
+         "tests/test_cli.py::TestExitCodes::test_infinite_weight_is_beyond_the_double_range"),
     ),
     Mutant(
         "sign flip of the [Q01,Q10] structure constant", "verify.py",
@@ -106,13 +114,34 @@ MUTANTS = (
     ),
     Mutant(
         "Jacobi inner brackets built with sign 1 whatever the degrees", "verify.py",
-        "_JACOBI_SLOTS[k], graded_sign(degrees[j], degrees[k]))", "_JACOBI_SLOTS[k], 1)",
+        "_JACOBI_SLOTS[k], sign[j][k])", "_JACOBI_SLOTS[k], 1)",
         ("tests/test_verify.py::TestJacobiSuite::test_check_census",),
     ),
     Mutant(
         "antisymmetry layer alone adds [[Y,X]] with the opposite sign", "verify.py",
-        "(sign, inner[j, i].matrix)", "(-sign, inner[j, i].matrix)",
+        "(sign[i][j], inner[j, i].matrix)", "(-sign[i][j], inner[j, i].matrix)",
         ("tests/test_verify.py::TestJacobiSuite::test_antisymmetry_residuals_exactly_zero",),
+    ),
+    Mutant(
+        "a swapped nested bracket read without its minus sign", "verify.py",
+        "-s * sign[b][c]", "s * sign[b][c]",
+        (f"{_IDENTITY}[z-shifted-cv-Backend.FLOAT-16]",
+         "tests/test_verify.py::TestSharedBrackets::"
+         "test_suite_equals_reference_functions[cv-0-Backend.FLOAT]"),
+    ),
+    Mutant(
+        "nested brackets built in reverse order", "verify.py",
+        "graded_bracket(generators[i], inner[j, k])", "graded_bracket(inner[j, k], generators[i])",
+        (f"{_IDENTITY}[z-shifted-gdoa-Backend.EXACT-16]",
+         "tests/test_verify.py::TestSharedBrackets::"
+         "test_suite_equals_reference_functions[gdoa-1-Backend.EXACT]"),
+    ),
+    Mutant(
+        "_check compares a diagonal-exact row once on every backend", "verify.py",
+        "proof = cmp if exact_pair is pair else "
+        "approx_equal_matrix(*exact_pair, EXACT_POLICY, cols)",
+        "proof = cmp",
+        ("tests/test_verify.py::TestSuitesOverSpecs::test_deformed_all_pass[kappa1-0]",),
     ),
     Mutant(
         "ledger keyed by the left slot only", "verify.py",
@@ -221,6 +250,11 @@ EQUIVALENT = (
         "max_abs passes its one term with sign -1", "numerics.py",
         "return _signed_max_abs([(1, self)], cols)", "return _signed_max_abs([(-1, self)], cols)",
         reason="a diagonal starts from its first term unsigned, and magnitudes do not see a sign",
+    ),
+    Mutant(
+        "antisymmetry reads the sign of the pair in the other order", "verify.py",
+        "(sign[i][j], inner[j, i].matrix)", "(sign[j][i], inner[j, i].matrix)",
+        reason="(-1)^(a.b) is symmetric in a and b, so the sign table is too",
     ),
     Mutant(
         "bracket cache never cleared", "verify.py",

@@ -182,15 +182,17 @@ class TestExitCodes:
         assert code == 2
         assert "finite nonnegative" in capsys.readouterr().err
 
-    def test_infinite_entries_fail_verification(self, tmp_path, capsys):
-        # f overflows to inf in floats, so H and the charges hold inf; this
-        # used to print PASS for every check and exit 0.
+    def test_infinite_weight_is_beyond_the_double_range(self, tmp_path, capsys):
+        # f overflows to inf in floats; this once printed PASS for every check
+        # and exited 0, then failed every check (exit 1); the build now
+        # refuses the inf energy and names the first level, as for an exact f
         payload = {"algebra": {"type": "gdoa", "F": "n"}, "f": "sqrt(n) * 10^200 * 10^200",
                    "dim": 16}
         code = main(["verify", "--config", write_config(tmp_path, payload)])
-        assert code == 1
-        out = capsys.readouterr().out
-        assert "PASS" not in out and out.count("=> FAIL (121 checks") == 2
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert ("f(2) or f(2)^2 F(2) is beyond the double range of the float backend"
+                in captured.err)
 
     def test_dim_two_jacobi_guard_is_config_class_error(self, tmp_path, capsys):
         code = main(["verify", "--config", write_config(tmp_path, CV_HALF), "--dim", "2"])
@@ -861,14 +863,13 @@ class TestStrictJson:
     # E = 10^154 n^2 fits a double, E^2 does not: the float products overflow
     # and many residuals are nan.
     SQUARE_OVERFLOW = {"algebra": {"type": "gdoa", "F": "n^2"}, "f": "10^77", "mu": 0, "dim": 8}
-    # f overflows to inf in floats, so H and the charges hold inf
+    # f overflows to inf in floats: the build refuses its energies, no report
     INFINITE = {"algebra": {"type": "gdoa", "F": "n"}, "f": "sqrt(n) * 10^200 * 10^200",
                 "mu": 1, "dim": 8}
 
-    @pytest.mark.parametrize("config", ["SQUARE_OVERFLOW", "INFINITE"])
     @pytest.mark.parametrize("command", ["verify", "jacobi"])
-    def test_non_finite_residual_is_the_csv_string(self, tmp_path, capsys, command, config):
-        path = write_config(tmp_path, getattr(self, config))
+    def test_non_finite_residual_is_the_csv_string(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, self.SQUARE_OVERFLOW)
         assert main([command, "--config", path, "--output", "json"]) == 1
         (report,) = strict_json(capsys.readouterr().out)
         assert main([command, "--config", path, "--output", "csv"]) == 1
@@ -879,6 +880,16 @@ class TestStrictJson:
         for residual, row in zip(residuals, rows):
             text = row.split(",")[-2]
             assert residual == text if isinstance(residual, str) else residual == float(text)
+
+    @pytest.mark.parametrize("output", ["json", "csv"])
+    @pytest.mark.parametrize("command", ["verify", "jacobi"])
+    def test_infinite_weight_exits_2_with_no_report(self, tmp_path, capsys, command, output):
+        path = write_config(tmp_path, self.INFINITE)
+        assert main([command, "--config", path, "--output", output]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("f(1) or f(1)^2 F(1) is beyond the double range of the float backend"
+                in captured.err)
 
     def test_reduce_infinite_entry_is_a_string(self, monkeypatch, capsys):
         # a wrong closed-form energy, E_m + kappa + 1, fails H and Z, and adds

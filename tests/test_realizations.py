@@ -262,6 +262,11 @@ _BUILD_ERRORS = {
     "float-overflow-sqrt-weight": (
         lambda: gdoa_realization(_gdoa("n^2", "sqrt(n)*10^200"), 0, 16),
         "f(2) or f(2)^2 F(2) is beyond the double range of the float backend"),
+    # f and the charges fit a double; E_6 = 6 * 10^306 * 36 does not, and
+    # its double product is inf, which the build refuses
+    "float-energy-overflow-sqrt-weight": (
+        lambda: gdoa_realization(_gdoa("n^2", "sqrt(n)*10^153"), 0, 8),
+        "f(6) or f(6)^2 F(6) is beyond the double range of the float backend"),
     "invalid-structure-dim-0": (lambda: gdoa_realization(_gdoa("n - 3", "n"), 0, 0),
                                 "dim must be >= 2"),
     "invalid-structure-dim-8": (lambda: gdoa_realization(_gdoa("n - 3", "n"), 0, 8),

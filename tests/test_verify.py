@@ -5,7 +5,7 @@ import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -344,8 +344,7 @@ class TestSharedBrackets:
         # Nested brackets of the true generators vanish off the guard band, so
         # Z + Q10, whose brackets with every generator are nonzero, runs too.
         h = hermitian_charges(_family(family, mu, 10, backend))
-        shifted = GradedOperator(h.Z.matrix + h.Q10.matrix, DEGREE_Z, "Z")
-        for generators in (h, replace(h, Z=shifted)):
+        for generators in (h, _z_shifted(h)):
             operators = {op.label: op for op in (h.H, h.Q10, h.Q01, generators.Z)}
             compared = 0
             for check in run_jacobi_suite(generators).checks:
@@ -465,6 +464,28 @@ class TestSharedRows:
         assert len(calls) == count
         # the recorded matrices stay alive, so no two of them share an id
         assert len({(id(ab), id(ba), sign) for ab, ba, sign in calls}) == count
+
+    # cv(1/2), mu 0, dim 64, exact: 16 graded signs in the table of the Jacobi
+    # suite and 40 in its nested brackets (336 when each use called
+    # graded_sign); 21 distinct table rows and 16 closures compare one pair
+    # each, as a diagonal-exact row's exact pair is its instance pair (40 while
+    # it was compared twice); one operator set (two while the record had one).
+    def test_reference_cell_sign_comparison_and_set_counts(self, monkeypatch):
+        signs, comparisons, sets = [], [], []
+
+        def recording(calls, original):
+            def record(*args):
+                calls.append(args)
+                return original(*args)
+            return record
+
+        for module in (verify, grading):
+            monkeypatch.setattr(module, "graded_sign", recording(signs, grading.graded_sign))
+        monkeypatch.setattr(verify, "approx_equal_matrix",
+                            recording(comparisons, verify.approx_equal_matrix))
+        monkeypatch.setattr(verify, "_Operators", recording(sets, verify._Operators))
+        assert run_all_suites(cv_realization(Fraction(1, 2), 0, 64, Backend.EXACT)).passed
+        assert (len(signs), len(comparisons), len(sets)) == (56, 37, 1)
 
     @pytest.mark.parametrize("backend", [Backend.FLOAT, Backend.EXACT])
     @pytest.mark.parametrize("family", ["cv", "gdoa"])
@@ -937,6 +958,102 @@ class TestTableCensus:
         assert name in failing
         assert [c.name for c in report.checks if not c.passed] == [
             c for c, _, _ in SUITE_CENSUS if c in failing
+        ]
+
+
+# The 16 antisymmetry and 64 Jacobi checks are identities: they vanish for
+# any matrices under any degrees, so no corruption of an entry fails them (the
+# pins of the two censuses above name none); only a non-finite entry or a
+# fault in the bracket code does.
+_IDENTITIES = [name for name, _, _ in SUITE_CENSUS
+               if name.startswith(("jacobi/antisymmetry[", "jacobi/jacobi["))]
+
+
+def _reading(label):
+    """The identities whose name reads the generator ``label``."""
+    return {name for name in _IDENTITIES if label in name.rstrip("]").split("[")[1].split(",")}
+
+
+def _nan_in(field):
+    """The Hermitian set with NaN in ``field`` at its entry in column 3 of
+    the doublet of levels 3 and 4: (3, 3) of H or Z, (4, 3) of Q10 or Q01."""
+    def corrupt(h):
+        op = getattr(h, field)
+        entries = {(i, j): v for i, j, v in op.matrix.entries()}
+        entries[(3, 3) if field in ("H", "Z") else (4, 3)] = complex("nan")
+        return replace(h, **{field: replace(op, matrix=BandMatrix(h.dim, h.backend, entries))})
+    return corrupt
+
+
+def _z_shifted(h):
+    """The Hermitian set with Z + Q10 for Z, still of degree (1,1): unlike
+    the true generators', its nested brackets among Q10, Q01 and Z do not
+    vanish on the guard band, so a wrong sign or order among them shows."""
+    return replace(h, Z=GradedOperator(h.Z.matrix + h.Q10.matrix, DEGREE_Z, "Z"))
+
+
+def _sign_flipped(monkeypatch):
+    # verify.graded_sign flipped for the ordered degree pair (1,0).(0,1)
+    original = verify.graded_sign
+    monkeypatch.setattr(verify, "graded_sign", lambda a, b: -original(a, b) if (
+        a, b) == (DEGREE_Q10, DEGREE_Q01) else original(a, b))
+
+
+def _bracket_reversed(monkeypatch):
+    # verify.graded_bracket building [[Y,X]] for [[X,Y]]: the reordered nested bracket
+    original = verify.graded_bracket
+    monkeypatch.setattr(verify, "graded_bracket", lambda x, y: original(y, x))
+
+
+_SWAPPED_PAIR = {"jacobi/antisymmetry[Q10,Q01]", "jacobi/antisymmetry[Q01,Q10]"}
+_Q10_Q01_Z = {f"jacobi/jacobi[{x},{y},{z}]" for x, y, z in permutations(("Q10", "Q01", "Z"))}
+
+# Faults, each with the exact set of identities of run_all_suites it fails at
+# mu 0, dim 16: a corruption of the Hermitian set and a patch of verify, or
+# None.  A NaN fails every identity reading its generator (float only: the
+# exact backend holds no NaN).  On the true generators every nested bracket
+# vanishes on the guard band, so a flipped sign fails only the antisymmetry
+# of its pair and a reversed nested bracket fails nothing; on Z + Q10 both
+# fail the Jacobi checks of Q10, Q01 and Z, which that set alone passes.
+_IDENTITY_FAULTS = {
+    "nan-h": (_nan_in("H"), None, _reading("H")),
+    "nan-q10": (_nan_in("Q10"), None, _reading("Q10")),
+    "nan-q01": (_nan_in("Q01"), None, _reading("Q01")),
+    "nan-z": (_nan_in("Z"), None, _reading("Z")),
+    "sign-flipped": (None, _sign_flipped, _SWAPPED_PAIR),
+    "bracket-reversed": (None, _bracket_reversed, set()),
+    "z-shifted": (_z_shifted, None, set()),
+    "z-shifted-sign-flipped": (_z_shifted, _sign_flipped, _SWAPPED_PAIR | _Q10_Q01_Z),
+    "z-shifted-bracket-reversed": (_z_shifted, _bracket_reversed, _Q10_Q01_Z),
+}
+_IDENTITY_CELLS = [
+    (fault, family, backend, 16) for fault in _IDENTITY_FAULTS for family in ("cv", "gdoa")
+    for backend in (Backend.FLOAT, Backend.EXACT)
+    if backend is Backend.FLOAT or not fault.startswith("nan")
+] + [("z-shifted-bracket-reversed", "cv", Backend.FLOAT, 1024)]
+
+
+class TestIdentityCensus:
+    def test_no_entry_corruption_fails_an_identity(self):
+        assert len(_IDENTITIES) == 16 + 64
+        for _, failing in (*_CORRUPTIONS.values(), *_SET_CORRUPTIONS.values()):
+            assert not set(failing) & set(_IDENTITIES)
+
+    def test_every_identity_fails_under_a_pinned_fault(self):
+        assert set().union(*(failing for *_, failing in _IDENTITY_FAULTS.values())) == set(
+            _IDENTITIES)
+
+    @pytest.mark.parametrize("fault, family, backend, dim", _IDENTITY_CELLS)
+    def test_fault_fails_exactly_its_identities(self, fault, family, backend, dim, monkeypatch):
+        corrupt, patch, failing = _IDENTITY_FAULTS[fault]
+        if corrupt is not None:
+            monkeypatch.setattr(verify, "hermitian_charges",
+                                lambda r: corrupt(hermitian_charges(r)))
+        if patch is not None:
+            patch(monkeypatch)
+        report = run_all_suites(_family(family, 0, dim, backend))
+        assert [c.name for c in report.checks if c.name in _IDENTITIES and not c.passed] == [
+            name for name in _IDENTITIES if name in failing
         ]
 
 
