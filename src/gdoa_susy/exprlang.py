@@ -18,8 +18,8 @@ Literals are unsigned integers; rationals are written ``3/2`` (division).
 
 :func:`_level_parts` evaluates an expression over a whole range of levels in
 one walk of the tree, as the int numerators and denominators a spec's level
-record keeps; :func:`eval_levels` is its Fraction view, :func:`eval_expr` the
-one-level case.  Exact values of ``n`` form a column over one denominator
+record keeps; :func:`eval_expr` is the one-level case, as a Fraction or a
+double.  Exact values of ``n`` form a column over one denominator
 until a node that can fail at one level (division by a column, a power the
 bit bound does not clear, ``parity`` of a non-integer column, ``sqrt``) goes
 level by level.  A walk raises at the first error it meets; a bisection then
@@ -301,14 +301,6 @@ def parse_expr(text: str) -> Expr:
     return tree
 
 
-def eval_levels(expr: Expr, start: int, stop: int, env: Mapping[str, Fraction] | None = None,
-                backend: Backend = Backend.EXACT) -> list[Fraction | float]:
-    """Values at the levels start <= n < stop, from one walk of the tree: a
-    Fraction per level of :func:`_level_parts`' exact parts, or its doubles."""
-    values, denominators = _level_parts(expr, start, stop, env, backend)
-    return values if denominators is None else list(map(Fraction, values, denominators))
-
-
 def _level_parts(expr: Expr, start: int, stop: int, env: Mapping[str, Fraction] | None,
                  backend: Backend = Backend.EXACT) -> tuple[list, list[int] | None]:
     """The values at the levels start <= n < stop as exact int numerators and
@@ -464,8 +456,9 @@ def eval_expr(
     backend: Backend = Backend.EXACT,
 ) -> Fraction | float:
     """Evaluate at level n with parameters bound from env: the one-level case
-    of :func:`eval_levels`."""
-    return eval_levels(expr, n, n + 1, env, backend)[0]
+    of :func:`_level_parts`, as a Fraction or a double."""
+    (value,), denominators = _level_parts(expr, n, n + 1, env, backend)
+    return value if denominators is None else Fraction(value, denominators[0])
 
 
 _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}

@@ -61,16 +61,12 @@ def degree_add(a: DegreeVector, b: DegreeVector) -> DegreeVector:
     return DegreeVector(tuple((x + y) % 2 for x, y in zip(a.bits, b.bits)))
 
 
-def degree_dot(a: DegreeVector, b: DegreeVector) -> int:
-    """Dot product mod 2."""
+def graded_sign(a: DegreeVector, b: DegreeVector) -> int:
+    """(-1)^(a.b), a.b the dot product mod 2: +1 for commuting pairs, -1 for
+    anticommuting pairs."""
     if len(a) != len(b):
         raise GradingError(f"degree lengths differ: {len(a)} vs {len(b)}")
-    return sum(x * y for x, y in zip(a.bits, b.bits)) % 2
-
-
-def graded_sign(a: DegreeVector, b: DegreeVector) -> int:
-    """(-1)^(a.b): +1 for commuting pairs, -1 for anticommuting pairs."""
-    return -1 if degree_dot(a, b) else 1
+    return -1 if sum(x * y for x, y in zip(a.bits, b.bits)) % 2 else 1
 
 
 @dataclass(frozen=True)

@@ -206,9 +206,6 @@ class ExactScalar:
         d = self._d
         return complex(self._p / d * root, self._q / d * root)
 
-    def __complex__(self) -> complex:
-        return self.to_complex()
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactScalar):
             return NotImplemented
@@ -381,16 +378,13 @@ class BandMatrix:
     ``_diags[d]`` is the diagonal ``col - row = d`` as a list of ``dim - |d|``
     scalars; entry ``(r, c)`` sits at index ``min(r, c)``.  Offsets are kept
     in ascending order, and every kept diagonal holds a nonzero entry; zeros
-    inside one are skipped by ``entries``, ``nnz``, equality and the hash.
-    Lists are never mutated once a matrix holds them, so results share them.
-
-    ``lower_bw``/``upper_bw`` are the largest ``row - col`` / ``col - row``
-    over nonzero entries (0 for an empty matrix).  Columns index source basis
-    states; entry (r, c) is the amplitude of basis state r in the image of
-    basis state c.
+    inside one are skipped by ``entries``, equality and the hash.  Lists are
+    never mutated once a matrix holds them, so results share them.  Columns
+    index source basis states; entry (r, c) is the amplitude of basis state r
+    in the image of basis state c.
     """
 
-    __slots__ = ("dim", "backend", "lower_bw", "upper_bw", "_diags")
+    __slots__ = ("dim", "backend", "_diags")
 
     def __init__(self, dim: int, backend: Backend, entries: Mapping[tuple[int, int], Scalar]):
         zero = _zero(backend)
@@ -407,12 +401,9 @@ class BandMatrix:
     def _set(self, dim: int, backend: Backend, diags: dict[int, list[Scalar]]) -> None:
         if dim < 1:
             raise DimensionMismatchError("dimension must be >= 1")
-        kept = {d: diags[d] for d in sorted(diags) if any(diags[d])}
         self.dim = dim
         self.backend = backend
-        self.lower_bw = max(0, -min(kept, default=0))
-        self.upper_bw = max(0, max(kept, default=0))
-        self._diags = kept
+        self._diags = {d: diags[d] for d in sorted(diags) if any(diags[d])}
 
     @classmethod
     def _build(cls, dim: int, backend: Backend, diags: dict[int, list[Scalar]]) -> "BandMatrix":
@@ -447,10 +438,6 @@ class BandMatrix:
             for i, v in enumerate(values):
                 if v:
                     yield r0 + i, c0 + i, v
-
-    @property
-    def nnz(self) -> int:
-        return sum(sum(map(bool, values)) for values in self._diags.values())
 
     def max_abs(self, cols: range | None = None) -> float:
         """Largest entry magnitude, optionally restricted to a contiguous
@@ -538,7 +525,7 @@ class BandMatrix:
     def __repr__(self) -> str:
         return (
             f"BandMatrix(dim={self.dim}, backend={self.backend.value}, "
-            f"bands=({self.lower_bw}, {self.upper_bw}), nnz={self.nnz})"
+            f"offsets={list(self._diags)})"
         )
 
 

@@ -44,7 +44,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain, islice, repeat
 from operator import floordiv
 from typing import Sequence
@@ -80,11 +79,6 @@ class RealizationSet:
     H: GradedOperator
     Z: GradedOperator
     energies: tuple  # E_m per doublet level m, as :func:`_energies` gives them
-
-    @cached_property
-    def exact(self) -> "RealizationSet | None":
-        """:func:`exact_variant` of this realization, built on first use."""
-        return exact_variant(self)
 
 
 def _require_mu(mu: int) -> None:
@@ -210,8 +204,10 @@ def gdoa_realization(
         numerators, denominators = _structure_record(spec, dim)
         levels = ((m, weights[m] / Fraction(divisors[m]), Fraction(numerators[m], denominators[m]))
                   for m in range(2 - mu, dim + 1, 2))
-        m = next(m for m, f, F in levels
-                 if not (fits_double(F) and fits_double(f) and fits_double(f * f * F)))
+        m, f = next((m, f) for m, f, F in levels
+                    if not (fits_double(F) and fits_double(f) and fits_double(f * f * F)))
+        if f != f:  # inf - inf in a sqrt weight: NaN is in no range
+            raise ValidationError(f"f({m}) is NaN on the float backend") from None
         raise ValidationError(
             f"f({m}) or f({m})^2 F({m}) is beyond the double range of the float backend"
         ) from None

@@ -19,13 +19,13 @@ rows, each mapping an operator set to the two matrices it equates; one
 function computes every verdict, and each check is named ``prefix +
 row.name`` when it is built.  One runner reads ``(prefix, rows)`` suites from
 one operator set: the realization's generators plus its Hermitian charges.  A
-diagonal-exact row re-checks the same formula on the set of ``r.exact`` (on
-the exact backend, the instance set), so both suites that list [H,Z] = 0
-re-check it on the same exact H and Z.  The diagonal-exact rows also hold each
-of Q+, Q, H and Z they read, on every entry, to the set the one writer of
-sets, ``realizations._realization``, gives from the build's record, past any
-guard band or tolerance.  The Hermitian rows read Q10 and Q01, derived from
-the charges: no record, and one tolerance scale per matrix.
+diagonal-exact row re-checks the same formula on the set of
+``exact_variant(r)`` (on the exact backend, the instance set), so both suites
+that list [H,Z] = 0 re-check it on the same exact H and Z.  The diagonal-exact
+rows also hold each of Q+, Q, H and Z they read, on every entry, to the set
+the one writer of sets, ``realizations._realization``, gives from the build's
+record, past any guard band or tolerance.  The Hermitian rows read Q10 and
+Q01, derived from the charges: no record, and one tolerance scale per matrix.
 :func:`run_all_suites` returns one report, timed over the whole call, whose
 names carry the prefixes ``standard/``, ``qform/``, ``hermitian/`` and
 ``jacobi/``.  It evaluates each distinct table row once, and computes each
@@ -74,7 +74,8 @@ from .numerics import (
     _top,
     approx_equal_matrix,
 )
-from .realizations import HermitianSet, RealizationSet, _realization, hermitian_charges
+from .realizations import (HermitianSet, RealizationSet, _realization, exact_variant,
+                           hermitian_charges)
 
 
 class Exactness(Enum):
@@ -368,12 +369,12 @@ def _run_tables(
 ) -> list[RelationCheck]:
     """The checks of every ``(prefix, rows)`` suite, named ``prefix +
     row.name`` and read from ``ops``, the operator set of ``r``.
-    Diagonal-exact rows are re-checked on the set of ``r.exact`` (built on
-    first use), which on the exact backend is ``ops`` itself; that set and its
-    products are dropped on return.  A row listed by several suites is
-    evaluated once.  Diagonal-exact rows compare what they read with the
-    record of ``r`` too (see :func:`_off_record`)."""
-    ex = r.exact if use_exact else None
+    Diagonal-exact rows are re-checked on the set of ``exact_variant(r)``,
+    built once per call, which on the exact backend is ``ops`` itself; that
+    set and its products are dropped on return.  A row listed by several
+    suites is evaluated once.  Diagonal-exact rows compare what they read with
+    the record of ``r`` too (see :func:`_off_record`)."""
+    ex = exact_variant(r) if use_exact else None
     exact_ops = None if ex is None else ops if ex is r else _Operators(ex)
     off_record = _off_record(r, ops)
     verdicts: dict[Relation, Verdict] = {}
@@ -416,8 +417,8 @@ def run_hermitian_suite(
 ) -> VerificationReport:
     """Hermiticity plus the defining relations of the Hermitian charges of ``r``.
 
-    The exact re-check of [H,Z] = 0 reads the H and Z of ``r.exact``, as the
-    q-form suite's does.
+    The exact re-check of [H,Z] = 0 reads the H and Z of
+    ``exact_variant(r)``, as the q-form suite's does.
     """
     started = time.perf_counter()
     ops = _Operators(r, hermitian_charges(r))

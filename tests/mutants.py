@@ -84,6 +84,12 @@ MUTANTS = (
          "tests/test_cli.py::TestExitCodes::test_infinite_weight_is_beyond_the_double_range"),
     ),
     Mutant(
+        "a NaN weight named as beyond the double range", "realizations.py",
+        "        if f != f:", "        if False:",
+        (f"{_BUILD_ERROR}[float-nan-weight-mu-0]",
+         "tests/test_cli.py::TestExitCodes::test_nan_weight_is_named_as_nan[1-1]"),
+    ),
+    Mutant(
         "sign flip of the [Q01,Q10] structure constant", "verify.py",
         '("q01", "q10"): ("z", -2j)}', '("q01", "q10"): ("z", 2j)}',
         ("tests/test_verify.py::TestSuitesOverSpecs::test_square_structure_all_pass[0]",),
@@ -155,8 +161,30 @@ MUTANTS = (
     ),
     Mutant(
         "flipped graded_sign", "grading.py",
-        "return -1 if degree_dot(a, b) else 1", "return 1 if degree_dot(a, b) else -1",
+        "return -1 if sum(x * y for x, y in zip(a.bits, b.bits)) % 2 else 1",
+        "return 1 if sum(x * y for x, y in zip(a.bits, b.bits)) % 2 else -1",
         ("tests/test_grading.py::TestDegreeVectors::test_sign_examples",),
+    ),
+    Mutant(
+        "graded_sign without its length check", "grading.py",
+        "    if len(a) != len(b):\n"
+        '        raise GradingError(f"degree lengths differ: {len(a)} vs {len(b)}")\n'
+        "    return -1 if sum(",
+        "    return -1 if sum(",
+        ("tests/test_grading.py::TestDegreeVectors::test_length_mismatch",),
+    ),
+    Mutant(
+        "eval_expr drops the exact denominator", "exprlang.py",
+        "Fraction(value, denominators[0])", "Fraction(value)",
+        ("tests/test_exprlang.py::TestEvaluation::test_exact_backend_returns_fractions",),
+    ),
+    Mutant(
+        "exact re-check skipped on a float build", "verify.py",
+        "ex = exact_variant(r) if use_exact else None",
+        'ex = exact_variant(r) if use_exact and r.backend.value == "exact" else None',
+        ("tests/test_verify.py::TestExactRecheck::"
+         "test_non_diagonal_exact_h_fails_only_rows_reading_it[cv]",
+         "tests/test_verify.py::TestSharedBrackets::test_exact_variant_built_once_per_report[gdoa]"),
     ),
     Mutant(
         "math.lcm -> max in exprlang._column_arithmetic", "exprlang.py",

@@ -194,6 +194,17 @@ class TestExitCodes:
         assert ("f(2) or f(2)^2 F(2) is beyond the double range of the float backend"
                 in captured.err)
 
+    @pytest.mark.parametrize("mu, level", [(0, 2), (1, 1)])
+    def test_nan_weight_is_named_as_nan(self, tmp_path, capsys, mu, level):
+        # inf - inf is NaN at every level; NaN lies in no range, so the build
+        # names the first level it reads as NaN, not as beyond the double range
+        payload = {"algebra": {"type": "gdoa", "F": "n^2"},
+                   "f": "sqrt(n) + 10^200*10^200 - 10^200*10^200", "dim": 8, "backend": "float"}
+        code = main(["verify", "--config", write_config(tmp_path, payload), "--mu", str(mu)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: f({level}) is NaN on the float backend\n"
+
     def test_dim_two_jacobi_guard_is_config_class_error(self, tmp_path, capsys):
         code = main(["verify", "--config", write_config(tmp_path, CV_HALF), "--dim", "2"])
         assert code == 2

@@ -21,9 +21,9 @@ from gdoa_susy.exprlang import (
     Param,
     Pow,
     Var,
+    _level_parts,
     _require_short_power,
     eval_expr,
-    eval_levels,
     has_sqrt,
     parse_expr,
     printable,
@@ -442,9 +442,16 @@ def outcome(evaluate):
     return "mixed types", values
 
 
+def level_values(expr, start, stop, env=None, backend=EXACT):
+    """The values at the levels start <= n < stop from one walk of
+    ``_level_parts``: a Fraction per level of its exact parts, or its doubles."""
+    values, denominators = _level_parts(expr, start, stop, env, backend)
+    return values if denominators is None else list(map(Fraction, values, denominators))
+
+
 def assert_matches_reference(expr, start, stop, env, backend):
     expected = outcome(lambda: [reference_eval(expr, n, env, backend) for n in range(start, stop)])
-    assert outcome(lambda: eval_levels(expr, start, stop, env, backend)) == expected
+    assert outcome(lambda: level_values(expr, start, stop, env, backend)) == expected
     if stop > start:  # the one-level case at the first level
         first = outcome(lambda: [eval_expr(expr, start, env, backend)])
         assert first == outcome(lambda: [reference_eval(expr, start, env, backend)])
@@ -463,7 +470,7 @@ _RANGES = st.tuples(st.sampled_from([0, 1, 3]), st.integers(0, 40))
 
 
 class TestLevelRange:
-    """eval_levels against the per-level oracle: values and first errors."""
+    """_level_parts against the per-level oracle: values and first errors."""
 
     @settings(max_examples=400, deadline=None)
     @given(expression_trees(ops="+-*/", calls=("parity", "sqrt", "bracket"), exponents=(2, 3, 5)),
@@ -508,7 +515,7 @@ class TestLevelRange:
     def test_first_failing_level_and_node(self, source, start, message):
         expr = parse_expr(source)
         with pytest.raises(ExprEvalError) as err:
-            eval_levels(expr, start, start + 4)
+            level_values(expr, start, start + 4)
         assert str(err.value) == message
         for backend in (EXACT, FLOAT):
             assert_matches_reference(expr, start, start + 4, {}, backend)
@@ -541,11 +548,11 @@ class TestLevelRange:
     def test_column_nodes_against_the_per_level_walk(self, source, start, stop, message):
         expr = parse_expr(source)
         if message is None:
-            values = eval_levels(expr, start, stop, _COMPOSITE_ENV)
+            values = level_values(expr, start, stop, _COMPOSITE_ENV)
             assert all(type(value) is Fraction for value in values) and len(values) == stop - start
         else:
             with pytest.raises(ExprEvalError) as err:
-                eval_levels(expr, start, stop, _COMPOSITE_ENV)
+                level_values(expr, start, stop, _COMPOSITE_ENV)
             assert str(err.value) == message
         assert_matches_reference(expr, start, stop, _COMPOSITE_ENV, EXACT)
 
@@ -555,31 +562,31 @@ class TestLevelRange:
             with pytest.raises(ExprEvalError, match=r"^division by zero at n=1$"):
                 gdoa_realization(spec, 0, 8, backend)
             with pytest.raises(ExprEvalError, match=r"^division by zero at n=1$"):
-                eval_levels(spec.weight, 1, 9, {}, backend)
+                level_values(spec.weight, 1, 9, {}, backend)
 
     def test_empty_range_evaluates_nothing(self):
-        assert eval_levels(parse_expr("1/0 + x"), 3, 3) == []
+        assert level_values(parse_expr("1/0 + x"), 3, 3) == []
 
     def test_values_stay_exact_fractions(self):
-        values = eval_levels(parse_expr("n^3 + 2*n - n/2 + 1"), 0, 6)
+        values = level_values(parse_expr("n^3 + 2*n - n/2 + 1"), 0, 6)
         assert all(type(value) is Fraction for value in values)
         assert values == [Fraction(n**3 + 2 * n + 1) - Fraction(n, 2) for n in range(6)]
         assert [str(value) for value in values] == ["1", "7/2", "12", "65/2", "71", "267/2"]
-        constant = eval_levels(parse_expr("3/6"), 1, 4, backend=FLOAT)
+        constant = level_values(parse_expr("3/6"), 1, 4, backend=FLOAT)
         assert constant == [0.5, 0.5, 0.5]
 
     def test_float_overflow_names_the_level(self):
         # (n 10^102)^3 passes the double range at n = 6
         with pytest.raises(ExprEvalError, match=r"^float overflow at n=6: "):
-            eval_levels(parse_expr("(n*10^102)^3"), 0, 8, backend=FLOAT)
+            level_values(parse_expr("(n*10^102)^3"), 0, 8, backend=FLOAT)
         with pytest.raises(ExprEvalError, match=r"^float overflow at n=2: "):
-            eval_levels(parse_expr("n + " + "1" + "0" * 400), 2, 8, backend=FLOAT)
+            level_values(parse_expr("n + " + "1" + "0" * 400), 2, 8, backend=FLOAT)
         # an overflow and a division by zero rank by their levels, not by
         # which node the walk meets first
         with pytest.raises(ExprEvalError, match=r"^float overflow at n=6: "):
-            eval_levels(parse_expr("1/(n - 7) + sqrt(n)*(n*10^102)^3"), 0, 8, backend=FLOAT)
+            level_values(parse_expr("1/(n - 7) + sqrt(n)*(n*10^102)^3"), 0, 8, backend=FLOAT)
         with pytest.raises(ExprEvalError, match=r"^division by zero at n=5$"):
-            eval_levels(parse_expr("sqrt(n)*(n*10^102)^3 + 1/(n - 5)"), 0, 8, backend=FLOAT)
+            level_values(parse_expr("sqrt(n)*(n*10^102)^3 + 1/(n - 5)"), 0, 8, backend=FLOAT)
 
     def test_first_failing_level_is_found_in_logarithmically_many_walks(self, monkeypatch):
         walks = []
@@ -624,7 +631,7 @@ class TestNonFiniteParity:
             with pytest.raises(ExprEvalError, match=r"^parity of non-integer nan at n=1$"):
                 eval_expr(parse_expr(source), 1, backend=FLOAT)
             with pytest.raises(ExprEvalError, match=r"^parity of non-integer nan at n=1$"):
-                eval_levels(parse_expr(source), 1, 9, backend=FLOAT)
+                level_values(parse_expr(source), 1, 9, backend=FLOAT)
 
     def test_infinity_is_a_float_overflow(self):
         with pytest.raises(ExprEvalError, match=r"^float overflow at n=1: "):

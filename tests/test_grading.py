@@ -14,7 +14,6 @@ from gdoa_susy.grading import (
     check_antisymmetry,
     degree,
     degree_add,
-    degree_dot,
     graded_bracket,
     graded_sign,
     jacobi_defect,
@@ -45,11 +44,12 @@ class TestDegreeVectors:
         assert degree_add(degree(1, 0), degree(0, 1)) == degree(1, 1)
         assert degree_add(degree(1, 1), degree(1, 1)) == degree(0, 0)
 
-    def test_dot_examples(self):
-        assert degree_dot(degree(1, 0), degree(0, 1)) == 0
-        assert degree_dot(degree(1, 0), degree(1, 0)) == 1
-        assert degree_dot(degree(1, 1), degree(1, 0)) == 1
-        assert degree_dot(degree(1, 1), degree(1, 1)) == 0
+    def test_sign_is_minus_one_to_the_dot_product(self):
+        for length in (1, 2, 3):
+            degrees = [DegreeVector(bits) for bits in product((0, 1), repeat=length)]
+            for a, b in product(degrees, repeat=2):
+                dot = sum(x * y for x, y in zip(a, b))
+                assert graded_sign(a, b) == (-1) ** dot, (a, b)
 
     def test_sign_examples(self):
         # Mixed charges commute; each charge with itself anticommutes; the
@@ -63,7 +63,9 @@ class TestDegreeVectors:
         with pytest.raises(GradingError, match="lengths differ"):
             degree_add(degree(1), degree(1, 0))
         with pytest.raises(GradingError, match="lengths differ"):
-            degree_dot(degree(1), degree(1, 0))
+            graded_sign(degree(1), degree(1, 0))
+        with pytest.raises(GradingError, match="lengths differ"):
+            graded_sign(degree(1, 0, 1), degree(1, 0))
 
     def test_iteration(self):
         assert tuple(degree(1, 0)) == (1, 0)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from gdoa_susy import exprlang, fock, realizations
-from gdoa_susy.exprlang import eval_expr, eval_levels
+from gdoa_susy.exprlang import eval_expr
 from gdoa_susy.fock import OscillatorSpec, ValidationError
 from gdoa_susy.numerics import (
     Backend,
@@ -52,14 +52,15 @@ class TestDeformedRealizations:
             for mu in (0, 1):
                 r = cv_realization(kappa, mu, 12)
                 oracle = [cv_energy_oracle(n, kappa, mu) for n in range(12)]
-                assert r.exact.H.matrix == BandMatrix.diagonal(oracle, EXACT)
+                assert exact_variant(r).H.matrix == BandMatrix.diagonal(oracle, EXACT)
 
     def test_central_charge_alternates(self):
         r0 = cv_realization(Fraction(1, 2), 0, 8)
-        assert r0.exact.Z.matrix == BandMatrix.diagonal([0, 2, -2, 4, -4, 6, -6, 8], EXACT)
+        assert exact_variant(r0).Z.matrix == BandMatrix.diagonal([0, 2, -2, 4, -4, 6, -6, 8],
+                                                                 EXACT)
         r1 = cv_realization(Fraction(1, 2), 1, 6)
         three_halves = Fraction(3, 2)
-        assert r1.exact.Z.matrix == BandMatrix.diagonal([
+        assert exact_variant(r1).Z.matrix == BandMatrix.diagonal([
             three_halves,
             -three_halves,
             three_halves + 2,
@@ -123,14 +124,14 @@ class TestWeightedRealizations:
     def test_linear_structure(self):
         spec = OscillatorSpec.gdoa("n")
         r = gdoa_realization(spec, 0, 4)
-        assert r.exact.H.matrix == BandMatrix.diagonal([0, 2, 2, 4], EXACT)
-        assert r.exact.Z.matrix == BandMatrix.diagonal([0, -2, 2, -4], EXACT)
+        assert exact_variant(r).H.matrix == BandMatrix.diagonal([0, 2, 2, 4], EXACT)
+        assert exact_variant(r).Z.matrix == BandMatrix.diagonal([0, -2, 2, -4], EXACT)
 
     def test_square_structure(self):
         spec = OscillatorSpec.gdoa("n^2")
         r = gdoa_realization(spec, 1, 4)
-        assert r.exact.H.matrix == BandMatrix.diagonal([1, 1, 9, 9], EXACT)
-        assert r.exact.Z.matrix == BandMatrix.diagonal([-1, 1, -9, 9], EXACT)
+        assert exact_variant(r).H.matrix == BandMatrix.diagonal([1, 1, 9, 9], EXACT)
+        assert exact_variant(r).Z.matrix == BandMatrix.diagonal([-1, 1, -9, 9], EXACT)
 
     def test_weighted_charge_entries(self):
         spec = OscillatorSpec.gdoa("n", weight="n")
@@ -152,13 +153,13 @@ class TestWeightedRealizations:
         with pytest.raises(ValidationError, match="float backend"):
             gdoa_realization(spec, 0, 8, EXACT)
         r = gdoa_realization(spec, 0, 8, FLOAT)
-        assert r.exact is None and r.energies[1] is None
+        assert exact_variant(r) is None and r.energies[1] is None
 
     def test_weight_zero_levels_recorded(self):
         # f(1) = 0 leaves the mu = 1 doublet (0, 1) at zero energy.
         spec = OscillatorSpec.gdoa("n", weight="n - 1")
         r = gdoa_realization(spec, 1, 6)
-        assert r.exact.H.matrix == BandMatrix.diagonal([0, 0, 12, 12, 80, 80], EXACT)
+        assert exact_variant(r).H.matrix == BandMatrix.diagonal([0, 0, 12, 12, 80, 80], EXACT)
 
     @pytest.mark.parametrize("family", ["cv", "gdoa"])
     def test_builds_no_ladder(self, family, monkeypatch):
@@ -170,7 +171,8 @@ class TestWeightedRealizations:
             r = cv_realization(Fraction(1, 2), 1, 8)
         else:
             r = gdoa_realization(OscillatorSpec.gdoa("n^2", weight="n"), 1, 8)
-        assert r.exact is not None and r.exact.energies is r.energies
+        exact = exact_variant(r)
+        assert exact is not None and exact.energies is r.energies
 
     def test_exact_weights_evaluated_once_per_spec(self, monkeypatch):
         calls = []
@@ -184,7 +186,8 @@ class TestWeightedRealizations:
         monkeypatch.setattr(fock, "_level_parts", counting)
         spec = OscillatorSpec.gdoa("n^2", weight="n")
         r = gdoa_realization(spec, 0, 8)
-        assert r.exact is not None and r.exact.energies is r.energies
+        exact = exact_variant(r)
+        assert exact is not None and exact.energies is r.energies
         gdoa_realization(spec, 1, 6)
         assert calls == [(8, EXACT)]
         # a sqrt weight is kept as floats, evaluated once per spec too: the
@@ -245,6 +248,7 @@ def _gdoa(structure, weight="1"):
 # Which error a build raises first, and its message.  The charges are written
 # before the energies, so a dim below 2 is named before F's record is read,
 # and the exact backend refuses a sqrt weight before any level overflows.
+_NAN_WEIGHT = "sqrt(n) + 10^200*10^200 - 10^200*10^200"
 _BUILD_ERRORS = {
     "cv-dim-0": (lambda: cv_realization(Fraction(1, 2), 0, 0), "dim must be >= 2"),
     "gdoa-dim-0": (lambda: gdoa_realization(_gdoa("n^2", "n"), 0, 0), "dim must be >= 2"),
@@ -267,6 +271,13 @@ _BUILD_ERRORS = {
     "float-energy-overflow-sqrt-weight": (
         lambda: gdoa_realization(_gdoa("n^2", "sqrt(n)*10^153"), 0, 8),
         "f(6) or f(6)^2 F(6) is beyond the double range of the float backend"),
+    # inf - inf is NaN at every level of a sqrt weight: NaN is in no range
+    "float-nan-weight-mu-0": (
+        lambda: gdoa_realization(_gdoa("n^2", _NAN_WEIGHT), 0, 8),
+        "f(2) is NaN on the float backend"),
+    "float-nan-weight-mu-1": (
+        lambda: gdoa_realization(_gdoa("n^2", _NAN_WEIGHT), 1, 8),
+        "f(1) is NaN on the float backend"),
     "invalid-structure-dim-0": (lambda: gdoa_realization(_gdoa("n - 3", "n"), 0, 0),
                                 "dim must be >= 2"),
     "invalid-structure-dim-8": (lambda: gdoa_realization(_gdoa("n - 3", "n"), 0, 8),
@@ -326,8 +337,8 @@ class TestExactVariantFromTheRecord:
         # both builds write their charges through one writer; its edges must
         # be f(m) sqrt(F(m)) as the public constructor writes it
         values = fock.structure_values(fresh.spec, dim)
-        weights = eval_levels(fresh.spec.weight, 1, dim, fresh.spec.params)  # f(1..dim-1)
-        edges = {(m, m - 1): ExactScalar(weights[m - 1], 0, values[m])
+        weight, params = fresh.spec.weight, fresh.spec.params
+        edges = {(m, m - 1): ExactScalar(eval_expr(weight, m, params), 0, values[m])
                  for m in range(2 - mu, dim, 2)}
         raising = fresh.Q if family == "cv" else fresh.Qdag
         assert raising.matrix == BandMatrix(dim, EXACT, edges)
@@ -348,7 +359,8 @@ class TestExactVariantFromTheRecord:
         # not 0 * sqrt(6); equality compares the zero kept inside the diagonal
         r = gdoa_realization(OscillatorSpec.gdoa("2*n", weight="n-3"), 1, 8)
         edges = {(m, m - 1): ExactScalar(m - 3, 0, 2 * m) for m in (1, 5, 7)}
-        assert r.exact.Qdag.matrix == BandMatrix.from_entries(8, {**edges, (3, 2): 0}, EXACT)
+        expected = BandMatrix.from_entries(8, {**edges, (3, 2): 0}, EXACT)
+        assert exact_variant(r).Qdag.matrix == expected
 
 
 class TestHermitianCharges:
@@ -418,8 +430,8 @@ class TestSpectra:
             r = gdoa_realization(spec, mu, 10)
             energies, charges = ([getattr(row, column) for row in table.rows]
                                  for column in ("energy", "central"))
-            assert BandMatrix.diagonal(energies, EXACT) == r.exact.H.matrix
-            assert BandMatrix.diagonal(charges, EXACT) == r.exact.Z.matrix
+            assert BandMatrix.diagonal(energies, EXACT) == exact_variant(r).H.matrix
+            assert BandMatrix.diagonal(charges, EXACT) == exact_variant(r).Z.matrix
 
     def test_cv_table_matches_realization(self):
         for kappa in (0, Fraction(5, 2)):
@@ -429,8 +441,8 @@ class TestSpectra:
                 r = cv_realization(kappa, mu, 12)
                 energies, charges = ([getattr(row, column) for row in table.rows]
                                      for column in ("energy", "central"))
-                assert BandMatrix.diagonal(energies, EXACT) == r.exact.H.matrix
-                assert BandMatrix.diagonal(charges, EXACT) == r.exact.Z.matrix
+                assert BandMatrix.diagonal(energies, EXACT) == exact_variant(r).H.matrix
+                assert BandMatrix.diagonal(charges, EXACT) == exact_variant(r).Z.matrix
 
     def test_sqrt_weight_rejected(self):
         spec = OscillatorSpec.gdoa("n", weight="sqrt(n)")
@@ -778,7 +790,8 @@ class TestBenchmarkSize:
         values = fock.structure_values(spec, dim)
         assert values == tuple(structure.values())
         assert all(type(value) is Fraction for value in values)
-        weights = eval_levels(spec.weight, 1, dim + 1, spec.params)
+        record = fock._weight_record(spec, dim)
+        weights = list(map(Fraction, *(parts[1:dim + 1] for parts in record)))
         assert weights == list(weight.values()) and all(type(value) is Fraction
                                                         for value in weights)
         if spec.is_calogero_vasiliev:

@@ -8,9 +8,11 @@ from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gdoa_susy import grading, realizations, verify
-from gdoa_susy.fock import OscillatorSpec
+from gdoa_susy import grading, verify
+from gdoa_susy.fock import OscillatorSpec, ValidationError
 from gdoa_susy.grading import (
     GradedOperator,
     GradingError,
@@ -34,6 +36,7 @@ from gdoa_susy.realizations import (
     DEGREE_Q10,
     DEGREE_Z,
     cv_realization,
+    exact_variant,
     gdoa_realization,
     hermitian_charges,
     spectrum_H,
@@ -143,6 +146,68 @@ class TestSuitesOverSpecs:
             qform = run_qform_suite(r)
             hermitian = run_hermitian_suite(r)
             assert qform.passed == hermitian.passed
+
+
+def _polynomial(coefficients):
+    """c0*n^0 + c1*n^1 + ... over the nonzero coefficients."""
+    return " + ".join(f"{c}*n^{k}" for k, c in enumerate(coefficients) if c)
+
+
+# nonnegative integer coefficients, not all zero: positive at every n >= 1
+_POSITIVE = st.lists(st.integers(0, 9), min_size=1, max_size=3).filter(any)
+
+
+@st.composite
+def drawn_specs(draw):
+    """(F, params, f): F = n P(n), sometimes over (n + c), or bracket(n) with a
+    drawn kappa > -1; f a positive polynomial or its reciprocal, sometimes
+    under sqrt.  Degrees stay at 3 or below in F and 2 in f, so an exact
+    radicand at dim 256 stays far below the factoring limit of 10**18."""
+    params = {}
+    structure = draw(st.sampled_from(["poly", "ratio", "bracket"]))
+    if structure == "bracket":
+        params["kappa"] = draw(st.fractions(Fraction(-3, 4), 4, max_denominator=6))
+        structure = "bracket(n)"
+    else:
+        over = f"/(n + {draw(st.integers(1, 9))})" if structure == "ratio" else ""
+        structure = f"n*({_polynomial(draw(_POSITIVE))}){over}"
+    weight = _polynomial(draw(_POSITIVE))
+    if draw(st.booleans()):
+        weight = f"1/({weight})"
+    if draw(st.integers(0, 3)) == 0:
+        weight = f"sqrt({weight})"
+    return structure, params, weight
+
+
+class TestDrawnSpecs:
+    """The paper's construction holds for any structure function with F(0) = 0
+    and F(n) > 0, and any positive weight: every check of an honest report
+    passes on drawn (F, f), as on the listed specs."""
+
+    # 60 drawn examples, each one float report at dim <= 256 and, for a
+    # weight without sqrt, one exact report at dim <= 64
+    @settings(max_examples=60, deadline=None)
+    @given(drawn_specs(), st.sampled_from([0, 1]), st.integers(4, 64), st.integers(4, 256))
+    def test_honest_reports_pass_and_match_the_spectrum(self, sources, mu, exact_dim,
+                                                        float_dim):
+        structure, params, weight = sources
+        spec = OscillatorSpec.gdoa(structure, params, weight)
+        r = gdoa_realization(spec, mu, float_dim)
+        report = run_all_suites(r)
+        assert report.passed, [c.name for c in report.checks if not c.passed]
+        if not spec.weight_is_exact:
+            with pytest.raises(ValidationError, match="use the float backend"):
+                gdoa_realization(spec, mu, exact_dim, Backend.EXACT)
+            return
+        exact = gdoa_realization(spec, mu, exact_dim, Backend.EXACT)
+        exact_report = run_all_suites(exact)
+        assert [(c.name, c.passed) for c in exact_report.checks] == [
+            (c.name, c.passed) for c in report.checks]
+        # the instance H and Z are the closed-form spectrum, level by level
+        for s in (r, exact):
+            rows = spectrum_H(spec, mu, s.dim - 1).rows
+            assert s.H.matrix == BandMatrix.diagonal([row.energy for row in rows], s.backend)
+            assert s.Z.matrix == BandMatrix.diagonal([row.central for row in rows], s.backend)
 
 
 class TestFaultDetection:
@@ -361,13 +426,13 @@ class TestSharedBrackets:
     @pytest.mark.parametrize("family", ["cv", "gdoa"])
     def test_exact_variant_built_once_per_report(self, family, monkeypatch):
         calls = []
-        original = realizations.exact_variant
+        original = verify.exact_variant
 
         def counting(r):
             calls.append(r.backend)
             return original(r)
 
-        monkeypatch.setattr(realizations, "exact_variant", counting)
+        monkeypatch.setattr(verify, "exact_variant", counting)
         assert run_all_suites(_family(family, 0, 8)).passed
         assert calls == [Backend.FLOAT]
 
@@ -491,17 +556,21 @@ class TestSharedRows:
     @pytest.mark.parametrize("family", ["cv", "gdoa"])
     def test_each_generator_product_made_once(self, family, backend, monkeypatch):
         r = _family(family, 1, 8, backend)
-        built = []
+        charges, variants = [], []
 
-        def capture(s):
-            built.append(hermitian_charges(s))
-            return built[-1]
+        def capture(build, built):
+            def captured(s):
+                built.append(build(s))
+                return built[-1]
+            return captured
 
-        monkeypatch.setattr(verify, "hermitian_charges", capture)
+        # the sets verify builds: on the exact backend the variant is r itself
+        monkeypatch.setattr(verify, "hermitian_charges", capture(hermitian_charges, charges))
+        monkeypatch.setattr(verify, "exact_variant", capture(exact_variant, variants))
         calls = self._record_matmuls(monkeypatch)
         run_all_suites(r)
-        (h,) = built
-        generators = {id(op.matrix) for s in (r, r.exact) for op in (s.Qdag, s.Q, s.H, s.Z)}
+        (h,), (ex,) = charges, variants
+        generators = {id(op.matrix) for s in (r, ex) for op in (s.Qdag, s.Q, s.H, s.Z)}
         generators |= {id(h.Q10.matrix), id(h.Q01.matrix)}
         pairs = Counter((id(a), id(b)) for a, b in calls
                         if id(a) in generators and id(b) in generators)
@@ -574,7 +643,8 @@ def _oracle_checks(r, policy=verify.DEFAULT_POLICY):
     h = hermitian_charges(r)
     pairs = _plain_pairs(r, h)
     off = {name: residual for name, residual in _record_residuals(r).items() if residual != 0.0}
-    exact = _plain_pairs(r.exact) if r.exact is not None else None
+    ex = exact_variant(r)
+    exact = _plain_pairs(ex) if ex is not None else None
     checks = []
     tables = {"standard/": verify.STANDARD_RELATIONS, "qform/": verify.QFORM_RELATIONS,
               "hermitian/": verify.HERMITIAN_RELATIONS}
@@ -1075,27 +1145,27 @@ class TestExactRecheck:
     )
     @pytest.mark.parametrize("family", ["cv", "gdoa"])
     def test_doubled_exact_operator_fails_its_rows(self, family, field, failing, monkeypatch):
-        original = realizations.exact_variant
+        original = verify.exact_variant
 
         def doubled(r):
             exact = original(r)
             op = getattr(exact, field)
             return replace(exact, **{field: replace(op, matrix=op.matrix.scaled(2))})
 
-        monkeypatch.setattr(realizations, "exact_variant", doubled)
+        monkeypatch.setattr(verify, "exact_variant", doubled)
         report = run_all_suites(_family(family, 0, 8))
         assert {c.name for c in report.checks if not c.passed} == failing
 
     @pytest.mark.parametrize("family", ["cv", "gdoa"])
     def test_non_diagonal_exact_h_fails_only_rows_reading_it(self, family, monkeypatch):
-        # Both suites that list [H,Z] = 0 re-check it on the exact H of r.exact.
-        original = realizations.exact_variant
+        # Both suites that list [H,Z] = 0 re-check it on the exact H of exact_variant(r).
+        original = verify.exact_variant
 
         def shifted(r):
             exact = original(r)
             return replace(exact, H=replace(exact.H, matrix=exact.H.matrix + exact.Qdag.matrix))
 
-        monkeypatch.setattr(realizations, "exact_variant", shifted)
+        monkeypatch.setattr(verify, "exact_variant", shifted)
         report = run_all_suites(_family(family, 0, 8))
         assert {c.name for c in report.checks if not c.passed} == _ANTI_H | {
             "qform/h-commutes-z", "hermitian/h-commutes-z"
@@ -1103,13 +1173,13 @@ class TestExactRecheck:
 
     @pytest.mark.parametrize("family", ["cv", "gdoa"])
     def test_standalone_hermitian_suite_rechecks_on_exact_variant(self, family, monkeypatch):
-        original = realizations.exact_variant
+        original = verify.exact_variant
 
         def shifted(r):
             exact = original(r)
             return replace(exact, H=replace(exact.H, matrix=exact.H.matrix + exact.Qdag.matrix))
 
-        monkeypatch.setattr(realizations, "exact_variant", shifted)
+        monkeypatch.setattr(verify, "exact_variant", shifted)
         report = run_hermitian_suite(_family(family, 0, 8))
         assert [c.name for c in report.checks if not c.passed] == ["h-commutes-z"]
 
