@@ -24,12 +24,15 @@ until a node that can fail at one level (division by a column, a power the
 bit bound does not clear, ``parity`` of a non-integer column, ``sqrt``) goes
 level by level.  A walk raises at the first error it meets; a bisection then
 names the first failing level, as a walk of one level at a time would.
+:func:`_rational_degree` bounds the degrees in n of an expression that is a
+quotient of polynomials on each parity class of n, which the exact re-check of
+a float build needs to certify every level.
 
 The source nests at most ``MAX_DEPTH`` parentheses, builtin calls and unary
 minuses, and the parsed tree is at most ``MAX_DEPTH // 2`` levels deep, so the
-evaluator and :func:`has_sqrt`, which recurse once per tree level, stay within
-the interpreter's recursion limit; deeper input, and literals too long for
-``int``, are syntax errors.
+evaluator, :func:`has_sqrt` and :func:`_rational_degree`, which recurse once
+per tree level, stay within the interpreter's recursion limit; deeper input,
+and literals too long for ``int``, are syntax errors.
 """
 
 from __future__ import annotations
@@ -544,6 +547,45 @@ def has_sqrt(expr: Expr) -> bool:
     if isinstance(expr, Call) and expr.func == "sqrt":
         return True
     return any(map(has_sqrt, _children(expr)))
+
+
+def _rational_degree(expr: Expr) -> tuple[int, int] | None:
+    """Bounds (numerator, denominator) on the degrees in n of a quotient of
+    two polynomials that equals ``expr`` on each parity class of n, or None
+    outside that scope: ``sqrt``, or ``parity`` of anything but an integer
+    literal, n, or n plus or minus an integer literal, whose parity is fixed
+    on each class."""
+    if isinstance(expr, (Number, Param)):
+        return 0, 0
+    if isinstance(expr, Var):
+        return 1, 0
+    if isinstance(expr, Call):
+        return (0, 0) if expr.func == "parity" and _fixed_parity(expr.arg) else None
+    if isinstance(expr, Neg):
+        return _rational_degree(expr.arg)
+    if isinstance(expr, Pow):
+        base = _rational_degree(expr.base)
+        return None if base is None else (base[0] * expr.exponent, base[1] * expr.exponent)
+    left, right = _rational_degree(expr.left), _rational_degree(expr.right)
+    if left is None or right is None:
+        return None
+    (a0, a1), (b0, b1) = left, right
+    if expr.op == "*":
+        return a0 + b0, a1 + b1
+    if expr.op == "/":
+        return a0 + b1, a1 + b0
+    return max(a0 + b1, b0 + a1), a1 + b1
+
+
+def _fixed_parity(expr: Expr) -> bool:
+    """True for the arguments whose parity :func:`_rational_degree` reads as
+    fixed on each parity class of n."""
+    def integer(node: Expr) -> bool:
+        return isinstance(node, Number) and node.value.denominator == 1
+
+    return integer(expr) or isinstance(expr, Var) or (
+        isinstance(expr, BinOp) and expr.op in "+-" and isinstance(expr.left, Var)
+        and integer(expr.right))
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,10 @@ convention's signs.  Scalars are written from integer parts; Fractions are
 built only for spectrum rows, one per doublet.  The exact variant of a float
 build is written from the same record, H and Z from the energies the float
 build recorded, never from its float matrices, so the exact re-check rests on
-the defining data alone.  The verification suites hold the instance Q+, Q, H
-and Z to the set the record gives, on every entry.
+the defining data alone; :func:`certifying_dim` gives the smallest dim at
+which it proves the diagonal-exact relations for every level.  The
+verification suites hold the instance Q+, Q, H and Z to the set the spec
+gives, on every entry.
 
 At f = 1 and the reflection-deformed structure function the two families
 coincide under the swap Q <-> Q+, Z <-> -Z with identical H;
@@ -48,6 +50,7 @@ from itertools import chain, islice, repeat
 from operator import floordiv
 from typing import Sequence
 
+from .exprlang import BinOp, Pow, _rational_degree
 from .fock import (
     OscillatorSpec,
     ValidationError,
@@ -213,17 +216,53 @@ def gdoa_realization(
         ) from None
 
 
-def exact_variant(r: RealizationSet) -> RealizationSet | None:
-    """The same realization on the exact backend, or None if f needs floats.
+def exact_variant(r: RealizationSet, dim: int | None = None) -> RealizationSet | None:
+    """The same realization on the exact backend at ``dim`` (default
+    ``r.dim``), or None if f needs floats; on the exact backend, ``r`` itself.
 
     Only its charges are built, exact, from ``r.spec``'s level record; H and
-    Z are written from the exact energies ``r`` recorded.  It never reads
-    ``r``'s float matrices, so it is derived from the defining data."""
+    Z are written from the exact energies ``r`` recorded, those of the levels
+    up to ``dim``.  It never reads ``r``'s float matrices, so it is derived
+    from the defining data."""
     if r.backend is Backend.EXACT:
         return r
     if not r.spec.weight_is_exact:
         return None
-    return _realization(r.spec, r.mu, r.dim, Backend.EXACT, r.convention, r.energies)
+    dim = r.dim if dim is None else dim
+    if dim > r.dim:
+        raise ValidationError(f"an exact variant of dim {dim} exceeds the build's dim {r.dim}")
+    energies = r.energies if dim == r.dim else tuple(
+        parts[:len(range(r.mu, dim + 1, 2))] for parts in r.energies)
+    return _realization(r.spec, r.mu, dim, Backend.EXACT, r.convention, energies)
+
+
+def certifying_dim(spec: OscillatorSpec, dim: int) -> int:
+    """The least dim d whose exact re-check of the diagonal-exact rows
+    proves them at every level n, or ``dim`` if that is smaller or the spec
+    lies outside the scope of :func:`~gdoa_susy.exprlang._rational_degree`.
+
+    Proof.  For every dim, each charge entry sits at (m, m-1) or (m-1, m)
+    with m = mu (mod 2), and H and Z are diagonal, so {Q+,Q} - H,
+    [Q+,Q] - Z and [H,Z] are diagonal.  Below the top column a truncation's
+    entry at column n is that of the infinite matrices: +-(f(m)^2 F(m) - E_m)
+    with m = n or n + 1 by the parity of n, or H_nn Z_nn - Z_nn H_nn.  On
+    each parity class of n, parity(n + c) is a constant, so f(m)^2 F(m) is a
+    quotient of polynomials in n with degrees at most (N, M), the bound of
+    its tree.  So is E_m: f(m)^2 F(m) again for 'gdoa', and linear in m for
+    'cv', which N >= 1 covers.  Each entry is then such a quotient with a
+    numerator of degree at most k = 2(N + M), which the product of two level
+    functions in [H,Z] needs, and a numerator that vanishes at k + 1 points
+    of a class vanishes on all of it.  The re-check at dim d compares columns
+    0..d-2 exactly (guard band 1, the largest of the three rows).  Column 0
+    does not count: level 0 reads f(0) = 0 from the record, not from f's
+    expression.  Columns 1..d-2 hold k + 1 points of each class from
+    d = 2(k + 1) + 2 on, which so proves every level above d too."""
+    degree = _rational_degree(BinOp("*", Pow(spec.weight, 2), spec.structure))
+    if degree is None:
+        return dim
+    k = 2 * (max(degree[0], 1) + degree[1])
+    first, guard = 1, 1  # the columns first..d-1-guard certify
+    return min(dim, first + 2 * (k + 1) + guard)
 
 
 @dataclass(frozen=True)

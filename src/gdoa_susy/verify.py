@@ -9,7 +9,12 @@ truncated representation supports:
   vanish through hard zero projector factors).
 * ``diagonal-exact``: the relation closes on diagonal rational matrices and is
   re-verified in exact arithmetic when the weight function allows it; the
-  reported residual is then exactly 0.0.
+  reported residual is then exactly 0.0.  A float build re-checks it at
+  ``realizations.certifying_dim(spec, D)``: where F and f are rational in n on
+  each parity class, that truncation holds more levels than the degree of
+  each entry, so a pass proves the relation exactly at every level n, not
+  only on D levels; elsewhere (``sqrt``, or ``parity`` of other than n plus an
+  integer) the dim is D.  The instance matrices are still compared at D.
 * ``float-tolerance``: the relation is checked in complex doubles against
   |residual| <= absolute + relative * scale, with the scale taken from the
   largest entry encountered on either side.
@@ -20,12 +25,15 @@ function computes every verdict, and each check is named ``prefix +
 row.name`` when it is built.  One runner reads ``(prefix, rows)`` suites from
 one operator set: the realization's generators plus its Hermitian charges.  A
 diagonal-exact row re-checks the same formula on the set of
-``exact_variant(r)`` (on the exact backend, the instance set), so both suites
-that list [H,Z] = 0 re-check it on the same exact H and Z.  The diagonal-exact
-rows also hold each of Q+, Q, H and Z they read, on every entry, to the set
-the one writer of sets, ``realizations._realization``, gives from the build's
-record, past any guard band or tolerance.  The Hermitian rows read Q10 and
-Q01, derived from the charges: no record, and one tolerance scale per matrix.
+``exact_variant(r, certifying_dim(r.spec, r.dim))`` (on the exact backend, the
+instance set), on the guard columns of that set's own dim, so both suites that
+list [H,Z] = 0 re-check it on the same exact H and Z.  The diagonal-exact
+rows also hold each of Q+, Q, H and Z they read, on every entry of the full
+dim, to the set the one writer of sets, ``realizations._realization``, gives
+from the build's spec, energies computed again, past any guard band or
+tolerance; so a level above the certifying dim is held to the spec too.  The
+Hermitian rows read Q10 and Q01, derived from the charges: no record, and one
+tolerance scale per matrix.
 :func:`run_all_suites` returns one report, timed over the whole call, whose
 names carry the prefixes ``standard/``, ``qform/``, ``hermitian/`` and
 ``jacobi/``.  It evaluates each distinct table row once, and computes each
@@ -74,8 +82,8 @@ from .numerics import (
     _top,
     approx_equal_matrix,
 )
-from .realizations import (HermitianSet, RealizationSet, _realization, exact_variant,
-                           hermitian_charges)
+from .realizations import (HermitianSet, RealizationSet, _realization, certifying_dim,
+                           exact_variant, hermitian_charges)
 
 
 class Exactness(Enum):
@@ -169,13 +177,15 @@ def _check(
     """Compare ``pair`` on its guard band and classify the outcome.
 
     A structural-exact relation must cancel identically.  A diagonal-exact
-    relation with an exact pair must cancel identically there AND the instance
-    matrices must still satisfy it within policy; the instance comparison is
-    what catches a perturbed operator, since the exact pair is written from the
-    defining data by the one writer of every set, never from the instance
-    entries, which :func:`_off_record` holds to that set too.  An exact pair
-    that is ``pair`` is compared once: no policy moves a residual, scale or
-    ``exact_zero``.  Without one it is a float-tolerance check.
+    relation with an exact pair must cancel identically on the guard columns
+    of the exact pair's own dim, which may be below the instance's, AND the
+    instance matrices must still satisfy it within policy; the instance
+    comparison is what catches a perturbed operator, since the exact pair is
+    written from the defining data by the one writer of every set, never from
+    the instance entries, which :func:`_off_record` holds to that set too.
+    The scale is the exact pair's.  An exact pair that is ``pair`` is compared
+    once: no policy moves a residual, scale or ``exact_zero``.  Without one it
+    is a float-tolerance check.
     """
     cols = guard_columns(pair[0].dim, guard_band)
     if exactness is _STRUCTURAL:
@@ -184,7 +194,8 @@ def _check(
     cmp = approx_equal_matrix(*pair, policy, cols)
     if exact_pair is None:
         return _FLOAT, cmp.residual, cmp.scale, cmp.bound, cmp.passed
-    proof = cmp if exact_pair is pair else approx_equal_matrix(*exact_pair, EXACT_POLICY, cols)
+    proof = cmp if exact_pair is pair else approx_equal_matrix(
+        *exact_pair, EXACT_POLICY, guard_columns(exact_pair[0].dim, guard_band))
     residual, bound = (proof.residual, 0.0) if cmp.passed else (cmp.residual, cmp.bound)
     return exactness, residual, proof.scale, bound, proof.exact_zero and cmp.passed
 
@@ -318,8 +329,10 @@ _TABLE_SUITES = (
 def _off_record(r: RealizationSet, ops: _Operators) -> dict[str, float]:
     """The residual, on every entry, of each of Q+, Q, H and Z in ``ops`` that
     differs from its matrix in the set :func:`_realization` writes from the
-    record of ``r``.  Every build is that writer's output, so none differ."""
-    record = _realization(r.spec, r.mu, r.dim, r.backend, r.convention, r.energies)
+    spec of ``r``, with the energies computed again: ``r.energies``, which the
+    exact re-check reads below the certifying dim only, is not trusted here.
+    Every build is that writer's output, so none differ."""
+    record = _realization(r.spec, r.mu, r.dim, r.backend, r.convention)
     pairs = {slot: (getattr(ops, slot), getattr(record, name).matrix) for slot, name in _SLOTS[:4]}
     return {slot: approx_equal_matrix(*pair, EXACT_POLICY).residual
             for slot, pair in pairs.items() if pair[0] != pair[1]}
@@ -369,12 +382,13 @@ def _run_tables(
 ) -> list[RelationCheck]:
     """The checks of every ``(prefix, rows)`` suite, named ``prefix +
     row.name`` and read from ``ops``, the operator set of ``r``.
-    Diagonal-exact rows are re-checked on the set of ``exact_variant(r)``,
-    built once per call, which on the exact backend is ``ops`` itself; that
-    set and its products are dropped on return.  A row listed by several
-    suites is evaluated once.  Diagonal-exact rows compare what they read with
-    the record of ``r`` too (see :func:`_off_record`)."""
-    ex = exact_variant(r) if use_exact else None
+    Diagonal-exact rows are re-checked on the set of ``exact_variant(r, d)``
+    at the certifying dim d (see :func:`certifying_dim`), built once per call,
+    which on the exact backend is ``ops`` itself; that set and its products
+    are dropped on return.  A row listed by several suites is evaluated once.
+    Diagonal-exact rows compare what they read with the record of ``r`` too
+    (see :func:`_off_record`)."""
+    ex = exact_variant(r, certifying_dim(r.spec, r.dim)) if use_exact else None
     exact_ops = None if ex is None else ops if ex is r else _Operators(ex)
     off_record = _off_record(r, ops)
     verdicts: dict[Relation, Verdict] = {}

@@ -48,6 +48,11 @@ _BUILD_ERROR = "tests/test_realizations.py::TestBuildErrors::test_first_error_an
 _IDENTITY = "tests/test_verify.py::TestIdentityCensus::test_fault_fails_exactly_its_identities"
 _NO_FRACTION = ("tests/test_realizations.py::TestFractionComparisons::"
                 "test_pairing_and_verdict_compare_no_fraction")
+_CERTIFIED = "tests/test_realizations.py::TestCertifyingDim::test_certified_specs"
+_DEGREE = "tests/test_exprlang.py::TestRationalDegree::test_degree_bounds"
+_RECHECK_DIM = "tests/test_verify.py::TestCertifiedRecheck::test_recheck_runs_at_the_certifying_dim"
+_ENERGY_RECORD = ("tests/test_verify.py::TestEnergyRecord::"
+                  "test_bump_above_the_certifying_dim_fails_the_rows_reading_h_or_z")
 
 MUTANTS = (
     Mutant(
@@ -144,8 +149,8 @@ MUTANTS = (
     ),
     Mutant(
         "_check compares a diagonal-exact row once on every backend", "verify.py",
-        "proof = cmp if exact_pair is pair else "
-        "approx_equal_matrix(*exact_pair, EXACT_POLICY, cols)",
+        "proof = cmp if exact_pair is pair else approx_equal_matrix(\n"
+        "        *exact_pair, EXACT_POLICY, guard_columns(exact_pair[0].dim, guard_band))",
         "proof = cmp",
         ("tests/test_verify.py::TestSuitesOverSpecs::test_deformed_all_pass[kappa1-0]",),
     ),
@@ -180,11 +185,53 @@ MUTANTS = (
     ),
     Mutant(
         "exact re-check skipped on a float build", "verify.py",
-        "ex = exact_variant(r) if use_exact else None",
-        'ex = exact_variant(r) if use_exact and r.backend.value == "exact" else None',
+        "ex = exact_variant(r, certifying_dim(r.spec, r.dim)) if use_exact else None",
+        "ex = exact_variant(r, certifying_dim(r.spec, r.dim)) "
+        'if use_exact and r.backend.value == "exact" else None',
         ("tests/test_verify.py::TestExactRecheck::"
          "test_non_diagonal_exact_h_fails_only_rows_reading_it[cv]",
          "tests/test_verify.py::TestSharedBrackets::test_exact_variant_built_once_per_report[gdoa]"),
+    ),
+    Mutant(
+        "the degrees of a product taken as their max", "exprlang.py",
+        "        return a0 + b0, a1 + b1\n", "        return max(a0, b0), max(a1, b1)\n",
+        (f"{_CERTIFIED}[n^2-n-20]", f"{_DEGREE}[n*n^2-degree7]"),
+    ),
+    Mutant(
+        "the degrees of a sum taken as their max", "exprlang.py",
+        "    return max(a0 + b1, b0 + a1), a1 + b1\n", "    return max(a0, b0), max(a1, b1)\n",
+        (f"{_CERTIFIED}[n^2-n + 1/n-36]", f"{_DEGREE}[n + 1/n-degree10]"),
+    ),
+    Mutant(
+        "the exponent of a power ignored", "exprlang.py",
+        "return None if base is None else (base[0] * expr.exponent, base[1] * expr.exponent)",
+        "return base",
+        (f"{_CERTIFIED}[(n^2+1)^3 - 1-n-36]", f"{_DEGREE}[-n^2-degree5]"),
+    ),
+    Mutant(
+        "parity of any argument certified", "exprlang.py",
+        'expr.func == "parity" and _fixed_parity(expr.arg)', 'expr.func == "parity"',
+        (f"{_RECHECK_DIM}[0-n*(2 + parity(n*n))-n+1-64-64]",
+         "tests/test_realizations.py::TestCertifyingDim::"
+         "test_specs_outside_the_scope_keep_dim[n*(2 + parity(n*n))-n+1]"),
+    ),
+    Mutant(
+        "level 0 counted as a certifying point", "realizations.py",
+        "first, guard = 1, 1", "first, guard = 0, 1",
+        (f"{_CERTIFIED}[cv-1/2-8]", f"{_RECHECK_DIM}[1-n^2-n-1024-20]"),
+    ),
+    Mutant(
+        "the exact proof compared on the instance's guard columns", "verify.py",
+        "guard_columns(exact_pair[0].dim, guard_band))", "cols)",
+        ("tests/test_verify.py::TestCertifiedRecheck::"
+         "test_certified_equals_full_dim_recheck[cv-0-64-none]",
+         f"{_RECHECK_DIM}[0-cv-1/2-1024-8]"),
+    ),
+    Mutant(
+        "the record comparison reads r.energies again", "verify.py",
+        "record = _realization(r.spec, r.mu, r.dim, r.backend, r.convention)",
+        "record = _realization(r.spec, r.mu, r.dim, r.backend, r.convention, r.energies)",
+        (f"{_ENERGY_RECORD}[cv-0-1024]", f"{_ENERGY_RECORD}[gdoa-1-64]"),
     ),
     Mutant(
         "math.lcm -> max in exprlang._column_arithmetic", "exprlang.py",
@@ -283,6 +330,12 @@ EQUIVALENT = (
         "antisymmetry reads the sign of the pair in the other order", "verify.py",
         "(sign[i][j], inner[j, i].matrix)", "(sign[j][i], inner[j, i].matrix)",
         reason="(-1)^(a.b) is symmetric in a and b, so the sign table is too",
+    ),
+    Mutant(
+        "the numerator bound of f^2 F not raised to 1", "realizations.py",
+        "k = 2 * (max(degree[0], 1) + degree[1])", "k = 2 * (degree[0] + degree[1])",
+        reason="every valid F reads n outside parity: F(0) = 0 and F(n) > 0 rule out one "
+               "constant per parity class, so N >= 1 already",
     ),
     Mutant(
         "bracket cache never cleared", "verify.py",

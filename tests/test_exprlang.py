@@ -22,6 +22,7 @@ from gdoa_susy.exprlang import (
     Pow,
     Var,
     _level_parts,
+    _rational_degree,
     _require_short_power,
     eval_expr,
     has_sqrt,
@@ -289,6 +290,45 @@ def test_exact_evaluation_association_independent(x, y, z):
     left = eval_expr(parse_expr("(x + y) + z"), 0, env)
     right = eval_expr(parse_expr("x + (y + z)"), 0, env)
     assert left == right
+
+
+class TestRationalDegree:
+    # (numerator, denominator) degree bounds in n on each parity class of n;
+    # a sum p/q + r/s is (ps + rq)/(qs)
+    @pytest.mark.parametrize("source, degree", [
+        ("7", (0, 0)), ("kappa", (0, 0)), ("n", (1, 0)), ("-n", (1, 0)),
+        ("n^0", (0, 0)), ("-n^2", (2, 0)), ("(n + 1)^3", (3, 0)), ("n*n^2", (3, 0)),
+        ("1/n", (0, 1)), ("n/(n + 1)", (1, 1)), ("n + 1/n", (2, 1)), ("1/n - 1/n^2", (2, 3)),
+        ("(n^2 + 1)^3 - 1", (6, 0)), ("(n/(n + 2))^2", (2, 2)), ("kappa/2*n", (1, 0)),
+        ("bracket(n)", (1, 0)), ("bracket(n + 1)^2", (2, 0)), ("n*parity(n - 3)", (1, 0)),
+        ("parity(4)*n^2", (2, 0)),
+    ])
+    def test_degree_bounds(self, source, degree):
+        assert _rational_degree(parse_expr(source)) == degree
+
+    # sqrt, and parity of anything but an integer literal or n plus or minus
+    # one, leave the scope: the parity of n*n, 2*n or kappa is not read off
+    # the tree
+    @pytest.mark.parametrize("source", [
+        "sqrt(n)", "n + sqrt(2)", "n*(2 + parity(n*n))", "parity(2*n)", "parity(kappa)",
+        "parity(n/2)", "bracket(n^2)", "(n + sqrt(n))^2",
+    ])
+    def test_outside_the_scope(self, source):
+        assert _rational_degree(parse_expr(source)) is None
+
+    # A polynomial tree's bound (a, 0) is a true bound: its (a+1)-th forward
+    # difference vanishes.  150 drawn trees over n, kappa and lam.
+    @settings(max_examples=150)
+    @given(expression_trees(exponents=(0, 1, 2, 3)))
+    def test_polynomial_bound_kills_the_next_difference(self, source):
+        env = {"kappa": Fraction(1, 2), "lam": Fraction(3)}
+        expr = parse_expr(source)
+        a, b = _rational_degree(expr)
+        assert b == 0
+        values = [eval_expr(expr, n, env) for n in range(a + 2)]
+        for _ in range(a + 1):
+            values = [y - x for x, y in zip(values, values[1:])]
+        assert values == [0]
 
 
 class TestStructureValidation:

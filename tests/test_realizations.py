@@ -18,6 +18,7 @@ from gdoa_susy.numerics import (
 )
 from gdoa_susy.realizations import (
     SpectrumRow,
+    certifying_dim,
     cv_realization,
     degeneracy_pairs,
     exact_variant,
@@ -361,6 +362,66 @@ class TestExactVariantFromTheRecord:
         edges = {(m, m - 1): ExactScalar(m - 3, 0, 2 * m) for m in (1, 5, 7)}
         expected = BandMatrix.from_entries(8, {**edges, (3, 2): 0}, EXACT)
         assert exact_variant(r).Qdag.matrix == expected
+
+
+# (F, f, certifying dim): f^2 F is bounded by degrees (N, M) with N >= 1, so
+# k = 2(N + M) and d = 2(k + 1) + 2, the least dim whose columns 1..d-2 hold
+# k + 1 of each parity class
+_CERTIFIED = [
+    ("cv", "1/2", 8), ("cv", "-3/7", 8), ("cv", "5/2", 8),  # (1, 0): k = 2
+    ("n^2", "n", 20),  # (4, 0): k = 8
+    ("n^3 + 2*n", "n+1", 24),  # (5, 0): k = 10
+    ("bracket(n)", "n", 16),  # (3, 0): k = 6
+    ("12*n/7", "1/(n+2)", 16),  # (1, 2): k = 6
+    ("n^3/(n+1)", "1/(n+2)", 28),  # (3, 3): k = 12
+    ("n^2", "n + 1/n", 36),  # (6, 2): k = 16
+    ("(n^2+1)^3 - 1", "n", 36),  # (8, 0): k = 16
+]
+
+
+def _certifying_spec(structure, weight):
+    if structure == "cv":
+        return OscillatorSpec.calogero_vasiliev(weight)
+    return OscillatorSpec.gdoa(structure, {"kappa": Fraction(1, 2)}, weight)
+
+
+class TestCertifyingDim:
+    @pytest.mark.parametrize("structure, weight, certified", _CERTIFIED)
+    def test_certified_specs(self, structure, weight, certified):
+        spec = _certifying_spec(structure, weight)
+        for dim in (certified, certified + 1, 64, 1024, 65536):
+            assert certifying_dim(spec, dim) == certified
+        # never above the build's dim
+        for dim in (2, 7, certified - 1):
+            assert certifying_dim(spec, dim) == dim
+
+    # A sqrt weight, and parity of n*n: the exact re-check stays at dim D.
+    # F = n*(2 + parity(n*n)) is a valid F (3n and n on the two classes), and
+    # its reports pass.
+    @pytest.mark.parametrize("structure, weight", [
+        ("n^2", "sqrt(n)"), ("n*(2 + parity(n*n))", "n+1"), ("n^2", "parity(2*n) + n"),
+    ])
+    def test_specs_outside_the_scope_keep_dim(self, structure, weight):
+        spec = _certifying_spec(structure, weight)
+        for dim in (8, 64, 1024):
+            assert certifying_dim(spec, dim) == dim
+
+    @pytest.mark.parametrize("structure, weight, certified", _CERTIFIED)
+    @pytest.mark.parametrize("mu", [0, 1])
+    def test_variant_at_the_certifying_dim_is_a_fresh_exact_build(self, structure, weight,
+                                                                  certified, mu):
+        spec = _certifying_spec(structure, weight)
+        build = cv_realization if structure == "cv" else gdoa_realization
+        r = build(spec, mu, 64)
+        variant = exact_variant(r, certifying_dim(spec, r.dim))
+        assert variant == build(spec, mu, certified, EXACT)
+
+    def test_variant_above_the_build_dim_is_refused(self):
+        r = gdoa_realization(OscillatorSpec.gdoa("n^2", weight="n"), 0, 16)
+        with pytest.raises(ValidationError, match="exact variant of dim 17 exceeds"):
+            exact_variant(r, 17)
+        exact = gdoa_realization(r.spec, 0, 16, EXACT)
+        assert exact_variant(exact, 8) is exact
 
 
 class TestHermitianCharges:

@@ -8,10 +8,10 @@ from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gdoa_susy import grading, verify
+from gdoa_susy import grading, realizations, verify
 from gdoa_susy.fock import OscillatorSpec, ValidationError
 from gdoa_susy.grading import (
     GradedOperator,
@@ -35,6 +35,7 @@ from gdoa_susy.realizations import (
     DEGREE_Q01,
     DEGREE_Q10,
     DEGREE_Z,
+    certifying_dim,
     cv_realization,
     exact_variant,
     gdoa_realization,
@@ -208,6 +209,22 @@ class TestDrawnSpecs:
             rows = spectrum_H(spec, mu, s.dim - 1).rows
             assert s.H.matrix == BandMatrix.diagonal([row.energy for row in rows], s.backend)
             assert s.Z.matrix == BandMatrix.diagonal([row.central for row in rows], s.backend)
+
+    # 100 drawn examples: a float build at dim <= 256 or, for a weight without
+    # sqrt, an exact one at dim <= 64; one nonzero entry of one generator, and
+    # its adjoint entry, multiplied by 1 + t with t >= 1e-6
+    @settings(max_examples=100, deadline=None)
+    @given(drawn_specs(), st.sampled_from([0, 1]), st.sampled_from([Backend.FLOAT, Backend.EXACT]),
+           st.integers(4, 256), st.sampled_from(["Qdag", "Q", "H", "Z"]), st.integers(0, 10**6),
+           st.fractions(Fraction(1, 10**6), 1, max_denominator=10**6))
+    def test_a_bumped_entry_fails_a_check(self, sources, mu, backend, dim, field, pick, t):
+        structure, params, weight = sources
+        spec = OscillatorSpec.gdoa(structure, params, weight)
+        assume(backend is Backend.FLOAT or spec.weight_is_exact)
+        r = gdoa_realization(spec, mu, dim if backend is Backend.FLOAT else min(dim, 64), backend)
+        factor = ExactScalar(1 + t) if backend is Backend.EXACT else 1 + float(t)
+        report = run_all_suites(_entry_bumped(r, field, pick, factor))
+        assert not report.passed
 
 
 class TestFaultDetection:
@@ -428,9 +445,9 @@ class TestSharedBrackets:
         calls = []
         original = verify.exact_variant
 
-        def counting(r):
+        def counting(r, dim=None):
             calls.append(r.backend)
-            return original(r)
+            return original(r, dim)
 
         monkeypatch.setattr(verify, "exact_variant", counting)
         assert run_all_suites(_family(family, 0, 8)).passed
@@ -559,8 +576,8 @@ class TestSharedRows:
         charges, variants = [], []
 
         def capture(build, built):
-            def captured(s):
-                built.append(build(s))
+            def captured(*args):
+                built.append(build(*args))
                 return built[-1]
             return captured
 
@@ -643,7 +660,7 @@ def _oracle_checks(r, policy=verify.DEFAULT_POLICY):
     h = hermitian_charges(r)
     pairs = _plain_pairs(r, h)
     off = {name: residual for name, residual in _record_residuals(r).items() if residual != 0.0}
-    ex = exact_variant(r)
+    ex = exact_variant(r, certifying_dim(r.spec, r.dim))
     exact = _plain_pairs(ex) if ex is not None else None
     checks = []
     tables = {"standard/": verify.STANDARD_RELATIONS, "qform/": verify.QFORM_RELATIONS,
@@ -1147,8 +1164,8 @@ class TestExactRecheck:
     def test_doubled_exact_operator_fails_its_rows(self, family, field, failing, monkeypatch):
         original = verify.exact_variant
 
-        def doubled(r):
-            exact = original(r)
+        def doubled(r, dim=None):
+            exact = original(r, dim)
             op = getattr(exact, field)
             return replace(exact, **{field: replace(op, matrix=op.matrix.scaled(2))})
 
@@ -1161,8 +1178,8 @@ class TestExactRecheck:
         # Both suites that list [H,Z] = 0 re-check it on the exact H of exact_variant(r).
         original = verify.exact_variant
 
-        def shifted(r):
-            exact = original(r)
+        def shifted(r, dim=None):
+            exact = original(r, dim)
             return replace(exact, H=replace(exact.H, matrix=exact.H.matrix + exact.Qdag.matrix))
 
         monkeypatch.setattr(verify, "exact_variant", shifted)
@@ -1175,8 +1192,8 @@ class TestExactRecheck:
     def test_standalone_hermitian_suite_rechecks_on_exact_variant(self, family, monkeypatch):
         original = verify.exact_variant
 
-        def shifted(r):
-            exact = original(r)
+        def shifted(r, dim=None):
+            exact = original(r, dim)
             return replace(exact, H=replace(exact.H, matrix=exact.H.matrix + exact.Qdag.matrix))
 
         monkeypatch.setattr(verify, "exact_variant", shifted)
@@ -1253,6 +1270,24 @@ def _edge_bumped(r, fields, last=False, value=None):
     return replace(r, **changed), edge, value
 
 
+_ADJOINT = {"Qdag": "Q", "Q": "Qdag", "H": "H", "Z": "Z"}
+
+
+def _entry_bumped(r, field, pick, factor):
+    """``r`` with the ``pick``-th nonzero entry (i, j) of one generator, modulo
+    their count, and the entry (j, i) of its adjoint, each multiplied by
+    ``factor``; a diagonal entry of H or Z is its own adjoint entry."""
+    nonzero = [(i, j) for i, j, v in getattr(r, field).matrix.entries() if _magnitude(v)]
+    i, j = nonzero[pick % len(nonzero)]
+    changed = {}
+    for name, key in dict.fromkeys([(field, (i, j)), (_ADJOINT[field], (j, i))]):
+        op = changed.get(name, getattr(r, name))
+        entries = {(a, b): v for a, b, v in op.matrix.entries()}
+        entries[key] = entries[key] * factor
+        changed[name] = replace(op, matrix=BandMatrix(r.dim, r.backend, entries))
+    return replace(r, **changed)
+
+
 def _magnitude(x):
     return x.magnitude() if isinstance(x, ExactScalar) else abs(x)
 
@@ -1306,6 +1341,135 @@ class TestChargeRecord:
         failed = [c for c in run_all_suites(r).checks if not c.passed]
         assert {c.name for c in failed} == _OFF_RECORD["Qdag"]
         assert all((c.residual, c.bound) == (5.0, 0.0) for c in failed)
+
+
+def _exact_fault(fault):
+    """A change of an exact set, as in TestExactRecheck: an operator doubled,
+    or H shifted by Q+ off the diagonal."""
+    if fault == "none":
+        return lambda ex: ex
+    if fault == "shifted-h":
+        return lambda ex: replace(ex, H=replace(ex.H, matrix=ex.H.matrix + ex.Qdag.matrix))
+    return lambda ex: replace(ex, **{fault: replace(getattr(ex, fault),
+                                                    matrix=getattr(ex, fault).matrix.scaled(2))})
+
+
+_DIAGONAL_ROWS = {prefix + row.name for prefix, rows in verify._TABLE_SUITES for row in rows
+                  if row.exactness is Exactness.DIAGONAL_EXACT}
+
+
+class TestCertifiedRecheck:
+    # A float build re-checks its diagonal-exact rows exactly at
+    # certifying_dim(spec, D), which proves them at every level; every other
+    # check, and the record comparison, stays at D.
+    def test_diagonal_exact_rows_have_guard_band_at_most_one(self):
+        # certifying_dim counts the columns 1..d-2, which each of them compares
+        rows = {row for _, table in verify._TABLE_SUITES for row in table
+                if row.exactness is Exactness.DIAGONAL_EXACT}
+        assert len(rows) == 3 and max(row.guard_band for row in rows) == 1
+        assert len(_DIAGONAL_ROWS) == 5
+
+    @pytest.mark.parametrize("structure, weight, dim, certified", [
+        ("cv", "1/2", 1024, 8), ("n^2", "n", 1024, 20), ("n^2", "n", 16, 16),
+        # F(36) = 2^20 - 1 at dim 36; at dim 1024 the exact radicands would
+        # pass the factoring limit of 10**18
+        ("(n^2+1)^3 - 1", "n", 1024, 36),
+        # outside the scope: the full dim, and the reports pass
+        ("n*(2 + parity(n*n))", "n+1", 64, 64),
+    ])
+    @pytest.mark.parametrize("mu", [0, 1])
+    def test_recheck_runs_at_the_certifying_dim(self, structure, weight, dim, certified, mu,
+                                                monkeypatch):
+        if structure == "cv":
+            r = cv_realization(Fraction(weight), mu, dim)
+        else:
+            r = gdoa_realization(OscillatorSpec.gdoa(structure, weight=weight), mu, dim)
+        variants = []
+        original = verify.exact_variant
+
+        def recording(s, dim=None):
+            variants.append(original(s, dim))
+            return variants[-1]
+
+        monkeypatch.setattr(verify, "exact_variant", recording)
+        assert run_all_suites(r).passed
+        assert [(v.dim, v.backend) for v in variants] == [(certified, Backend.EXACT)]
+        # the exact backend's set is its own exact variant, at the full dim
+        if dim <= 64:
+            del variants[:]
+            exact = (cv_realization(Fraction(weight), mu, dim, Backend.EXACT) if structure == "cv"
+                     else gdoa_realization(r.spec, mu, dim, Backend.EXACT))
+            assert run_all_suites(exact).passed
+            assert len(variants) == 1 and variants[0] is exact
+
+    # The certified re-check gives every check the name, class, pass bit,
+    # residual and bound of a re-check at the full dim D, on honest builds and
+    # under the faults of TestExactRecheck, with one difference: a
+    # diagonal-exact row reads its scale, and the residual of a failing exact
+    # proof, from the certifying truncation, as a report at that dim does.
+    @pytest.mark.parametrize("fault", ["none", "H", "Z", "Qdag", "Q", "shifted-h"])
+    @pytest.mark.parametrize("dim", [8, 64, 1024])
+    @pytest.mark.parametrize("mu", [0, 1])
+    @pytest.mark.parametrize("family", ["cv", "gdoa"])
+    def test_certified_equals_full_dim_recheck(self, family, mu, dim, fault, monkeypatch):
+        r = _family(family, mu, dim)
+        d = certifying_dim(r.spec, dim)
+        assert d == min(dim, 8 if family == "cv" else 20)
+        change, original = _exact_fault(fault), verify.exact_variant
+        monkeypatch.setattr(verify, "exact_variant", lambda s, dim=None: change(original(s, dim)))
+        certified = run_all_suites(r).checks
+        truncation = by_name(run_all_suites(_family(family, mu, d)))
+        monkeypatch.setattr(verify, "exact_variant", lambda s, dim=None: change(original(s)))
+        full = run_all_suites(r).checks
+        assert [(c.name, c.exactness, c.passed) for c in certified] == [
+            (c.name, c.exactness, c.passed) for c in full]
+        assert all(c.passed for c in certified) is (fault == "none")
+        for got, expected in zip(certified, full):
+            if got.name in _DIAGONAL_ROWS:
+                proof = truncation[got.name]
+                assert got.residual == (proof.residual if got.bound == 0.0 else expected.residual)
+                assert (got.scale, got.bound) == (proof.scale, expected.bound)
+            else:
+                assert _fields(got) == _fields(expected)
+        if fault == "none" or dim == d:  # then every residual is the full dim's too
+            assert [c.residual for c in certified] == [c.residual for c in full]
+
+
+def _energy_bumped(r, m):
+    """``r`` with E_m multiplied by 1 + 10^-12 in its energies, and H and Z
+    written from them by the one writer of diagonals: a record and matrices
+    that agree with each other, but not with the spec."""
+    values, denominators = map(list, r.energies)
+    j = (m - r.mu) // 2
+    values[j] *= 10**12 + 1
+    denominators[j] *= 10**12
+    energies = (values, denominators)
+    h, z = realizations._diagonals(energies, r.mu, r.dim, r.convention, r.backend)
+    return replace(r, energies=energies, H=replace(r.H, matrix=h), Z=replace(r.Z, matrix=z)), j
+
+
+class TestEnergyRecord:
+    # The record comparison writes its set from energies computed again from
+    # the spec, never from r.energies, which the exact re-check reads below
+    # the certifying dim only.  A set whose energies and H and Z are bumped
+    # together at a level above it, by far less than any tolerance, fails
+    # exactly the rows that read H or Z, with the bump as residual and a
+    # bound of 0.
+    @pytest.mark.parametrize("dim", [64, 1024])
+    @pytest.mark.parametrize("mu", [0, 1])
+    @pytest.mark.parametrize("family", ["cv", "gdoa"])
+    def test_bump_above_the_certifying_dim_fails_the_rows_reading_h_or_z(self, family, mu,
+                                                                         dim):
+        r = _family(family, mu, dim)
+        m = mu + 2 * (len(r.energies[0]) // 2)  # the middle doublet level
+        assert m - 1 > certifying_dim(r.spec, dim) and m < dim - 1
+        bumped, j = _energy_bumped(r, m)
+        report = run_all_suites(bumped)
+        failed = [c for c in report.checks if not c.passed]
+        assert {c.name for c in failed} == _OFF_RECORD["H"] | _OFF_RECORD["Z"]
+        old, new = (complex(s.energies[0][j] / s.energies[1][j]) for s in (r, bumped))
+        assert old != new
+        assert all((c.residual, c.bound) == (abs(new - old), 0.0) for c in failed)
 
 
 class TestStructureConstants:
