@@ -27,21 +27,30 @@ Matrices are stored by diagonal offset (DIA): ``{col - row: list of
 entries}``, with tight bands.  Products, sums and comparisons work one
 diagonal slice at a time (``map`` over ``operator`` functions), and a product
 is a convolution over offset pairs, so bands grow additively by construction.
+Each kept diagonal also carries a parity mask, the index parities at which it
+holds a nonzero (1 even, 2 odd, 3 both).  The charges, a ladder times a parity
+projector, keep diagonals that are zero at every other index, and each kernel
+walks a ``(start, step)`` slice that the masks give, step 2 skipping the parity
+whose entries are all zero, so no arithmetic is spent on those zeros.  A float
+product keeps step 1 when an operand holds an inf or NaN, and so does
+``scaled`` by such a factor, since 0 * inf is a NaN the unmasked kernel gives.
 A NaN or infinite entry makes ``max_abs`` and the comparison scale
 non-finite, and such a comparison fails: non-finite entries never pass.
-All operations return new objects; nothing here mutates in place, so values
-can be shared freely across threads.
+All operations return new objects; nothing here mutates a value in place (a
+matrix only records, once, whether its entries are finite), so values can be
+shared freely across threads.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 import re as _re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, islice
 from typing import Iterator, Mapping, Sequence, Union
 
 
@@ -320,6 +329,30 @@ def _top(values: list[float]) -> float:
     return max(values)
 
 
+def _stride(mask: int, lo: int) -> tuple[int, int]:
+    """The first index from ``lo`` on, and the step, that visit the index
+    parities of ``mask``: 1 even, 2 odd, 3 both."""
+    if mask == 3:
+        return lo, 1
+    return lo + ((lo ^ (mask >> 1)) & 1), 2
+
+
+def _shifted(mask: int, offset: int) -> int:
+    """The parities of i at which index i + offset has a parity of ``mask``."""
+    return (0, 2, 1, 3)[mask] if offset & 1 else mask
+
+
+def _strided(op, mask: int, zero: Scalar, *lists: list) -> list:
+    """``list(map(op, *lists))`` on the index parities of ``mask`` only; the
+    other entries are ``zero``."""
+    if mask == 3:
+        return list(map(op, *lists))
+    start = mask >> 1
+    out = [zero] * len(lists[0])
+    out[start::2] = map(op, *(values[start::2] for values in lists))
+    return out
+
+
 def _col_span(d: int, length: int, cols: range | None) -> tuple[int, int]:
     """Index bounds of the entries of diagonal d whose source column lies in cols."""
     if cols is None:
@@ -378,13 +411,15 @@ class BandMatrix:
     ``_diags[d]`` is the diagonal ``col - row = d`` as a list of ``dim - |d|``
     scalars; entry ``(r, c)`` sits at index ``min(r, c)``.  Offsets are kept
     in ascending order, and every kept diagonal holds a nonzero entry; zeros
-    inside one are skipped by ``entries``, equality and the hash.  Lists are
+    inside one are skipped by ``entries``, equality and the hash.
+    ``_masks[d]`` holds the index parities at which diagonal d has a nonzero,
+    which the kernels read (see the module docstring).  Lists are
     never mutated once a matrix holds them, so results share them.  Columns
     index source basis states; entry (r, c) is the amplitude of basis state r
     in the image of basis state c.
     """
 
-    __slots__ = ("dim", "backend", "_diags")
+    __slots__ = ("dim", "backend", "_diags", "_masks", "_finite")
 
     def __init__(self, dim: int, backend: Backend, entries: Mapping[tuple[int, int], Scalar]):
         zero = _zero(backend)
@@ -398,19 +433,29 @@ class BandMatrix:
             diags[d][min(r, c)] = v
         self._set(dim, backend, diags)
 
-    def _set(self, dim: int, backend: Backend, diags: dict[int, list[Scalar]]) -> None:
+    def _set(self, dim: int, backend: Backend, diags: dict[int, list[Scalar]],
+             bounds: Mapping[int, int] | None = None) -> None:
+        """Keep the diagonals that hold a nonzero, with their parity masks,
+        reading only the parities ``bounds`` allows a diagonal (all if None)."""
         if dim < 1:
             raise DimensionMismatchError("dimension must be >= 1")
         self.dim = dim
         self.backend = backend
-        self._diags = {d: diags[d] for d in sorted(diags) if any(diags[d])}
+        self._diags, self._masks, self._finite = {}, {}, None
+        for d in sorted(diags):
+            values, bound = diags[d], 3 if bounds is None else bounds[d]
+            mask = ((bound & 1 and any(islice(values, 0, None, 2)))
+                    | (bound & 2 and any(islice(values, 1, None, 2))) << 1)
+            if mask:
+                self._diags[d], self._masks[d] = values, mask
 
     @classmethod
-    def _build(cls, dim: int, backend: Backend, diags: dict[int, list[Scalar]]) -> "BandMatrix":
+    def _build(cls, dim: int, backend: Backend, diags: dict[int, list[Scalar]],
+               bounds: Mapping[int, int] | None = None) -> "BandMatrix":
         """The constructor of results: takes ownership of the diagonal lists
-        and drops the all-zero ones."""
+        and drops the all-zero ones (see :meth:`_set`)."""
         matrix = object.__new__(cls)
-        matrix._set(dim, backend, diags)
+        matrix._set(dim, backend, diags, bounds)
         return matrix
 
     # -- constructors ------------------------------------------------------
@@ -444,6 +489,13 @@ class BandMatrix:
         range of source columns; NaN if any entry there is NaN."""
         return _signed_max_abs([(1, self)], cols)
 
+    def _is_finite(self) -> bool:
+        """False if a float entry is inf or NaN; read once, on first need."""
+        if self._finite is None:
+            self._finite = self.backend is Backend.EXACT or all(
+                map(cmath.isfinite, chain.from_iterable(self._diags.values())))
+        return self._finite
+
     # -- arithmetic --------------------------------------------------------
 
     def _check_compatible(self, other: "BandMatrix") -> None:
@@ -459,14 +511,16 @@ class BandMatrix:
     def _merge(self, other: "BandMatrix", op) -> "BandMatrix":
         """Entrywise ``self op other`` for op in (add, sub), one diagonal at a time."""
         self._check_compatible(other)
-        diags = dict(self._diags)
+        zero = _zero(self.backend)
+        diags, bounds = dict(self._diags), dict(self._masks)
         for d, vb in other._diags.items():
-            va = diags.get(d)
+            va, mask = diags.get(d), bounds.get(d, 0) | other._masks[d]
             if va is not None:
-                diags[d] = list(map(op, va, vb))
+                diags[d] = _strided(op, mask, zero, va, vb)
             else:
-                diags[d] = vb if op is _add else list(map(_neg, vb))
-        return BandMatrix._build(self.dim, self.backend, diags)
+                diags[d] = vb if op is _add else _strided(_neg, mask, zero, vb)
+            bounds[d] = mask
+        return BandMatrix._build(self.dim, self.backend, diags, bounds)
 
     def __add__(self, other: "BandMatrix") -> "BandMatrix":
         return self._merge(other, _add)
@@ -478,37 +532,54 @@ class BandMatrix:
         s = coerce_scalar(factor, self.backend)
         if not s:
             return BandMatrix.zeros(self.dim, self.backend)
-        diags = {d: list(map(_mul, values, repeat(s))) for d, values in self._diags.items()}
-        return BandMatrix._build(self.dim, self.backend, diags)
+        zero, finite = _zero(self.backend), self.backend is Backend.EXACT or cmath.isfinite(s)
+        bounds = self._masks if finite else dict.fromkeys(self._masks, 3)
+        diags = {d: _strided(_mul, bounds[d], zero, values, [s] * len(values))
+                 for d, values in self._diags.items()}
+        return BandMatrix._build(self.dim, self.backend, diags, bounds)
 
     def __matmul__(self, other: "BandMatrix") -> "BandMatrix":
         """Convolution over offset pairs: diagonal da of self times diagonal db
-        of other lands on diagonal da + db, one slice product per pair."""
+        of other lands on diagonal da + db, one slice product per pair, over
+        the rows whose parity lets both factors be nonzero."""
         self._check_compatible(other)
         dim = self.dim
         acc: dict[int, list[Scalar]] = {}
+        bounds: dict[int, int] = {}
+        # row r reads (r, r+da) at index r + min(da, 0), (r+da, r+dc) at
+        # r + da + min(db, 0), and writes (r, r+dc) at r + min(dc, 0)
         for da, va in self._diags.items():
+            a_rows = _shifted(self._masks[da], min(da, 0))
             for db, vb in other._diags.items():
                 dc = da + db
                 # rows r with (r, r+da) and (r+da, r+dc) inside the matrix
                 lo, hi = max(0, -da, -dc), min(dim, dim - da, dim - dc)
-                if lo >= hi:
+                rows = a_rows & _shifted(other._masks[db], da + min(db, 0))
+                if rows != 3 and not (self._is_finite() and other._is_finite()):
+                    rows = 3  # a skipped 0 * inf would be NaN
+                start, step = _stride(rows, lo)
+                if not rows or start >= hi:
                     continue
-                ia, ib, ic = lo + min(da, 0), lo + da + min(db, 0), lo + min(dc, 0)
-                n = hi - lo
-                prod = list(map(_mul, va[ia:ia + n], vb[ib:ib + n]))
+                n = len(range(start, hi, step))
+                bounds[dc] = bounds.get(dc, 0) | _shifted(rows, min(dc, 0))
+                ia, ib, ic = start + min(da, 0), start + da + min(db, 0), start + min(dc, 0)
+                span = step * n
+                prod = list(map(_mul, va[ia:ia + span:step], vb[ib:ib + span:step]))
                 target = acc.get(dc)
-                if target is None:
-                    if n == dim - abs(dc):
-                        acc[dc] = prod
-                        continue
+                if target is not None:
+                    target[ic:ic + span:step] = map(_add, target[ic:ic + span:step], prod)
+                elif n == dim - abs(dc):
+                    acc[dc] = prod
+                else:  # written, not added to zeros: only the sign of a zero differs
                     target = acc[dc] = [_zero(self.backend)] * (dim - abs(dc))
-                target[ic:ic + n] = map(_add, target[ic:ic + n], prod)
-        return BandMatrix._build(dim, self.backend, acc)
+                    target[ic:ic + span:step] = prod
+        return BandMatrix._build(dim, self.backend, acc, bounds)
 
     def adjoint(self) -> "BandMatrix":
-        diags = {-d: list(map(_conjugate, values)) for d, values in self._diags.items()}
-        return BandMatrix._build(self.dim, self.backend, diags)
+        zero, masks = _zero(self.backend), self._masks
+        diags = {-d: _strided(_conjugate, masks[d], zero, values)
+                 for d, values in self._diags.items()}
+        return BandMatrix._build(self.dim, self.backend, diags, {-d: m for d, m in masks.items()})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BandMatrix):
@@ -534,6 +605,16 @@ def _bracket(ab: BandMatrix, ba: BandMatrix, sign: int) -> BandMatrix:
     return ab - ba if sign == 1 else ab + ba
 
 
+def _union(matrices: Sequence[BandMatrix]) -> dict[int, int]:
+    """Each offset a matrix keeps, with the index parities at which one holds
+    a nonzero there."""
+    masks: dict[int, int] = {}
+    for matrix in matrices:
+        for d, mask in matrix._masks.items():
+            masks[d] = masks.get(d, 0) | mask
+    return masks
+
+
 def _signed_max_abs(terms: Sequence[tuple[int, BandMatrix]], cols: range | None = None) -> float:
     """The largest entry magnitude of ``(s0 t0 + s1 t1) + s2 t2 ...`` for terms
     ``(s, t)``, signs ±1, on the source columns ``cols`` (all if None), NaN if
@@ -548,9 +629,11 @@ def _signed_max_abs(terms: Sequence[tuple[int, BandMatrix]], cols: range | None 
         first._check_compatible(matrix)
     magnitude = _MAGNITUDE[first.backend]
     mags: list[float] = []
-    for d in sorted(set().union(*(matrix._diags for _, matrix in terms))):
+    masks = _union([matrix for _, matrix in terms])
+    for d in sorted(masks):
         lo, hi = _col_span(d, first.dim - abs(d), cols)
-        (lead, total), *rest = [(s, m._diags[d][lo:hi]) for s, m in terms if d in m._diags]
+        start, step = _stride(masks[d], lo)
+        (lead, total), *rest = [(s, m._diags[d][start:hi:step]) for s, m in terms if d in m._diags]
         for sign, values in rest:
             total = map(_add if sign == lead else _sub, total, values)
         mags += map(magnitude, total)
@@ -593,13 +676,15 @@ def approx_equal_matrix(
     residual = 0.0
     worst: tuple[int, int] | None = None
     exact_zero = True
-    for d in sorted(a._diags.keys() | b._diags.keys()):
+    masks = _union((a, b))
+    for d in sorted(masks):
         lo, hi = _col_span(d, a.dim - abs(d), cols)
-        if lo >= hi:
+        start, step = _stride(masks[d], lo)
+        if start >= hi:
             continue
         va, vb = a._diags.get(d), b._diags.get(d)
-        sa = va[lo:hi] if va is not None else [zero] * (hi - lo)
-        sb = vb[lo:hi] if vb is not None else [zero] * (hi - lo)
+        sa = va[start:hi:step] if va is not None else [zero] * len(range(start, hi, step))
+        sb = vb[start:hi:step] if vb is not None else [zero] * len(range(start, hi, step))
         if sa == sb:
             continue
         exact_zero = False
@@ -609,7 +694,7 @@ def approx_equal_matrix(
             diffs = list(map(abs, map(_sub, sa, sb)))
         peak = _top(diffs)
         if not peak <= residual:  # larger, or NaN
-            i = lo + diffs.index(peak)
+            i = start + step * diffs.index(peak)
             residual, worst = peak, (i + max(-d, 0), i + max(d, 0))
             if peak != peak:
                 break

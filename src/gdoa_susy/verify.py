@@ -82,8 +82,8 @@ from .numerics import (
     _top,
     approx_equal_matrix,
 )
-from .realizations import (HermitianSet, RealizationSet, _realization, certifying_dim,
-                           exact_variant, hermitian_charges)
+from .realizations import (HermitianSet, RealizationSet, _diagonals, _realization,
+                           certifying_dim, exact_variant, hermitian_charges)
 
 
 class Exactness(Enum):
@@ -329,13 +329,21 @@ _TABLE_SUITES = (
 def _off_record(r: RealizationSet, ops: _Operators) -> dict[str, float]:
     """The residual, on every entry, of each of Q+, Q, H and Z in ``ops`` that
     differs from its matrix in the set :func:`_realization` writes from the
-    spec of ``r``, with the energies computed again: ``r.energies``, which the
-    exact re-check reads below the certifying dim only, is not trusted here.
+    spec of ``r``, with the energies computed again.  ``r.energies``, which the
+    exact re-check reads below the certifying dim only, is held to those
+    energies too: where they differ, H and Z, if they match their record,
+    take the residual against it of the H that ``r.energies`` write.
     Every build is that writer's output, so none differ."""
     record = _realization(r.spec, r.mu, r.dim, r.backend, r.convention)
     pairs = {slot: (getattr(ops, slot), getattr(record, name).matrix) for slot, name in _SLOTS[:4]}
-    return {slot: approx_equal_matrix(*pair, EXACT_POLICY).residual
-            for slot, pair in pairs.items() if pair[0] != pair[1]}
+    residuals = {slot: approx_equal_matrix(*pair, EXACT_POLICY).residual
+                 for slot, pair in pairs.items() if pair[0] != pair[1]}
+    if r.energies != record.energies:
+        h = _diagonals(r.energies, r.mu, r.dim, r.convention, r.backend)[0]
+        gap = approx_equal_matrix(h, record.H.matrix, EXACT_POLICY).residual
+        residuals.setdefault("h", gap)
+        residuals.setdefault("z", gap)
+    return residuals
 
 
 def _evaluate(

@@ -53,6 +53,12 @@ _DEGREE = "tests/test_exprlang.py::TestRationalDegree::test_degree_bounds"
 _RECHECK_DIM = "tests/test_verify.py::TestCertifiedRecheck::test_recheck_runs_at_the_certifying_dim"
 _ENERGY_RECORD = ("tests/test_verify.py::TestEnergyRecord::"
                   "test_bump_above_the_certifying_dim_fails_the_rows_reading_h_or_z")
+_RECORDED_ENERGY = ("tests/test_verify.py::TestEnergyRecord::"
+                    "test_recorded_energy_alone_fails_the_rows_reading_h_or_z")
+_MASKED_PRODUCTS = ("tests/test_numerics.py::TestParityMasks::"
+                    "test_products_of_masked_diagonals_match_dense")
+_NON_FINITE_PRODUCT = ("tests/test_numerics.py::TestParityMasks::"
+                       "test_a_stored_zero_times_a_non_finite_entry_stays_nan")
 
 MUTANTS = (
     Mutant(
@@ -300,6 +306,36 @@ MUTANTS = (
         "hermitian_charges scales by +1j", "realizations.py",
         ".scaled(-1j)", ".scaled(1j)",
         ("tests/test_realizations.py::TestHermitianCharges::test_explicit_small_case",),
+    ),
+    Mutant(
+        "the start parity of the other factor off by one in @", "numerics.py",
+        "_shifted(other._masks[db], da + min(db, 0))",
+        "_shifted(other._masks[db], da + min(db, 0) + 1)",
+        (f"{_MASKED_PRODUCTS}[5-Backend.FLOAT]", f"{_MASKED_PRODUCTS}[4-Backend.EXACT]"),
+    ),
+    Mutant(
+        "the parity mask read from the even parity only", "numerics.py",
+        "| (bound & 2 and any(islice(values, 1, None, 2))) << 1)",
+        "| (bound & 2 and not any(islice(values, 0, None, 2))) << 1)",
+        ("tests/test_numerics.py::TestParityMasks::test_masks_read_each_index_parity",
+         f"{_MASKED_PRODUCTS}[4-Backend.FLOAT]"),
+    ),
+    Mutant(
+        "a float product skips stored zeros beside an inf or NaN", "numerics.py",
+        "rows = 3  # a skipped 0 * inf would be NaN", "pass  # a skipped 0 * inf would be NaN",
+        (f"{_NON_FINITE_PRODUCT}[inf]", f"{_NON_FINITE_PRODUCT}[nan]"),
+    ),
+    Mutant(
+        "scaled by inf skips stored zeros", "numerics.py",
+        "bounds = self._masks if finite else dict.fromkeys(self._masks, 3)",
+        "bounds = self._masks",
+        ("tests/test_numerics.py::TestParityMasks::"
+         "test_scaling_by_inf_keeps_the_nan_of_each_stored_zero",),
+    ),
+    Mutant(
+        "recorded energies not held to the spec", "verify.py",
+        "if r.energies != record.energies:", "if False:",
+        (f"{_RECORDED_ENERGY}[cv-64.0-1024]", f"{_RECORDED_ENERGY}[gdoa-2097152.0-64]"),
     ),
 )
 

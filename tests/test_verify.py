@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gdoa_susy import grading, realizations, verify
+from gdoa_susy import grading, numerics, realizations, verify
 from gdoa_susy.fock import OscillatorSpec, ValidationError
 from gdoa_susy.grading import (
     GradedOperator,
@@ -1471,6 +1471,22 @@ class TestEnergyRecord:
         assert old != new
         assert all((c.residual, c.bound) == (abs(new - old), 0.0) for c in failed)
 
+    # r.energies alone wrong, every matrix honest: E_32, above the
+    # certifying dim (cv 8, gdoa 20), tripled in the record only.  The rows
+    # that read H or Z fail with bound 0 and, as residual, the gap between
+    # the H the recorded energies write and the record's H: 2 E_32.
+    @pytest.mark.parametrize("dim", [64, 1024])
+    @pytest.mark.parametrize("family, gap", [("cv", 64.0), ("gdoa", 2.0 * 32**4)])
+    def test_recorded_energy_alone_fails_the_rows_reading_h_or_z(self, family, gap, dim):
+        r = _family(family, 0, dim)
+        values, denominators = map(list, r.energies)
+        values[16] *= 3  # level 32 of mu 0
+        report = run_all_suites(replace(r, energies=(values, denominators)))
+        failed = [c for c in report.checks if not c.passed]
+        assert {c.name for c in failed} == _OFF_RECORD["H"] | _OFF_RECORD["Z"]
+        assert all((c.residual, c.bound) == (gap, 0.0) for c in failed)
+        assert run_all_suites(r).passed
+
 
 class TestStructureConstants:
     # each nonzero structure constant of an operator set is built once: 2H,
@@ -1573,3 +1589,24 @@ class TestReports:
         failing = [c for c in report.checks if not c.passed]
         assert failing
         assert all(c.exactness is Exactness.FLOAT_TOLERANCE for c in failing)
+
+
+class TestScalarMultiplies:
+    # The scalar multiplies of one report, counted where every kernel makes
+    # them (numerics._mul, which map reads from the module): the masked
+    # kernels skip each product with a stored zero at a charge's zeroed
+    # parity.
+    @pytest.mark.parametrize("backend, dim, count", [(Backend.FLOAT, 1024, 50174),
+                                                     (Backend.EXACT, 48, 2292)])
+    def test_multiplies_per_report(self, backend, dim, count, monkeypatch):
+        r = _family("gdoa", 0, dim, backend)
+        calls = []
+        mul = numerics._mul
+
+        def counting(x, y):
+            calls.append(None)
+            return mul(x, y)
+
+        monkeypatch.setattr(numerics, "_mul", counting)
+        assert run_all_suites(r).passed
+        assert len(calls) == count
