@@ -106,7 +106,8 @@ JACOBI_GUARD_BAND = 3  # nested brackets of band-1 generators reach band 3
 def guard_columns(dim: int, guard_band: int) -> range:
     """Source columns [0, dim-1-guard_band] left to compare by the guard band."""
     if not 0 <= guard_band < dim:
-        raise GradingError(f"guard band {guard_band} invalid for dim {dim}")
+        why = f"needs dim >= {guard_band + 1}, got {dim}" if guard_band >= 0 else "is negative"
+        raise GradingError(f"guard band {guard_band} {why}")
     return range(dim - guard_band)
 
 

@@ -18,10 +18,10 @@ spectrum and reduction reads one level record of ints: F and f from the spec
 E_m per doublet level m from :func:`_energies`, with Z as E under the
 convention's signs.  Scalars are written from integer parts; Fractions are
 built only for spectrum rows, one per doublet.  The exact variant of a float
-build is written from the same record, H and Z from the energies the float
-build recorded, never from its float matrices, so the exact re-check rests on
-the defining data alone; :func:`certifying_dim` gives the smallest dim at
-which it proves the diagonal-exact relations for every level.  The
+build is written from the spec's level record, as a fresh exact build is,
+never from its float matrices, so the exact re-check rests on the defining
+data alone; :func:`certifying_dim` gives the smallest dim at which it proves
+the diagonal-exact identities on each parity class of n.  The
 verification suites hold the instance Q+, Q, H and Z to the set the spec
 gives, on every entry.
 
@@ -81,7 +81,6 @@ class RealizationSet:
     Q: GradedOperator
     H: GradedOperator
     Z: GradedOperator
-    energies: tuple  # E_m per doublet level m, as :func:`_energies` gives them
 
 
 def _require_mu(mu: int) -> None:
@@ -161,21 +160,18 @@ def _charges(spec: OscillatorSpec, mu: int, dim: int, backend: Backend) -> tuple
     return raising, lowering
 
 
-def _realization(spec: OscillatorSpec, mu: int, dim: int, backend: Backend, convention: str,
-                 energies: tuple | None = None) -> RealizationSet:
+def _realization(spec: OscillatorSpec, mu: int, dim: int, backend: Backend,
+                 convention: str) -> RealizationSet:
     """Every realization set, from its record: Q+ and Q by :func:`_charges` in
     the convention's order (cv lowers with Q+), then H and Z diagonal in the
-    energies under its signs: those recorded, or for a build, computed here."""
+    energies :func:`_energies` gives, under its signs."""
     raising, lowering = _charges(spec, mu, dim, backend)
-    if energies is None:
-        energies = _energies(spec, mu, dim, convention)
     qdag, q = (lowering, raising) if convention == "cv" else (raising, lowering)
-    h, z = _diagonals(energies, mu, dim, convention, backend)
+    h, z = _diagonals(_energies(spec, mu, dim, convention), mu, dim, convention, backend)
     return RealizationSet(
         spec=spec, mu=mu, dim=dim, backend=backend, convention=convention,
         Qdag=GradedOperator(qdag, None, "Q+"), Q=GradedOperator(q, None, "Q"),
         H=GradedOperator(h, DEGREE_H, "H"), Z=GradedOperator(z, DEGREE_Z, "Z"),
-        energies=energies,
     )
 
 
@@ -220,10 +216,8 @@ def exact_variant(r: RealizationSet, dim: int | None = None) -> RealizationSet |
     """The same realization on the exact backend at ``dim`` (default
     ``r.dim``), or None if f needs floats; on the exact backend, ``r`` itself.
 
-    Only its charges are built, exact, from ``r.spec``'s level record; H and
-    Z are written from the exact energies ``r`` recorded, those of the levels
-    up to ``dim``.  It never reads ``r``'s float matrices, so it is derived
-    from the defining data."""
+    Written from ``r.spec``'s level record alone, as a fresh exact build of
+    that dim is: it never reads ``r``'s matrices."""
     if r.backend is Backend.EXACT:
         return r
     if not r.spec.weight_is_exact:
@@ -231,15 +225,14 @@ def exact_variant(r: RealizationSet, dim: int | None = None) -> RealizationSet |
     dim = r.dim if dim is None else dim
     if dim > r.dim:
         raise ValidationError(f"an exact variant of dim {dim} exceeds the build's dim {r.dim}")
-    energies = r.energies if dim == r.dim else tuple(
-        parts[:len(range(r.mu, dim + 1, 2))] for parts in r.energies)
-    return _realization(r.spec, r.mu, dim, Backend.EXACT, r.convention, energies)
+    return _realization(r.spec, r.mu, dim, Backend.EXACT, r.convention)
 
 
 def certifying_dim(spec: OscillatorSpec, dim: int) -> int:
     """The least dim d whose exact re-check of the diagonal-exact rows
-    proves them at every level n, or ``dim`` if that is smaller or the spec
-    lies outside the scope of :func:`~gdoa_susy.exprlang._rational_degree`.
+    proves their rational identities on each parity class of n (not F(n) > 0
+    or f(n) finite and nonzero above ``dim``), or ``dim`` if that is smaller
+    or the spec lies outside the scope of :func:`~gdoa_susy.exprlang._rational_degree`.
 
     Proof.  For every dim, each charge entry sits at (m, m-1) or (m-1, m)
     with m = mu (mod 2), and H and Z are diagonal, so {Q+,Q} - H,
@@ -256,7 +249,7 @@ def certifying_dim(spec: OscillatorSpec, dim: int) -> int:
     0..d-2 exactly (guard band 1, the largest of the three rows).  Column 0
     does not count: level 0 reads f(0) = 0 from the record, not from f's
     expression.  Columns 1..d-2 hold k + 1 points of each class from
-    d = 2(k + 1) + 2 on, which so proves every level above d too."""
+    d = 2(k + 1) + 2 on, which so proves the identity above d too."""
     degree = _rational_degree(BinOp("*", Pow(spec.weight, 2), spec.structure))
     if degree is None:
         return dim
@@ -474,7 +467,7 @@ def reduction_check(
             cmp = approx_equal_matrix(lhs, rhs)
             entries.append(ReductionEntry(mu, name, cmp.residual, lhs == rhs))
         # the two records as ints (f = 1 is exact); Z is E under opposite signs
-        if reference != gd.energies:
+        if reference != _energies(spec, mu, dim, "gdoa"):
             entries += [ReductionEntry(mu, f"{name} diagonal", float("inf"), False)
                         for name in ("H", "Z")]
     return ReductionReport(spec.kappa, dim, tuple(entries))

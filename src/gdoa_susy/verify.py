@@ -12,9 +12,10 @@ truncated representation supports:
   reported residual is then exactly 0.0.  A float build re-checks it at
   ``realizations.certifying_dim(spec, D)``: where F and f are rational in n on
   each parity class, that truncation holds more levels than the degree of
-  each entry, so a pass proves the relation exactly at every level n, not
-  only on D levels; elsewhere (``sqrt``, or ``parity`` of other than n plus an
-  integer) the dim is D.  The instance matrices are still compared at D.
+  each entry, so a pass proves the relation's rational identity on each
+  parity class of n, not only on D levels (not F(n) > 0 or f(n) finite and
+  nonzero above D); elsewhere (``sqrt``, or ``parity`` of other than n plus
+  an integer) the dim is D.  The instance matrices are still compared at D.
 * ``float-tolerance``: the relation is checked in complex doubles against
   |residual| <= absolute + relative * scale, with the scale taken from the
   largest entry encountered on either side.
@@ -25,15 +26,15 @@ function computes every verdict, and each check is named ``prefix +
 row.name`` when it is built.  One runner reads ``(prefix, rows)`` suites from
 one operator set: the realization's generators plus its Hermitian charges.  A
 diagonal-exact row re-checks the same formula on the set of
-``exact_variant(r, certifying_dim(r.spec, r.dim))`` (on the exact backend, the
-instance set), on the guard columns of that set's own dim, so both suites that
-list [H,Z] = 0 re-check it on the same exact H and Z.  The diagonal-exact
-rows also hold each of Q+, Q, H and Z they read, on every entry of the full
-dim, to the set the one writer of sets, ``realizations._realization``, gives
-from the build's spec, energies computed again, past any guard band or
-tolerance; so a level above the certifying dim is held to the spec too.  The
-Hermitian rows read Q10 and Q01, derived from the charges: no record, and one
-tolerance scale per matrix.
+``exact_variant(r, certifying_dim(r.spec, r.dim))``, written from the spec
+alone (on the exact backend, the instance set), on the guard columns of that
+set's own dim, so both suites that list [H,Z] = 0 re-check it on the same
+exact H and Z.  The diagonal-exact rows also hold each of Q+, Q, H and Z
+they read, on every entry of the full dim, to the set the one writer of sets,
+``realizations._realization``, gives from the build's spec, past any guard
+band or tolerance; so a level above the certifying dim is held to the spec
+too.  The Hermitian rows read Q10 and Q01, derived from the charges: no
+record, and one tolerance scale per matrix.
 :func:`run_all_suites` returns one report, timed over the whole call, whose
 names carry the prefixes ``standard/``, ``qform/``, ``hermitian/`` and
 ``jacobi/``.  It evaluates each distinct table row once, and computes each
@@ -82,8 +83,8 @@ from .numerics import (
     _top,
     approx_equal_matrix,
 )
-from .realizations import (HermitianSet, RealizationSet, _diagonals, _realization,
-                           certifying_dim, exact_variant, hermitian_charges)
+from .realizations import (HermitianSet, RealizationSet, _realization, certifying_dim,
+                           exact_variant, hermitian_charges)
 
 
 class Exactness(Enum):
@@ -329,21 +330,11 @@ _TABLE_SUITES = (
 def _off_record(r: RealizationSet, ops: _Operators) -> dict[str, float]:
     """The residual, on every entry, of each of Q+, Q, H and Z in ``ops`` that
     differs from its matrix in the set :func:`_realization` writes from the
-    spec of ``r``, with the energies computed again.  ``r.energies``, which the
-    exact re-check reads below the certifying dim only, is held to those
-    energies too: where they differ, H and Z, if they match their record,
-    take the residual against it of the H that ``r.energies`` write.
-    Every build is that writer's output, so none differ."""
+    spec of ``r``.  Every build is that writer's output, so none differ."""
     record = _realization(r.spec, r.mu, r.dim, r.backend, r.convention)
     pairs = {slot: (getattr(ops, slot), getattr(record, name).matrix) for slot, name in _SLOTS[:4]}
-    residuals = {slot: approx_equal_matrix(*pair, EXACT_POLICY).residual
-                 for slot, pair in pairs.items() if pair[0] != pair[1]}
-    if r.energies != record.energies:
-        h = _diagonals(r.energies, r.mu, r.dim, r.convention, r.backend)[0]
-        gap = approx_equal_matrix(h, record.H.matrix, EXACT_POLICY).residual
-        residuals.setdefault("h", gap)
-        residuals.setdefault("z", gap)
-    return residuals
+    return {slot: approx_equal_matrix(*pair, EXACT_POLICY).residual
+            for slot, pair in pairs.items() if pair[0] != pair[1]}
 
 
 def _evaluate(

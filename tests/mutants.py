@@ -51,10 +51,8 @@ _NO_FRACTION = ("tests/test_realizations.py::TestFractionComparisons::"
 _CERTIFIED = "tests/test_realizations.py::TestCertifyingDim::test_certified_specs"
 _DEGREE = "tests/test_exprlang.py::TestRationalDegree::test_degree_bounds"
 _RECHECK_DIM = "tests/test_verify.py::TestCertifiedRecheck::test_recheck_runs_at_the_certifying_dim"
-_ENERGY_RECORD = ("tests/test_verify.py::TestEnergyRecord::"
-                  "test_bump_above_the_certifying_dim_fails_the_rows_reading_h_or_z")
-_RECORDED_ENERGY = ("tests/test_verify.py::TestEnergyRecord::"
-                    "test_recorded_energy_alone_fails_the_rows_reading_h_or_z")
+_FIRST_FAILURE = "tests/test_exprlang.py::TestLevelRange::test_first_failing_level_and_node"
+_Z_SPLITS = "tests/test_realizations.py::TestPairing::test_z_splits_compares_whole_values"
 _MASKED_PRODUCTS = ("tests/test_numerics.py::TestParityMasks::"
                     "test_products_of_masked_diagonals_match_dense")
 _NON_FINITE_PRODUCT = ("tests/test_numerics.py::TestParityMasks::"
@@ -80,11 +78,11 @@ MUTANTS = (
     Mutant(
         "energies computed before the charges in a build", "realizations.py",
         "    raising, lowering = _charges(spec, mu, dim, backend)\n"
-        "    if energies is None:\n"
-        "        energies = _energies(spec, mu, dim, convention)\n",
-        "    if energies is None:\n"
-        "        energies = _energies(spec, mu, dim, convention)\n"
-        "    raising, lowering = _charges(spec, mu, dim, backend)\n",
+        "    qdag, q = (lowering, raising) if convention == \"cv\" else (raising, lowering)\n"
+        "    h, z = _diagonals(_energies(spec, mu, dim, convention), mu, dim, convention, backend)\n",
+        "    h, z = _diagonals(_energies(spec, mu, dim, convention), mu, dim, convention, backend)\n"
+        "    raising, lowering = _charges(spec, mu, dim, backend)\n"
+        "    qdag, q = (lowering, raising) if convention == \"cv\" else (raising, lowering)\n",
         (f"{_BUILD_ERROR}[cv-dim-0]", f"{_BUILD_ERROR}[exact-large-sqrt-weight]"),
     ),
     Mutant(
@@ -234,12 +232,6 @@ MUTANTS = (
          f"{_RECHECK_DIM}[0-cv-1/2-1024-8]"),
     ),
     Mutant(
-        "the record comparison reads r.energies again", "verify.py",
-        "record = _realization(r.spec, r.mu, r.dim, r.backend, r.convention)",
-        "record = _realization(r.spec, r.mu, r.dim, r.backend, r.convention, r.energies)",
-        (f"{_ENERGY_RECORD}[cv-0-1024]", f"{_ENERGY_RECORD}[gdoa-1-64]"),
-    ),
-    Mutant(
         "math.lcm -> max in exprlang._column_arithmetic", "exprlang.py",
         "denominator = math.lcm(left.denominator, right.denominator)",
         "denominator = max(left.denominator, right.denominator)",
@@ -333,9 +325,42 @@ MUTANTS = (
          "test_scaling_by_inf_keeps_the_nan_of_each_stored_zero",),
     ),
     Mutant(
-        "recorded energies not held to the spec", "verify.py",
-        "if r.energies != record.energies:", "if False:",
-        (f"{_RECORDED_ENERGY}[cv-64.0-1024]", f"{_RECORDED_ENERGY}[gdoa-2097152.0-64]"),
+        "z_splits without its denominator test", "realizations.py",
+        "low.numerator == -high.numerator\n                and low.denominator == high.denominator)",
+        "low.numerator == -high.numerator)",
+        (f"{_Z_SPLITS}[z_low2-z_high2-False]",),
+    ),
+    Mutant(
+        "the column power bound without the denominator's bits", "exprlang.py",
+        "max(map(abs, base.numerators)).bit_length() + base.denominator.bit_length()",
+        "max(map(abs, base.numerators)).bit_length()",
+        ("tests/test_exprlang.py::TestLevelRange::test_column_nodes_against_the_per_level_walk"
+         "[(n/2^40)^400-0-40-power beyond 14284 bits at n=1]",),
+    ),
+    Mutant(
+        "the bisection names level low + 1", "exprlang.py",
+        "        _walk(expr, low, low + 1, bindings, exact)\n",
+        "        _walk(expr, low + 1, low + 2, bindings, exact)\n",
+        (f"{_FIRST_FAILURE}[1/0-1-division by zero at n=1]",
+         "tests/test_exprlang.py::TestLevelRange::"
+         "test_first_failing_level_is_found_in_logarithmically_many_walks"),
+    ),
+    Mutant(
+        "the bisection probe catches only ExprEvalError", "exprlang.py",
+        "            low = middle + 1\n        except (ExprEvalError, OverflowError):\n",
+        "            low = middle + 1\n        except ExprEvalError:\n",
+        ("tests/test_exprlang.py::TestLevelRange::test_float_overflow_names_the_level",),
+    ),
+    Mutant(
+        "product ledger keyed by the sorted slot pair, so y@x reads x@y", "verify.py",
+        "        ab = self.ledger.get((a, b))\n"
+        "        if ab is None:\n"
+        "            ab = self.ledger[a, b] = ",
+        "        key = tuple(sorted((a, b)))\n"
+        "        ab = self.ledger.get(key)\n"
+        "        if ab is None:\n"
+        "            ab = self.ledger[key] = ",
+        ("tests/test_verify.py::TestSuitesOverSpecs::test_square_structure_all_pass[0]",),
     ),
 )
 

@@ -205,10 +205,16 @@ class TestExitCodes:
         assert code == 2 and captured.out == ""
         assert captured.err == f"error: f({level}) is NaN on the float backend\n"
 
-    def test_dim_two_jacobi_guard_is_config_class_error(self, tmp_path, capsys):
-        code = main(["verify", "--config", write_config(tmp_path, CV_HALF), "--dim", "2"])
-        assert code == 2
-        assert "guard band" in capsys.readouterr().err
+    # the CLI takes any even dim from 2, but the Jacobi suite's guard band 3
+    # needs 4 levels: dim 2 exits 2 with the need stated, dim 4 runs
+    @pytest.mark.parametrize("command", ["verify", "jacobi"])
+    def test_dim_two_states_the_jacobi_guard_band_need(self, tmp_path, capsys, command):
+        config = write_config(tmp_path, CV_HALF)
+        code = main([command, "--config", config, "--dim", "2"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: guard band 3 needs dim >= 4, got 2\n"
+        assert main([command, "--config", config, "--dim", "4"]) == 0
 
 
 class TestMalformedInput:

@@ -657,7 +657,8 @@ class TestLevelRange:
         # E_63 = f(64)^2 F(64), and f of a sqrt weight is read as doubles
         assert spectrum_H(spec, 0, 63).rows[63].energy == 65**2 * 64**2
         sqrt_spec = OscillatorSpec.gdoa("n^2", weight="n + 1 + 0*sqrt(n)")
-        assert gdoa_realization(sqrt_spec, 1, 8).energies[0][3] == 8.0**2 * 49
+        h = gdoa_realization(sqrt_spec, 1, 8).H.matrix
+        assert {(i, j): v for i, j, v in h.entries()}[7, 7] == 8.0**2 * 49
         assert fock.structure_values(spec, 64)[8] == 64
 
 

@@ -273,9 +273,9 @@ class TestTruncationBoundary:
 
     def test_guard_band_bounds(self):
         rep = build_fock_rep(self.spec, 4, FLOAT)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^guard band 4 needs dim >= 5, got 4$"):
             approx_equal_matrix(rep.a, rep.a, DEFAULT_POLICY, guard_columns(4, 4))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^guard band -1 is negative$"):
             approx_equal_matrix(rep.a, rep.a, DEFAULT_POLICY, guard_columns(4, -1))
 
     def test_number_commutator_exact_backend(self):

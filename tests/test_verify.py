@@ -1436,56 +1436,39 @@ class TestCertifiedRecheck:
 
 
 def _energy_bumped(r, m):
-    """``r`` with E_m multiplied by 1 + 10^-12 in its energies, and H and Z
-    written from them by the one writer of diagonals: a record and matrices
-    that agree with each other, but not with the spec."""
-    values, denominators = map(list, r.energies)
+    """``r`` with H and Z written by the one writer of diagonals from its
+    spec's energies, E_m multiplied by 1 + 10^-12: matrices that agree with
+    each other, but not with the spec; and E_m before and after the bump."""
+    values, denominators = map(list, realizations._energies(r.spec, r.mu, r.dim, r.convention))
     j = (m - r.mu) // 2
+    old = complex(values[j] / denominators[j])
     values[j] *= 10**12 + 1
     denominators[j] *= 10**12
-    energies = (values, denominators)
-    h, z = realizations._diagonals(energies, r.mu, r.dim, r.convention, r.backend)
-    return replace(r, energies=energies, H=replace(r.H, matrix=h), Z=replace(r.Z, matrix=z)), j
+    h, z = realizations._diagonals((values, denominators), r.mu, r.dim, r.convention, r.backend)
+    bumped = replace(r, H=replace(r.H, matrix=h), Z=replace(r.Z, matrix=z))
+    return bumped, old, complex(values[j] / denominators[j])
 
 
 class TestEnergyRecord:
-    # The record comparison writes its set from energies computed again from
-    # the spec, never from r.energies, which the exact re-check reads below
-    # the certifying dim only.  A set whose energies and H and Z are bumped
-    # together at a level above it, by far less than any tolerance, fails
-    # exactly the rows that read H or Z, with the bump as residual and a
-    # bound of 0.
+    # The record comparison writes its set from the spec, and the exact
+    # re-check reads the spec alone below the certifying dim.  A set whose H
+    # and Z are bumped together at a level above it, by far less than any
+    # tolerance, fails exactly the rows that read H or Z, with the bump as
+    # residual and a bound of 0.
     @pytest.mark.parametrize("dim", [64, 1024])
     @pytest.mark.parametrize("mu", [0, 1])
     @pytest.mark.parametrize("family", ["cv", "gdoa"])
     def test_bump_above_the_certifying_dim_fails_the_rows_reading_h_or_z(self, family, mu,
                                                                          dim):
         r = _family(family, mu, dim)
-        m = mu + 2 * (len(r.energies[0]) // 2)  # the middle doublet level
+        m = mu + 2 * (len(range(mu, dim + 1, 2)) // 2)  # the middle doublet level
         assert m - 1 > certifying_dim(r.spec, dim) and m < dim - 1
-        bumped, j = _energy_bumped(r, m)
+        bumped, old, new = _energy_bumped(r, m)
         report = run_all_suites(bumped)
         failed = [c for c in report.checks if not c.passed]
         assert {c.name for c in failed} == _OFF_RECORD["H"] | _OFF_RECORD["Z"]
-        old, new = (complex(s.energies[0][j] / s.energies[1][j]) for s in (r, bumped))
         assert old != new
         assert all((c.residual, c.bound) == (abs(new - old), 0.0) for c in failed)
-
-    # r.energies alone wrong, every matrix honest: E_32, above the
-    # certifying dim (cv 8, gdoa 20), tripled in the record only.  The rows
-    # that read H or Z fail with bound 0 and, as residual, the gap between
-    # the H the recorded energies write and the record's H: 2 E_32.
-    @pytest.mark.parametrize("dim", [64, 1024])
-    @pytest.mark.parametrize("family, gap", [("cv", 64.0), ("gdoa", 2.0 * 32**4)])
-    def test_recorded_energy_alone_fails_the_rows_reading_h_or_z(self, family, gap, dim):
-        r = _family(family, 0, dim)
-        values, denominators = map(list, r.energies)
-        values[16] *= 3  # level 32 of mu 0
-        report = run_all_suites(replace(r, energies=(values, denominators)))
-        failed = [c for c in report.checks if not c.passed]
-        assert {c.name for c in failed} == _OFF_RECORD["H"] | _OFF_RECORD["Z"]
-        assert all((c.residual, c.bound) == (gap, 0.0) for c in failed)
-        assert run_all_suites(r).passed
 
 
 class TestStructureConstants:
