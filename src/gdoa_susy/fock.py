@@ -174,13 +174,6 @@ class FockRep:
     odd_projector: BandMatrix
 
 
-def _sqrt_entry(level: tuple[int, int] | float, backend: Backend):
-    """sqrt(F(n)) from F(n)'s int parts (exact) or from its double (float)."""
-    if backend is Backend.EXACT:
-        return _rooted(1, 0, 1, *level)
-    return complex(math.sqrt(level))
-
-
 def _ladder_values(spec: OscillatorSpec, dim: int, backend: Backend) -> tuple[tuple, list]:
     """F's level record for ladder amplitudes on dimension dim >= 2, and on
     the float backend F(0..dim-1) as doubles, each the correctly rounded
@@ -201,12 +194,14 @@ def _ladder_values(spec: OscillatorSpec, dim: int, backend: Backend) -> tuple[tu
 def build_fock_rep(
     spec: OscillatorSpec, dim: int, backend: Backend = Backend.FLOAT
 ) -> FockRep:
-    """Build the ladder and parity projector matrices on dimension dim."""
-    record, doubles = _ladder_values(spec, dim, backend)
-    levels = list(zip(*(parts[:dim] for parts in record))) if backend is Backend.EXACT else doubles
-    roots = {n: _sqrt_entry(levels[n], backend) for n in range(1, dim)}
-    a = BandMatrix(dim, backend, {(n - 1, n): roots[n] for n in range(1, dim)})
-    a_dag = BandMatrix(dim, backend, {(n + 1, n): roots[n + 1] for n in range(dim - 1)})
+    """Build the ladder and parity projector matrices on dimension dim; a and a+
+    share one list of sqrt(F(n)), n = 1..dim-1, from F(n)'s int parts or double."""
+    (numerators, denominators), doubles = _ladder_values(spec, dim, backend)
+    if backend is Backend.EXACT:
+        roots = [_rooted(1, 0, 1, n, d) for n, d in zip(numerators[1:dim], denominators[1:dim])]
+    else:
+        roots = [complex(math.sqrt(level)) for level in doubles[1:]]
+    a, a_dag = (BandMatrix._build(dim, backend, {offset: roots}) for offset in (1, -1))
     alternating = [coerce_scalar(1, backend), coerce_scalar(0, backend)] * (dim // 2 + 1)
     p_even, p_odd = (BandMatrix._build(dim, backend, {0: alternating[p:p + dim]}) for p in (0, 1))
     return FockRep(a, a_dag, p_even, p_odd)

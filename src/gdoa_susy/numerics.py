@@ -452,8 +452,8 @@ class BandMatrix:
     @classmethod
     def _build(cls, dim: int, backend: Backend, diags: dict[int, list[Scalar]],
                bounds: Mapping[int, int] | None = None) -> "BandMatrix":
-        """The constructor of results: takes ownership of the diagonal lists
-        and drops the all-zero ones (see :meth:`_set`)."""
+        """The constructor of every matrix the package writes: takes ownership
+        of the diagonal lists and drops the all-zero ones (see :meth:`_set`)."""
         matrix = object.__new__(cls)
         matrix._set(dim, backend, diags, bounds)
         return matrix

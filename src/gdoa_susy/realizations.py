@@ -10,7 +10,7 @@ levels.  Two sign conventions are produced by the two construction families:
 * ``gdoa``: the weighted family Q+ = f(N) a+ P_(1-mu), Q = f(N+1) a P_mu and
   Z = (-1)^mu T H.
 
-Both are written entry by entry, f(m) sqrt(F(m)) per edge, by one writer of
+Q+ and Q share one list of edges f(m) sqrt(F(m)), written by one writer of
 every realization set, :func:`_realization`: builds, exact variants and the
 record the suites compare with.  No realization builds a ladder.  Every build,
 spectrum and reduction reads one level record of ints: F and f from the spec
@@ -60,7 +60,7 @@ from .fock import (
     build_fock_rep,
 )
 from .grading import GradedOperator, degree
-from .numerics import Backend, BandMatrix, _rooted, approx_equal_matrix, fits_double
+from .numerics import Backend, BandMatrix, _rooted, _zero, approx_equal_matrix, fits_double
 
 DEGREE_H = degree(0, 0)
 DEGREE_Q10 = degree(1, 0)
@@ -140,24 +140,22 @@ def _diagonals(energies: tuple, mu: int, count: int, convention: str, backend: B
 
 
 def _charges(spec: OscillatorSpec, mu: int, dim: int, backend: Backend) -> tuple:
-    """Raising and lowering charges of parity mu, f(m) sqrt(F(m)) at (m, m-1) and
-    (m-1, m) for m = mu (mod 2), with F and f read from the spec's level record.
-    Each edge is written from integer parts: exact through the split of F(m)'s
-    parts, float from F(m)'s one double."""
+    """Raising and lowering charges of parity mu, sharing one list of edges: f(m)
+    sqrt(F(m)) at index m - 1, so at (m, m-1) and (m-1, m), for m = mu (mod 2),
+    from the level record's int parts (exact) or F(m)'s one double (float)."""
     _require_mu(mu)
     (numerators, denominators), doubles = _ladder_values(spec, dim, backend)
     if backend is Backend.EXACT and not spec.weight_is_exact:
         raise ValidationError("weight function contains sqrt; use the float backend")
     weights, divisors = _weight_record(spec, dim)
-    levels = range(2 - mu, dim, 2)
+    levels, edges = range(2 - mu, dim, 2), [_zero(backend)] * (dim - 1)
     if backend is Backend.EXACT:
-        edges = {m: _rooted(weights[m], 0, divisors[m], numerators[m], denominators[m])
-                 for m in levels}
+        values = [_rooted(weights[m], 0, divisors[m], numerators[m], denominators[m])
+                  for m in levels]
     else:
-        edges = {m: complex(weights[m] / divisors[m] * math.sqrt(doubles[m])) for m in levels}
-    raising = BandMatrix(dim, backend, {(m, m - 1): edge for m, edge in edges.items()})
-    lowering = BandMatrix(dim, backend, {(m - 1, m): edge for m, edge in edges.items()})
-    return raising, lowering
+        values = [complex(weights[m] / divisors[m] * math.sqrt(doubles[m])) for m in levels]
+    edges[1 - mu::2] = values
+    return BandMatrix._build(dim, backend, {-1: edges}), BandMatrix._build(dim, backend, {1: edges})
 
 
 def _realization(spec: OscillatorSpec, mu: int, dim: int, backend: Backend,

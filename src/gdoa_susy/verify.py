@@ -38,12 +38,14 @@ record, and one tolerance scale per matrix.
 :func:`run_all_suites` returns one report, timed over the whole call, whose
 names carry the prefixes ``standard/``, ``qform/``, ``hermitian/`` and
 ``jacobi/``.  It evaluates each distinct table row once, and computes each
-product of two generator matrices, each bracket and each comparison once: the
-tables and the Jacobi suite share one operator set, the ledger of its products
-and brackets, keyed by slots (a bracket by its sign too) and alive for one
-call, which builds each nonzero structure constant once too.  The Jacobi suite
-reads its graded signs from one table, computes each generator's scale once,
-and builds 40 of its 64 nested brackets, reading 24 from them by sign.
+product of two generator matrices and each bracket once: the tables and the
+Jacobi suite share one operator set, the ledger of its products and brackets,
+keyed by slots (a bracket by its sign too) and alive for one call, which builds
+each nonzero structure constant once too.  Seven closures, [[Q10,Q10]],
+[[Q01,Q01]], [[Q10,Q01]], [H,Q10], [H,Q01], {Z,Q10} and {Z,Q01}, repeat a
+Hermitian row's comparison, of the same pair on the same columns.  The Jacobi
+suite reads its graded signs from one table, computes each generator's scale
+once, and builds 40 of its 64 nested brackets, reading 24 from them by sign.
 
 The Jacobi suite contains three layers: graded antisymmetry of all 16 ordered
 generator pairs (an identity, required to cancel bitwise), the 64 graded

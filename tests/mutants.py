@@ -57,6 +57,11 @@ _MASKED_PRODUCTS = ("tests/test_numerics.py::TestParityMasks::"
                     "test_products_of_masked_diagonals_match_dense")
 _NON_FINITE_PRODUCT = ("tests/test_numerics.py::TestParityMasks::"
                        "test_a_stored_zero_times_a_non_finite_entry_stays_nan")
+_ONE_EDGE_LIST = ("tests/test_realizations.py::TestOneEdgeList::"
+                  "test_equals_the_entry_by_entry_writer")
+_ONE_ROOT_LIST = "tests/test_fock.py::TestOneRootList::test_equals_the_entry_by_entry_writer"
+_OVERFLOW_ERROR = ("tests/test_exprlang.py::TestInputLimits::"
+                   "test_float_overflow_is_an_evaluation_error")
 
 MUTANTS = (
     Mutant(
@@ -290,9 +295,29 @@ MUTANTS = (
         (_NO_FRACTION,),
     ),
     Mutant(
-        "_sqrt_entry reads F(n)'s parts in the wrong order", "fock.py",
-        "_rooted(1, 0, 1, *level)", "_rooted(1, 0, 1, *reversed(level))",
+        "the exact ladder roots read F(n)'s parts in the wrong order", "fock.py",
+        "_rooted(1, 0, 1, n, d)", "_rooted(1, 0, 1, d, n)",
         ("tests/test_fock.py::TestRepresentation::test_exact_entries",),
+    ),
+    Mutant(
+        "the exact ladder roots read from level 0", "fock.py",
+        "zip(numerators[1:dim], denominators[1:dim])",
+        "zip(numerators[:dim - 1], denominators[:dim - 1])",
+        (f"{_ONE_ROOT_LIST}[cv(1/2)-Backend.EXACT-9]",
+         "tests/test_fock.py::TestRepresentation::test_exact_entries"),
+    ),
+    Mutant(
+        "the charge edges sliced from index mu, not 1 - mu", "realizations.py",
+        "edges[1 - mu::2] = values", "edges[mu::2] = values",
+        (f"{_ONE_EDGE_LIST}[cv-1/2-Backend.FLOAT-0-9]",
+         f"{_ONE_EDGE_LIST}[cv-1/2-Backend.EXACT-1-9]"),
+    ),
+    Mutant(
+        "the raising and lowering charges' offsets swapped", "realizations.py",
+        "BandMatrix._build(dim, backend, {-1: edges}), BandMatrix._build(dim, backend, {1: edges})",
+        "BandMatrix._build(dim, backend, {1: edges}), BandMatrix._build(dim, backend, {-1: edges})",
+        (f"{_ONE_EDGE_LIST}[cv-1/2-Backend.FLOAT-0-8]",
+         f"{_ONE_EDGE_LIST}[cv-1/2-Backend.EXACT-1-3]"),
     ),
     Mutant(
         "hermitian_charges scales by +1j", "realizations.py",
@@ -361,6 +386,35 @@ MUTANTS = (
         "        if ab is None:\n"
         "            ab = self.ledger[key] = ",
         ("tests/test_verify.py::TestSuitesOverSpecs::test_square_structure_all_pass[0]",),
+    ),
+    Mutant(
+        "_over without its factor", "exprlang.py",
+        "    factor = denominator // value.denominator\n", "    factor = 1\n",
+        ("tests/test_exprlang.py::TestEvaluation::test_bracket_against_recursion_oracle",),
+    ),
+    Mutant(
+        "_structure_violations takes F(n) = 0 for positive", "exprlang.py",
+        "if n and p <= 0", "if n and p < 0",
+        ("tests/test_exprlang.py::TestStructureValidation::"
+         "test_shifted_fails_at_origin_and_interior",),
+    ),
+    Mutant(
+        "the first walk's error re-raised with no bisection", "exprlang.py",
+        "    except (ExprEvalError, OverflowError):\n        pass\n",
+        "    except (ExprEvalError, OverflowError):\n        raise\n",
+        (f"{_OVERFLOW_ERROR}[((n^12)^12)^12]",),
+    ),
+    Mutant(
+        "the column reciprocal built from abs(right.numerator)", "exprlang.py",
+        "Fraction(right.denominator, right.numerator)",
+        "Fraction(right.denominator, abs(right.numerator))",
+        ("tests/test_exprlang.py::TestLevelRange::test_column_nodes_against_the_per_level_walk"
+         "[(n*kappa/kappa)^5 * (n/7)^3-0-40-None]",),
+    ),
+    Mutant(
+        "the column power without denominator ** exponent", "exprlang.py",
+        "_Column(powers, base.denominator ** node.exponent)", "_Column(powers, base.denominator)",
+        ("tests/test_exprlang.py::test_generated_expressions_round_trip",),
     ),
 )
 

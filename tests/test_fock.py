@@ -23,6 +23,7 @@ from gdoa_susy.numerics import (
     DEFAULT_POLICY,
     EXACT_POLICY,
     ExactScalar,
+    _rooted,
     approx_equal_matrix,
 )
 from gdoa_susy.realizations import spectrum_H
@@ -238,6 +239,37 @@ class TestRepresentation:
         spec = OscillatorSpec.calogero_vasiliev(Fraction(1, 2))
         rep = build_fock_rep(spec, 8, EXACT)
         assert rep.even_projector @ rep.a == rep.a @ rep.odd_projector
+
+
+class TestOneRootList:
+    # build_fock_rep writes a and a+ as one list of sqrt(F(n)), n = 1..dim-1,
+    # on the diagonals +1 and -1.  The reference writes the same (row, col)
+    # edges one at a time through BandMatrix.from_entries, from the same level
+    # record, with the same scalar arithmetic.
+    @pytest.mark.parametrize("dim", [2, 3, 8, 9, 64])
+    @pytest.mark.parametrize("backend", [FLOAT, EXACT])
+    @pytest.mark.parametrize("spec", [
+        OscillatorSpec.calogero_vasiliev(Fraction(1, 2)),
+        OscillatorSpec.calogero_vasiliev(Fraction(-3, 7)),
+        OscillatorSpec.calogero_vasiliev(Fraction(5, 2)),
+        OscillatorSpec.gdoa("12*n/7"),
+    ], ids=["cv(1/2)", "cv(-3/7)", "cv(5/2)", "gdoa(12n/7)"])
+    def test_equals_the_entry_by_entry_writer(self, spec, backend, dim):
+        rep = build_fock_rep(spec, dim, backend)
+        numerators, denominators = fock._structure_record(spec, dim)
+        if backend is EXACT:
+            roots = {n: _rooted(1, 0, 1, numerators[n], denominators[n]) for n in range(1, dim)}
+        else:
+            roots = {n: complex(math.sqrt(numerators[n] / denominators[n]))
+                     for n in range(1, dim)}
+        a = BandMatrix.from_entries(dim, {(n - 1, n): roots[n] for n in range(1, dim)}, backend)
+        a_dag = BandMatrix.from_entries(dim, {(n, n - 1): roots[n] for n in range(1, dim)}, backend)
+        for got, expected in ((rep.a, a), (rep.a_dag, a_dag)):
+            assert (got.dim, got.backend) == (dim, backend)
+            assert list(got.entries()) == list(expected.entries())
+            assert got._masks == expected._masks
+        # one list, which BandMatrix never mutates, holds the roots of both
+        assert rep.a._diags[1] is rep.a_dag._diags[-1]
 
 
 class TestTruncationBoundary:

@@ -14,6 +14,7 @@ from gdoa_susy.numerics import (
     BandMatrix,
     DEFAULT_POLICY,
     ExactScalar,
+    _rooted,
     approx_equal_matrix,
 )
 from gdoa_susy.realizations import (
@@ -26,6 +27,12 @@ from gdoa_susy.realizations import (
     hermitian_charges,
     reduction_check,
     spectrum_H,
+)
+from gdoa_susy.verify import (
+    HERMITIAN_RELATIONS,
+    QFORM_RELATIONS,
+    STANDARD_RELATIONS,
+    Exactness,
 )
 from oracles import anticommutator
 
@@ -394,6 +401,14 @@ class TestCertifyingDim:
         for dim in (2, 7, certified - 1):
             assert certifying_dim(spec, dim) == dim
 
+    def test_every_diagonal_exact_row_has_guard_band_at_most_1(self):
+        # certifying_dim's proof counts the columns 1..d-2 of a re-check at dim
+        # d, so it assumes guard band 1, the widest of the diagonal-exact rows.
+        # A wider row would leave a certifying column unchecked at that dim.
+        rows = [row for table in (STANDARD_RELATIONS, QFORM_RELATIONS, HERMITIAN_RELATIONS)
+                for row in table if row.exactness is Exactness.DIAGONAL_EXACT]
+        assert rows and all(row.guard_band <= 1 for row in rows)
+
     # A sqrt weight, and parity of n*n: the exact re-check stays at dim D.
     # F = n*(2 + parity(n*n)) is a valid F (3n and n on the two classes), and
     # its reports pass.
@@ -666,6 +681,49 @@ class TestBuildIsItsRecord:
         energies = realizations._energies(spec, mu, dim, r.convention)
         h, z = realizations._diagonals(energies, r.mu, r.dim, r.convention, r.backend)
         assert r.H.matrix == h and r.Z.matrix == z
+
+
+# (family, kappa or (F, f)): f = n - 3 has a zero edge at m = 3, and f = sqrt(n)
+# has float edges only
+_EDGE_SPECS = [("cv", "1/2"), ("cv", "-3/7"), ("gdoa", ("n^2", "n")),
+               ("gdoa", ("12*n/7", "1/(n+2)")), ("gdoa", ("n^2", "n-3")),
+               ("gdoa", ("n^2", "sqrt(n)"))]
+
+
+class TestOneEdgeList:
+    # _charges writes Q+ and Q as one list of edges on the diagonals -1 and
+    # +1.  The reference writes the same (row, col) edges one at a time through
+    # BandMatrix.from_entries, from the same level record, with the same
+    # scalar arithmetic.
+    @staticmethod
+    def _reference(spec, mu, dim, backend):
+        numerators, denominators = fock._structure_record(spec, dim)
+        weights, divisors = fock._weight_record(spec, dim)
+        levels = range(2 - mu, dim, 2)
+        if backend is EXACT:
+            edges = {m: _rooted(weights[m], 0, divisors[m], numerators[m], denominators[m])
+                     for m in levels}
+        else:
+            edges = {m: complex(weights[m] / divisors[m]
+                                * math.sqrt(numerators[m] / denominators[m])) for m in levels}
+        return (BandMatrix.from_entries(dim, {(m, m - 1): e for m, e in edges.items()}, backend),
+                BandMatrix.from_entries(dim, {(m - 1, m): e for m, e in edges.items()}, backend))
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 9])
+    @pytest.mark.parametrize("mu", [0, 1])
+    @pytest.mark.parametrize("family, arg, backend", [
+        (family, arg, backend) for family, arg in _EDGE_SPECS for backend in (FLOAT, EXACT)
+        if backend is FLOAT or "sqrt" not in arg[1]])
+    def test_equals_the_entry_by_entry_writer(self, family, arg, backend, mu, dim):
+        spec = (OscillatorSpec.calogero_vasiliev(arg) if family == "cv"
+                else OscillatorSpec.gdoa(arg[0], weight=arg[1]))
+        raising, lowering = realizations._charges(spec, mu, dim, backend)
+        for got, expected in zip((raising, lowering), self._reference(spec, mu, dim, backend)):
+            assert (got.dim, got.backend) == (dim, backend)
+            assert list(got.entries()) == list(expected.entries())
+            assert got._masks == expected._masks
+        # one list, which BandMatrix never mutates, holds the edges of both
+        assert raising._diags.get(-1) is lowering._diags.get(1)
 
 
 class TestFractionCounts:
@@ -956,17 +1014,21 @@ class TestReduction:
     @pytest.mark.parametrize("backend", [FLOAT, EXACT])
     @pytest.mark.parametrize("level", [3, 4])
     def test_perturbed_ladder_amplitude_fails_the_charges(self, level, backend, monkeypatch):
-        original = fock._sqrt_entry
-        record = fock._structure_record(OscillatorSpec.calogero_vasiliev(Fraction(1, 2)), 12)
-        numerator, denominator = (parts[level] for parts in record)
-        # F(level) as _sqrt_entry reads it: int parts (exact) or a double (float)
-        target = (numerator, denominator) if backend is EXACT else numerator / denominator
+        original = fock._ladder_values
 
-        def perturbed(value, backend):
-            root = original(value, backend)
-            return root * 2 if value == target else root
+        def perturbed(spec, dim, backend):
+            # 4 F(level) where build_fock_rep reads it, so its root doubles:
+            # the numerator (exact) or the double (float), in copies of the record
+            (numerators, denominators), doubles = original(spec, dim, backend)
+            numerators, doubles = list(numerators), list(doubles)
+            if backend is EXACT:
+                numerators[level] *= 4
+            else:
+                doubles[level] *= 4
+            return (numerators, denominators), doubles
 
-        monkeypatch.setattr(fock, "_sqrt_entry", perturbed)
+        # realizations holds its own name for _ladder_values: the charges read F unperturbed
+        monkeypatch.setattr(fock, "_ladder_values", perturbed)
         mu = level % 2
         assert self._failing(backend) == {(mu, "Q+ <-> Q"), (mu, "Q <-> Q+")}
 

@@ -552,6 +552,9 @@ class TestSharedRows:
     # graded_sign); 21 distinct table rows and 16 closures compare one pair
     # each, as a diagonal-exact row's exact pair is its instance pair (40 while
     # it was compared twice); one operator set (two while the record had one).
+    # The 37 comparisons are of 30 distinct pairs: seven closures, [[Q10,Q10]],
+    # [[Q01,Q01]], [[Q10,Q01]], [H,Q10], [H,Q01], {Z,Q10} and {Z,Q01}, compare
+    # the pair a Hermitian row compares, on the same columns.
     def test_reference_cell_sign_comparison_and_set_counts(self, monkeypatch):
         signs, comparisons, sets = [], [], []
 
@@ -567,7 +570,9 @@ class TestSharedRows:
                             recording(comparisons, verify.approx_equal_matrix))
         monkeypatch.setattr(verify, "_Operators", recording(sets, verify._Operators))
         assert run_all_suites(cv_realization(Fraction(1, 2), 0, 64, Backend.EXACT)).passed
-        assert (len(signs), len(comparisons), len(sets)) == (56, 37, 1)
+        # the recorded matrices stay alive, so no two of them share an id
+        pairs = {(id(a), id(b), *rest) for a, b, *rest in comparisons}
+        assert (len(signs), len(comparisons), len(pairs), len(sets)) == (56, 37, 30, 1)
 
     @pytest.mark.parametrize("backend", [Backend.FLOAT, Backend.EXACT])
     @pytest.mark.parametrize("family", ["cv", "gdoa"])
