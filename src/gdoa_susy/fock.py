@@ -201,7 +201,7 @@ def build_fock_rep(
         roots = [_rooted(1, 0, 1, n, d) for n, d in zip(numerators[1:dim], denominators[1:dim])]
     else:
         roots = [complex(math.sqrt(level)) for level in doubles[1:]]
-    a, a_dag = (BandMatrix._build(dim, backend, {offset: roots}) for offset in (1, -1))
+    a, a_dag = (BandMatrix(dim, backend, {offset: roots}) for offset in (1, -1))
     alternating = [coerce_scalar(1, backend), coerce_scalar(0, backend)] * (dim // 2 + 1)
-    p_even, p_odd = (BandMatrix._build(dim, backend, {0: alternating[p:p + dim]}) for p in (0, 1))
+    p_even, p_odd = (BandMatrix(dim, backend, {0: alternating[p:p + dim]}) for p in (0, 1))
     return FockRep(a, a_dag, p_even, p_odd)

@@ -24,9 +24,12 @@ Two scalar backends coexist:
 Tolerances (:class:`TolerancePolicy`) must be finite and nonnegative.
 
 Matrices are stored by diagonal offset (DIA): ``{col - row: list of
-entries}``, with tight bands.  Products, sums and comparisons work one
-diagonal slice at a time (``map`` over ``operator`` functions), and a product
-is a convolution over offset pairs, so bands grow additively by construction.
+entries}``, with tight bands, and built from their diagonals by one
+constructor, which refuses a list that does not fit its offset
+(:meth:`BandMatrix.from_entries` converts an entry map).  Products, sums and
+comparisons work one diagonal slice at a time (``map`` over ``operator``
+functions), and a product is a convolution over offset pairs, so bands grow
+additively by construction.
 Each kept diagonal also carries a parity mask, the index parities at which it
 holds a nonzero (1 even, 2 odd, 3 both).  The charges, a ladder times a parity
 projector, keep diagonals that are zero at every other index, and each kernel
@@ -421,7 +424,42 @@ class BandMatrix:
 
     __slots__ = ("dim", "backend", "_diags", "_masks", "_finite")
 
-    def __init__(self, dim: int, backend: Backend, entries: Mapping[tuple[int, int], Scalar]):
+    def __init__(self, dim: int, backend: Backend, diags: Mapping[int, list[Scalar]],
+                 bounds: Mapping[int, int] | None = None):
+        """Take over the lists of ``diags``, each of ``dim - |d|`` scalars, and keep
+        those that hold a nonzero, with their parity masks, reading only the
+        parities ``bounds`` allows a diagonal (all if None)."""
+        if dim < 1:
+            raise DimensionMismatchError("dimension must be >= 1")
+        self.dim = dim
+        self.backend = backend
+        self._diags, self._masks, self._finite = {}, {}, None
+        for d in sorted(diags):
+            values, bound = diags[d], 3 if bounds is None else bounds[d]
+            if abs(d) >= dim or len(values) != dim - abs(d):
+                raise DimensionMismatchError(
+                    f"diagonal {d} of {len(values)} entries does not fit a {dim}x{dim} matrix")
+            mask = ((bound & 1 and any(islice(values, 0, None, 2)))
+                    | (bound & 2 and any(islice(values, 1, None, 2))) << 1)
+            if mask:
+                self._diags[d], self._masks[d] = values, mask
+
+    # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def zeros(cls, dim: int, backend: Backend) -> "BandMatrix":
+        return cls(dim, backend, {})
+
+    @classmethod
+    def diagonal(cls, values: Sequence[object], backend: Backend) -> "BandMatrix":
+        """The diagonal matrix of ``values``, each through :func:`coerce_scalar`."""
+        return cls(len(values), backend, {0: [coerce_scalar(v, backend) for v in values]})
+
+    @classmethod
+    def from_entries(
+        cls, dim: int, entries: Mapping[tuple[int, int], object], backend: Backend
+    ) -> "BandMatrix":
+        """The matrix of ``{(row, col): value}``, each value through :func:`coerce_scalar`."""
         zero = _zero(backend)
         diags: dict[int, list[Scalar]] = {}
         for (r, c), v in entries.items():
@@ -430,50 +468,8 @@ class BandMatrix:
             d = c - r
             if d not in diags:
                 diags[d] = [zero] * (dim - abs(d))
-            diags[d][min(r, c)] = v
-        self._set(dim, backend, diags)
-
-    def _set(self, dim: int, backend: Backend, diags: dict[int, list[Scalar]],
-             bounds: Mapping[int, int] | None = None) -> None:
-        """Keep the diagonals that hold a nonzero, with their parity masks,
-        reading only the parities ``bounds`` allows a diagonal (all if None)."""
-        if dim < 1:
-            raise DimensionMismatchError("dimension must be >= 1")
-        self.dim = dim
-        self.backend = backend
-        self._diags, self._masks, self._finite = {}, {}, None
-        for d in sorted(diags):
-            values, bound = diags[d], 3 if bounds is None else bounds[d]
-            mask = ((bound & 1 and any(islice(values, 0, None, 2)))
-                    | (bound & 2 and any(islice(values, 1, None, 2))) << 1)
-            if mask:
-                self._diags[d], self._masks[d] = values, mask
-
-    @classmethod
-    def _build(cls, dim: int, backend: Backend, diags: dict[int, list[Scalar]],
-               bounds: Mapping[int, int] | None = None) -> "BandMatrix":
-        """The constructor of every matrix the package writes: takes ownership
-        of the diagonal lists and drops the all-zero ones (see :meth:`_set`)."""
-        matrix = object.__new__(cls)
-        matrix._set(dim, backend, diags, bounds)
-        return matrix
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zeros(cls, dim: int, backend: Backend) -> "BandMatrix":
-        return cls._build(dim, backend, {})
-
-    @classmethod
-    def diagonal(cls, values: Sequence[object], backend: Backend) -> "BandMatrix":
-        """The diagonal matrix of ``values``, each through :func:`coerce_scalar`."""
-        return cls._build(len(values), backend, {0: [coerce_scalar(v, backend) for v in values]})
-
-    @classmethod
-    def from_entries(
-        cls, dim: int, entries: Mapping[tuple[int, int], object], backend: Backend
-    ) -> "BandMatrix":
-        return cls(dim, backend, {k: coerce_scalar(v, backend) for k, v in entries.items()})
+            diags[d][min(r, c)] = coerce_scalar(v, backend)
+        return cls(dim, backend, diags)
 
     # -- inspection --------------------------------------------------------
 
@@ -520,7 +516,7 @@ class BandMatrix:
             else:
                 diags[d] = vb if op is _add else _strided(_neg, mask, zero, vb)
             bounds[d] = mask
-        return BandMatrix._build(self.dim, self.backend, diags, bounds)
+        return BandMatrix(self.dim, self.backend, diags, bounds)
 
     def __add__(self, other: "BandMatrix") -> "BandMatrix":
         return self._merge(other, _add)
@@ -536,7 +532,7 @@ class BandMatrix:
         bounds = self._masks if finite else dict.fromkeys(self._masks, 3)
         diags = {d: _strided(_mul, bounds[d], zero, values, [s] * len(values))
                  for d, values in self._diags.items()}
-        return BandMatrix._build(self.dim, self.backend, diags, bounds)
+        return BandMatrix(self.dim, self.backend, diags, bounds)
 
     def __matmul__(self, other: "BandMatrix") -> "BandMatrix":
         """Convolution over offset pairs: diagonal da of self times diagonal db
@@ -573,13 +569,13 @@ class BandMatrix:
                 else:  # written, not added to zeros: only the sign of a zero differs
                     target = acc[dc] = [_zero(self.backend)] * (dim - abs(dc))
                     target[ic:ic + span:step] = prod
-        return BandMatrix._build(dim, self.backend, acc, bounds)
+        return BandMatrix(dim, self.backend, acc, bounds)
 
     def adjoint(self) -> "BandMatrix":
         zero, masks = _zero(self.backend), self._masks
         diags = {-d: _strided(_conjugate, masks[d], zero, values)
                  for d, values in self._diags.items()}
-        return BandMatrix._build(self.dim, self.backend, diags, {-d: m for d, m in masks.items()})
+        return BandMatrix(self.dim, self.backend, diags, {-d: m for d, m in masks.items()})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BandMatrix):

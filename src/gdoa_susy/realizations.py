@@ -135,7 +135,7 @@ def _diagonals(energies: tuple, mu: int, count: int, convention: str, backend: B
                    for v in signed]
     else:  # a double over 1 is itself
         scalars = [[complex(k / d) for k, d in zip(v, denominators)] for v in signed]
-    return [BandMatrix._build(count, backend, {0: diagonal})
+    return [BandMatrix(count, backend, {0: diagonal})
             for diagonal in _by_level(*scalars, mu, count, convention)]
 
 
@@ -155,7 +155,7 @@ def _charges(spec: OscillatorSpec, mu: int, dim: int, backend: Backend) -> tuple
     else:
         values = [complex(weights[m] / divisors[m] * math.sqrt(doubles[m])) for m in levels]
     edges[1 - mu::2] = values
-    return BandMatrix._build(dim, backend, {-1: edges}), BandMatrix._build(dim, backend, {1: edges})
+    return BandMatrix(dim, backend, {-1: edges}), BandMatrix(dim, backend, {1: edges})
 
 
 def _realization(spec: OscillatorSpec, mu: int, dim: int, backend: Backend,

@@ -60,6 +60,8 @@ _NON_FINITE_PRODUCT = ("tests/test_numerics.py::TestParityMasks::"
 _ONE_EDGE_LIST = ("tests/test_realizations.py::TestOneEdgeList::"
                   "test_equals_the_entry_by_entry_writer")
 _ONE_ROOT_LIST = "tests/test_fock.py::TestOneRootList::test_equals_the_entry_by_entry_writer"
+_FROM_ENTRIES = "tests/test_numerics.py::TestBandMatrix::test_from_entries_equals_the_constructor"
+_COLUMN_NODES = "tests/test_exprlang.py::TestLevelRange::test_column_nodes_against_the_per_level_walk"
 _OVERFLOW_ERROR = ("tests/test_exprlang.py::TestInputLimits::"
                    "test_float_overflow_is_an_evaluation_error")
 
@@ -314,10 +316,27 @@ MUTANTS = (
     ),
     Mutant(
         "the raising and lowering charges' offsets swapped", "realizations.py",
-        "BandMatrix._build(dim, backend, {-1: edges}), BandMatrix._build(dim, backend, {1: edges})",
-        "BandMatrix._build(dim, backend, {1: edges}), BandMatrix._build(dim, backend, {-1: edges})",
+        "BandMatrix(dim, backend, {-1: edges}), BandMatrix(dim, backend, {1: edges})",
+        "BandMatrix(dim, backend, {1: edges}), BandMatrix(dim, backend, {-1: edges})",
         (f"{_ONE_EDGE_LIST}[cv-1/2-Backend.FLOAT-0-8]",
          f"{_ONE_EDGE_LIST}[cv-1/2-Backend.EXACT-1-3]"),
+    ),
+    Mutant(
+        "from_entries places (r, c) at index max(r, c)", "numerics.py",
+        "diags[d][min(r, c)] = coerce_scalar(v, backend)",
+        "diags[d][max(r, c)] = coerce_scalar(v, backend)",
+        (f"{_FROM_ENTRIES}[Backend.FLOAT]", f"{_FROM_ENTRIES}[Backend.EXACT]"),
+    ),
+    Mutant(
+        "from_entries without its range check", "numerics.py",
+        "if not (0 <= r < dim and 0 <= c < dim):", "if False:",
+        ("tests/test_numerics.py::TestBandMatrix::test_out_of_range_entry_rejected",),
+    ),
+    Mutant(
+        "the constructor without its length check", "numerics.py",
+        "if abs(d) >= dim or len(values) != dim - abs(d):", "if abs(d) >= dim:",
+        ("tests/test_numerics.py::TestBandMatrix::test_wrong_length_diagonal_rejected[long]",
+         "tests/test_numerics.py::TestBandMatrix::test_wrong_length_diagonal_rejected[short]"),
     ),
     Mutant(
         "hermitian_charges scales by +1j", "realizations.py",
@@ -354,6 +373,18 @@ MUTANTS = (
         "low.numerator == -high.numerator\n                and low.denominator == high.denominator)",
         "low.numerator == -high.numerator)",
         (f"{_Z_SPLITS}[z_low2-z_high2-False]",),
+    ),
+    Mutant(
+        "parity of a column without its denominator == 1 test", "exprlang.py",
+        'if node.func == "parity" and isinstance(arg, _Column) and arg.denominator == 1:',
+        'if node.func == "parity" and isinstance(arg, _Column):',
+        (f"{_COLUMN_NODES}[parity(n/2)-0-40-parity of non-integer 1/2 at n=1]",),
+    ),
+    Mutant(
+        "a linear rescan in place of the bisection", "exprlang.py",
+        "        middle = (low + high) // 2\n", "        middle = low\n",
+        ("tests/test_exprlang.py::TestLevelRange::"
+         "test_first_failing_level_is_found_in_logarithmically_many_walks",),
     ),
     Mutant(
         "the column power bound without the denominator's bits", "exprlang.py",
@@ -456,6 +487,12 @@ EQUIVALENT = (
         "bracket cache never cleared", "verify.py",
         "    ops.brackets.clear()\n", "",
         reason="no bracket is read after the clear; keeping them only keeps memory alive",
+    ),
+    Mutant(
+        "the constructor ignores bounds and reads both parities", "numerics.py",
+        "values, bound = diags[d], 3 if bounds is None else bounds[d]",
+        "values, bound = diags[d], 3",
+        reason="kernels leave the excluded parities at zero",
     ),
 )
 

@@ -80,7 +80,7 @@ def _random_matrix(dim, rng):
                 entries[(row, col)] = complex(
                     rng.uniform(-2, 2), rng.uniform(-2, 2)
                 )
-    return BandMatrix(dim, Backend.FLOAT, entries)
+    return BandMatrix.from_entries(dim, entries, Backend.FLOAT)
 
 
 class TestGradedBracket:

@@ -335,6 +335,41 @@ class TestBandMatrix:
     def test_out_of_range_entry_rejected(self):
         with pytest.raises(DimensionMismatchError):
             BandMatrix.from_entries(2, {(0, 2): 1.0}, FLOAT)
+        # a negative index would land, unchecked, at the end of a fitting diagonal
+        for key in ((-1, 0), (0, -1), (2, 1)):
+            with pytest.raises(DimensionMismatchError, match=r"outside a 2x2 matrix"):
+                BandMatrix.from_entries(2, {key: 1.0}, FLOAT)
+
+    # the one constructor takes a list per offset d of exactly dim - |d| scalars
+    @pytest.mark.parametrize("diags", [{1: [1j, 2j, 3j]}, {0: [1j, 2j]}, {-1: [1j]}, {2: []}],
+                             ids=["long", "short", "short-lower", "empty"])
+    def test_wrong_length_diagonal_rejected(self, diags):
+        with pytest.raises(DimensionMismatchError, match="does not fit a 3x3 matrix"):
+            BandMatrix(3, FLOAT, diags)
+
+    @pytest.mark.parametrize("diags", [{3: []}, {-3: []}, {3: [1j]}, {-4: []}])
+    def test_offset_outside_the_matrix_rejected(self, diags):
+        with pytest.raises(DimensionMismatchError, match="does not fit a 3x3 matrix"):
+            BandMatrix(3, FLOAT, diags)
+
+    @pytest.mark.parametrize("backend", [FLOAT, EXACT])
+    def test_all_zero_diagonal_dropped(self, backend):
+        zero, one = coerce_scalar(0, backend), coerce_scalar(1, backend)
+        m = BandMatrix(3, backend, {0: [zero] * 3, 1: [one, zero], -2: [zero]})
+        assert repr(m) == f"BandMatrix(dim=3, backend={backend.value}, offsets=[1])"
+        assert m._masks == {1: 1} and list(m.entries()) == [(0, 1, one)]
+        assert m == BandMatrix(3, backend, {1: [one, zero]})
+
+    @pytest.mark.parametrize("backend", [FLOAT, EXACT])
+    def test_from_entries_equals_the_constructor(self, backend):
+        entries = {(0, 1): 2, (2, 1): 3, (1, 1): 0, (3, 3): 5, (3, 0): 7}
+        by_entries = BandMatrix.from_entries(4, entries, backend)
+        zero, two, three, five, seven = (coerce_scalar(v, backend) for v in (0, 2, 3, 5, 7))
+        by_diags = BandMatrix(4, backend, {-3: [seven], -1: [zero, three, zero],
+                                           0: [zero, zero, zero, five], 1: [two, zero, zero]})
+        assert list(by_entries.entries()) == list(by_diags.entries())
+        assert by_entries._masks == by_diags._masks == {-3: 1, -1: 2, 0: 2, 1: 1}
+        assert by_entries == by_diags and hash(by_entries) == hash(by_diags)
 
     def test_band_bookkeeping(self):
         m = BandMatrix.from_entries(4, {(0, 1): 1.0, (3, 1): 2.0}, FLOAT)
@@ -734,7 +769,7 @@ def band_pairs(draw):
             for r in range(max(-d, 0), min(dim, dim - d)):
                 if min(r, r + d) % 2 != parity and draw(st.integers(0, 3)):
                     entries[(r, r + d)] = value() if draw(st.integers(0, 4)) else zero
-        return BandMatrix(dim, backend, entries)
+        return BandMatrix.from_entries(dim, entries, backend)
 
     return matrix(), matrix()
 
@@ -784,7 +819,7 @@ def test_entrywise_operations_match_dict_kernel(pair, k):
         # every kept diagonal, in ascending order, holds a nonzero entry
         offsets = sorted({c - r for r, c in _dict_of(m)})
         assert repr(m) == f"BandMatrix(dim={m.dim}, backend={m.backend.value}, offsets={offsets})"
-    rebuilt = BandMatrix(a.dim, a.backend, _dict_of(a))
+    rebuilt = BandMatrix.from_entries(a.dim, _dict_of(a), a.backend)
     assert rebuilt == a and hash(rebuilt) == hash(a)
     assert (a == b) == (_dict_of(a) == _dict_of(b))
     assert list((a - a).entries()) == [] and a - a == BandMatrix.zeros(a.dim, a.backend)
@@ -856,7 +891,7 @@ def signed_terms(draw):
         found[1] = {key: v for key, v in found[1].items() if key[1] - key[0] != d}
         found[1].update({key: -v if flip else v
                          for key, v in found[0].items() if key[1] - key[0] == d})
-    terms = [(sign, BandMatrix(dim, backend, e)) for sign, e in zip(signs, found)]
+    terms = [(sign, BandMatrix.from_entries(dim, e, backend)) for sign, e in zip(signs, found)]
     guard = draw(st.integers(0, min(3, dim - 1)))
     return terms, draw(st.sampled_from([None, range(draw(st.integers(0, 2)), dim - guard)]))
 
@@ -942,9 +977,9 @@ class TestDiagonalFromIntegerParts:
             got, expected = dense[i][i], coerce_scalar(value, backend)
             assert type(got) is type(expected)
             assert _bits(got) == _bits(expected) and got == expected
-        assert stored == BandMatrix(len(values), backend, {
+        assert stored == BandMatrix.from_entries(len(values), {
             (i, i): coerce_scalar(value, backend) for i, value in enumerate(values)
-        })
+        }, backend)
 
     @pytest.mark.parametrize("backend", [FLOAT, EXACT])
     def test_levels_match_coerce_scalar(self, backend):

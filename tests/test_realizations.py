@@ -348,7 +348,7 @@ class TestExactVariantFromTheRecord:
         edges = {(m, m - 1): ExactScalar(eval_expr(weight, m, params), 0, values[m])
                  for m in range(2 - mu, dim, 2)}
         raising = fresh.Q if family == "cv" else fresh.Qdag
-        assert raising.matrix == BandMatrix(dim, EXACT, edges)
+        assert raising.matrix == BandMatrix.from_entries(dim, edges, EXACT)
         try:
             r = self._build(family, arg, mu, dim, FLOAT)
         except ValidationError:  # F(4) = 2^1200 has no float build

@@ -239,7 +239,7 @@ class TestFaultDetection:
     }
 
     def _corrupt_h(self, r, key=(0, 0), value=complex(1.0)):
-        bumped = r.H.matrix + BandMatrix(r.dim, r.backend, {key: value})
+        bumped = r.H.matrix + BandMatrix.from_entries(r.dim, {key: value}, r.backend)
         return replace(r, H=GradedOperator(bumped, DEGREE_H, "H"))
 
     @pytest.mark.parametrize("use_exact", [True, False])
@@ -317,7 +317,7 @@ class TestJacobiSuite:
 
     def test_antisymmetry_scale_is_nan_in_either_order(self):
         h = hermitian_charges(cv_realization(Fraction(1, 2), 0, 8))
-        nan = BandMatrix(h.dim, h.backend, {(2, 2): complex("nan")})
+        nan = BandMatrix.from_entries(h.dim, {(2, 2): complex("nan")}, h.backend)
         faulty = replace(h, Z=GradedOperator(h.Z.matrix + nan, DEGREE_Z, "Z"))
         checks = by_name(run_jacobi_suite(faulty))
         for name in ("antisymmetry[H,Z]", "antisymmetry[Z,H]", "antisymmetry[Z,Z]"):
@@ -527,6 +527,28 @@ class TestSharedRows:
         assert run_all_suites(r).checks == first.checks
         assert len(calls) == count
 
+    # The same cell counts every matrix built, all through BandMatrix.__init__:
+    # the 112 / 108 products above, 68 / 65 sums and differences, 4 adjoints,
+    # 4 scalings and 2 / 1 zero matrices, the charges, H and Z written for the
+    # report's record (4), and again for the exact variant's set (4 more, float
+    # only).  A writer that bypasses the constructor lowers the count.
+    @pytest.mark.parametrize("backend, count", [(Backend.FLOAT, 198), (Backend.EXACT, 186)])
+    def test_reference_cell_construction_count(self, backend, count, monkeypatch):
+        r = cv_realization(Fraction(1, 2), 0, 256 if backend is Backend.FLOAT else 16, backend)
+        calls = []
+        original = BandMatrix.__init__
+
+        def counting(matrix, *args):
+            calls.append(args[0])
+            original(matrix, *args)
+
+        monkeypatch.setattr(BandMatrix, "__init__", counting)
+        first = run_all_suites(r)
+        assert first.passed and len(calls) == count
+        del calls[:]
+        assert run_all_suites(r).checks == first.checks
+        assert len(calls) == count
+
     # cv(1/2), mu 0, dim 64: 14 table brackets, 3 more on the exact variant's
     # set (float only), 16 inner Jacobi brackets less the 8 the Hermitian
     # table built with the same slots and sign, and 40 nested ones (73 / 70
@@ -727,8 +749,8 @@ def _fields(check):
 def _corrupted(r, fault):
     if fault == "h-bumped":
         one = ExactScalar(1) if r.backend is Backend.EXACT else 1.0
-        return replace(r, H=replace(r.H, matrix=r.H.matrix + BandMatrix(r.dim, r.backend,
-                                                                          {(0, 0): one})))
+        bump = BandMatrix.from_entries(r.dim, {(0, 0): one}, r.backend)
+        return replace(r, H=replace(r.H, matrix=r.H.matrix + bump))
     if fault == "z-aliases-h":
         return replace(r, Z=replace(r.Z, matrix=r.H.matrix))
     if fault == "q-is-qdag":
@@ -766,8 +788,8 @@ def _hermitian_fault(h, fault):
         return replace(h, Z=replace(h.Z, degree=degree(1, 0)))
     if fault == "h-bumped":
         one = ExactScalar(1) if h.backend is Backend.EXACT else 1.0
-        return replace(h, H=replace(h.H, matrix=h.H.matrix + BandMatrix(h.dim, h.backend,
-                                                                          {(0, 0): one})))
+        bump = BandMatrix.from_entries(h.dim, {(0, 0): one}, h.backend)
+        return replace(h, H=replace(h.H, matrix=h.H.matrix + bump))
     return h
 
 
@@ -852,7 +874,8 @@ def _scaled(field, keys, imaginary=False):
         factor = ExactScalar(re, im) if h.backend is Backend.EXACT else complex(re, im)
         entries = {(i, j): v for i, j, v in op.matrix.entries()}
         entries.update({key: entries[key] * factor for key in keys})
-        return replace(h, **{field: replace(op, matrix=BandMatrix(h.dim, h.backend, entries))})
+        matrix = BandMatrix.from_entries(h.dim, entries, h.backend)
+        return replace(h, **{field: replace(op, matrix=matrix)})
     return corrupt
 
 
@@ -967,7 +990,8 @@ def _shifted(field):
         i, j = (4, 3) if (4, 3) in entries else (3, 4)
         factor = ExactScalar(_EPS) if r.backend is Backend.EXACT else float(_EPS)
         entries[i - 1, j - 1] = entries[i, j] * factor
-        return replace(r, **{field: replace(op, matrix=BandMatrix(r.dim, r.backend, entries))})
+        matrix = BandMatrix.from_entries(r.dim, entries, r.backend)
+        return replace(r, **{field: replace(op, matrix=matrix)})
     return corrupt
 
 
@@ -976,7 +1000,7 @@ def _h_off_diagonal(r):
     entries = {(i, j): v for i, j, v in r.H.matrix.entries()}
     factor = ExactScalar(_EPS) if r.backend is Backend.EXACT else float(_EPS)
     entries[3, 4] = entries[4, 3] = entries[3, 3] * factor
-    return replace(r, H=replace(r.H, matrix=BandMatrix(r.dim, r.backend, entries)))
+    return replace(r, H=replace(r.H, matrix=BandMatrix.from_entries(r.dim, entries, r.backend)))
 
 
 _CHARGE_READS = ("standard/anticommutator-gives-h", "qform/anticommutator-gives-h",
@@ -1073,7 +1097,8 @@ def _nan_in(field):
         op = getattr(h, field)
         entries = {(i, j): v for i, j, v in op.matrix.entries()}
         entries[(3, 3) if field in ("H", "Z") else (4, 3)] = complex("nan")
-        return replace(h, **{field: replace(op, matrix=BandMatrix(h.dim, h.backend, entries))})
+        matrix = BandMatrix.from_entries(h.dim, entries, h.backend)
+        return replace(h, **{field: replace(op, matrix=matrix)})
     return corrupt
 
 
@@ -1271,7 +1296,7 @@ def _edge_bumped(r, fields, last=False, value=None):
             value = edge * (ExactScalar(1 + _BUMP) if r.backend is Backend.EXACT
                             else 1 + float(_BUMP))
         entries[key] = value
-        changed[field] = replace(op, matrix=BandMatrix(r.dim, r.backend, entries))
+        changed[field] = replace(op, matrix=BandMatrix.from_entries(r.dim, entries, r.backend))
     return replace(r, **changed), edge, value
 
 
@@ -1289,7 +1314,7 @@ def _entry_bumped(r, field, pick, factor):
         op = changed.get(name, getattr(r, name))
         entries = {(a, b): v for a, b, v in op.matrix.entries()}
         entries[key] = entries[key] * factor
-        changed[name] = replace(op, matrix=BandMatrix(r.dim, r.backend, entries))
+        changed[name] = replace(op, matrix=BandMatrix.from_entries(r.dim, entries, r.backend))
     return replace(r, **changed)
 
 
